@@ -36,11 +36,13 @@ from .edf import (
     parse_hypnogram,
     read_recording,
 )
-from .errors import (
-    ChecksumMismatch,
+from .errors import (  # the EXIT_* codes are re-exported for callers of main()
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_RUNTIME,
     ConfigError,
     ConfigMismatch,
-    NetworkFailure,
+    DataError,
     SingleClassPresent,
     SleepStageError,
 )
@@ -49,17 +51,6 @@ from .model import ModelConfig, ModelParams
 from .preprocess import compute_stats, normalize
 
 log = logging.getLogger("sleepstage")
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_RUNTIME = 4
-
-_DATA_ERRORS = (
-    "TruncatedFile", "MalformedHeader", "SignalNotFound", "DegenerateCalibration",
-    "OverlappingAnnotations", "UnknownStageString", "SampleRateMismatch",
-    "EmptySignal", "DegenerateSignal", "ChecksumMismatch", "TooFewSamples",
-    "TooFewSubjects", "EmptySplit", "SingleClassPresent", "ZeroProportion",
-)
 
 _SUBJECT_RE = re.compile(r"^(SC4|ST7)\d{2}")
 
@@ -160,6 +151,9 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict[str, str]]:
     if not meta_path.is_file():
         raise ConfigMismatch(f"checkpoint manifest {meta_path} is missing")
     meta = parse_kv_text(meta_path.read_text(), source=str(meta_path))
+    for key in ("channel", "model"):
+        if key not in meta:
+            raise DataError(f"checkpoint manifest {meta_path} lacks {key!r}")
     cfg = ModelConfig.from_dict(json.loads(meta["model"]))
     mp = ModelParams.from_state(cfg, load_arrays(path))
     return mp, meta
@@ -320,6 +314,31 @@ def _epoch_indices_by_subject(epochs, subjects) -> list[int]:
     return [i for i, e in enumerate(epochs) if e.subject_id in wanted]
 
 
+def plan_folds(epochs, kind: str, seed: int, k: int, ratio: float, fold: int | None):
+    """The split protocol as a list of folds to train or evaluate.
+
+    Returns (split, [(name, train_idx, val_idx, info)], split_desc): `info`
+    goes into the checkpoint manifest and `split_desc` into metrics.json.
+    k-fold runs every fold, or only `fold` when given; hold-out is one fold.
+    """
+    if kind == "kfold":
+        if fold is not None and not 0 <= fold < k:
+            raise ConfigError(f"split.fold must lie in [0, {k}), got {fold}")
+        split = kfold_split(len(epochs), k=k, seed=seed)
+        folds = [fold] if fold is not None else list(range(k))
+        plan = [(f"fold {i}", *split.fold(i),
+                 {"kind": "kfold", "seed": str(seed), "k": str(k), "fold": str(i)})
+                for i in folds]
+        return split, plan, {"kind": "kfold", "k": k, "seed": seed, "folds": folds}
+    subjects = sorted({e.subject_id for e in epochs})
+    split = holdout_split(subjects, ratio=ratio, seed=seed)
+    plan = [("holdout",
+             _epoch_indices_by_subject(epochs, split.train_subjects),
+             _epoch_indices_by_subject(epochs, split.eval_subjects),
+             {"kind": "holdout", "seed": str(seed), "ratio": repr(ratio)})]
+    return split, plan, {"kind": "holdout", "ratio": ratio, "seed": seed}
+
+
 def _periodic_saver(rc: RunConfig, out_dir: Path, stem: str, split_info: dict):
     if rc.train.checkpoint_every <= 0:
         return None
@@ -346,48 +365,22 @@ def cmd_train(args) -> int:
             f"model.input_length is {rc.model.input_length}")
     augment_cfg = rc.augment if rc.augment_enabled else None
 
+    split, plan, split_desc = plan_folds(epochs, rc.split_kind, rc.seed, rc.split_k,
+                                         rc.split_ratio, rc.fold)
+    _write_split_log(split, out_dir / "split.json")
     merged = ConfusionMatrix()
-    if rc.split_kind == "kfold":
-        split = kfold_split(len(epochs), k=rc.split_k, seed=rc.seed)
-        _write_split_log(split, out_dir / "split.json")
-        folds = [rc.fold] if rc.fold is not None else list(range(rc.split_k))
-        for i in folds:
-            train_idx, val_idx = split.fold(i)
-            fold_info = {"kind": "kfold", "seed": str(rc.seed),
-                         "k": str(rc.split_k), "fold": str(i)}
-            result = training.train(
-                epochs, train_idx, val_idx, rc.train, rc.model,
-                augment_cfg=augment_cfg,
-                on_pass=_periodic_saver(rc, out_dir, f"fold{i}", fold_info))
-            training.write_training_log(result.log, out_dir / f"fold{i}_train_log.csv")
-            save_checkpoint(result.params, out_dir / f"fold{i}.ckpt", rc.channel,
-                            fold_info)
-            final = evaluation.evaluate(result.params, epochs, val_idx)
-            merged = merged.merged(final.cm)
-            kappa = "nan" if result.best_kappa != result.best_kappa else f"{result.best_kappa:.4f}"
-            print(f"fold {i}: best pass {result.best_pass}, validation kappa {kappa}")
-        split_desc = {"kind": "kfold", "k": rc.split_k, "seed": rc.seed,
-                      "folds": folds}
-    else:
-        subjects = sorted({e.subject_id for e in epochs})
-        split = holdout_split(subjects, ratio=rc.split_ratio, seed=rc.seed)
-        _write_split_log(split, out_dir / "split.json")
-        train_idx = _epoch_indices_by_subject(epochs, split.train_subjects)
-        val_idx = _epoch_indices_by_subject(epochs, split.eval_subjects)
-        holdout_info = {"kind": "holdout", "seed": str(rc.seed),
-                        "ratio": repr(rc.split_ratio)}
+    for name, train_idx, val_idx, info in plan:
+        stem = name.replace(" ", "")  # "fold 1" -> fold1.ckpt
         result = training.train(
             epochs, train_idx, val_idx, rc.train, rc.model,
             augment_cfg=augment_cfg,
-            on_pass=_periodic_saver(rc, out_dir, "holdout", holdout_info))
-        training.write_training_log(result.log, out_dir / "holdout_train_log.csv")
-        save_checkpoint(result.params, out_dir / "holdout.ckpt", rc.channel,
-                        holdout_info)
+            on_pass=_periodic_saver(rc, out_dir, stem, info))
+        training.write_training_log(result.log, out_dir / f"{stem}_train_log.csv")
+        save_checkpoint(result.params, out_dir / f"{stem}.ckpt", rc.channel, info)
         final = evaluation.evaluate(result.params, epochs, val_idx)
-        merged = final.cm
+        merged = merged.merged(final.cm)
         kappa = "nan" if result.best_kappa != result.best_kappa else f"{result.best_kappa:.4f}"
-        print(f"holdout: best pass {result.best_pass}, validation kappa {kappa}")
-        split_desc = {"kind": "holdout", "ratio": rc.split_ratio, "seed": rc.seed}
+        print(f"{name}: best pass {result.best_pass}, validation kappa {kappa}")
 
     payload = _metrics_payload(merged, rc, split_desc, merged.total)
     write_metrics_json(payload, out_dir / "metrics.json")
@@ -412,20 +405,14 @@ def cmd_eval(args) -> int:
             f"cached epochs hold {len(epochs[0].samples)} samples, "
             f"checkpoint expects {mp.cfg.input_length}")
 
-    kind = meta.get("split.kind", "holdout")
-    seed = int(meta.get("split.seed", rc.seed))
-    if kind == "kfold":
-        split = kfold_split(len(epochs), k=int(meta["split.k"]), seed=seed)
-        _, val_idx = split.fold(int(meta["split.fold"]))
-        split_desc = {"kind": "kfold", "k": int(meta["split.k"]), "seed": seed,
-                      "folds": [int(meta["split.fold"])]}
-    else:
-        subjects = sorted({e.subject_id for e in epochs})
-        split = holdout_split(subjects, ratio=float(meta.get("split.ratio", rc.split_ratio)),
-                              seed=seed)
-        val_idx = _epoch_indices_by_subject(epochs, split.eval_subjects)
-        split_desc = {"kind": "holdout", "ratio": float(meta.get("split.ratio", rc.split_ratio)),
-                      "seed": seed}
+    fold = meta.get("split.fold")
+    split, plan, split_desc = plan_folds(
+        epochs, meta.get("split.kind", "holdout"), int(meta.get("split.seed", rc.seed)),
+        int(meta.get("split.k", rc.split_k)), float(meta.get("split.ratio", rc.split_ratio)),
+        None if fold is None else int(fold))
+    if len(plan) != 1:
+        raise DataError(f"checkpoint manifest {args.checkpoint}.meta names no split.fold")
+    _, _, val_idx, _ = plan[0]
     _write_split_log(split, out_dir / "split.json")
 
     result = evaluation.evaluate(mp, epochs, val_idx)
@@ -606,17 +593,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ConfigMismatch) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NetworkFailure as exc:
-        print(f"network error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except SleepStageError as exc:
-        code = EXIT_DATA if type(exc).__name__ in _DATA_ERRORS else EXIT_RUNTIME
-        kind = "data" if code == EXIT_DATA else "runtime"
-        print(f"{kind} error: {exc}", file=sys.stderr)
-        return code
+        print(f"{exc.kind} error: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -6,7 +6,7 @@ so any result can be reproduced from that single file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -56,6 +56,24 @@ def _to_int_tuple(key: str, value: str) -> tuple[int, ...]:
         raise ConfigError(f"{key}: expected comma-separated integers, got {value!r}") from None
 
 
+# The model.*, train.* and augment.* keys are the fields of these dataclasses,
+# parsed and formatted by the type of each field's default. The seed fields
+# are not keys of their own: they follow the top-level `seed`.
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "augment": AugmentConfig}
+_SEED_FIELDS = {"seed", "rng_seed"}
+_PARSERS = {int: _to_int, float: _to_float, tuple: _to_int_tuple}
+_FORMATTERS = {int: str, float: repr, tuple: lambda v: ",".join(map(str, v))}
+_TOP_LEVEL_KEYS = {
+    "dataset.root", "dataset.channel", "cache.dir", "output.dir",
+    "split.kind", "split.k", "split.ratio", "split.fold", "seed", "augment.enabled",
+}
+
+
+def _section_keys(prefix: str) -> dict[str, Field]:
+    return {f"{prefix}.{f.name}": f for f in fields(_SECTIONS[prefix])
+            if f.name not in _SEED_FIELDS}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     dataset_root: Path
@@ -73,7 +91,6 @@ class RunConfig:
     augment_enabled: bool = True
 
     def resolved(self) -> dict[str, str]:
-        m, t, a = self.model, self.train, self.augment
         values = {
             "dataset.root": str(self.dataset_root),
             "dataset.channel": self.channel,
@@ -83,40 +100,24 @@ class RunConfig:
             "split.k": str(self.split_k),
             "split.ratio": repr(self.split_ratio),
             "seed": str(self.seed),
-            "model.branch_kernel_sizes": ",".join(str(k) for k in m.branch_kernel_sizes),
-            "model.branch_channels": str(m.branch_channels),
-            "model.attention_blocks": str(m.attention_blocks),
-            "model.channel_attention_reduction": str(m.channel_attention_reduction),
-            "model.spatial_kernel": str(m.spatial_kernel),
-            "model.pool_sizes": ",".join(str(p) for p in m.pool_sizes),
-            "model.num_classes": str(m.num_classes),
-            "model.input_length": str(m.input_length),
-            "train.learning_rate": repr(t.learning_rate),
-            "train.batch_size": str(t.batch_size),
-            "train.adam_beta1": repr(t.adam_beta1),
-            "train.adam_beta2": repr(t.adam_beta2),
-            "train.adam_eps": repr(t.adam_eps),
-            "train.max_passes": str(t.max_passes),
-            "train.checkpoint_every": str(t.checkpoint_every),
             "augment.enabled": str(self.augment_enabled).lower(),
-            "augment.flip_probability": repr(a.flip_probability),
-            "augment.noise_fraction": repr(a.noise_fraction),
         }
+        for prefix in _SECTIONS:
+            section = getattr(self, prefix)
+            for key, f in _section_keys(prefix).items():
+                values[key] = _FORMATTERS[type(f.default)](getattr(section, f.name))
         if self.fold is not None:
             values["split.fold"] = str(self.fold)
         return values
 
 
-_KNOWN_KEYS = {
-    "dataset.root", "dataset.channel", "cache.dir", "output.dir",
-    "split.kind", "split.k", "split.ratio", "split.fold", "seed",
-    "model.branch_kernel_sizes", "model.branch_channels", "model.attention_blocks",
-    "model.channel_attention_reduction", "model.spatial_kernel", "model.pool_sizes",
-    "model.num_classes", "model.input_length",
-    "train.learning_rate", "train.batch_size", "train.adam_beta1", "train.adam_beta2",
-    "train.adam_eps", "train.max_passes", "train.checkpoint_every",
-    "augment.enabled", "augment.flip_probability", "augment.noise_fraction",
-}
+def _build_section(prefix: str, values: dict[str, str]):
+    kwargs = {}
+    for f in fields(_SECTIONS[prefix]):
+        key = "seed" if f.name in _SEED_FIELDS else f"{prefix}.{f.name}"
+        if key in values:
+            kwargs[f.name] = _PARSERS[type(f.default)](key, values[key])
+    return _SECTIONS[prefix](**kwargs)
 
 
 def build_run_config(file_values: dict[str, str] | None = None,
@@ -126,7 +127,8 @@ def build_run_config(file_values: dict[str, str] | None = None,
     values.update(file_values or {})
     values.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
-    unknown = set(values) - _KNOWN_KEYS
+    known = _TOP_LEVEL_KEYS.union(*(_section_keys(p) for p in _SECTIONS))
+    unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
 
@@ -142,55 +144,8 @@ def build_run_config(file_values: dict[str, str] | None = None,
     if split_kind not in ("kfold", "holdout"):
         raise ConfigError(f"split.kind must be kfold or holdout, got {split_kind!r}")
 
-    defaults = ModelConfig()
     try:
-        model = ModelConfig(
-            branch_kernel_sizes=_to_int_tuple("model.branch_kernel_sizes",
-                                              values["model.branch_kernel_sizes"])
-            if "model.branch_kernel_sizes" in values else defaults.branch_kernel_sizes,
-            branch_channels=_to_int("model.branch_channels", values["model.branch_channels"])
-            if "model.branch_channels" in values else defaults.branch_channels,
-            attention_blocks=_to_int("model.attention_blocks", values["model.attention_blocks"])
-            if "model.attention_blocks" in values else defaults.attention_blocks,
-            channel_attention_reduction=_to_int(
-                "model.channel_attention_reduction", values["model.channel_attention_reduction"])
-            if "model.channel_attention_reduction" in values else defaults.channel_attention_reduction,
-            spatial_kernel=_to_int("model.spatial_kernel", values["model.spatial_kernel"])
-            if "model.spatial_kernel" in values else defaults.spatial_kernel,
-            pool_sizes=_to_int_tuple("model.pool_sizes", values["model.pool_sizes"])
-            if "model.pool_sizes" in values else defaults.pool_sizes,
-            num_classes=_to_int("model.num_classes", values["model.num_classes"])
-            if "model.num_classes" in values else defaults.num_classes,
-            input_length=_to_int("model.input_length", values["model.input_length"])
-            if "model.input_length" in values else defaults.input_length,
-        )
-        tdef = TrainConfig()
-        train = TrainConfig(
-            learning_rate=_to_float("train.learning_rate", values["train.learning_rate"])
-            if "train.learning_rate" in values else tdef.learning_rate,
-            batch_size=_to_int("train.batch_size", values["train.batch_size"])
-            if "train.batch_size" in values else tdef.batch_size,
-            adam_beta1=_to_float("train.adam_beta1", values["train.adam_beta1"])
-            if "train.adam_beta1" in values else tdef.adam_beta1,
-            adam_beta2=_to_float("train.adam_beta2", values["train.adam_beta2"])
-            if "train.adam_beta2" in values else tdef.adam_beta2,
-            adam_eps=_to_float("train.adam_eps", values["train.adam_eps"])
-            if "train.adam_eps" in values else tdef.adam_eps,
-            max_passes=_to_int("train.max_passes", values["train.max_passes"])
-            if "train.max_passes" in values else tdef.max_passes,
-            seed=_to_int("seed", values.get("seed", "0")),
-            checkpoint_every=_to_int("train.checkpoint_every", values["train.checkpoint_every"])
-            if "train.checkpoint_every" in values else tdef.checkpoint_every,
-        )
-        adef = AugmentConfig()
-        augment = AugmentConfig(
-            flip_probability=_to_float("augment.flip_probability",
-                                       values["augment.flip_probability"])
-            if "augment.flip_probability" in values else adef.flip_probability,
-            noise_fraction=_to_float("augment.noise_fraction", values["augment.noise_fraction"])
-            if "augment.noise_fraction" in values else adef.noise_fraction,
-            rng_seed=_to_int("seed", values.get("seed", "0")),
-        )
+        sections = {prefix: _build_section(prefix, values) for prefix in _SECTIONS}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -198,20 +153,25 @@ def build_run_config(file_values: dict[str, str] | None = None,
     if enabled_text not in ("true", "false", "1", "0", "yes", "no"):
         raise ConfigError(f"augment.enabled: expected boolean, got {enabled_text!r}")
 
+    split_k = _to_int("split.k", values.get("split.k", "5"))
+    if split_k < 1:
+        raise ConfigError(f"split.k must be >= 1, got {split_k}")
+    split_ratio = _to_float("split.ratio", values.get("split.ratio", "0.8"))
+    if not 0.0 < split_ratio < 1.0:
+        raise ConfigError(f"split.ratio must lie in (0, 1), got {split_ratio!r}")
+
     return RunConfig(
         dataset_root=dataset_root,
         output_dir=output_dir,
         cache_dir=cache_dir,
         channel=values.get("dataset.channel", DEFAULT_CHANNEL),
         split_kind=split_kind,
-        split_k=_to_int("split.k", values.get("split.k", "5")),
-        split_ratio=_to_float("split.ratio", values.get("split.ratio", "0.8")),
+        split_k=split_k,
+        split_ratio=split_ratio,
         fold=_to_int("split.fold", values["split.fold"]) if "split.fold" in values else None,
         seed=_to_int("seed", values.get("seed", "0")),
-        model=model,
-        train=train,
-        augment=augment,
         augment_enabled=enabled_text in ("true", "1", "yes"),
+        **sections,
     )
 
 

@@ -43,8 +43,6 @@ class StageLabel(IntEnum):
     W = 4
 
 
-STAGE_NAMES = {s: s.name for s in StageLabel}
-
 # raw hypnogram vocabulary -> stage (None = excluded from the dataset)
 _RAW_STAGE_MAP: dict[str, StageLabel | None] = {
     "W": StageLabel.W,
@@ -445,13 +443,6 @@ def epoch_recording(rec: EegRecording,
             ))
     epochs.sort(key=lambda e: e.epoch_index)
     return epochs
-
-
-def class_counts(epochs: list[LabeledEpoch]) -> dict[StageLabel, int]:
-    counts = {s: 0 for s in StageLabel}
-    for e in epochs:
-        counts[e.label] += 1
-    return counts
 
 
 # --- synthetic-file construction (round-trip checks, fixtures, demos) ---

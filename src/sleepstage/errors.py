@@ -1,47 +1,72 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class carries the CLI exit code and the stderr prefix (`kind`) it ends
+with: 2 configuration, 3 data, 4 runtime or network.
+"""
+
+EXIT_CONFIG = 2
+EXIT_DATA = 3
+EXIT_RUNTIME = 4
 
 
 class SleepStageError(Exception):
     """Base class for every error this package raises deliberately."""
 
+    kind = "runtime"
+    exit_code = EXIT_RUNTIME
+
+
+class DataError(SleepStageError):
+    """An input file or corpus holds something the pipeline cannot use."""
+
+    kind = "data"
+    exit_code = EXIT_DATA
+
+
+class ConfigError(SleepStageError):
+    """Run configuration file or overrides failed validation."""
+
+    kind = "configuration"
+    exit_code = EXIT_CONFIG
+
 
 # --- EDF ingestion ---
 
-class TruncatedFile(SleepStageError):
+class TruncatedFile(DataError):
     """Byte stream ends before the declared header or data records do."""
 
 
-class MalformedHeader(SleepStageError):
+class MalformedHeader(DataError):
     """A fixed-width header field holds something it must not."""
 
 
-class SignalNotFound(SleepStageError):
+class SignalNotFound(DataError):
     """Requested channel label is absent from the recording."""
 
 
-class DegenerateCalibration(SleepStageError):
+class DegenerateCalibration(DataError):
     """digital_min == digital_max, so the affine map is undefined."""
 
 
-class OverlappingAnnotations(SleepStageError):
+class OverlappingAnnotations(DataError):
     """Hypnogram intervals overlap or run backwards."""
 
 
-class UnknownStageString(SleepStageError):
+class UnknownStageString(DataError):
     """Annotation text is not one of the scored-stage vocabulary."""
 
 
-class SampleRateMismatch(SleepStageError):
+class SampleRateMismatch(DataError):
     """30 s of signal is not a whole number of samples."""
 
 
 # --- preprocessing ---
 
-class EmptySignal(SleepStageError):
+class EmptySignal(DataError):
     pass
 
 
-class DegenerateSignal(SleepStageError):
+class DegenerateSignal(DataError):
     """5th and 95th percentiles coincide; normalization undefined."""
 
 
@@ -65,7 +90,7 @@ class GraphConsumed(SleepStageError):
 
 # --- training ---
 
-class ZeroProportion(SleepStageError):
+class ZeroProportion(DataError):
     pass
 
 
@@ -73,7 +98,7 @@ class MissingGradient(SleepStageError):
     """Optimizer stepped over a parameter whose grad was never populated."""
 
 
-class EmptySplit(SleepStageError):
+class EmptySplit(DataError):
     pass
 
 
@@ -83,31 +108,27 @@ class UndefinedMetric(SleepStageError):
     """Metric denominator is zero (reported as absent, never as 0)."""
 
 
-class TooFewSamples(SleepStageError):
+class TooFewSamples(DataError):
     pass
 
 
-class TooFewSubjects(SleepStageError):
+class TooFewSubjects(DataError):
     pass
 
 
-class SingleClassPresent(SleepStageError):
+class SingleClassPresent(DataError):
     """ROC/PR curve requested for a class with no positive examples."""
 
 
 # --- CLI / fetch ---
 
-class ChecksumMismatch(SleepStageError):
+class ChecksumMismatch(DataError):
     pass
 
 
 class NetworkFailure(SleepStageError):
-    pass
+    kind = "network"
 
 
-class ConfigMismatch(SleepStageError):
+class ConfigMismatch(ConfigError):
     """Checkpoint and requested run disagree (channel, shapes, ...)."""
-
-
-class ConfigError(SleepStageError):
-    """Run configuration file or overrides failed validation."""

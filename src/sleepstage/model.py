@@ -9,13 +9,13 @@ Global average pooling and one fully connected layer produce the 5 logits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import ParamTensor, RunningStats, Tensor
-from .errors import ShapeMismatch
+from .errors import DataError, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -49,31 +49,18 @@ class ModelConfig:
                              "(first applies after the branch concat)")
         if self.branch_channels < 1 or self.attention_blocks < 1:
             raise ValueError("branch_channels and attention_blocks must be >= 1")
+        if self.channel_attention_reduction < 1:
+            raise ValueError("channel_attention_reduction must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "branch_kernel_sizes": list(self.branch_kernel_sizes),
-            "branch_channels": self.branch_channels,
-            "attention_blocks": self.attention_blocks,
-            "channel_attention_reduction": self.channel_attention_reduction,
-            "spatial_kernel": self.spatial_kernel,
-            "pool_sizes": list(self.pool_sizes),
-            "num_classes": self.num_classes,
-            "input_length": self.input_length,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            branch_kernel_sizes=tuple(d["branch_kernel_sizes"]),
-            branch_channels=int(d["branch_channels"]),
-            attention_blocks=int(d["attention_blocks"]),
-            channel_attention_reduction=int(d["channel_attention_reduction"]),
-            spatial_kernel=int(d["spatial_kernel"]),
-            pool_sizes=tuple(d["pool_sizes"]),
-            num_classes=int(d["num_classes"]),
-            input_length=int(d["input_length"]),
-        )
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise DataError(f"model configuration lacks {missing}")
+        return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls)})
 
 
 @dataclass

@@ -158,10 +158,6 @@ class TrainResult:
     best_kappa: float
 
 
-def _epoch_matrix(epochs: Sequence[LabeledEpoch], idx: Sequence[int]) -> np.ndarray:
-    return np.stack([np.asarray(epochs[i].samples, dtype=np.float64) for i in idx])
-
-
 def train(epochs: Sequence[LabeledEpoch],
           train_idx: Sequence[int],
           val_idx: Sequence[int],

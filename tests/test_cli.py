@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sleepstage import cli, fetch
+from sleepstage import cli, errors, fetch
 from sleepstage.config import (
     DATASET_ROOT_ENV,
     build_run_config,
@@ -68,6 +68,10 @@ class TestConfigFormat:
             build_run_config({"dataset.root": str(tmp_path), "split.k": "five"})
         with pytest.raises(ConfigError):
             build_run_config({"dataset.root": str(tmp_path), "split.kind": "loocv"})
+        for key, value in [("split.k", "0"), ("split.ratio", "1.5"), ("split.ratio", "0"),
+                           ("model.channel_attention_reduction", "0")]:
+            with pytest.raises(ConfigError):
+                build_run_config({"dataset.root": str(tmp_path), key: value})
 
     def test_model_overrides_take_effect(self, tmp_path):
         rc = build_run_config({"dataset.root": str(tmp_path),
@@ -81,6 +85,90 @@ class TestConfigFormat:
         rc = build_run_config({"dataset.root": str(tmp_path), "seed": "3"})
         again = build_run_config(parse_kv_text(format_kv(rc.resolved())))
         assert again == rc
+
+    def test_resolved_default_literal(self):
+        rc = build_run_config({"dataset.root": "/data"})
+        assert format_kv(rc.resolved()) == (
+            "augment.enabled = true\n"
+            "augment.flip_probability = 0.5\n"
+            "augment.noise_fraction = 0.01\n"
+            "cache.dir = /data/cache\n"
+            "dataset.channel = EEG Fpz-Cz\n"
+            "dataset.root = /data\n"
+            "model.attention_blocks = 3\n"
+            "model.branch_channels = 32\n"
+            "model.branch_kernel_sizes = 3,5,7\n"
+            "model.channel_attention_reduction = 4\n"
+            "model.input_length = 3000\n"
+            "model.num_classes = 5\n"
+            "model.pool_sizes = 8,4,4\n"
+            "model.spatial_kernel = 3\n"
+            "output.dir = out\n"
+            "seed = 0\n"
+            "split.k = 5\n"
+            "split.kind = kfold\n"
+            "split.ratio = 0.8\n"
+            "train.adam_beta1 = 0.9\n"
+            "train.adam_beta2 = 0.999\n"
+            "train.adam_eps = 1e-08\n"
+            "train.batch_size = 8\n"
+            "train.checkpoint_every = 0\n"
+            "train.learning_rate = 0.0005\n"
+            "train.max_passes = 30\n"
+        )
+
+
+# exit code and stderr prefix of every error class, as main() reports them
+EXIT_TABLE = {
+    "SleepStageError": (4, "runtime"),
+    "ShapeMismatch": (4, "runtime"),
+    "NegativeThreshold": (4, "runtime"),
+    "NonScalarLoss": (4, "runtime"),
+    "GraphConsumed": (4, "runtime"),
+    "MissingGradient": (4, "runtime"),
+    "UndefinedMetric": (4, "runtime"),
+    "NetworkFailure": (4, "network"),
+    "ConfigError": (2, "configuration"),
+    "ConfigMismatch": (2, "configuration"),
+    "DataError": (3, "data"),
+    "TruncatedFile": (3, "data"),
+    "MalformedHeader": (3, "data"),
+    "SignalNotFound": (3, "data"),
+    "DegenerateCalibration": (3, "data"),
+    "OverlappingAnnotations": (3, "data"),
+    "UnknownStageString": (3, "data"),
+    "SampleRateMismatch": (3, "data"),
+    "EmptySignal": (3, "data"),
+    "DegenerateSignal": (3, "data"),
+    "ChecksumMismatch": (3, "data"),
+    "TooFewSamples": (3, "data"),
+    "TooFewSubjects": (3, "data"),
+    "EmptySplit": (3, "data"),
+    "SingleClassPresent": (3, "data"),
+    "ZeroProportion": (3, "data"),
+}
+
+
+def _error_classes(cls=errors.SleepStageError):
+    out = {cls.__name__: cls}
+    for sub in cls.__subclasses__():
+        out.update(_error_classes(sub))
+    return out
+
+
+class TestExitCodes:
+    def test_table_covers_every_error_class(self):
+        assert set(_error_classes()) == set(EXIT_TABLE)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_TABLE))
+    def test_exit_code_and_prefix(self, name, monkeypatch, capsys):
+        def fail(args):
+            raise _error_classes()[name]("boom")
+
+        monkeypatch.setattr(cli, "cmd_plot", fail)
+        code, prefix = EXIT_TABLE[name]
+        assert run_cli("plot") == code
+        assert capsys.readouterr().err == f"{prefix} error: boom\n"
 
 
 def write_config(tmp_path: Path, corpus: Path, extra: str = "") -> Path:
@@ -197,6 +285,47 @@ class TestTrainEvalPredict:
                        "--fold", 1, "--out", out) == 0
         assert (out / "fold1.ckpt").is_file()
         assert not (out / "fold0.ckpt").exists()
+
+    @pytest.mark.parametrize("fold", [7, -1])
+    def test_fold_out_of_range_is_config_error(self, preprocessed, tmp_path, fold):
+        cfg, corpus = preprocessed
+        out = tmp_path / "bad_fold"
+        assert run_cli("train", "--config", cfg, "--split", "kfold:3",
+                       "--fold", fold, "--out", out) == cli.EXIT_CONFIG
+        assert not (out / "split.json").exists()
+
+    @pytest.mark.parametrize("split, stem", [("kfold:3", "fold1"), ("holdout:0.5", "holdout")])
+    def test_eval_reproduces_train_metrics(self, preprocessed, tmp_path, split, stem):
+        cfg, corpus = preprocessed
+        out = tmp_path / "train"
+        argv = ["--fold", 1] if split.startswith("kfold") else []
+        assert run_cli("train", "--config", cfg, "--split", split, *argv, "--out", out) == 0
+        eval_out = tmp_path / "eval"
+        assert run_cli("eval", "--config", cfg, "--checkpoint", out / f"{stem}.ckpt",
+                       "--out", eval_out) == 0
+        assert (eval_out / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("key, field", [("channel", None), ("model", None),
+                                            ("model", "num_classes"), ("split.fold", None)])
+    def test_incomplete_checkpoint_manifest_is_data_error(self, preprocessed, tmp_path,
+                                                          capsys, key, field):
+        cfg, corpus = preprocessed
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--split", "kfold:3", "--fold", 1,
+                       "--out", out) == 0
+        meta_path = out / "fold1.ckpt.meta"
+        meta = parse_kv_text(meta_path.read_text())
+        if field:
+            model = json.loads(meta[key])
+            del model[field]
+            meta[key] = json.dumps(model)
+        else:
+            del meta[key]
+        meta_path.write_text(format_kv(meta))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg, "--checkpoint", out / "fold1.ckpt",
+                       "--out", tmp_path / "eval") == cli.EXIT_DATA
+        assert (field or key) in capsys.readouterr().err
 
     def test_eval_channel_mismatch_is_config_error(self, preprocessed, tmp_path):
         cfg, corpus = preprocessed
