@@ -11,6 +11,7 @@ central finite differences in the test suite. Conventions that matter:
 """
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Sequence
 
@@ -22,6 +23,7 @@ from .errors import (
     NegativeThreshold,
     NonScalarLoss,
     ShapeMismatch,
+    TruncatedFile,
 )
 
 _GRAD_ENABLED = True
@@ -536,25 +538,33 @@ def save_arrays(arrays: dict[str, np.ndarray], path) -> None:
 def load_arrays(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a parameter container")
+    if len(blob) < 12 or blob[:4] != _CKPT_MAGIC:
+        raise TruncatedFile(f"{path}: not a parameter container")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != _CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported container version {version}")
+        raise TruncatedFile(f"{path}: unsupported container version {version}")
     off = 12
     out: dict[str, np.ndarray] = {}
+
+    def take(nbytes: int) -> int:
+        """Offset of the next `nbytes` bytes, which must lie inside the file."""
+        nonlocal off
+        if off + nbytes > len(blob):
+            raise TruncatedFile(f"{path}: container ends inside entry {len(out)}")
+        off += nbytes
+        return off - nbytes
+
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}Q", blob, off)
-        off += 8 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(dims)
-        off += 8 * n
+        (nlen,) = struct.unpack_from("<I", blob, take(4))
+        start = take(nlen)
+        try:
+            name = blob[start:off].decode("utf-8")
+        except UnicodeDecodeError:
+            raise TruncatedFile(f"{path}: entry {len(out)} has a name that is not UTF-8") from None
+        (rank,) = struct.unpack_from("<I", blob, take(4))
+        dims = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank))
+        n = math.prod(dims)
+        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).reshape(dims)
         out[name] = arr.astype(np.float64)
     return out
 

@@ -1,9 +1,9 @@
 """Binary epoch cache and per-subject normalization stats files.
 
-Cache layout: 4 magic bytes, u32 version, u32 epoch count, then per epoch
-one label byte followed by the epoch's samples as little-endian 32-bit
-floats. The sample count per epoch is implied by the file size. Epochs are
-stored in epoch_index order; loading renumbers them densely from 0.
+Cache layout: 4 magic bytes, u32 version, u32 epoch count, then from byte
+12 one record per epoch of the packed dtype [('label','u1'),('x','<f4',(L,))],
+with L implied by the file size. Epochs are stored in epoch_index order;
+loading renumbers them densely from 0 into one EpochSet.
 """
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .edf import LabeledEpoch, StageLabel
-from .errors import TruncatedFile
+from .edf import EpochSet, LabeledEpoch, StageLabel
+from .errors import DataError, TruncatedFile
 from .preprocess import NormalizationStats
 
 _MAGIC = b"SSE1"
@@ -38,7 +38,8 @@ def save_epochs(epochs: list[LabeledEpoch], path) -> None:
             fh.write(np.asarray(e.samples, dtype="<f4").tobytes())
 
 
-def load_epochs(path, subject_id: str) -> list[LabeledEpoch]:
+def _read_records(path) -> np.ndarray:
+    """The checked epoch records of one cache file."""
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != _MAGIC:
         raise TruncatedFile(f"{path}: not an epoch cache")
@@ -53,20 +54,36 @@ def load_epochs(path, subject_id: str) -> list[LabeledEpoch]:
     record = body // count
     if (record - 1) % 4:
         raise TruncatedFile(f"{path}: record size {record} is not 1 + 4*samples")
-    n_samples = (record - 1) // 4
-    epochs = []
-    off = 12
-    for i in range(count):
-        label = blob[off]
-        samples = np.frombuffer(blob, dtype="<f4", count=n_samples, offset=off + 1)
-        epochs.append(LabeledEpoch(
-            samples=samples.astype(np.float64),
-            label=StageLabel(label),
-            subject_id=subject_id,
-            epoch_index=i,
-        ))
-        off += record
-    return epochs
+    records = np.frombuffer(blob, offset=12,
+                            dtype=[("label", "u1"), ("x", "<f4", ((record - 1) // 4,))])
+    if records["label"].max() >= len(StageLabel):
+        raise TruncatedFile(f"{path}: label byte {records['label'].max()} is not a stage code")
+    return records
+
+
+def _epoch_set(files: list[np.ndarray], subjects: list[str]) -> EpochSet:
+    """Join per-file records; epoch_index runs on across a subject's files."""
+    if not files:
+        return EpochSet.of([])
+    lengths = {f.dtype["x"].shape for f in files}
+    if len(lengths) != 1:
+        raise DataError(f"cache files mix epoch lengths {sorted(lengths)}")
+    counts = [len(f) for f in files]
+    bases, next_index = [], {}
+    for subject, count in zip(subjects, counts):
+        bases.append(next_index.get(subject, 0))
+        next_index[subject] = bases[-1] + count
+    return EpochSet(
+        samples=np.concatenate([f["x"] for f in files]),
+        labels=np.concatenate([f["label"] for f in files]).astype(np.int64),
+        subjects=np.repeat(subjects, counts),
+        epoch_index=np.concatenate([base + np.arange(count, dtype=np.int64)
+                                    for base, count in zip(bases, counts)]),
+    )
+
+
+def load_epochs(path, subject_id: str) -> EpochSet:
+    return _epoch_set([_read_records(path)], [subject_id])
 
 
 def save_stats(stats: NormalizationStats, path) -> None:
@@ -92,17 +109,9 @@ def cached_subjects(cache_dir) -> list[str]:
                    for p in Path(cache_dir).glob(f"*{EPOCH_SUFFIX}")})
 
 
-def load_all(cache_dir) -> list[LabeledEpoch]:
+def load_all(cache_dir) -> EpochSet:
     """Every cached epoch in sorted file order; epoch indices are renumbered
     to keep strictly increasing within each subject across recordings."""
-    epochs: list[LabeledEpoch] = []
-    next_index: dict[str, int] = {}
-    for path in sorted(Path(cache_dir).glob(f"*{EPOCH_SUFFIX}")):
-        subject = subject_of(path.name[:-len(EPOCH_SUFFIX)])
-        base = next_index.get(subject, 0)
-        loaded = load_epochs(path, subject)
-        for e in loaded:
-            e.epoch_index += base
-        next_index[subject] = base + len(loaded)
-        epochs.extend(loaded)
-    return epochs
+    paths = sorted(Path(cache_dir).glob(f"*{EPOCH_SUFFIX}"))
+    return _epoch_set([_read_records(p) for p in paths],
+                      [subject_of(p.name[:-len(EPOCH_SUFFIX)]) for p in paths])

@@ -23,16 +23,17 @@ from .autograd import load_arrays, save_arrays
 from .config import (
     DATASET_ROOT_ENV,
     RunConfig,
+    build_run_config,
     format_kv,
     load_run_config,
     parse_kv_text,
 )
 from .edf import (
     EPOCH_SECONDS,
+    EpochSet,
     StageLabel,
     epoch_recording,
     extract_annotations,
-    map_label,
     parse_hypnogram,
     read_recording,
 )
@@ -154,7 +155,10 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict[str, str]]:
     for key in ("channel", "model"):
         if key not in meta:
             raise DataError(f"checkpoint manifest {meta_path} lacks {key!r}")
-    cfg = ModelConfig.from_dict(json.loads(meta["model"]))
+    try:
+        cfg = ModelConfig.from_dict(json.loads(meta["model"]))
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"checkpoint manifest {meta_path}: bad 'model' entry: {exc}") from None
     mp = ModelParams.from_state(cfg, load_arrays(path))
     return mp, meta
 
@@ -260,7 +264,7 @@ def cmd_preprocess(args) -> int:
         raise SleepStageError(f"no EDF recordings under {rc.dataset_root}")
     failures = 0
     last_error: SleepStageError | None = None
-    totals = {s: 0 for s in StageLabel}
+    totals = np.zeros(len(StageLabel), dtype=np.int64)
     for psg, hyp, subject, stem in recs:
         cache_name = f"{subject}__{stem}"
         epochs_path = rc.cache_dir / f"{cache_name}{cache.EPOCH_SUFFIX}"
@@ -272,8 +276,8 @@ def cmd_preprocess(args) -> int:
         if epochs_path.is_file() and src_path.is_file() and \
                 parse_kv_text(src_path.read_text(), str(src_path)) == fingerprint:
             log.info("%s: cache up to date", stem)
-            for e in cache.load_epochs(epochs_path, subject):
-                totals[e.label] += 1
+            totals += np.bincount(cache.load_epochs(epochs_path, subject).labels,
+                                  minlength=len(StageLabel))
             continue
         try:
             psg_bytes = psg.read_bytes()
@@ -294,11 +298,10 @@ def cmd_preprocess(args) -> int:
         cache.save_epochs(epochs, epochs_path)
         cache.save_stats(stats, rc.cache_dir / f"{cache_name}{cache.STATS_SUFFIX}")
         src_path.write_text(format_kv(fingerprint))
-        for e in epochs:
-            totals[e.label] += 1
+        totals += np.bincount([int(e.label) for e in epochs], minlength=len(StageLabel))
         log.info("%s: cached %d epochs", stem, len(epochs))
 
-    grand = sum(totals.values())
+    grand = int(totals.sum())
     print("stage   epochs  share")
     for s in (StageLabel.W, StageLabel.N1, StageLabel.N2, StageLabel.N3, StageLabel.R):
         share = 100.0 * totals[s] / grand if grand else 0.0
@@ -309,12 +312,7 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _epoch_indices_by_subject(epochs, subjects) -> list[int]:
-    wanted = set(subjects)
-    return [i for i, e in enumerate(epochs) if e.subject_id in wanted]
-
-
-def plan_folds(epochs, kind: str, seed: int, k: int, ratio: float, fold: int | None):
+def plan_folds(epochs: EpochSet, kind: str, seed: int, k: int, ratio: float, fold: int | None):
     """The split protocol as a list of folds to train or evaluate.
 
     Returns (split, [(name, train_idx, val_idx, info)], split_desc): `info`
@@ -330,11 +328,10 @@ def plan_folds(epochs, kind: str, seed: int, k: int, ratio: float, fold: int | N
                  {"kind": "kfold", "seed": str(seed), "k": str(k), "fold": str(i)})
                 for i in folds]
         return split, plan, {"kind": "kfold", "k": k, "seed": seed, "folds": folds}
-    subjects = sorted({e.subject_id for e in epochs})
-    split = holdout_split(subjects, ratio=ratio, seed=seed)
+    split = holdout_split(np.unique(epochs.subjects).tolist(), ratio=ratio, seed=seed)
     plan = [("holdout",
-             _epoch_indices_by_subject(epochs, split.train_subjects),
-             _epoch_indices_by_subject(epochs, split.eval_subjects),
+             np.flatnonzero(np.isin(epochs.subjects, split.train_subjects)),
+             np.flatnonzero(np.isin(epochs.subjects, split.eval_subjects)),
              {"kind": "holdout", "seed": str(seed), "ratio": repr(ratio)})]
     return split, plan, {"kind": "holdout", "ratio": ratio, "seed": seed}
 
@@ -359,9 +356,9 @@ def cmd_train(args) -> int:
     if not epochs:
         raise SleepStageError(
             f"no cached epochs in {rc.cache_dir}; run `sleepstage preprocess` first")
-    if len(epochs[0].samples) != rc.model.input_length:
+    if epochs.samples.shape[1] != rc.model.input_length:
         raise ConfigMismatch(
-            f"cached epochs hold {len(epochs[0].samples)} samples, "
+            f"cached epochs hold {epochs.samples.shape[1]} samples, "
             f"model.input_length is {rc.model.input_length}")
     augment_cfg = rc.augment if rc.augment_enabled else None
 
@@ -400,16 +397,23 @@ def cmd_eval(args) -> int:
     if not epochs:
         raise SleepStageError(
             f"no cached epochs in {rc.cache_dir}; run `sleepstage preprocess` first")
-    if len(epochs[0].samples) != mp.cfg.input_length:
+    if epochs.samples.shape[1] != mp.cfg.input_length:
         raise ConfigMismatch(
-            f"cached epochs hold {len(epochs[0].samples)} samples, "
+            f"cached epochs hold {epochs.samples.shape[1]} samples, "
             f"checkpoint expects {mp.cfg.input_length}")
 
-    fold = meta.get("split.fold")
-    split, plan, split_desc = plan_folds(
-        epochs, meta.get("split.kind", "holdout"), int(meta.get("split.seed", rc.seed)),
-        int(meta.get("split.k", rc.split_k)), float(meta.get("split.ratio", rc.split_ratio)),
-        None if fold is None else int(fold))
+    # the split as the manifest records it; the run's values stand in for absent fields
+    recorded = {k: meta[k] for k in ("split.kind", "split.k", "split.ratio", "split.fold")
+                if k in meta}
+    try:
+        src = build_run_config({
+            "dataset.root": str(rc.dataset_root), "split.kind": "holdout",
+            "split.k": str(rc.split_k), "split.ratio": repr(rc.split_ratio),
+            "seed": meta.get("split.seed", str(rc.seed)), **recorded})
+        split, plan, split_desc = plan_folds(epochs, src.split_kind, src.seed, src.split_k,
+                                             src.split_ratio, src.fold)
+    except ConfigError as exc:
+        raise DataError(f"checkpoint manifest {args.checkpoint}.meta: {exc}") from None
     if len(plan) != 1:
         raise DataError(f"checkpoint manifest {args.checkpoint}.meta names no split.fold")
     _, _, val_idx, _ = plan[0]
@@ -465,14 +469,8 @@ def cmd_predict(args) -> int:
     elif extract_annotations(psg_bytes):
         hyp_bytes = psg_bytes
     if hyp_bytes is not None:
-        for onset, duration, token in parse_hypnogram(hyp_bytes):
-            label = map_label(token)
-            if label is None:
-                continue
-            first = int(np.ceil(onset / EPOCH_SECONDS))
-            last = int(np.floor((onset + duration) / EPOCH_SECONDS))
-            for w in range(first, min(last, n_windows)):
-                reference[w] = int(label)
+        reference = {e.epoch_index: int(e.label)
+                     for e in epoch_recording(rec, parse_hypnogram(hyp_bytes))}
 
     csv_path = out_dir / "predictions.csv"
     with open(csv_path, "w", newline="") as fh:

@@ -105,6 +105,52 @@ class LabeledEpoch:
     epoch_index: int
 
 
+@dataclass(frozen=True, eq=False)
+class EpochSet:
+    """A set of epochs as four columns; row i is one LabeledEpoch.
+
+    samples [N, L] stays in the dtype it was built from (float32 from the
+    cache), labels are stage codes, subjects and epoch_index name each row.
+    An integer index gives a LabeledEpoch with float64 samples; a slice or an
+    index array gives an EpochSet.
+    """
+
+    samples: np.ndarray
+    labels: np.ndarray
+    subjects: np.ndarray
+    epoch_index: np.ndarray
+
+    @classmethod
+    def of(cls, epochs) -> "EpochSet":
+        """`epochs` itself when it is an EpochSet, else its LabeledEpochs stacked."""
+        if isinstance(epochs, EpochSet):
+            return epochs
+        epochs = list(epochs)
+        return cls(
+            samples=np.stack([e.samples for e in epochs]) if epochs else np.empty((0, 0)),
+            labels=np.asarray([int(e.label) for e in epochs], dtype=np.int64),
+            subjects=np.asarray([e.subject_id for e in epochs], dtype=str),
+            epoch_index=np.asarray([e.epoch_index for e in epochs], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return LabeledEpoch(
+                samples=self.samples[key].astype(np.float64),
+                label=StageLabel(int(self.labels[key])),
+                subject_id=str(self.subjects[key]),
+                epoch_index=int(self.epoch_index[key]),
+            )
+        return EpochSet(self.samples[key], self.labels[key], self.subjects[key],
+                        self.epoch_index[key])
+
+
 # --- header field helpers ---
 
 def _ascii(data: bytes, offset: int, width: int) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .edf import LabeledEpoch, StageLabel
+from .edf import EpochSet, LabeledEpoch, StageLabel
 from .errors import (
     EmptySplit,
     SingleClassPresent,
@@ -285,7 +285,7 @@ def predict_probabilities(mp: ModelParams, batches: np.ndarray,
     return np.concatenate(probs, axis=0)
 
 
-def evaluate(mp: ModelParams, epochs: Sequence[LabeledEpoch],
+def evaluate(mp: ModelParams, epochs: EpochSet | Sequence[LabeledEpoch],
              indices: Sequence[int] | None = None,
              batch_size: int = 32) -> EvalResult:
     """Argmax staging (ties break to the lowest class code) plus every metric.
@@ -293,15 +293,16 @@ def evaluate(mp: ModelParams, epochs: Sequence[LabeledEpoch],
     Output sequences are ordered by (subject, epoch_index) so a hypnogram can
     be rendered directly.
     """
-    if indices is None:
-        indices = range(len(epochs))
-    chosen = sorted(indices, key=lambda i: (epochs[i].subject_id, epochs[i].epoch_index))
-    if not chosen:
+    epochs = EpochSet.of(epochs)
+    chosen = np.arange(len(epochs)) if indices is None else np.asarray(indices, dtype=np.int64)
+    if not chosen.size:
         raise EmptySplit("no epochs to evaluate")
-    x = np.stack([np.asarray(epochs[i].samples, dtype=np.float64) for i in chosen])
+    # stable, so ties keep their order in `indices`
+    chosen = chosen[np.lexsort((epochs.epoch_index[chosen], epochs.subjects[chosen]))]
+    x = epochs.samples[chosen].astype(np.float64)
     probs = predict_probabilities(mp, x, batch_size=batch_size)
     y_pred = probs.argmax(axis=1)
-    y_true = np.asarray([int(epochs[i].label) for i in chosen])
+    y_true = epochs.labels[chosen]
     cm = ConfusionMatrix.from_pairs(y_true, y_pred)
     return EvalResult(
         cm=cm,
@@ -310,5 +311,5 @@ def evaluate(mp: ModelParams, epochs: Sequence[LabeledEpoch],
         y_true=y_true,
         y_pred=y_pred,
         probabilities=probs,
-        order=[(epochs[i].subject_id, epochs[i].epoch_index) for i in chosen],
+        order=list(zip(epochs.subjects[chosen].tolist(), epochs.epoch_index[chosen].tolist())),
     )

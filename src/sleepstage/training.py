@@ -16,7 +16,7 @@ import numpy as np
 from . import autograd as ag
 from . import evaluation
 from .autograd import ParamTensor, Tensor
-from .edf import LabeledEpoch
+from .edf import EpochSet, LabeledEpoch
 from .errors import EmptySplit, MissingGradient, ShapeMismatch, ZeroProportion
 from .model import ModelConfig, ModelParams, init_params, model_forward
 from .preprocess import AugmentConfig, augment
@@ -158,7 +158,7 @@ class TrainResult:
     best_kappa: float
 
 
-def train(epochs: Sequence[LabeledEpoch],
+def train(epochs: EpochSet | Sequence[LabeledEpoch],
           train_idx: Sequence[int],
           val_idx: Sequence[int],
           cfg: TrainConfig,
@@ -179,7 +179,8 @@ def train(epochs: Sequence[LabeledEpoch],
     if np.intersect1d(train_idx, val_idx).size:
         raise EmptySplit("train and validation splits overlap")
 
-    labels = np.asarray([int(epochs[i].label) for i in range(len(epochs))])
+    epochs = EpochSet.of(epochs)
+    labels = epochs.labels
     weights = class_weights(proportions_from_labels(labels[train_idx]))
 
     mp = initial.copy() if initial is not None else init_params(model_cfg, seed=cfg.seed)
@@ -197,15 +198,14 @@ def train(epochs: Sequence[LabeledEpoch],
         losses = []
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            rows = []
-            for i in batch:
-                e = epochs[i]
-                if augment_cfg is not None:
-                    rng = np.random.default_rng(np.random.SeedSequence(
-                        augment_cfg.rng_seed, spawn_key=(_AUGMENT_STREAM, p, int(i))))
-                    e = augment(e, augment_cfg, rng)
-                rows.append(np.asarray(e.samples, dtype=np.float64))
-            x = Tensor(np.stack(rows)[:, None, :])
+            if augment_cfg is None:
+                rows = epochs.samples[batch].astype(np.float64)
+            else:
+                rows = np.stack([augment(epochs[i], augment_cfg, np.random.default_rng(
+                    np.random.SeedSequence(augment_cfg.rng_seed,
+                                           spawn_key=(_AUGMENT_STREAM, p, int(i))))).samples
+                                 for i in batch])
+            x = Tensor(rows[:, None, :])
             logits = model_forward(mp, x, training=True)
             loss = weighted_ce_loss(logits, labels[batch], weights)
             mp.zero_grad()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import reference_results as ref
-from conftest import ACCEPTANCE_LINES, build_corpus_recording, micro_model_config, sine_epochs
+from helpers import ACCEPTANCE_LINES, build_corpus_recording, micro_model_config, sine_epochs
 
 from sleepstage import autograd as ag
 from sleepstage import cli, evaluation
@@ -364,7 +364,7 @@ def test_criterion_6_split_protocols():
 
 def test_criterion_7_ingestion_and_normalization():
     # synthetic EDF round trip is bit exact
-    from conftest import eeg_signal_header
+    from helpers import eeg_signal_header
     from fractions import Fraction
     from sleepstage.edf import build_edf
     rng = np.random.default_rng(6)

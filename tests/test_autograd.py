@@ -10,6 +10,7 @@ from sleepstage.errors import (
     NegativeThreshold,
     NonScalarLoss,
     ShapeMismatch,
+    TruncatedFile,
 )
 
 RNG = np.random.default_rng(20240917)
@@ -345,5 +346,38 @@ class TestCheckpointContainer:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"not a checkpoint at all")
-        with pytest.raises(ValueError):
+        with pytest.raises(TruncatedFile):
             ag.load_arrays(path)
+
+    def test_rejects_unknown_version(self, tmp_path):
+        path = tmp_path / "v2.ckpt"
+        ag.save_arrays({"x": np.zeros(2)}, path)
+        blob = bytearray(path.read_bytes())
+        blob[4] = 2
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TruncatedFile, match="version 2"):
+            ag.load_arrays(path)
+
+    def test_every_truncation_is_truncated_file(self, tmp_path):
+        full = tmp_path / "full.ckpt"
+        ag.save_arrays({"a.weight": RNG.normal(size=(2, 3)), "b": np.array(1.5)}, full)
+        blob = full.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(TruncatedFile):
+                ag.load_arrays(cut)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_byte_mutation_loads_or_is_truncated_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        ag.save_arrays({"w": np.arange(6.0).reshape(2, 3), "bias": np.ones(2)}, path)
+        blob = bytearray(path.read_bytes())
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        path.write_bytes(bytes(blob))
+        try:
+            loaded = ag.load_arrays(path)
+        except TruncatedFile:
+            return
+        assert all(isinstance(v, np.ndarray) for v in loaded.values())

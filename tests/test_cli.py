@@ -2,6 +2,7 @@
 import hashlib
 import json
 import threading
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -15,9 +16,11 @@ from sleepstage.config import (
     format_kv,
     parse_kv_text,
 )
+from sleepstage.edf import build_edf, encode_annotation_signal
 from sleepstage.errors import ChecksumMismatch, ConfigError, NetworkFailure
+from sleepstage.model import ModelConfig, init_params
 
-from conftest import build_corpus_recording
+from helpers import EEG_CHANNEL, build_corpus_recording, digitize, eeg_signal_header
 
 MICRO_MODEL_LINES = """
 dataset.channel = EEG Fpz-Cz
@@ -28,6 +31,30 @@ train.max_passes = 1
 train.batch_size = 4
 seed = 11
 """
+
+
+# case -> (manifest edits, model JSON edits, container rewrite, text the error names);
+# an edit to None deletes the key
+CORRUPT_CHECKPOINTS = {
+    "channel-None": ({"channel": None}, {}, None, "channel"),
+    "model-None": ({"model": None}, {}, None, "model"),
+    "model-num_classes": ({}, {"num_classes": None}, None, "num_classes"),
+    "split.fold-None": ({"split.fold": None}, {}, None, "split.fold"),
+    "split.k-three": ({"split.k": "three"}, {}, None, "split.k"),
+    "model-truncated": ({"model": '{"branch'}, {}, None, "model"),
+    "model-spatial_kernel": ({}, {"spatial_kernel": 4}, None, "spatial_kernel"),
+    "container-garbage": ({}, {}, lambda blob: b"garbage" * 20, "not a parameter container"),
+    "container-truncated": ({}, {}, lambda blob: blob[:40], "container ends inside entry"),
+}
+# every case under `eval` (ids as the case names) and under `predict`
+CORRUPT_CHECKPOINT_RUNS = [
+    pytest.param(case, command, id=case if command == "eval" else f"{case}-{command}")
+    for case in CORRUPT_CHECKPOINTS for command in ("eval", "predict")]
+
+
+def _edited(values: dict, edits: dict) -> dict:
+    out = {**values, **edits}
+    return {k: v for k, v in out.items() if v is not None}
 
 
 class TestConfigFormat:
@@ -305,27 +332,34 @@ class TestTrainEvalPredict:
                        "--out", eval_out) == 0
         assert (eval_out / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
 
-    @pytest.mark.parametrize("key, field", [("channel", None), ("model", None),
-                                            ("model", "num_classes"), ("split.fold", None)])
+    @pytest.mark.parametrize("case, command", CORRUPT_CHECKPOINT_RUNS)
     def test_incomplete_checkpoint_manifest_is_data_error(self, preprocessed, tmp_path,
-                                                          capsys, key, field):
+                                                          capsys, case, command):
+        manifest_edits, model_edits, container, named = CORRUPT_CHECKPOINTS[case]
         cfg, corpus = preprocessed
         out = tmp_path / "run"
         assert run_cli("train", "--config", cfg, "--split", "kfold:3", "--fold", 1,
                        "--out", out) == 0
+        ckpt = out / "fold1.ckpt"
         meta_path = out / "fold1.ckpt.meta"
         meta = parse_kv_text(meta_path.read_text())
-        if field:
-            model = json.loads(meta[key])
-            del model[field]
-            meta[key] = json.dumps(model)
-        else:
-            del meta[key]
-        meta_path.write_text(format_kv(meta))
+        if model_edits:
+            meta["model"] = json.dumps(_edited(json.loads(meta["model"]), model_edits))
+        meta_path.write_text(format_kv(_edited(meta, manifest_edits)))
+        if container is not None:
+            ckpt.write_bytes(container(ckpt.read_bytes()))
         capsys.readouterr()
-        assert run_cli("eval", "--config", cfg, "--checkpoint", out / "fold1.ckpt",
-                       "--out", tmp_path / "eval") == cli.EXIT_DATA
-        assert (field or key) in capsys.readouterr().err
+        if command == "eval":
+            code = run_cli("eval", "--config", cfg, "--checkpoint", ckpt,
+                           "--out", tmp_path / "eval")
+        else:
+            code = run_cli("predict", "--checkpoint", ckpt, "--edf", corpus / "subjA-PSG.edf",
+                           "--out", tmp_path / "pred")
+        if command == "predict" and named.startswith("split."):
+            assert code == 0  # predict reads no split field
+            return
+        assert code == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
 
     def test_eval_channel_mismatch_is_config_error(self, preprocessed, tmp_path):
         cfg, corpus = preprocessed
@@ -368,6 +402,35 @@ class TestTrainEvalPredict:
         assert "agreement" not in stdout
         svg = (pred_out / "hypnogram.svg").read_text()
         assert "reference" not in svg
+
+    def test_predict_clamps_reference_before_recording_start(self, tmp_path, capsys):
+        """A hypnogram interval that starts before the PSG scores window 0
+        only, as in the epoch cache; nothing maps onto the last window."""
+        length = 300
+        sig = eeg_signal_header(samples_per_record=length)
+        rng = np.random.default_rng(0)
+        psg = build_edf([(sig, digitize(20.0 * rng.normal(size=6 * length), sig))],
+                        record_count=6, record_duration=Fraction(30))
+        ann_sig, ann = encode_annotation_signal(
+            [(-30.0, 60.0, "W"), (30.0, 60.0, "2"), (90.0, 90.0, "R")],
+            record_count=6, record_duration=30.0)
+        raw = ann.astype("<i2").tobytes()
+        record = 2 * ann_sig.samples_per_record
+        # the encoder writes every onset with a '+'; a TAL spells a negative one "-30"
+        first = raw[:record].replace(b"+-30\x15", b"-30\x15") + b"\x00"
+        ann = np.frombuffer(first + raw[record:], dtype="<i2").astype(np.int32)
+        (tmp_path / "n-PSG.edf").write_bytes(psg)
+        (tmp_path / "n-Hypnogram.edf").write_bytes(
+            build_edf([(ann_sig, ann)], record_count=6, record_duration=Fraction(30)))
+        cfg = ModelConfig(branch_channels=2, input_length=length, pool_sizes=(8, 4, 4))
+        cli.save_checkpoint(init_params(cfg, seed=0), tmp_path / "m.ckpt", EEG_CHANNEL, {})
+        assert run_cli("predict", "--checkpoint", tmp_path / "m.ckpt",
+                       "--edf", tmp_path / "n-PSG.edf",
+                       "--hypnogram", tmp_path / "n-Hypnogram.edf",
+                       "--out", tmp_path / "pred") == 0
+        assert "over 6 scored epochs" in capsys.readouterr().out
+        rows = (tmp_path / "pred" / "predictions.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["W", "N2", "N2", "R", "R", "R"]
 
     def test_predict_embedded_annotations_found(self, preprocessed, tmp_path, capsys):
         cfg, corpus = preprocessed

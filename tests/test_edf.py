@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sleepstage import cache
 from sleepstage.edf import (
+    EpochSet,
     LabeledEpoch,
     SignalHeader,
     StageLabel,
@@ -26,6 +27,7 @@ from sleepstage.edf import (
     EegRecording,
 )
 from sleepstage.errors import (
+    DataError,
     DegenerateCalibration,
     MalformedHeader,
     OverlappingAnnotations,
@@ -36,7 +38,7 @@ from sleepstage.errors import (
 )
 from sleepstage.preprocess import NormalizationStats
 
-from conftest import eeg_signal_header
+from helpers import eeg_signal_header
 
 RNG = np.random.default_rng(7)
 
@@ -335,7 +337,7 @@ class TestEpochCache:
         assert cache.load_stats(path) == stats
 
     def test_load_all_renumbers_per_subject(self, tmp_path):
-        epochs = [LabeledEpoch(samples=np.zeros(10), label=StageLabel.W,
+        epochs = [LabeledEpoch(samples=RNG.normal(size=10), label=StageLabel(i),
                                subject_id="a", epoch_index=i) for i in range(3)]
         cache.save_epochs(epochs, tmp_path / "a__n1.epochs")
         cache.save_epochs(epochs, tmp_path / "a__n2.epochs")
@@ -344,3 +346,97 @@ class TestEpochCache:
         a_idx = [e.epoch_index for e in loaded if e.subject_id == "a"]
         assert a_idx == [0, 1, 2, 3, 4, 5]
         assert cache.cached_subjects(tmp_path) == ["a", "b"]
+        assert isinstance(loaded, EpochSet)
+        saved = np.stack([e.samples for e in epochs])
+        assert loaded.samples.dtype == np.float32
+        np.testing.assert_array_equal(loaded.samples, np.tile(saved.astype(np.float32), (3, 1)))
+        assert loaded.labels.tolist() == [0, 1, 2] * 3
+        assert loaded.subjects.tolist() == ["a"] * 6 + ["b"] * 3
+        assert loaded.epoch_index.tolist() == [0, 1, 2, 3, 4, 5, 0, 1, 2]
+
+    def test_load_all_of_empty_directory_is_empty(self, tmp_path):
+        loaded = cache.load_all(tmp_path)
+        assert isinstance(loaded, EpochSet)
+        assert len(loaded) == 0 and not loaded
+
+    def test_rejects_label_byte_outside_stage_codes(self, tmp_path):
+        path = tmp_path / "s.epochs"
+        cache.save_epochs([LabeledEpoch(samples=np.zeros(4), label=StageLabel.W,
+                                        subject_id="s", epoch_index=i) for i in range(3)], path)
+        blob = bytearray(path.read_bytes())
+        blob[12 + 17] = 9  # label byte of the second record
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TruncatedFile, match="label byte 9 is not a stage code"):
+            cache.load_epochs(path, "s")
+
+    def test_rejects_mixed_epoch_lengths(self, tmp_path):
+        for name, length in (("a__n1", 4), ("a__n2", 5)):
+            cache.save_epochs([LabeledEpoch(samples=np.zeros(length), label=StageLabel.W,
+                                            subject_id="a", epoch_index=0)],
+                              tmp_path / f"{name}.epochs")
+        with pytest.raises(DataError, match="mix epoch lengths"):
+            cache.load_all(tmp_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_any_bytes_load_or_are_truncated_file(self, tmp_path_factory, blob):
+        self._loads_or_is_truncated(tmp_path_factory, blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_byte_mutation_loads_or_is_truncated_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("cache") / "s.epochs"
+        cache.save_epochs([LabeledEpoch(samples=RNG.normal(size=3), label=StageLabel(i % 5),
+                                        subject_id="s", epoch_index=i) for i in range(4)], path)
+        blob = bytearray(path.read_bytes())
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        self._loads_or_is_truncated(tmp_path_factory, bytes(blob))
+
+    @staticmethod
+    def _loads_or_is_truncated(tmp_path_factory, blob: bytes):
+        path = tmp_path_factory.mktemp("cache") / "s.epochs"
+        path.write_bytes(blob)
+        try:
+            loaded = cache.load_epochs(path, "s")
+        except TruncatedFile:
+            return
+        assert isinstance(loaded, EpochSet)
+        assert loaded.samples.shape[0] == len(loaded) > 0
+        assert np.all((loaded.labels >= 0) & (loaded.labels < len(StageLabel)))
+
+
+class TestEpochSet:
+    def epochs(self):
+        return [LabeledEpoch(samples=RNG.normal(size=8), label=StageLabel(i % 5),
+                             subject_id=f"s{i % 2}", epoch_index=10 + i) for i in range(5)]
+
+    def test_of_stacks_without_casting_and_keeps_sets(self):
+        epochs = self.epochs()
+        es = EpochSet.of(epochs)
+        assert EpochSet.of(es) is es
+        assert es.samples.dtype == np.float64
+        np.testing.assert_array_equal(es.samples, np.stack([e.samples for e in epochs]))
+        assert es.labels.tolist() == [0, 1, 2, 3, 4]
+        assert es.subjects.tolist() == ["s0", "s1", "s0", "s1", "s0"]
+        assert es.epoch_index.tolist() == [10, 11, 12, 13, 14]
+        assert len(EpochSet.of([])) == 0
+
+    def test_integer_index_is_a_float64_labeled_epoch(self):
+        es = EpochSet.of(self.epochs())
+        es = EpochSet(es.samples.astype(np.float32), es.labels, es.subjects, es.epoch_index)
+        e = es[np.int64(3)]
+        assert isinstance(e, LabeledEpoch)
+        assert e.samples.dtype == np.float64
+        assert (e.label, e.subject_id, e.epoch_index) == (StageLabel.R, "s1", 13)
+        assert type(e.subject_id) is str and type(e.epoch_index) is int
+        assert es[-1].epoch_index == 14
+        assert [x.epoch_index for x in es] == [10, 11, 12, 13, 14]
+
+    def test_slice_and_index_array_give_sets(self):
+        es = EpochSet.of(self.epochs())
+        part = es[1:3]
+        assert isinstance(part, EpochSet) and part.epoch_index.tolist() == [11, 12]
+        picked = es[np.asarray([4, 0])]
+        assert isinstance(picked, EpochSet)
+        assert picked.labels.tolist() == [4, 0]
+        assert picked.subjects.tolist() == ["s0", "s0"]

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sleepstage.edf import LabeledEpoch, StageLabel
+from sleepstage.edf import EpochSet, LabeledEpoch, StageLabel
 from sleepstage.errors import (
     EmptySplit,
     SingleClassPresent,
@@ -22,7 +22,7 @@ from sleepstage.evaluation import (
 from sleepstage.model import init_params
 
 import reference_results as ref
-from conftest import micro_model_config
+from helpers import micro_model_config
 
 RNG = np.random.default_rng(31)
 
@@ -376,3 +376,19 @@ class TestEvaluate:
         ]
         result = evaluate(mp, epochs)
         assert result.order == [("a", 0), ("a", 1), ("b", 0)]
+
+    def test_epoch_set_and_its_list_evaluate_identically(self):
+        mp = init_params(micro_model_config(), seed=3)
+        rng = np.random.default_rng(5)
+        epochs = EpochSet(
+            samples=rng.normal(size=(12, 64)).astype(np.float32),
+            labels=np.arange(12) % 5,
+            subjects=np.asarray(["b", "a", "c"] * 4),
+            epoch_index=np.asarray([7, 3, 5, 1, 0, 2, 9, 4, 8, 6, 11, 10]))
+        indices = [11, 0, 4, 9, 2, 7, 5]
+        columns = evaluate(mp, epochs, indices)
+        rows = evaluate(mp, list(epochs), indices)
+        assert columns.probabilities.tobytes() == rows.probabilities.tobytes()
+        assert columns.y_true.tolist() == rows.y_true.tolist()
+        assert columns.order == rows.order
+        assert columns.order == sorted(columns.order)

@@ -19,7 +19,7 @@ from sleepstage.model import (
     spatial_attention,
 )
 
-from conftest import micro_model_config
+from helpers import micro_model_config
 
 RNG = np.random.default_rng(5)
 

@@ -20,7 +20,7 @@ from sleepstage.training import (
     write_training_log,
 )
 
-from conftest import micro_model_config, sine_epochs
+from helpers import micro_model_config, sine_epochs
 
 RNG = np.random.default_rng(99)
 
