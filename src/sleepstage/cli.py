@@ -23,10 +23,11 @@ from .autograd import load_arrays, save_arrays
 from .config import (
     DATASET_ROOT_ENV,
     RunConfig,
-    build_run_config,
     format_kv,
     load_run_config,
     parse_kv_text,
+    split_from_manifest,
+    split_manifest,
 )
 from .edf import (
     EPOCH_SECONDS,
@@ -47,7 +48,7 @@ from .errors import (  # the EXIT_* codes are re-exported for callers of main()
     SingleClassPresent,
     SleepStageError,
 )
-from .evaluation import ConfusionMatrix, FoldSplit, holdout_split, kfold_split
+from .evaluation import ConfusionMatrix, FoldSplit, SplitConfig
 from .model import ModelConfig, ModelParams
 from .preprocess import compute_stats, normalize
 
@@ -62,17 +63,13 @@ def _split_overrides(spec: str | None) -> dict[str, str]:
     if spec is None:
         return {}
     kind, _, arg = spec.partition(":")
-    if kind == "kfold":
-        out = {"split.kind": "kfold"}
-        if arg:
-            out["split.k"] = arg
-        return out
-    if kind == "holdout":
-        out = {"split.kind": "holdout"}
-        if arg:
-            out["split.ratio"] = arg
-        return out
-    raise ConfigError(f"--split must be kfold[:k] or holdout[:ratio], got {spec!r}")
+    arg_key = {"kfold": "split.k", "holdout": "split.ratio"}.get(kind)
+    if arg_key is None:
+        raise ConfigError(f"--split must be kfold[:k] or holdout[:ratio], got {spec!r}")
+    out = {"split.kind": kind}
+    if arg:
+        out[arg_key] = arg
+    return out
 
 
 def _run_config(args) -> RunConfig:
@@ -133,25 +130,30 @@ def discover_recordings(dataset_root: Path) -> list[tuple[Path, Path | None, str
 
 # --- checkpoint container + adjacent manifest ---
 
-def save_checkpoint(mp: ModelParams, path: Path, channel: str,
-                    split_info: dict[str, str]) -> None:
+def save_checkpoint(mp: ModelParams, path: Path, channel: str, split: SplitConfig) -> None:
     save_arrays(mp.state_arrays(), path)
     meta = {
         "channel": channel,
         "stats.version": "1",
         "model": json.dumps(mp.cfg.to_dict(), sort_keys=True),
+        **split_manifest(split),
     }
-    meta.update({f"split.{k}": v for k, v in split_info.items()})
     Path(str(path) + ".meta").write_text(format_kv(meta))
 
 
-def load_checkpoint(path: Path) -> tuple[ModelParams, dict[str, str]]:
+def load_checkpoint(path: Path, channel: str | None) -> tuple[ModelParams, dict[str, str]]:
+    """The checkpoint and its manifest, which must name `channel` when one is given."""
     meta_path = Path(str(path) + ".meta")
     if not Path(path).is_file():
         raise ConfigError(f"checkpoint {path} does not exist")
     if not meta_path.is_file():
         raise ConfigMismatch(f"checkpoint manifest {meta_path} is missing")
-    meta = parse_kv_text(meta_path.read_text(), source=str(meta_path))
+    try:
+        meta = parse_kv_text(meta_path.read_text(encoding="utf-8"), source=str(meta_path))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"checkpoint manifest {meta_path} is not UTF-8 text: {exc}") from None
+    except ConfigError as exc:
+        raise DataError(str(exc)) from None
     for key in ("channel", "model"):
         if key not in meta:
             raise DataError(f"checkpoint manifest {meta_path} lacks {key!r}")
@@ -160,6 +162,9 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict[str, str]]:
     except (ValueError, TypeError) as exc:
         raise DataError(f"checkpoint manifest {meta_path}: bad 'model' entry: {exc}") from None
     mp = ModelParams.from_state(cfg, load_arrays(path))
+    if channel is not None and channel != meta["channel"]:
+        raise ConfigMismatch(
+            f"checkpoint was trained on channel {meta['channel']!r}, run asks for {channel!r}")
     return mp, meta
 
 
@@ -273,8 +278,9 @@ def cmd_preprocess(args) -> int:
         if hyp is not None:
             fingerprint.update({f"hyp.{k}": v for k, v in _file_fingerprint(hyp).items()})
         fingerprint["channel"] = rc.channel
-        if epochs_path.is_file() and src_path.is_file() and \
-                parse_kv_text(src_path.read_text(), str(src_path)) == fingerprint:
+        # .src holds what this code writes below; any other content means a stale cache
+        src_text = format_kv(fingerprint).encode()
+        if epochs_path.is_file() and src_path.is_file() and src_path.read_bytes() == src_text:
             log.info("%s: cache up to date", stem)
             totals += np.bincount(cache.load_epochs(epochs_path, subject).labels,
                                   minlength=len(StageLabel))
@@ -297,7 +303,7 @@ def cmd_preprocess(args) -> int:
             continue
         cache.save_epochs(epochs, epochs_path)
         cache.save_stats(stats, rc.cache_dir / f"{cache_name}{cache.STATS_SUFFIX}")
-        src_path.write_text(format_kv(fingerprint))
+        src_path.write_bytes(src_text)
         totals += np.bincount([int(e.label) for e in epochs], minlength=len(StageLabel))
         log.info("%s: cached %d epochs", stem, len(epochs))
 
@@ -312,70 +318,48 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def plan_folds(epochs: EpochSet, kind: str, seed: int, k: int, ratio: float, fold: int | None):
-    """The split protocol as a list of folds to train or evaluate.
-
-    Returns (split, [(name, train_idx, val_idx, info)], split_desc): `info`
-    goes into the checkpoint manifest and `split_desc` into metrics.json.
-    k-fold runs every fold, or only `fold` when given; hold-out is one fold.
-    """
-    if kind == "kfold":
-        if fold is not None and not 0 <= fold < k:
-            raise ConfigError(f"split.fold must lie in [0, {k}), got {fold}")
-        split = kfold_split(len(epochs), k=k, seed=seed)
-        folds = [fold] if fold is not None else list(range(k))
-        plan = [(f"fold {i}", *split.fold(i),
-                 {"kind": "kfold", "seed": str(seed), "k": str(k), "fold": str(i)})
-                for i in folds]
-        return split, plan, {"kind": "kfold", "k": k, "seed": seed, "folds": folds}
-    split = holdout_split(np.unique(epochs.subjects).tolist(), ratio=ratio, seed=seed)
-    plan = [("holdout",
-             np.flatnonzero(np.isin(epochs.subjects, split.train_subjects)),
-             np.flatnonzero(np.isin(epochs.subjects, split.eval_subjects)),
-             {"kind": "holdout", "seed": str(seed), "ratio": repr(ratio)})]
-    return split, plan, {"kind": "holdout", "ratio": ratio, "seed": seed}
-
-
-def _periodic_saver(rc: RunConfig, out_dir: Path, stem: str, split_info: dict):
+def _periodic_saver(rc: RunConfig, out_dir: Path, stem: str, split: SplitConfig):
     if rc.train.checkpoint_every <= 0:
         return None
 
     def save(pass_index: int, mp: ModelParams) -> None:
         if pass_index % rc.train.checkpoint_every == 0:
-            save_checkpoint(mp, out_dir / f"{stem}_pass{pass_index}.ckpt",
-                            rc.channel, split_info)
+            save_checkpoint(mp, out_dir / f"{stem}_pass{pass_index}.ckpt", rc.channel, split)
 
     return save
+
+
+def _load_cache(rc: RunConfig, input_length: int, expected: str) -> EpochSet:
+    """The cached epochs, which must exist and hold `input_length` samples each."""
+    epochs = cache.load_all(rc.cache_dir)
+    if not epochs:
+        raise SleepStageError(
+            f"no cached epochs in {rc.cache_dir}; run `sleepstage preprocess` first")
+    if epochs.samples.shape[1] != input_length:
+        raise ConfigMismatch(
+            f"cached epochs hold {epochs.samples.shape[1]} samples, {expected} {input_length}")
+    return epochs
 
 
 def cmd_train(args) -> int:
     rc = _run_config(args)
     out_dir = rc.output_dir
     _write_resolved(rc, out_dir)
-    epochs = cache.load_all(rc.cache_dir)
-    if not epochs:
-        raise SleepStageError(
-            f"no cached epochs in {rc.cache_dir}; run `sleepstage preprocess` first")
-    if epochs.samples.shape[1] != rc.model.input_length:
-        raise ConfigMismatch(
-            f"cached epochs hold {epochs.samples.shape[1]} samples, "
-            f"model.input_length is {rc.model.input_length}")
+    epochs = _load_cache(rc, rc.model.input_length, "model.input_length is")
     augment_cfg = rc.augment if rc.augment_enabled else None
 
-    split, plan, split_desc = plan_folds(epochs, rc.split_kind, rc.seed, rc.split_k,
-                                         rc.split_ratio, rc.fold)
-    _write_split_log(split, out_dir / "split.json")
+    fold_split, plan, split_desc = evaluation.plan_folds(epochs, rc.split)
+    _write_split_log(fold_split, out_dir / "split.json")
     merged = ConfusionMatrix()
-    for name, train_idx, val_idx, info in plan:
+    for name, train_idx, val_idx, split in plan:
         stem = name.replace(" ", "")  # "fold 1" -> fold1.ckpt
         result = training.train(
             epochs, train_idx, val_idx, rc.train, rc.model,
             augment_cfg=augment_cfg,
-            on_pass=_periodic_saver(rc, out_dir, stem, info))
+            on_pass=_periodic_saver(rc, out_dir, stem, split))
         training.write_training_log(result.log, out_dir / f"{stem}_train_log.csv")
-        save_checkpoint(result.params, out_dir / f"{stem}.ckpt", rc.channel, info)
-        final = evaluation.evaluate(result.params, epochs, val_idx)
-        merged = merged.merged(final.cm)
+        save_checkpoint(result.params, out_dir / f"{stem}.ckpt", rc.channel, split)
+        merged = merged.merged(result.validation.cm)
         kappa = "nan" if result.best_kappa != result.best_kappa else f"{result.best_kappa:.4f}"
         print(f"{name}: best pass {result.best_pass}, validation kappa {kappa}")
 
@@ -389,35 +373,11 @@ def cmd_eval(args) -> int:
     rc = _run_config(args)
     out_dir = rc.output_dir
     _write_resolved(rc, out_dir)
-    mp, meta = load_checkpoint(Path(args.checkpoint))
-    if meta["channel"] != rc.channel:
-        raise ConfigMismatch(
-            f"checkpoint was trained on channel {meta['channel']!r}, run asks for {rc.channel!r}")
-    epochs = cache.load_all(rc.cache_dir)
-    if not epochs:
-        raise SleepStageError(
-            f"no cached epochs in {rc.cache_dir}; run `sleepstage preprocess` first")
-    if epochs.samples.shape[1] != mp.cfg.input_length:
-        raise ConfigMismatch(
-            f"cached epochs hold {epochs.samples.shape[1]} samples, "
-            f"checkpoint expects {mp.cfg.input_length}")
-
-    # the split as the manifest records it; the run's values stand in for absent fields
-    recorded = {k: meta[k] for k in ("split.kind", "split.k", "split.ratio", "split.fold")
-                if k in meta}
-    try:
-        src = build_run_config({
-            "dataset.root": str(rc.dataset_root), "split.kind": "holdout",
-            "split.k": str(rc.split_k), "split.ratio": repr(rc.split_ratio),
-            "seed": meta.get("split.seed", str(rc.seed)), **recorded})
-        split, plan, split_desc = plan_folds(epochs, src.split_kind, src.seed, src.split_k,
-                                             src.split_ratio, src.fold)
-    except ConfigError as exc:
-        raise DataError(f"checkpoint manifest {args.checkpoint}.meta: {exc}") from None
-    if len(plan) != 1:
-        raise DataError(f"checkpoint manifest {args.checkpoint}.meta names no split.fold")
-    _, _, val_idx, _ = plan[0]
-    _write_split_log(split, out_dir / "split.json")
+    mp, meta = load_checkpoint(Path(args.checkpoint), rc.channel)
+    epochs = _load_cache(rc, mp.cfg.input_length, "checkpoint expects")
+    split = split_from_manifest(meta, f"{args.checkpoint}.meta")
+    fold_split, [(_, _, val_idx, _)], split_desc = evaluation.plan_folds(epochs, split)
+    _write_split_log(fold_split, out_dir / "split.json")
 
     result = evaluation.evaluate(mp, epochs, val_idx)
     payload = _metrics_payload(result.cm, rc, split_desc, result.y_true.size)
@@ -437,11 +397,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    mp, meta = load_checkpoint(Path(args.checkpoint))
+    mp, meta = load_checkpoint(Path(args.checkpoint), args.channel or None)
     channel = args.channel or meta["channel"]
-    if channel != meta["channel"]:
-        raise ConfigMismatch(
-            f"checkpoint was trained on channel {meta['channel']!r}, run asks for {channel!r}")
     out_dir = Path(args.out or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -6,10 +6,11 @@ so any result can be reproduced from that single file.
 from __future__ import annotations
 
 import os
-from dataclasses import Field, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .evaluation import SplitConfig
 from .model import ModelConfig
 from .preprocess import AugmentConfig
 from .training import TrainConfig
@@ -56,22 +57,43 @@ def _to_int_tuple(key: str, value: str) -> tuple[int, ...]:
         raise ConfigError(f"{key}: expected comma-separated integers, got {value!r}") from None
 
 
-# The model.*, train.* and augment.* keys are the fields of these dataclasses,
-# parsed and formatted by the type of each field's default. The seed fields
-# are not keys of their own: they follow the top-level `seed`.
-_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "augment": AugmentConfig}
+# The model.*, train.*, augment.* and split.* keys are the fields of these
+# dataclasses, parsed and formatted by the type of each field's default; a
+# None default marks an optional integer, left out while unset. The seed
+# fields are not keys of their own: they follow the top-level `seed`.
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "augment": AugmentConfig,
+             "split": SplitConfig}
 _SEED_FIELDS = {"seed", "rng_seed"}
-_PARSERS = {int: _to_int, float: _to_float, tuple: _to_int_tuple}
-_FORMATTERS = {int: str, float: repr, tuple: lambda v: ",".join(map(str, v))}
+_PARSERS = {int: _to_int, float: _to_float, tuple: _to_int_tuple,
+            str: lambda key, value: value, type(None): _to_int}
+_FORMATTERS = {int: str, float: repr, tuple: lambda v: ",".join(map(str, v)),
+               str: str, type(None): str}
 _TOP_LEVEL_KEYS = {
-    "dataset.root", "dataset.channel", "cache.dir", "output.dir",
-    "split.kind", "split.k", "split.ratio", "split.fold", "seed", "augment.enabled",
+    "dataset.root", "dataset.channel", "cache.dir", "output.dir", "seed", "augment.enabled",
 }
 
 
-def _section_keys(prefix: str) -> dict[str, Field]:
-    return {f"{prefix}.{f.name}": f for f in fields(_SECTIONS[prefix])
-            if f.name not in _SEED_FIELDS}
+def _section_fields(prefix: str) -> list[str]:
+    return [f.name for f in fields(_SECTIONS[prefix]) if f.name not in _SEED_FIELDS]
+
+
+def _format_section(prefix: str, section, names) -> dict[str, str]:
+    """`prefix.name` -> text for each named field that is set."""
+    return {f"{prefix}.{f.name}": _FORMATTERS[type(f.default)](getattr(section, f.name))
+            for f in fields(section) if f.name in names and getattr(section, f.name) is not None}
+
+
+def _build_section(prefix: str, values: dict[str, str], seed_key: str = "seed"):
+    """The section from the `prefix.<field>` values present; a seed field reads `seed_key`."""
+    kwargs = {}
+    for f in fields(_SECTIONS[prefix]):
+        key = seed_key if f.name in _SEED_FIELDS else f"{prefix}.{f.name}"
+        if key in values:
+            kwargs[f.name] = _PARSERS[type(f.default)](key, values[key])
+    try:
+        return _SECTIONS[prefix](**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -80,14 +102,11 @@ class RunConfig:
     output_dir: Path
     cache_dir: Path
     channel: str = DEFAULT_CHANNEL
-    split_kind: str = "kfold"        # "kfold" | "holdout"
-    split_k: int = 5
-    split_ratio: float = 0.8
-    fold: int | None = None          # restrict k-fold training to one fold
     seed: int = 0
     model: ModelConfig = ModelConfig()
     train: TrainConfig = TrainConfig()
     augment: AugmentConfig = AugmentConfig()
+    split: SplitConfig = SplitConfig()
     augment_enabled: bool = True
 
     def resolved(self) -> dict[str, str]:
@@ -96,28 +115,12 @@ class RunConfig:
             "dataset.channel": self.channel,
             "cache.dir": str(self.cache_dir),
             "output.dir": str(self.output_dir),
-            "split.kind": self.split_kind,
-            "split.k": str(self.split_k),
-            "split.ratio": repr(self.split_ratio),
             "seed": str(self.seed),
             "augment.enabled": str(self.augment_enabled).lower(),
         }
         for prefix in _SECTIONS:
-            section = getattr(self, prefix)
-            for key, f in _section_keys(prefix).items():
-                values[key] = _FORMATTERS[type(f.default)](getattr(section, f.name))
-        if self.fold is not None:
-            values["split.fold"] = str(self.fold)
+            values.update(_format_section(prefix, getattr(self, prefix), _section_fields(prefix)))
         return values
-
-
-def _build_section(prefix: str, values: dict[str, str]):
-    kwargs = {}
-    for f in fields(_SECTIONS[prefix]):
-        key = "seed" if f.name in _SEED_FIELDS else f"{prefix}.{f.name}"
-        if key in values:
-            kwargs[f.name] = _PARSERS[type(f.default)](key, values[key])
-    return _SECTIONS[prefix](**kwargs)
 
 
 def build_run_config(file_values: dict[str, str] | None = None,
@@ -127,7 +130,7 @@ def build_run_config(file_values: dict[str, str] | None = None,
     values.update(file_values or {})
     values.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
-    known = _TOP_LEVEL_KEYS.union(*(_section_keys(p) for p in _SECTIONS))
+    known = _TOP_LEVEL_KEYS | {f"{p}.{name}" for p in _SECTIONS for name in _section_fields(p)}
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
@@ -140,39 +143,38 @@ def build_run_config(file_values: dict[str, str] | None = None,
     output_dir = Path(values.get("output.dir", "out"))
     cache_dir = Path(values["cache.dir"]) if "cache.dir" in values else dataset_root / "cache"
 
-    split_kind = values.get("split.kind", "kfold")
-    if split_kind not in ("kfold", "holdout"):
-        raise ConfigError(f"split.kind must be kfold or holdout, got {split_kind!r}")
-
-    try:
-        sections = {prefix: _build_section(prefix, values) for prefix in _SECTIONS}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    sections = {prefix: _build_section(prefix, values) for prefix in _SECTIONS}
 
     enabled_text = values.get("augment.enabled", "true").lower()
     if enabled_text not in ("true", "false", "1", "0", "yes", "no"):
         raise ConfigError(f"augment.enabled: expected boolean, got {enabled_text!r}")
-
-    split_k = _to_int("split.k", values.get("split.k", "5"))
-    if split_k < 1:
-        raise ConfigError(f"split.k must be >= 1, got {split_k}")
-    split_ratio = _to_float("split.ratio", values.get("split.ratio", "0.8"))
-    if not 0.0 < split_ratio < 1.0:
-        raise ConfigError(f"split.ratio must lie in (0, 1), got {split_ratio!r}")
 
     return RunConfig(
         dataset_root=dataset_root,
         output_dir=output_dir,
         cache_dir=cache_dir,
         channel=values.get("dataset.channel", DEFAULT_CHANNEL),
-        split_kind=split_kind,
-        split_k=split_k,
-        split_ratio=split_ratio,
-        fold=_to_int("split.fold", values["split.fold"]) if "split.fold" in values else None,
         seed=_to_int("seed", values.get("seed", "0")),
         augment_enabled=enabled_text in ("true", "1", "yes"),
         **sections,
     )
+
+
+def split_manifest(split: SplitConfig) -> dict[str, str]:
+    """The checkpoint manifest's `split.<field>` entries: the fields the kind uses."""
+    return _format_section("split", split, split.used_fields())
+
+
+def split_from_manifest(meta: dict[str, str], source: str) -> SplitConfig:
+    """The split a checkpoint manifest records; each field its kind uses must be there."""
+    try:
+        split = _build_section("split", meta, seed_key="split.seed")
+    except ConfigError as exc:
+        raise DataError(f"checkpoint manifest {source}: {exc}") from None
+    for name in split.used_fields():
+        if f"split.{name}" not in meta:
+            raise DataError(f"checkpoint manifest {source} lacks 'split.{name}'")
+    return split
 
 
 def load_run_config(path: str | Path | None,

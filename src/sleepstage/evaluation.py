@@ -7,7 +7,7 @@ as a fraction. Division by zero reports a metric as absent, never as 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -148,6 +148,33 @@ def summary_metrics(cm: ConfusionMatrix) -> SummaryMetrics:
 # --- splits ---
 
 @dataclass(frozen=True)
+class SplitConfig:
+    """Epoch-level k-fold (all folds, or only `fold`) or subject-level hold-out."""
+
+    kind: str = "kfold"            # "kfold" | "holdout"
+    k: int = 5
+    ratio: float = 0.8
+    fold: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("kfold", "holdout"):
+            raise ValueError(f"split.kind must be kfold or holdout, got {self.kind!r}")
+        if self.k < 1:
+            raise ValueError(f"split.k must be >= 1, got {self.k}")
+        if not 0.0 < self.ratio < 1.0:
+            raise ValueError(f"split.ratio must lie in (0, 1), got {self.ratio!r}")
+        if self.kind == "kfold" and self.fold is not None and not 0 <= self.fold < self.k:
+            raise ValueError(f"split.fold must lie in [0, {self.k}), got {self.fold}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    def used_fields(self) -> tuple[str, ...]:
+        """The fields this kind of split reads; the others are ignored."""
+        return ("kind", "seed", "k", "fold") if self.kind == "kfold" else ("kind", "seed", "ratio")
+
+
+@dataclass(frozen=True)
 class FoldSplit:
     """Partition of the evaluation unit: epoch indices for k-fold,
     subject ids for hold-out."""
@@ -201,6 +228,26 @@ def holdout_split(subjects: Sequence[str], ratio: float = 0.8, seed: int = 0) ->
     train = tuple(sorted(uniq[i] for i in perm[:n_train]))
     evals = tuple(sorted(uniq[i] for i in perm[n_train:]))
     return FoldSplit(kind="holdout", parts=(train, evals), seed=seed)
+
+
+def plan_folds(epochs: EpochSet, split: SplitConfig):
+    """The split protocol as a list of folds to train or evaluate.
+
+    Returns (fold_split, [(name, train_idx, val_idx, fold_config)], desc):
+    `fold_config` is the split of that one fold, as the checkpoint manifest
+    records it, and `desc` goes into metrics.json. k-fold runs every fold, or
+    only `split.fold` when set; hold-out is one fold.
+    """
+    desc = {name: getattr(split, name) for name in split.used_fields() if name != "fold"}
+    if split.kind == "kfold":
+        fold_split = kfold_split(len(epochs), k=split.k, seed=split.seed)
+        folds = [split.fold] if split.fold is not None else list(range(split.k))
+        plan = [(f"fold {i}", *fold_split.fold(i), replace(split, fold=i)) for i in folds]
+        return fold_split, plan, {**desc, "folds": folds}
+    fold_split = holdout_split(np.unique(epochs.subjects).tolist(), split.ratio, split.seed)
+    train_idx, val_idx = (np.flatnonzero(np.isin(epochs.subjects, subjects))
+                          for subjects in (fold_split.train_subjects, fold_split.eval_subjects))
+    return fold_split, [("holdout", train_idx, val_idx, split)], desc
 
 
 # --- ROC / PR curves ---

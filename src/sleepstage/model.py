@@ -98,18 +98,19 @@ class ModelParams:
 
     @classmethod
     def from_state(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """Inverse of `state_arrays`: every parameter and running stat the config
+        expects must be present with its shape."""
         template = init_params(cfg, seed=0)
-        out = cls(cfg)
-        for name, p in template.params.items():
+        for name, expected in template.state_arrays().items():
             if name not in arrays:
-                raise ShapeMismatch(f"checkpoint missing parameter {name!r}")
-            if arrays[name].shape != p.data.shape:
-                raise ShapeMismatch(
-                    f"checkpoint parameter {name!r} has shape {arrays[name].shape}, "
-                    f"config expects {p.data.shape}")
+                raise DataError(f"checkpoint lacks entry {name!r}")
+            if arrays[name].shape != expected.shape:
+                raise DataError(f"checkpoint entry {name!r} has shape {arrays[name].shape}, "
+                                f"config expects {expected.shape}")
+        out = cls(cfg)
+        for name in template.params:
             out.params[name] = ParamTensor(name, arrays[name].copy())
-        for name, s in template.bn_stats.items():
-            stats = RunningStats(len(s.mean))
+        for name, stats in template.bn_stats.items():
             stats.mean = arrays[f"{name}.running_mean"].copy()
             stats.var = arrays[f"{name}.running_var"].copy()
             out.bn_stats[name] = stats

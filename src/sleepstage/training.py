@@ -151,6 +151,7 @@ class LogRow:
 @dataclass
 class TrainResult:
     params: ModelParams            # best-by-validation-kappa snapshot
+    validation: evaluation.EvalResult  # of `params` on the validation split
     final_params: ModelParams
     log: list[LogRow]
     weights: ClassWeights
@@ -189,6 +190,7 @@ def train(epochs: EpochSet | Sequence[LabeledEpoch],
         np.random.SeedSequence(cfg.seed, spawn_key=(_SHUFFLE_STREAM,)))
 
     best: ModelParams | None = None
+    best_result: evaluation.EvalResult | None = None
     best_kappa = -np.inf
     best_pass = -1
     log: list[LogRow] = []
@@ -227,7 +229,7 @@ def train(epochs: EpochSet | Sequence[LabeledEpoch],
         if kappa is not None and kappa > best_kappa:
             best_kappa = kappa
             best_pass = p
-            best = mp.copy()
+            best, best_result = mp.copy(), result
         if on_pass is not None:
             on_pass(p, mp)
         if stop_fn is not None and stop_fn(row):
@@ -235,7 +237,8 @@ def train(epochs: EpochSet | Sequence[LabeledEpoch],
 
     if best is None:  # kappa never defined; fall back to the last state
         best, best_kappa, best_pass = mp.copy(), float("nan"), log[-1].train_pass
-    return TrainResult(params=best, final_params=mp, log=log,
+        best_result = result
+    return TrainResult(params=best, validation=best_result, final_params=mp, log=log,
                        weights=weights, best_pass=best_pass, best_kappa=best_kappa)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sleepstage import cli, errors, fetch
+from sleepstage.autograd import load_arrays, save_arrays
 from sleepstage.config import (
     DATASET_ROOT_ENV,
     build_run_config,
@@ -18,6 +19,7 @@ from sleepstage.config import (
 )
 from sleepstage.edf import build_edf, encode_annotation_signal
 from sleepstage.errors import ChecksumMismatch, ConfigError, NetworkFailure
+from sleepstage.evaluation import SplitConfig
 from sleepstage.model import ModelConfig, init_params
 
 from helpers import EEG_CHANNEL, build_corpus_recording, digitize, eeg_signal_header
@@ -33,18 +35,43 @@ seed = 11
 """
 
 
-# case -> (manifest edits, model JSON edits, container rewrite, text the error names);
-# an edit to None deletes the key
+def _meta(ckpt: Path) -> Path:
+    return Path(f"{ckpt}.meta")
+
+
+def _drop_entry(name: str):
+    def rewrite(ckpt: Path) -> None:
+        arrays = load_arrays(ckpt)
+        del arrays[name]
+        save_arrays(arrays, ckpt)
+    return rewrite
+
+
+# case -> (manifest edits, model JSON edits, rewrite of the checkpoint files, text the
+# error names); an edit to None deletes the key
 CORRUPT_CHECKPOINTS = {
     "channel-None": ({"channel": None}, {}, None, "channel"),
     "model-None": ({"model": None}, {}, None, "model"),
     "model-num_classes": ({}, {"num_classes": None}, None, "num_classes"),
     "split.fold-None": ({"split.fold": None}, {}, None, "split.fold"),
     "split.k-three": ({"split.k": "three"}, {}, None, "split.k"),
+    "split.kind-None": ({"split.kind": None}, {}, None, "split.kind"),
+    "split.seed-None": ({"split.seed": None}, {}, None, "split.seed"),
+    "split.seed-negative": ({"split.seed": "-1"}, {}, None, "seed must be >= 0"),
     "model-truncated": ({"model": '{"branch'}, {}, None, "model"),
     "model-spatial_kernel": ({}, {"spatial_kernel": 4}, None, "spatial_kernel"),
-    "container-garbage": ({}, {}, lambda blob: b"garbage" * 20, "not a parameter container"),
-    "container-truncated": ({}, {}, lambda blob: blob[:40], "container ends inside entry"),
+    "container-garbage": ({}, {}, lambda ckpt: ckpt.write_bytes(b"garbage" * 20),
+                          "not a parameter container"),
+    "container-truncated": ({}, {}, lambda ckpt: ckpt.write_bytes(ckpt.read_bytes()[:40]),
+                            "container ends inside entry"),
+    "container-running_mean-None": ({}, {}, _drop_entry("branch3.bn1.running_mean"),
+                                    "branch3.bn1.running_mean"),
+    "container-head.fc.weight-None": ({}, {}, _drop_entry("head.fc.weight"),
+                                      "head.fc.weight"),
+    "manifest-not-utf8": ({}, {}, lambda ckpt: _meta(ckpt).write_bytes(
+        b"\xff\xfe" + _meta(ckpt).read_bytes()), "fold1.ckpt.meta"),
+    "manifest-line-without-equals": ({}, {}, lambda ckpt: _meta(ckpt).write_bytes(
+        _meta(ckpt).read_bytes() + b"no key value here\n"), "fold1.ckpt.meta"),
 }
 # every case under `eval` (ids as the case names) and under `predict`
 CORRUPT_CHECKPOINT_RUNS = [
@@ -96,7 +123,7 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             build_run_config({"dataset.root": str(tmp_path), "split.kind": "loocv"})
         for key, value in [("split.k", "0"), ("split.ratio", "1.5"), ("split.ratio", "0"),
-                           ("model.channel_attention_reduction", "0")]:
+                           ("model.channel_attention_reduction", "0"), ("seed", "-1")]:
             with pytest.raises(ConfigError):
                 build_run_config({"dataset.root": str(tmp_path), key: value})
 
@@ -109,9 +136,11 @@ class TestConfigFormat:
         assert rc.model.pool_sizes == (2, 2, 2)
 
     def test_resolved_reparses_identically(self, tmp_path):
-        rc = build_run_config({"dataset.root": str(tmp_path), "seed": "3"})
-        again = build_run_config(parse_kv_text(format_kv(rc.resolved())))
-        assert again == rc
+        for extra in ({}, {"split.fold": "2"}):
+            rc = build_run_config({"dataset.root": str(tmp_path), "seed": "3", **extra})
+            assert rc.resolved().get("split.fold") == extra.get("split.fold")
+            again = build_run_config(parse_kv_text(format_kv(rc.resolved())))
+            assert again == rc
 
     def test_resolved_default_literal(self):
         rc = build_run_config({"dataset.root": "/data"})
@@ -259,6 +288,19 @@ class TestPreprocess:
         assert (corpus / "cache" / "good__good.epochs").is_file()
         assert not (corpus / "cache" / "bad__bad.epochs").is_file()
 
+    @pytest.mark.parametrize("garbage", [b"not a key value line\n", b"\xff\xfe"],
+                             ids=["line-without-equals", "not-utf8"])
+    def test_corrupt_source_fingerprint_rebuilds_cache(self, preprocessed, garbage):
+        cfg, corpus = preprocessed
+        src = corpus / "cache" / "subjA__subjA.src"
+        epochs_file = corpus / "cache" / "subjA__subjA.epochs"
+        written = src.read_bytes()
+        src.write_bytes(garbage + written)
+        before = epochs_file.stat().st_mtime_ns
+        assert run_cli("preprocess", "--config", cfg) == 0
+        assert src.read_bytes() == written
+        assert epochs_file.stat().st_mtime_ns != before
+
     def test_missing_channel_is_data_error(self, tiny_corpus, tmp_path):
         cfg = write_config(tmp_path, tiny_corpus)
         assert run_cli("preprocess", "--config", cfg, "--channel", "EEG Pz-Oz") == cli.EXIT_DATA
@@ -332,10 +374,29 @@ class TestTrainEvalPredict:
                        "--out", eval_out) == 0
         assert (eval_out / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
 
+    # the split as the .meta manifest and metrics.json record it, byte for byte
+    @pytest.mark.parametrize("split, argv, stem, meta_lines, metrics_split", [
+        ("kfold:3", ["--fold", 1], "fold1",
+         "split.fold = 1\nsplit.k = 3\nsplit.kind = kfold\nsplit.seed = 11\n",
+         '  "split": {\n    "folds": [\n      1\n    ],\n    "k": 3,\n'
+         '    "kind": "kfold",\n    "seed": 11\n  }'),
+        ("holdout:0.5", [], "holdout",
+         "split.kind = holdout\nsplit.ratio = 0.5\nsplit.seed = 11\n",
+         '  "split": {\n    "kind": "holdout",\n    "ratio": 0.5,\n    "seed": 11\n  }'),
+    ], ids=["kfold", "holdout"])
+    def test_split_records_literal(self, preprocessed, tmp_path, split, argv, stem,
+                                   meta_lines, metrics_split):
+        cfg, corpus = preprocessed
+        out = tmp_path / "train"
+        assert run_cli("train", "--config", cfg, "--split", split, *argv, "--out", out) == 0
+        meta = (out / f"{stem}.ckpt.meta").read_text().splitlines(keepends=True)
+        assert "".join(line for line in meta if line.startswith("split.")) == meta_lines
+        assert metrics_split in (out / "metrics.json").read_text()
+
     @pytest.mark.parametrize("case, command", CORRUPT_CHECKPOINT_RUNS)
     def test_incomplete_checkpoint_manifest_is_data_error(self, preprocessed, tmp_path,
                                                           capsys, case, command):
-        manifest_edits, model_edits, container, named = CORRUPT_CHECKPOINTS[case]
+        manifest_edits, model_edits, rewrite, named = CORRUPT_CHECKPOINTS[case]
         cfg, corpus = preprocessed
         out = tmp_path / "run"
         assert run_cli("train", "--config", cfg, "--split", "kfold:3", "--fold", 1,
@@ -346,8 +407,8 @@ class TestTrainEvalPredict:
         if model_edits:
             meta["model"] = json.dumps(_edited(json.loads(meta["model"]), model_edits))
         meta_path.write_text(format_kv(_edited(meta, manifest_edits)))
-        if container is not None:
-            ckpt.write_bytes(container(ckpt.read_bytes()))
+        if rewrite is not None:
+            rewrite(ckpt)
         capsys.readouterr()
         if command == "eval":
             code = run_cli("eval", "--config", cfg, "--checkpoint", ckpt,
@@ -355,7 +416,7 @@ class TestTrainEvalPredict:
         else:
             code = run_cli("predict", "--checkpoint", ckpt, "--edf", corpus / "subjA-PSG.edf",
                            "--out", tmp_path / "pred")
-        if command == "predict" and named.startswith("split."):
+        if command == "predict" and case.startswith("split."):
             assert code == 0  # predict reads no split field
             return
         assert code == cli.EXIT_DATA
@@ -423,7 +484,8 @@ class TestTrainEvalPredict:
         (tmp_path / "n-Hypnogram.edf").write_bytes(
             build_edf([(ann_sig, ann)], record_count=6, record_duration=Fraction(30)))
         cfg = ModelConfig(branch_channels=2, input_length=length, pool_sizes=(8, 4, 4))
-        cli.save_checkpoint(init_params(cfg, seed=0), tmp_path / "m.ckpt", EEG_CHANNEL, {})
+        cli.save_checkpoint(init_params(cfg, seed=0), tmp_path / "m.ckpt", EEG_CHANNEL,
+                            SplitConfig())
         assert run_cli("predict", "--checkpoint", tmp_path / "m.ckpt",
                        "--edf", tmp_path / "n-PSG.edf",
                        "--hypnogram", tmp_path / "n-Hypnogram.edf",

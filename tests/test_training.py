@@ -1,10 +1,12 @@
 """Class weights, the weighted loss against a loop oracle, Adam, train loop."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from sleepstage import autograd as ag
+from sleepstage import evaluation
 from sleepstage import training as tr
 from sleepstage.autograd import Tensor
 from sleepstage.edf import StageLabel
@@ -255,6 +257,23 @@ class TestTrainLoop:
         kappas = [row.val_kappa for row in result.log]
         assert result.best_kappa == max(k for k in kappas if k is not None)
         assert result.log[result.best_pass - 1].val_kappa == result.best_kappa
+
+    @pytest.mark.parametrize("kappa_defined", [True, False],
+                             ids=["best-kappa", "kappa-undefined"])
+    def test_result_carries_validation_of_kept_params(self, kappa_defined, monkeypatch):
+        if not kappa_defined:  # forces the fallback to the last pass
+            summary = evaluation.summary_metrics
+            monkeypatch.setattr(evaluation, "summary_metrics",
+                                lambda cm: dataclasses.replace(summary(cm), kappa=None))
+        epochs = tiny_dataset()
+        idx = np.arange(len(epochs))
+        result = train(epochs, idx[:20], idx[20:], TrainConfig(max_passes=3, batch_size=4),
+                       micro_model_config())
+        assert math.isnan(result.best_kappa) != kappa_defined
+        fresh = evaluation.evaluate(result.params, epochs, idx[20:])
+        np.testing.assert_array_equal(result.validation.probabilities, fresh.probabilities)
+        assert result.validation.cm == fresh.cm
+        assert result.validation.order == fresh.order
 
     def test_log_csv_layout(self, tmp_path):
         epochs = tiny_dataset()
