@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .edf import EpochSet, LabeledEpoch, StageLabel
+from .edf import EpochSet, StageLabel
 from .errors import DataError, TruncatedFile
 from .preprocess import NormalizationStats
 
@@ -23,19 +23,21 @@ EPOCH_SUFFIX = ".epochs"
 STATS_SUFFIX = ".stats"
 
 
-def save_epochs(epochs: list[LabeledEpoch], path) -> None:
+def _record_dtype(length: int) -> np.dtype:
+    """One cached epoch: its stage code, then `length` float32 samples."""
+    return np.dtype([("label", "u1"), ("x", "<f4", (length,))])
+
+
+def save_epochs(epochs: EpochSet, path) -> None:
     if not epochs:
         raise ValueError("refusing to write an empty epoch cache")
-    lengths = {len(e.samples) for e in epochs}
-    if len(lengths) != 1:
-        raise ValueError(f"mixed epoch lengths {sorted(lengths)}")
-    ordered = sorted(epochs, key=lambda e: e.epoch_index)
+    order = np.argsort(epochs.epoch_index, kind="stable")
+    records = np.empty(len(epochs), dtype=_record_dtype(epochs.samples.shape[1]))
+    records["label"] = epochs.labels[order]
+    records["x"] = epochs.samples[order]
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(ordered)))
-        for e in ordered:
-            fh.write(struct.pack("B", int(e.label)))
-            fh.write(np.asarray(e.samples, dtype="<f4").tobytes())
+        fh.write(_MAGIC + struct.pack("<II", _VERSION, len(records)))
+        fh.write(records.tobytes())
 
 
 def _read_records(path) -> np.ndarray:
@@ -54,8 +56,7 @@ def _read_records(path) -> np.ndarray:
     record = body // count
     if (record - 1) % 4:
         raise TruncatedFile(f"{path}: record size {record} is not 1 + 4*samples")
-    records = np.frombuffer(blob, offset=12,
-                            dtype=[("label", "u1"), ("x", "<f4", ((record - 1) // 4,))])
+    records = np.frombuffer(blob, offset=12, dtype=_record_dtype((record - 1) // 4))
     if records["label"].max() >= len(StageLabel):
         raise TruncatedFile(f"{path}: label byte {records['label'].max()} is not a stage code")
     return records
@@ -64,7 +65,8 @@ def _read_records(path) -> np.ndarray:
 def _epoch_set(files: list[np.ndarray], subjects: list[str]) -> EpochSet:
     """Join per-file records; epoch_index runs on across a subject's files."""
     if not files:
-        return EpochSet.of([])
+        return EpochSet(np.empty((0, 0), dtype=np.float32), np.empty(0, dtype=np.int64),
+                        np.empty(0, dtype=str), np.empty(0, dtype=np.int64))
     lengths = {f.dtype["x"].shape for f in files}
     if len(lengths) != 1:
         raise DataError(f"cache files mix epoch lengths {sorted(lengths)}")
@@ -102,11 +104,6 @@ def subject_of(cache_name: str) -> str:
     """Cache files are named '<subject>__<recording>'; bare names are their
     own subject."""
     return cache_name.split("__", 1)[0]
-
-
-def cached_subjects(cache_dir) -> list[str]:
-    return sorted({subject_of(p.name[:-len(EPOCH_SUFFIX)])
-                   for p in Path(cache_dir).glob(f"*{EPOCH_SUFFIX}")})
 
 
 def load_all(cache_dir) -> EpochSet:

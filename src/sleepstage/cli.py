@@ -14,6 +14,7 @@ import json
 import logging
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -159,9 +160,13 @@ def load_checkpoint(path: Path, channel: str | None) -> tuple[ModelParams, dict[
             raise DataError(f"checkpoint manifest {meta_path} lacks {key!r}")
     try:
         cfg = ModelConfig.from_dict(json.loads(meta["model"]))
-    except (ValueError, TypeError) as exc:
+    except (DataError, ValueError, TypeError) as exc:
         raise DataError(f"checkpoint manifest {meta_path}: bad 'model' entry: {exc}") from None
-    mp = ModelParams.from_state(cfg, load_arrays(path))
+    arrays = load_arrays(path)
+    try:
+        mp = ModelParams.from_state(cfg, arrays)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if channel is not None and channel != meta["channel"]:
         raise ConfigMismatch(
             f"checkpoint was trained on channel {meta['channel']!r}, run asks for {channel!r}")
@@ -172,14 +177,6 @@ def load_checkpoint(path: Path, channel: str | None) -> tuple[ModelParams, dict[
 
 def _metrics_payload(cm: ConfusionMatrix, rc: RunConfig,
                      split_desc: dict, n_epochs: int) -> dict:
-    per_stage = {}
-    for s in StageLabel:
-        m = evaluation.stage_metrics(cm, s)
-        per_stage[s.name] = {
-            "accuracy": m.accuracy, "recall": m.recall,
-            "precision": m.precision, "f1": m.f1,
-        }
-    summary = evaluation.summary_metrics(cm)
     return {
         "schema_version": 1,
         "channel": rc.channel,
@@ -190,15 +187,8 @@ def _metrics_payload(cm: ConfusionMatrix, rc: RunConfig,
             "label_order": [s.name for s in StageLabel],
             "rows_true_cols_pred": cm.counts.tolist(),
         },
-        "per_stage": per_stage,
-        "summary": {
-            "overall_accuracy": summary.overall_accuracy,
-            "kappa": summary.kappa,
-            "mean_accuracy": summary.mean_accuracy,
-            "mean_recall": summary.mean_recall,
-            "macro_f1": summary.macro_f1,
-            "undefined_stages": list(summary.undefined_stages),
-        },
+        "per_stage": {s.name: asdict(evaluation.stage_metrics(cm, s)) for s in StageLabel},
+        "summary": asdict(evaluation.summary_metrics(cm)),
     }
 
 
@@ -282,30 +272,29 @@ def cmd_preprocess(args) -> int:
         src_text = format_kv(fingerprint).encode()
         if epochs_path.is_file() and src_path.is_file() and src_path.read_bytes() == src_text:
             log.info("%s: cache up to date", stem)
-            totals += np.bincount(cache.load_epochs(epochs_path, subject).labels,
-                                  minlength=len(StageLabel))
-            continue
-        try:
-            psg_bytes = psg.read_bytes()
-            rec = read_recording(psg_bytes, rc.channel, subject)
-            stages = parse_hypnogram(hyp.read_bytes() if hyp is not None else psg_bytes)
-            if not stages:
-                raise SleepStageError(f"{stem}: no stage annotations found")
-            stats = compute_stats(rec.samples)
-            rec.samples = normalize(rec.samples, stats)
-            epochs = epoch_recording(rec, stages)
-            if not epochs:
-                raise SleepStageError(f"{stem}: no scorable 30-s epochs")
-        except SleepStageError as exc:
-            failures += 1
-            last_error = exc
-            print(f"error: {stem}: {exc}", file=sys.stderr)
-            continue
-        cache.save_epochs(epochs, epochs_path)
-        cache.save_stats(stats, rc.cache_dir / f"{cache_name}{cache.STATS_SUFFIX}")
-        src_path.write_bytes(src_text)
-        totals += np.bincount([int(e.label) for e in epochs], minlength=len(StageLabel))
-        log.info("%s: cached %d epochs", stem, len(epochs))
+            epochs = cache.load_epochs(epochs_path, subject)
+        else:
+            try:
+                psg_bytes = psg.read_bytes()
+                rec = read_recording(psg_bytes, rc.channel, subject)
+                stages = parse_hypnogram(hyp.read_bytes() if hyp is not None else psg_bytes)
+                if not stages:
+                    raise SleepStageError(f"{stem}: no stage annotations found")
+                stats = compute_stats(rec.samples)
+                rec.samples = normalize(rec.samples, stats)
+                epochs = epoch_recording(rec, stages)
+                if not epochs:
+                    raise SleepStageError(f"{stem}: no scorable 30-s epochs")
+            except SleepStageError as exc:
+                failures += 1
+                last_error = exc
+                print(f"error: {stem}: {exc}", file=sys.stderr)
+                continue
+            cache.save_epochs(epochs, epochs_path)
+            cache.save_stats(stats, rc.cache_dir / f"{cache_name}{cache.STATS_SUFFIX}")
+            src_path.write_bytes(src_text)
+            log.info("%s: cached %d epochs", stem, len(epochs))
+        totals += np.bincount(epochs.labels, minlength=len(StageLabel))
 
     grand = int(totals.sum())
     print("stage   epochs  share")
@@ -426,8 +415,8 @@ def cmd_predict(args) -> int:
     elif extract_annotations(psg_bytes):
         hyp_bytes = psg_bytes
     if hyp_bytes is not None:
-        reference = {e.epoch_index: int(e.label)
-                     for e in epoch_recording(rec, parse_hypnogram(hyp_bytes))}
+        scored = epoch_recording(rec, parse_hypnogram(hyp_bytes))
+        reference = dict(zip(scored.epoch_index.tolist(), scored.labels.tolist()))
 
     csv_path = out_dir / "predictions.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -456,24 +445,37 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _read_predictions(path: str):
+    """(epoch indices, predicted stages, reference stages or None) of a predictions.csv."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise DataError(f"{path}: empty predictions file")
+    indices = [int(r["epoch_index"]) for r in rows]
+    pred = [StageLabel[r["predicted"]] for r in rows]
+    have_ref = all(r.get("reference") for r in rows)
+    ref = [StageLabel[r["reference"]] for r in rows] if have_ref else None
+    return indices, pred, ref
+
+
 def cmd_plot(args) -> int:
     out_dir = Path(args.out or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     wrote = []
     if args.predictions:
-        rows = list(csv.DictReader(open(args.predictions, newline="")))
-        if not rows:
-            raise SleepStageError(f"{args.predictions}: empty predictions file")
-        indices = [int(r["epoch_index"]) for r in rows]
-        pred = [StageLabel[r["predicted"]] for r in rows]
-        have_ref = all(r.get("reference") for r in rows)
-        ref = [StageLabel[r["reference"]] for r in rows] if have_ref else None
+        try:
+            indices, pred, ref = _read_predictions(args.predictions)
+        except (csv.Error, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{args.predictions}: bad predictions file: {exc!r}") from None
         path = out_dir / "hypnogram.svg"
         path.write_text(figures.hypnogram_svg(pred, indices=indices, reference=ref))
         wrote.append(path)
     if args.metrics:
-        payload = json.loads(Path(args.metrics).read_text())
-        cm = ConfusionMatrix(np.asarray(payload["confusion_matrix"]["rows_true_cols_pred"]))
+        try:
+            payload = json.loads(Path(args.metrics).read_text())
+            cm = ConfusionMatrix(np.asarray(payload["confusion_matrix"]["rows_true_cols_pred"]))
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise DataError(f"{args.metrics}: bad metrics file: {exc!r}") from None
         path = out_dir / "confusion.svg"
         path.write_text(figures.confusion_heatmap_svg(cm))
         wrote.append(path)

@@ -96,8 +96,8 @@ class EegRecording:
 
 @dataclass
 class LabeledEpoch:
-    """A 30-second window with its stage; epoch_index counts 30-s slots
-    from the recording start, so excluded slots leave gaps."""
+    """One row of an EpochSet: a 30-second window with its stage; epoch_index
+    counts 30-s slots from the recording start, so excluded slots leave gaps."""
 
     samples: np.ndarray
     label: StageLabel
@@ -109,29 +109,16 @@ class LabeledEpoch:
 class EpochSet:
     """A set of epochs as four columns; row i is one LabeledEpoch.
 
-    samples [N, L] stays in the dtype it was built from (float32 from the
-    cache), labels are stage codes, subjects and epoch_index name each row.
-    An integer index gives a LabeledEpoch with float64 samples; a slice or an
-    index array gives an EpochSet.
+    samples [N, L] stays in the dtype it was built from (float64 from
+    epoch_recording, float32 from the cache), labels are stage codes, subjects
+    and epoch_index name each row. An integer index gives a LabeledEpoch with
+    float64 samples; a slice or an index array gives an EpochSet.
     """
 
     samples: np.ndarray
     labels: np.ndarray
     subjects: np.ndarray
     epoch_index: np.ndarray
-
-    @classmethod
-    def of(cls, epochs) -> "EpochSet":
-        """`epochs` itself when it is an EpochSet, else its LabeledEpochs stacked."""
-        if isinstance(epochs, EpochSet):
-            return epochs
-        epochs = list(epochs)
-        return cls(
-            samples=np.stack([e.samples for e in epochs]) if epochs else np.empty((0, 0)),
-            labels=np.asarray([int(e.label) for e in epochs], dtype=np.int64),
-            subjects=np.asarray([e.subject_id for e in epochs], dtype=str),
-            epoch_index=np.asarray([e.epoch_index for e in epochs], dtype=np.int64),
-        )
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -460,9 +447,10 @@ def map_label(raw_stage: str) -> StageLabel | None:
 
 
 def epoch_recording(rec: EegRecording,
-                    stages: list[tuple[float, float, str]]) -> list[LabeledEpoch]:
-    """Cut rec into labeled 30-s windows; a window survives only when it is
-    fully covered by both the signal and a single non-excluded stage interval."""
+                    stages: list[tuple[float, float, str]]) -> EpochSet:
+    """Cut rec into labeled 30-s windows in epoch_index order; a window survives
+    only when it is fully covered by both the signal and a single non-excluded
+    stage interval."""
     epoch_len = rec.sample_rate * EPOCH_SECONDS
     if epoch_len != int(epoch_len):
         raise SampleRateMismatch(
@@ -470,7 +458,7 @@ def epoch_recording(rec: EegRecording,
     epoch_len = int(epoch_len)
     n_windows = len(rec.samples) // epoch_len
 
-    epochs: list[LabeledEpoch] = []
+    kept: list[tuple[int, StageLabel]] = []
     for onset, duration, token in stages:
         label = map_label(token)
         if label is None:
@@ -481,14 +469,16 @@ def epoch_recording(rec: EegRecording,
             # float grid alignment: keep only windows truly inside the interval
             if w * EPOCH_SECONDS < onset - 1e-9 or (w + 1) * EPOCH_SECONDS > onset + duration + 1e-9:
                 continue
-            epochs.append(LabeledEpoch(
-                samples=rec.samples[w * epoch_len:(w + 1) * epoch_len],
-                label=label,
-                subject_id=rec.subject_id,
-                epoch_index=w,
-            ))
-    epochs.sort(key=lambda e: e.epoch_index)
-    return epochs
+            kept.append((w, label))
+    kept.sort(key=lambda wl: wl[0])
+    index = np.asarray([w for w, _ in kept], dtype=np.int64)
+    windows = np.asarray(rec.samples, dtype=np.float64)[:n_windows * epoch_len]
+    return EpochSet(
+        samples=windows.reshape(n_windows, epoch_len)[index],
+        labels=np.asarray([int(label) for _, label in kept], dtype=np.int64),
+        subjects=np.full(index.size, rec.subject_id),
+        epoch_index=index,
+    )
 
 
 # --- synthetic-file construction (round-trip checks, fixtures, demos) ---

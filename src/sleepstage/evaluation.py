@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .edf import EpochSet, LabeledEpoch, StageLabel
+from .edf import EpochSet, StageLabel
 from .errors import (
     EmptySplit,
     SingleClassPresent,
@@ -332,7 +332,7 @@ def predict_probabilities(mp: ModelParams, batches: np.ndarray,
     return np.concatenate(probs, axis=0)
 
 
-def evaluate(mp: ModelParams, epochs: EpochSet | Sequence[LabeledEpoch],
+def evaluate(mp: ModelParams, epochs: EpochSet,
              indices: Sequence[int] | None = None,
              batch_size: int = 32) -> EvalResult:
     """Argmax staging (ties break to the lowest class code) plus every metric.
@@ -340,7 +340,6 @@ def evaluate(mp: ModelParams, epochs: EpochSet | Sequence[LabeledEpoch],
     Output sequences are ordered by (subject, epoch_index) so a hypnogram can
     be rendered directly.
     """
-    epochs = EpochSet.of(epochs)
     chosen = np.arange(len(epochs)) if indices is None else np.asarray(indices, dtype=np.int64)
     if not chosen.size:
         raise EmptySplit("no epochs to evaluate")

@@ -7,11 +7,10 @@ and are left unclipped. Augmentation flips an epoch in time with probability
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .edf import LabeledEpoch
 from .errors import DegenerateSignal, EmptySignal
 
 
@@ -56,15 +55,13 @@ def normalize(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     return 2.0 * (np.asarray(x, dtype=np.float64) - stats.s05) / (stats.s95 - stats.s05) - 1.0
 
 
-def augment(epoch: LabeledEpoch, cfg: AugmentConfig,
-            rng: np.random.Generator) -> LabeledEpoch:
-    """Maybe time-reverse, then add noise; label and length never change."""
-    samples = epoch.samples
+def augment(samples: np.ndarray, cfg: AugmentConfig,
+            rng: np.random.Generator) -> np.ndarray:
+    """Maybe time-reverse one float64 row, then add noise; the row comes back
+    as a new array of the same length."""
     if cfg.flip_probability > 0 and rng.random() < cfg.flip_probability:
         samples = samples[::-1]
     if cfg.noise_fraction > 0:
         sigma = cfg.noise_fraction * float(np.std(samples))
-        samples = samples + rng.normal(0.0, sigma, size=samples.shape)
-    else:
-        samples = np.ascontiguousarray(samples) if samples is not epoch.samples else samples.copy()
-    return replace(epoch, samples=samples)
+        return samples + rng.normal(0.0, sigma, size=samples.shape)
+    return samples.copy()

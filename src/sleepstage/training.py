@@ -16,7 +16,7 @@ import numpy as np
 from . import autograd as ag
 from . import evaluation
 from .autograd import ParamTensor, Tensor
-from .edf import EpochSet, LabeledEpoch
+from .edf import EpochSet
 from .errors import EmptySplit, MissingGradient, ShapeMismatch, ZeroProportion
 from .model import ModelConfig, ModelParams, init_params, model_forward
 from .preprocess import AugmentConfig, augment
@@ -159,7 +159,7 @@ class TrainResult:
     best_kappa: float
 
 
-def train(epochs: EpochSet | Sequence[LabeledEpoch],
+def train(epochs: EpochSet,
           train_idx: Sequence[int],
           val_idx: Sequence[int],
           cfg: TrainConfig,
@@ -180,7 +180,6 @@ def train(epochs: EpochSet | Sequence[LabeledEpoch],
     if np.intersect1d(train_idx, val_idx).size:
         raise EmptySplit("train and validation splits overlap")
 
-    epochs = EpochSet.of(epochs)
     labels = epochs.labels
     weights = class_weights(proportions_from_labels(labels[train_idx]))
 
@@ -200,13 +199,12 @@ def train(epochs: EpochSet | Sequence[LabeledEpoch],
         losses = []
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            if augment_cfg is None:
-                rows = epochs.samples[batch].astype(np.float64)
-            else:
-                rows = np.stack([augment(epochs[i], augment_cfg, np.random.default_rng(
-                    np.random.SeedSequence(augment_cfg.rng_seed,
-                                           spawn_key=(_AUGMENT_STREAM, p, int(i))))).samples
-                                 for i in batch])
+            rows = epochs.samples[batch].astype(np.float64)
+            if augment_cfg is not None:
+                for j, i in enumerate(batch):
+                    rows[j] = augment(rows[j], augment_cfg, np.random.default_rng(
+                        np.random.SeedSequence(augment_cfg.rng_seed,
+                                               spawn_key=(_AUGMENT_STREAM, p, int(i)))))
             x = Tensor(rows[:, None, :])
             logits = model_forward(mp, x, training=True)
             loss = weighted_ce_loss(logits, labels[batch], weights)

@@ -8,9 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from sleepstage.edf import (
-    LabeledEpoch,
+    EpochSet,
     SignalHeader,
-    StageLabel,
     build_edf,
     encode_annotation_signal,
 )
@@ -39,21 +38,26 @@ def sine_epoch(label: int, rng: np.random.Generator, length: int = 3000,
         noise * rng.normal(size=length)
 
 
+def epoch_set(samples, labels, subjects="s", epoch_index=None) -> EpochSet:
+    """An EpochSet of the given rows; one subject name stands for every row and
+    epoch_index defaults to 0..N-1."""
+    n = len(samples)
+    return EpochSet(
+        samples=np.asarray(samples),
+        labels=np.asarray(labels, dtype=np.int64),
+        subjects=np.full(n, subjects) if isinstance(subjects, str) else np.asarray(subjects),
+        epoch_index=np.arange(n) if epoch_index is None else np.asarray(epoch_index),
+    )
+
+
 def sine_epochs(n: int, seed: int = 0, length: int = 3000, rate: float = 100.0,
-                subject: str = "synthetic") -> list[LabeledEpoch]:
+                subject: str = "synthetic") -> EpochSet:
     """Balanced 5-class dataset of stage-coded sinusoids, trivially separable
     by band energy."""
     rng = np.random.default_rng(seed)
-    epochs = []
-    for i in range(n):
-        label = StageLabel(i % 5)
-        epochs.append(LabeledEpoch(
-            samples=sine_epoch(label, rng, length=length, rate=rate),
-            label=label,
-            subject_id=subject,
-            epoch_index=i,
-        ))
-    return epochs
+    labels = np.arange(n) % 5
+    return epoch_set([sine_epoch(label, rng, length=length, rate=rate) for label in labels],
+                     labels, subject)
 
 
 def digitize(physical: np.ndarray, sig: SignalHeader) -> np.ndarray:

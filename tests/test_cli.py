@@ -420,7 +420,9 @@ class TestTrainEvalPredict:
             assert code == 0  # predict reads no split field
             return
         assert code == cli.EXIT_DATA
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        assert "fold1.ckpt" in err
 
     def test_eval_channel_mismatch_is_config_error(self, preprocessed, tmp_path):
         cfg, corpus = preprocessed
@@ -529,6 +531,25 @@ class TestTrainEvalPredict:
                        "--metrics", out / "metrics.json", "--out", plot_out) == 0
         assert (plot_out / "hypnogram.svg").is_file()
         assert (plot_out / "confusion.svg").is_file()
+
+    @pytest.mark.parametrize("option, text", [
+        ("--metrics", "{not json"),
+        ("--metrics", '{"schema_version": 1}'),
+        ("--metrics", '{"confusion_matrix": {"rows_true_cols_pred": [[1, 0], [0, 1]]}}'),
+        ("--metrics", '{"confusion_matrix": {"rows_true_cols_pred": "many"}}'),
+        ("--predictions", "epoch_index,onset_seconds,predicted,reference\n0,0,X,\n"),
+        ("--predictions", "epoch_index,onset_seconds,reference\n0,0,W\n"),
+        ("--predictions", "epoch_index,onset_seconds,predicted,reference\n1.5,45,W,\n"),
+        ("--predictions", "epoch_index,onset_seconds,predicted,reference\n"),
+    ], ids=["metrics-not-json", "metrics-no-matrix", "metrics-2x2", "metrics-not-counts",
+            "predictions-stage-X", "predictions-no-predicted-column",
+            "predictions-non-integer-index", "predictions-no-rows"])
+    def test_plot_malformed_input_is_data_error(self, tmp_path, capsys, option, text):
+        bad = tmp_path / "bad_input"
+        bad.write_text(text)
+        assert run_cli("plot", option, bad, "--out", tmp_path / "plots") == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err
 
     def test_plot_without_inputs_is_config_error(self, tmp_path):
         assert run_cli("plot", "--out", tmp_path) == cli.EXIT_CONFIG

@@ -38,7 +38,7 @@ from sleepstage.errors import (
 )
 from sleepstage.preprocess import NormalizationStats
 
-from helpers import eeg_signal_header
+from helpers import eeg_signal_header, epoch_set
 
 RNG = np.random.default_rng(7)
 
@@ -295,6 +295,15 @@ class TestEpoching:
         idx = [e.epoch_index for e in out]
         assert all(a < b for a, b in zip(idx, idx[1:]))
 
+    def test_rows_are_their_windows(self):
+        rec = recording(300)
+        out = epoch_recording(rec, [(60.0, 90.0, "R"), (0.0, 30.0, "W"), (210.0, 60.0, "2")])
+        assert isinstance(out, EpochSet) and out.samples.dtype == np.float64
+        assert out.epoch_index.tolist() == [0, 2, 3, 4, 7, 8]
+        assert out.subjects.tolist() == ["s1"] * 6
+        for w, row in zip(out.epoch_index, out.samples):
+            np.testing.assert_array_equal(row, rec.samples[w * 3000:(w + 1) * 3000])
+
 
 class TestReadRecording:
     def test_sample_rate_and_calibration(self):
@@ -309,11 +318,7 @@ class TestReadRecording:
 
 class TestEpochCache:
     def test_round_trip(self, tmp_path):
-        epochs = [
-            LabeledEpoch(samples=RNG.normal(size=300), label=StageLabel(i % 5),
-                         subject_id="s", epoch_index=i)
-            for i in range(7)
-        ]
+        epochs = epoch_set(RNG.normal(size=(7, 300)), np.arange(7) % 5)
         path = tmp_path / "s.epochs"
         cache.save_epochs(epochs, path)
         loaded = cache.load_epochs(path, "s")
@@ -336,20 +341,30 @@ class TestEpochCache:
         cache.save_stats(stats, path)
         assert cache.load_stats(path) == stats
 
+    def test_written_bytes_literal(self, tmp_path):
+        epochs = epoch_set([[0.5, -1.0, 2.0, 0.25], [1.0, 0.0, -0.5, 3.0],
+                            [-2.0, 0.125, 4.0, -0.75]],
+                           [StageLabel.R, StageLabel.W, StageLabel.N3], epoch_index=[2, 0, 1])
+        path = tmp_path / "s.epochs"
+        cache.save_epochs(epochs, path)
+        assert path.read_bytes() == bytes.fromhex(
+            "53534531" "01000000" "03000000"  # magic, version 1, 3 epochs
+            "04" "0000803f" "00000000" "000000bf" "00004040"  # index 0: W, 1, 0, -0.5, 3
+            "00" "000000c0" "0000003e" "00008040" "000040bf"  # index 1: N3, -2, 0.125, 4, -0.75
+            "03" "0000003f" "000080bf" "00000040" "0000803e")  # index 2: R, 0.5, -1, 2, 0.25
+
     def test_load_all_renumbers_per_subject(self, tmp_path):
-        epochs = [LabeledEpoch(samples=RNG.normal(size=10), label=StageLabel(i),
-                               subject_id="a", epoch_index=i) for i in range(3)]
+        epochs = epoch_set(RNG.normal(size=(3, 10)), np.arange(3), "a")
         cache.save_epochs(epochs, tmp_path / "a__n1.epochs")
         cache.save_epochs(epochs, tmp_path / "a__n2.epochs")
         cache.save_epochs(epochs, tmp_path / "b__n1.epochs")
         loaded = cache.load_all(tmp_path)
         a_idx = [e.epoch_index for e in loaded if e.subject_id == "a"]
         assert a_idx == [0, 1, 2, 3, 4, 5]
-        assert cache.cached_subjects(tmp_path) == ["a", "b"]
         assert isinstance(loaded, EpochSet)
-        saved = np.stack([e.samples for e in epochs])
         assert loaded.samples.dtype == np.float32
-        np.testing.assert_array_equal(loaded.samples, np.tile(saved.astype(np.float32), (3, 1)))
+        np.testing.assert_array_equal(loaded.samples,
+                                      np.tile(epochs.samples.astype(np.float32), (3, 1)))
         assert loaded.labels.tolist() == [0, 1, 2] * 3
         assert loaded.subjects.tolist() == ["a"] * 6 + ["b"] * 3
         assert loaded.epoch_index.tolist() == [0, 1, 2, 3, 4, 5, 0, 1, 2]
@@ -361,8 +376,7 @@ class TestEpochCache:
 
     def test_rejects_label_byte_outside_stage_codes(self, tmp_path):
         path = tmp_path / "s.epochs"
-        cache.save_epochs([LabeledEpoch(samples=np.zeros(4), label=StageLabel.W,
-                                        subject_id="s", epoch_index=i) for i in range(3)], path)
+        cache.save_epochs(epoch_set(np.zeros((3, 4)), [StageLabel.W] * 3), path)
         blob = bytearray(path.read_bytes())
         blob[12 + 17] = 9  # label byte of the second record
         path.write_bytes(bytes(blob))
@@ -371,8 +385,7 @@ class TestEpochCache:
 
     def test_rejects_mixed_epoch_lengths(self, tmp_path):
         for name, length in (("a__n1", 4), ("a__n2", 5)):
-            cache.save_epochs([LabeledEpoch(samples=np.zeros(length), label=StageLabel.W,
-                                            subject_id="a", epoch_index=0)],
+            cache.save_epochs(epoch_set(np.zeros((1, length)), [StageLabel.W], "a"),
                               tmp_path / f"{name}.epochs")
         with pytest.raises(DataError, match="mix epoch lengths"):
             cache.load_all(tmp_path)
@@ -386,8 +399,7 @@ class TestEpochCache:
     @given(st.data())
     def test_any_byte_mutation_loads_or_is_truncated_file(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("cache") / "s.epochs"
-        cache.save_epochs([LabeledEpoch(samples=RNG.normal(size=3), label=StageLabel(i % 5),
-                                        subject_id="s", epoch_index=i) for i in range(4)], path)
+        cache.save_epochs(epoch_set(RNG.normal(size=(4, 3)), np.arange(4) % 5), path)
         blob = bytearray(path.read_bytes())
         blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
         self._loads_or_is_truncated(tmp_path_factory, bytes(blob))
@@ -406,24 +418,12 @@ class TestEpochCache:
 
 
 class TestEpochSet:
-    def epochs(self):
-        return [LabeledEpoch(samples=RNG.normal(size=8), label=StageLabel(i % 5),
-                             subject_id=f"s{i % 2}", epoch_index=10 + i) for i in range(5)]
-
-    def test_of_stacks_without_casting_and_keeps_sets(self):
-        epochs = self.epochs()
-        es = EpochSet.of(epochs)
-        assert EpochSet.of(es) is es
-        assert es.samples.dtype == np.float64
-        np.testing.assert_array_equal(es.samples, np.stack([e.samples for e in epochs]))
-        assert es.labels.tolist() == [0, 1, 2, 3, 4]
-        assert es.subjects.tolist() == ["s0", "s1", "s0", "s1", "s0"]
-        assert es.epoch_index.tolist() == [10, 11, 12, 13, 14]
-        assert len(EpochSet.of([])) == 0
+    def epochs(self, dtype=np.float64):
+        return epoch_set(RNG.normal(size=(5, 8)).astype(dtype), np.arange(5) % 5,
+                         [f"s{i % 2}" for i in range(5)], epoch_index=10 + np.arange(5))
 
     def test_integer_index_is_a_float64_labeled_epoch(self):
-        es = EpochSet.of(self.epochs())
-        es = EpochSet(es.samples.astype(np.float32), es.labels, es.subjects, es.epoch_index)
+        es = self.epochs(np.float32)
         e = es[np.int64(3)]
         assert isinstance(e, LabeledEpoch)
         assert e.samples.dtype == np.float64
@@ -433,7 +433,7 @@ class TestEpochSet:
         assert [x.epoch_index for x in es] == [10, 11, 12, 13, 14]
 
     def test_slice_and_index_array_give_sets(self):
-        es = EpochSet.of(self.epochs())
+        es = self.epochs()
         part = es[1:3]
         assert isinstance(part, EpochSet) and part.epoch_index.tolist() == [11, 12]
         picked = es[np.asarray([4, 0])]

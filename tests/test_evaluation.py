@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sleepstage.edf import EpochSet, LabeledEpoch, StageLabel
+from sleepstage.edf import StageLabel
 from sleepstage.errors import (
     EmptySplit,
     SingleClassPresent,
@@ -22,7 +22,7 @@ from sleepstage.evaluation import (
 from sleepstage.model import init_params
 
 import reference_results as ref
-from helpers import micro_model_config
+from helpers import epoch_set, micro_model_config
 
 RNG = np.random.default_rng(31)
 
@@ -326,9 +326,7 @@ def epochs_with_published_shares(n=500, length=64):
         labels += [code] * round(n * share)
     labels = labels[:n]
     rng = np.random.default_rng(0)
-    return [LabeledEpoch(samples=rng.normal(size=length), label=StageLabel(c),
-                         subject_id="s", epoch_index=i)
-            for i, c in enumerate(labels)]
+    return epoch_set([rng.normal(size=length) for _ in labels], labels)
 
 
 class TestEvaluate:
@@ -361,34 +359,12 @@ class TestEvaluate:
     def test_empty_split(self):
         cfg = micro_model_config()
         with pytest.raises(EmptySplit):
-            evaluate(init_params(cfg, 0), [], indices=[])
+            evaluate(init_params(cfg, 0), epochs_with_published_shares(n=10), indices=[])
 
     def test_order_sorted_by_subject_then_index(self):
         cfg = micro_model_config()
         mp = init_params(cfg, seed=0)
-        epochs = [
-            LabeledEpoch(samples=np.zeros(64), label=StageLabel.W, subject_id="b",
-                         epoch_index=0),
-            LabeledEpoch(samples=np.zeros(64), label=StageLabel.W, subject_id="a",
-                         epoch_index=1),
-            LabeledEpoch(samples=np.zeros(64), label=StageLabel.W, subject_id="a",
-                         epoch_index=0),
-        ]
+        epochs = epoch_set(np.zeros((3, 64)), [StageLabel.W] * 3, ["b", "a", "a"],
+                           epoch_index=[0, 1, 0])
         result = evaluate(mp, epochs)
         assert result.order == [("a", 0), ("a", 1), ("b", 0)]
-
-    def test_epoch_set_and_its_list_evaluate_identically(self):
-        mp = init_params(micro_model_config(), seed=3)
-        rng = np.random.default_rng(5)
-        epochs = EpochSet(
-            samples=rng.normal(size=(12, 64)).astype(np.float32),
-            labels=np.arange(12) % 5,
-            subjects=np.asarray(["b", "a", "c"] * 4),
-            epoch_index=np.asarray([7, 3, 5, 1, 0, 2, 9, 4, 8, 6, 11, 10]))
-        indices = [11, 0, 4, 9, 2, 7, 5]
-        columns = evaluate(mp, epochs, indices)
-        rows = evaluate(mp, list(epochs), indices)
-        assert columns.probabilities.tobytes() == rows.probabilities.tobytes()
-        assert columns.y_true.tolist() == rows.y_true.tolist()
-        assert columns.order == rows.order
-        assert columns.order == sorted(columns.order)

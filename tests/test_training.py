@@ -239,15 +239,16 @@ class TestTrainLoop:
         touched = []
         original = tr.augment
 
-        def spy(epoch, cfg, rng):
-            touched.append(epoch.epoch_index)
-            return original(epoch, cfg, rng)
+        def spy(samples, cfg, rng):  # a row is known by its samples
+            touched.extend(np.flatnonzero((epochs.samples == samples).all(axis=1)).tolist())
+            return original(samples, cfg, rng)
 
         monkeypatch.setattr(tr, "augment", spy)
         train(epochs, train_idx, val_idx, TrainConfig(max_passes=2, batch_size=4),
               micro_model_config(), augment_cfg=AugmentConfig(rng_seed=1))
         assert touched, "augmentation never ran on the training stream"
         assert set(touched).issubset(set(int(i) for i in train_idx))
+        assert sorted(touched) == sorted(train_idx.tolist() * 2)  # each row once a pass
 
     def test_best_checkpoint_retained_by_kappa(self):
         epochs = tiny_dataset()
