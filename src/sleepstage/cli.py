@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -35,9 +36,10 @@ from .edf import (
     EpochSet,
     StageLabel,
     epoch_recording,
-    extract_annotations,
     parse_hypnogram,
     read_recording,
+    scored_windows,
+    windows,
 )
 from .errors import (  # the EXIT_* codes are re-exported for callers of main()
     EXIT_CONFIG,
@@ -107,19 +109,13 @@ def discover_recordings(dataset_root: Path) -> list[tuple[Path, Path | None, str
     psgs = [p for p in edfs if p not in hyps]
     found = []
     for psg in psgs:
-        stem = psg.name[:-len(".edf")]
-        base = stem[:-len("-PSG")] if stem.endswith("-PSG") else stem
+        base = psg.name.removesuffix(".edf").removesuffix("-PSG")
         best, best_len = None, 0
         for h in hyps:
             if h.parent != psg.parent:
                 continue
-            hstem = h.name[:-len(".edf")]
-            hbase = hstem[:-len("-Hypnogram")] if hstem.endswith("-Hypnogram") else hstem
-            common = 0
-            for a, b in zip(base, hbase):
-                if a != b:
-                    break
-                common += 1
+            hbase = h.name.removesuffix(".edf").removesuffix("-Hypnogram")
+            common = len(os.path.commonprefix([base, hbase]))
             if common > best_len:
                 best, best_len = h, common
         if best is not None and best_len < max(1, len(base) - 2):
@@ -127,6 +123,17 @@ def discover_recordings(dataset_root: Path) -> list[tuple[Path, Path | None, str
         subject = base[:5] if _SUBJECT_RE.match(base) else base
         found.append((psg, best, subject, base))
     return found
+
+
+def _read_night(psg: Path, hyp: Path | str | None, channel: str, subject: str):
+    """(normalized recording, its stats, stage intervals) of one night; stages
+    come from `hyp` if given, else from the PSG's own annotations ([] if none)."""
+    psg_bytes = psg.read_bytes()
+    rec = read_recording(psg_bytes, channel, subject)
+    stages = parse_hypnogram(Path(hyp).read_bytes() if hyp else psg_bytes)
+    stats = compute_stats(rec.samples)
+    rec.samples = normalize(rec.samples, stats)
+    return rec, stats, stages
 
 
 # --- checkpoint container + adjacent manifest ---
@@ -257,7 +264,6 @@ def cmd_preprocess(args) -> int:
     recs = discover_recordings(rc.dataset_root)
     if not recs:
         raise SleepStageError(f"no EDF recordings under {rc.dataset_root}")
-    failures = 0
     last_error: SleepStageError | None = None
     totals = np.zeros(len(StageLabel), dtype=np.int64)
     for psg, hyp, subject, stem in recs:
@@ -275,18 +281,13 @@ def cmd_preprocess(args) -> int:
             epochs = cache.load_epochs(epochs_path, subject)
         else:
             try:
-                psg_bytes = psg.read_bytes()
-                rec = read_recording(psg_bytes, rc.channel, subject)
-                stages = parse_hypnogram(hyp.read_bytes() if hyp is not None else psg_bytes)
+                rec, stats, stages = _read_night(psg, hyp, rc.channel, subject)
                 if not stages:
-                    raise SleepStageError(f"{stem}: no stage annotations found")
-                stats = compute_stats(rec.samples)
-                rec.samples = normalize(rec.samples, stats)
+                    raise DataError(f"{stem}: no stage annotations found")
                 epochs = epoch_recording(rec, stages)
                 if not epochs:
-                    raise SleepStageError(f"{stem}: no scorable 30-s epochs")
+                    raise DataError(f"{stem}: no scorable 30-s epochs")
             except SleepStageError as exc:
-                failures += 1
                 last_error = exc
                 print(f"error: {stem}: {exc}", file=sys.stderr)
                 continue
@@ -302,7 +303,7 @@ def cmd_preprocess(args) -> int:
         share = 100.0 * totals[s] / grand if grand else 0.0
         print(f"{s.name:5} {totals[s]:8d}  {share:5.1f}%")
     print(f"total {grand:8d}")
-    if failures and grand == 0:
+    if last_error is not None and grand == 0:
         raise last_error
     return 0
 
@@ -392,54 +393,33 @@ def cmd_predict(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     psg_path = Path(args.edf)
-    psg_bytes = psg_path.read_bytes()
-    rec = read_recording(psg_bytes, channel, psg_path.stem)
-    stats = compute_stats(rec.samples)
-    samples = normalize(rec.samples, stats)
-    length = mp.cfg.input_length
-    rate = length / EPOCH_SECONDS
+    rec, _, stages = _read_night(psg_path, args.hypnogram, channel, psg_path.stem)
+    rate = mp.cfg.input_length / EPOCH_SECONDS
     if abs(rec.sample_rate - rate) > 1e-9:
         raise ConfigMismatch(
             f"recording runs at {rec.sample_rate} Hz, checkpoint expects {rate} Hz")
-    n_windows = len(samples) // length
-    if n_windows == 0:
-        raise SleepStageError(f"{psg_path.name}: shorter than one 30-s epoch")
-    windows = samples[:n_windows * length].reshape(n_windows, length)
-    probs = evaluation.predict_probabilities(mp, windows)
-    pred = probs.argmax(axis=1)
-
-    reference: dict[int, int] = {}
-    hyp_bytes = None
-    if args.hypnogram:
-        hyp_bytes = Path(args.hypnogram).read_bytes()
-    elif extract_annotations(psg_bytes):
-        hyp_bytes = psg_bytes
-    if hyp_bytes is not None:
-        scored = epoch_recording(rec, parse_hypnogram(hyp_bytes))
-        reference = dict(zip(scored.epoch_index.tolist(), scored.labels.tolist()))
+    grid = windows(rec)
+    if len(grid) == 0:
+        raise DataError(f"{psg_path.name}: shorter than one 30-s epoch")
+    pred = evaluation.predict_probabilities(mp, grid).argmax(axis=1)
+    index, labels = scored_windows(stages, len(grid))
+    reference = dict(zip(index.tolist(), (StageLabel(c).name for c in labels)))
 
     csv_path = out_dir / "predictions.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch_index", "onset_seconds", "predicted", "reference"])
-        for i in range(n_windows):
-            ref = StageLabel(reference[i]).name if i in reference else ""
-            w.writerow([i, i * EPOCH_SECONDS, StageLabel(int(pred[i])).name, ref])
+        for i, p in enumerate(pred):
+            w.writerow([i, i * EPOCH_SECONDS, StageLabel(p).name, reference.get(i, "")])
 
-    ref_track = None
-    indices = list(range(n_windows))
-    if reference:
-        indices = sorted(reference)
-        ref_track = [reference[i] for i in indices]
-        agree = float(np.mean([int(pred[i]) == reference[i] for i in indices]))
+    if index.size:
+        agree = float(np.mean(pred[index] == labels))
         print(f"agreement with reference hypnogram: {100.0 * agree:.2f}% "
-              f"over {len(indices)} scored epochs")
-        svg = figures.hypnogram_svg([int(pred[i]) for i in indices], indices=indices,
-                                    reference=ref_track,
+              f"over {index.size} scored epochs")
+        svg = figures.hypnogram_svg(pred[index], indices=index, reference=labels,
                                     title=f"{psg_path.stem}: predicted vs reference")
     else:
-        svg = figures.hypnogram_svg([int(p) for p in pred], indices=indices,
-                                    title=f"{psg_path.stem}: predicted staging")
+        svg = figures.hypnogram_svg(pred, title=f"{psg_path.stem}: predicted staging")
     (out_dir / "hypnogram.svg").write_text(svg)
     print(f"wrote {csv_path}")
     return 0
@@ -452,6 +432,8 @@ def _read_predictions(path: str):
     if not rows:
         raise DataError(f"{path}: empty predictions file")
     indices = [int(r["epoch_index"]) for r in rows]
+    if min(indices) < 0:
+        raise DataError(f"{path}: negative epoch_index {min(indices)}")
     pred = [StageLabel[r["predicted"]] for r in rows]
     have_ref = all(r.get("reference") for r in rows)
     ref = [StageLabel[r["reference"]] for r in rows] if have_ref else None

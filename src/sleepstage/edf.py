@@ -446,18 +446,23 @@ def map_label(raw_stage: str) -> StageLabel | None:
     return _RAW_STAGE_MAP[token]
 
 
-def epoch_recording(rec: EegRecording,
-                    stages: list[tuple[float, float, str]]) -> EpochSet:
-    """Cut rec into labeled 30-s windows in epoch_index order; a window survives
-    only when it is fully covered by both the signal and a single non-excluded
-    stage interval."""
+def windows(rec: EegRecording) -> np.ndarray:
+    """rec cut into 30-s windows [n_windows, L], a view of rec.samples; a
+    trailing partial window is dropped."""
     epoch_len = rec.sample_rate * EPOCH_SECONDS
     if epoch_len != int(epoch_len):
         raise SampleRateMismatch(
             f"sample rate {rec.sample_rate} Hz gives non-integer epoch length")
     epoch_len = int(epoch_len)
     n_windows = len(rec.samples) // epoch_len
+    return rec.samples[:n_windows * epoch_len].reshape(n_windows, epoch_len)
 
+
+def scored_windows(stages: list[tuple[float, float, str]],
+                   n_windows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(epoch_index, labels) as int64 arrays in epoch_index order: the windows
+    of a grid of n_windows that lie fully inside a single non-excluded stage
+    interval."""
     kept: list[tuple[int, StageLabel]] = []
     for onset, duration, token in stages:
         label = map_label(token)
@@ -471,11 +476,18 @@ def epoch_recording(rec: EegRecording,
                 continue
             kept.append((w, label))
     kept.sort(key=lambda wl: wl[0])
-    index = np.asarray([w for w, _ in kept], dtype=np.int64)
-    windows = np.asarray(rec.samples, dtype=np.float64)[:n_windows * epoch_len]
+    return (np.asarray([w for w, _ in kept], dtype=np.int64),
+            np.asarray([int(label) for _, label in kept], dtype=np.int64))
+
+
+def epoch_recording(rec: EegRecording,
+                    stages: list[tuple[float, float, str]]) -> EpochSet:
+    """The scored windows of rec as float64 rows, labeled, in epoch_index order."""
+    grid = windows(rec)
+    index, labels = scored_windows(stages, len(grid))
     return EpochSet(
-        samples=windows.reshape(n_windows, epoch_len)[index],
-        labels=np.asarray([int(label) for _, label in kept], dtype=np.int64),
+        samples=grid[index].astype(np.float64, copy=False),
+        labels=labels,
         subjects=np.full(index.size, rec.subject_id),
         epoch_index=index,
     )

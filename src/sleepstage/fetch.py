@@ -3,16 +3,18 @@ verification, bounded parallelism, and retry with backoff."""
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
+import shutil
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
-from .errors import ChecksumMismatch, NetworkFailure
+from .errors import ChecksumMismatch, DataError, NetworkFailure
 
 log = logging.getLogger(__name__)
 
@@ -27,17 +29,23 @@ class ManifestEntry:
     sha256: str
 
 
+# manifest keys and their JSON types; size must also be >= 0
+_FIELDS = {"url": str, "path": str, "size": int, "sha256": str}
+
+
 def load_manifest(path) -> list[ManifestEntry]:
-    raw = json.loads(Path(path).read_text())
-    entries = []
-    for item in raw:
-        entries.append(ManifestEntry(
-            url=item["url"],
-            path=item["path"],
-            size=int(item["size"]),
-            sha256=item["sha256"].lower(),
-        ))
-    return entries
+    """The entries of a JSON manifest, a list of objects with the keys of _FIELDS."""
+    try:
+        raw = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+        raise DataError(f"manifest {path}: not UTF-8 JSON: {exc}") from None
+    if not isinstance(raw, list) or not all(isinstance(item, dict) for item in raw):
+        raise DataError(f"manifest {path}: top level must be a list of objects")
+    for n, item in enumerate(raw):
+        bad = [k for k, kind in _FIELDS.items() if type(item.get(k)) is not kind]
+        if bad or item["size"] < 0:
+            raise DataError(f"manifest {path}: entry {n}: bad or missing {bad or ['size']}")
+    return [ManifestEntry(e["url"], e["path"], e["size"], e["sha256"].lower()) for e in raw]
 
 
 def _sha256(path: Path) -> str:
@@ -55,22 +63,15 @@ def _verified(entry: ManifestEntry, dest: Path) -> bool:
 def _download_once(entry: ManifestEntry, dest: Path, timeout: float) -> None:
     partial = dest.with_suffix(dest.suffix + ".part")
     have = partial.stat().st_size if partial.is_file() else 0
-    headers = {"Range": f"bytes={have}-"} if 0 < have < entry.size else {}
     if have >= entry.size:
-        partial.unlink(missing_ok=True)
-        have = 0
-        headers = {}
-    with requests.get(entry.url, headers=headers, stream=True, timeout=timeout) as resp:
-        if headers and resp.status_code == 200:
-            have = 0  # server ignored the range; start over
-        elif headers and resp.status_code != 206:
-            resp.raise_for_status()
-        else:
-            resp.raise_for_status()
-        mode = "ab" if have else "wb"
-        with open(partial, mode) as fh:
-            for chunk in resp.iter_content(_CHUNK):
-                fh.write(chunk)
+        have = 0  # a stale partial; the "wb" below truncates it
+    headers = {"Range": f"bytes={have}-"} if have else {}
+    request = urllib.request.Request(entry.url, headers=headers)
+    with urllib.request.urlopen(request, timeout=timeout) as resp:
+        if resp.status != 206:
+            have = 0  # the server sent the whole file; start over
+        with open(partial, "ab" if have else "wb") as fh:
+            shutil.copyfileobj(resp, fh, _CHUNK)
     if partial.stat().st_size != entry.size:
         raise ChecksumMismatch(
             f"{entry.path}: got {partial.stat().st_size} bytes, expected {entry.size}")
@@ -104,7 +105,8 @@ def fetch_entry(entry: ManifestEntry, dataset_root: Path, retries: int = 3,
             return True
         except ChecksumMismatch as exc:
             last_error = exc
-        except requests.RequestException as exc:
+        except (urllib.error.URLError, http.client.HTTPException, ConnectionError,
+                TimeoutError) as exc:  # a local write error stays an OSError
             last_error = exc
             log.warning("%s: attempt %d failed: %s", entry.path, attempt + 1, exc)
     if isinstance(last_error, ChecksumMismatch):

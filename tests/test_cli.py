@@ -1,4 +1,5 @@
 """End-to-end CLI behavior on synthetic corpora plus config and fetch logic."""
+import csv
 import hashlib
 import json
 import threading
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sleepstage import cli, errors, fetch
+from sleepstage import cache, cli, errors, fetch
 from sleepstage.autograd import load_arrays, save_arrays
 from sleepstage.config import (
     DATASET_ROOT_ENV,
@@ -17,8 +19,8 @@ from sleepstage.config import (
     format_kv,
     parse_kv_text,
 )
-from sleepstage.edf import build_edf, encode_annotation_signal
-from sleepstage.errors import ChecksumMismatch, ConfigError, NetworkFailure
+from sleepstage.edf import StageLabel, build_edf, encode_annotation_signal
+from sleepstage.errors import ChecksumMismatch, ConfigError, DataError, NetworkFailure
 from sleepstage.evaluation import SplitConfig
 from sleepstage.model import ModelConfig, init_params
 
@@ -77,6 +79,28 @@ CORRUPT_CHECKPOINTS = {
 CORRUPT_CHECKPOINT_RUNS = [
     pytest.param(case, command, id=case if command == "eval" else f"{case}-{command}")
     for case in CORRUPT_CHECKPOINTS for command in ("eval", "predict")]
+
+
+def write_night(path: Path, stem: str, intervals, n_epochs: int, embedded: bool) -> None:
+    """<stem>-PSG.edf of n_epochs 30-s records of noise at 10 Hz, scored by
+    `intervals` in <stem>-Hypnogram.edf or, when embedded, in the PSG itself."""
+    sig = eeg_signal_header(samples_per_record=300)
+    eeg = digitize(20.0 * np.random.default_rng(0).normal(size=n_epochs * 300), sig)
+    ann = encode_annotation_signal(intervals, record_count=n_epochs, record_duration=30.0,
+                                   samples_per_record=128)
+    if embedded:
+        psg = build_edf([(sig, eeg), ann], record_count=n_epochs, record_duration=Fraction(30))
+    else:
+        psg = build_edf([(sig, eeg)], record_count=n_epochs, record_duration=Fraction(30))
+        (path / f"{stem}-Hypnogram.edf").write_bytes(
+            build_edf([ann], record_count=n_epochs, record_duration=Fraction(30)))
+    (path / f"{stem}-PSG.edf").write_bytes(psg)
+
+
+def micro_checkpoint(path: Path) -> Path:
+    cfg = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8, 4, 4))
+    cli.save_checkpoint(init_params(cfg, seed=0), path, EEG_CHANNEL, SplitConfig())
+    return path
 
 
 def _edited(values: dict, edits: dict) -> dict:
@@ -305,6 +329,31 @@ class TestPreprocess:
         cfg = write_config(tmp_path, tiny_corpus)
         assert run_cli("preprocess", "--config", cfg, "--channel", "EEG Pz-Oz") == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("case", ["no-annotations", "nothing-scorable", "predict-too-short"])
+    def test_unusable_night_is_data_error(self, tmp_path, capsys, case):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        if case == "no-annotations":
+            build_corpus_recording(corpus, "n", [4, 3], n_epochs=4, seed=0, rate=10)
+            (corpus / "n-Hypnogram.edf").unlink()
+            argv, text = ["preprocess", "--config", write_config(tmp_path, corpus)], \
+                "n: no stage annotations found"
+        elif case == "nothing-scorable":
+            write_night(corpus, "n", [(0.0, 60.0, "M"), (60.0, 60.0, "?")], n_epochs=4,
+                        embedded=False)
+            argv, text = ["preprocess", "--config", write_config(tmp_path, corpus)], \
+                "n: no scorable 30-s epochs"
+        else:
+            sig = eeg_signal_header(samples_per_record=100)  # one 10-s record at 10 Hz
+            (corpus / "n-PSG.edf").write_bytes(build_edf(
+                [(sig, digitize(20.0 * np.random.default_rng(0).normal(size=100), sig))],
+                record_count=1, record_duration=Fraction(10)))
+            argv, text = ["predict", "--checkpoint", micro_checkpoint(tmp_path / "m.ckpt"),
+                          "--edf", corpus / "n-PSG.edf", "--out", tmp_path / "pred"], \
+                "n-PSG.edf: shorter than one 30-s epoch"
+        assert run_cli(*argv) == cli.EXIT_DATA
+        assert capsys.readouterr().err.endswith(f"data error: {text}\n")
+
 
 class TestTrainEvalPredict:
     def test_holdout_pipeline(self, preprocessed, tmp_path, capsys):
@@ -496,6 +545,29 @@ class TestTrainEvalPredict:
         rows = (tmp_path / "pred" / "predictions.csv").read_text().splitlines()[1:]
         assert [row.rsplit(",", 1)[1] for row in rows] == ["W", "N2", "N2", "R", "R", "R"]
 
+    @pytest.mark.parametrize("embedded", [False, True], ids=["sidecar", "embedded"])
+    def test_predict_reference_is_the_cached_labels(self, tmp_path, embedded):
+        """predict and preprocess read one night the same way: the reference
+        column at each scored window holds the label preprocess cached."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        # window 2 is movement, 5 and 6 are partly or wholly unscored, 9 has no interval
+        write_night(corpus, "n", [(0.0, 60.0, "W"), (60.0, 30.0, "M"), (90.0, 75.0, "2"),
+                                  (165.0, 45.0, "?"), (210.0, 60.0, "R")],
+                    n_epochs=10, embedded=embedded)
+        assert run_cli("preprocess", "--config", write_config(tmp_path, corpus)) == 0
+        cached = cache.load_epochs(corpus / "cache" / "n__n.epochs", "n")
+        argv = ["predict", "--checkpoint", micro_checkpoint(tmp_path / "m.ckpt"),
+                "--edf", corpus / "n-PSG.edf", "--out", tmp_path / "pred"]
+        if not embedded:
+            argv += ["--hypnogram", corpus / "n-Hypnogram.edf"]
+        assert run_cli(*argv) == 0
+        with open(tmp_path / "pred" / "predictions.csv", newline="") as fh:
+            scored = [(int(r["epoch_index"]), r["reference"])
+                      for r in csv.DictReader(fh) if r["reference"]]
+        assert [i for i, _ in scored] == [0, 1, 3, 4, 7, 8]
+        assert [ref for _, ref in scored] == [StageLabel(c).name for c in cached.labels]
+
     def test_predict_embedded_annotations_found(self, preprocessed, tmp_path, capsys):
         cfg, corpus = preprocessed
         out = tmp_path / "run5"
@@ -541,9 +613,11 @@ class TestTrainEvalPredict:
         ("--predictions", "epoch_index,onset_seconds,reference\n0,0,W\n"),
         ("--predictions", "epoch_index,onset_seconds,predicted,reference\n1.5,45,W,\n"),
         ("--predictions", "epoch_index,onset_seconds,predicted,reference\n"),
+        ("--predictions", "epoch_index,onset_seconds,predicted,reference\n-5,0,W,\n-3,0,N2,\n"),
     ], ids=["metrics-not-json", "metrics-no-matrix", "metrics-2x2", "metrics-not-counts",
             "predictions-stage-X", "predictions-no-predicted-column",
-            "predictions-non-integer-index", "predictions-no-rows"])
+            "predictions-non-integer-index", "predictions-no-rows",
+            "predictions-negative-index"])
     def test_plot_malformed_input_is_data_error(self, tmp_path, capsys, option, text):
         bad = tmp_path / "bad_input"
         bad.write_text(text)
@@ -626,6 +700,13 @@ class _RangeHandler(BaseHTTPRequestHandler):
         pass
 
 
+def _ignore_range(do_get):
+    def handler(self):
+        del self.headers["Range"]
+        do_get(self)
+    return handler
+
+
 @pytest.fixture
 def http_root(tmp_path):
     served = tmp_path / "served"
@@ -653,6 +734,14 @@ def make_manifest(served: Path, base: str, tmp_path: Path, names) -> Path:
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(entries))
     return manifest
+
+
+# JSON values shaped like manifests: lists and objects keyed mostly by manifest keys
+MANIFEST_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["url", "path", "size", "sha256", "x"]), inner, max_size=5),
+    max_leaves=12)
 
 
 class TestFetch:
@@ -688,6 +777,26 @@ class TestFetch:
         assert (root / "a.edf").read_bytes() == full
         assert not (root / "a.edf.part").exists()
 
+    def test_ignored_range_starts_over(self, http_root, tmp_path, monkeypatch):
+        served, base = http_root
+        monkeypatch.setattr(_RangeHandler, "do_GET", _ignore_range(_RangeHandler.do_GET))
+        manifest = make_manifest(served, base, tmp_path, ["a.edf"])
+        root = tmp_path / "data"
+        root.mkdir()
+        full = (served / "a.edf").read_bytes()
+        (root / "a.edf.part").write_bytes(full[:1000])
+        assert fetch.fetch_entry(fetch.load_manifest(manifest)[0], root, retries=1) is True
+        assert (root / "a.edf").read_bytes() == full
+
+    def test_local_write_error_is_data_error(self, http_root, tmp_path, capsys):
+        served, base = http_root
+        manifest = make_manifest(served, base, tmp_path, ["a.edf"])
+        root = tmp_path / "data"
+        (root / "a.edf.part").mkdir(parents=True)  # the download cannot be written
+        assert run_cli("fetch", "--manifest", manifest, "--dataset-root", root,
+                       "--retries", 1) == cli.EXIT_DATA
+        assert "a.edf.part" in capsys.readouterr().err
+
     def test_wrong_checksum_raises(self, http_root, tmp_path):
         served, base = http_root
         manifest = make_manifest(served, base, tmp_path, ["a.edf"])
@@ -714,3 +823,34 @@ class TestFetch:
                                     size=10, sha256="0" * 64)
         with pytest.raises(NetworkFailure):
             fetch.fetch_entry(entry, tmp_path, retries=1, backoff=0.01)
+
+    @pytest.mark.parametrize("blob", [
+        b"\xff\xfe[]",
+        b"{not json",
+        b'{"url": "x"}',
+        b'["x"]',
+        b'[{"url": "x"}]',
+        b'[{"url": "x", "path": "a", "size": "10", "sha256": "0"}]',
+        b'[{"url": "x", "path": "a", "size": -1, "sha256": "0"}]',
+    ], ids=["not-utf8", "not-json", "not-a-list", "not-objects", "missing-key",
+            "size-as-text", "negative-size"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, blob):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(blob)
+        assert run_cli("fetch", "--manifest", manifest,
+                       "--dataset-root", tmp_path / "data") == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: manifest ") and str(manifest) in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64) | MANIFEST_JSON.map(lambda v: json.dumps(v).encode()))
+    def test_any_bytes_load_or_are_data_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("manifest") / "m.json"
+        path.write_bytes(blob)
+        try:
+            entries = fetch.load_manifest(path)
+        except DataError:
+            return
+        for e in entries:
+            assert isinstance(e.url, str) and isinstance(e.path, str)
+            assert isinstance(e.sha256, str) and isinstance(e.size, int) and e.size >= 0

@@ -23,7 +23,9 @@ from sleepstage.edf import (
     parse_edf,
     parse_hypnogram,
     read_recording,
+    scored_windows,
     serialize_edf,
+    windows,
     EegRecording,
 )
 from sleepstage.errors import (
@@ -303,6 +305,18 @@ class TestEpoching:
         assert out.subjects.tolist() == ["s1"] * 6
         for w, row in zip(out.epoch_index, out.samples):
             np.testing.assert_array_equal(row, rec.samples[w * 3000:(w + 1) * 3000])
+
+
+    def test_windows_view_the_signal(self):
+        rec = recording(100)
+        grid = windows(rec)
+        assert grid.shape == (3, 3000) and np.shares_memory(grid, rec.samples)
+        np.testing.assert_array_equal(grid.reshape(-1), rec.samples[:9000])
+
+    def test_scored_windows_of_an_empty_grid(self):
+        index, labels = scored_windows([(0.0, 90.0, "W")], 0)
+        assert index.dtype == labels.dtype == np.int64
+        assert index.size == labels.size == 0
 
 
 class TestReadRecording:
