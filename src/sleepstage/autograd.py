@@ -110,25 +110,6 @@ class Tensor:
                 node._parents = ()
         self._consumed = True
 
-    # small operator sugar; heavy lifting lives in the module functions
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), _as_tensor(-1.0)))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -144,10 +125,6 @@ class ParamTensor(Tensor):
 
     def __repr__(self):
         return f"ParamTensor({self.name!r}, shape={self.shape})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def make_op(out_data: np.ndarray, parents: Sequence[Tensor],
@@ -452,12 +429,6 @@ class RunningStats:
     def __init__(self, channels: int):
         self.mean = np.zeros(channels, dtype=np.float64)
         self.var = np.ones(channels, dtype=np.float64)
-
-    def copy(self) -> "RunningStats":
-        out = RunningStats(len(self.mean))
-        out.mean = self.mean.copy()
-        out.var = self.var.copy()
-        return out
 
 
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,

@@ -96,41 +96,50 @@ def _write_resolved(rc: RunConfig, out_dir: Path) -> None:
     (out_dir / "config.resolved").write_text(format_kv(rc.resolved()))
 
 
-def _file_fingerprint(path: Path) -> dict[str, str]:
+def _file_fingerprint(path: Path, data: bytes) -> dict[str, str]:
+    """Size and mtime of `path`, and the sha256 of `data`, its bytes."""
     stat = path.stat()
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256(data).hexdigest()
     return {"size": str(stat.st_size), "mtime_ns": str(stat.st_mtime_ns), "sha256": digest}
 
 
 def discover_recordings(dataset_root: Path) -> list[tuple[Path, Path | None, str, str]]:
-    """(psg, hypnogram-or-None, subject_id, recording_stem) per EDF in the corpus."""
+    """(psg, hypnogram-or-None, subject_id, recording_stem) per EDF in the corpus.
+
+    A sidecar hypnogram pairs only with the PSG in its directory that shares its
+    longest name prefix (the first such PSG on a tie); a PSG without one is
+    staged from its own annotations."""
     edfs = sorted(p for p in dataset_root.rglob("*.edf") if p.is_file())
     hyps = [p for p in edfs if "Hypnogram" in p.name]
     psgs = [p for p in edfs if p not in hyps]
+
+    def base(psg: Path) -> str:
+        return psg.name.removesuffix(".edf").removesuffix("-PSG")
+
+    def shared(psg: Path, hyp: Path) -> int:
+        """Length of the common name prefix; 0 across directories."""
+        hbase = hyp.name.removesuffix(".edf").removesuffix("-Hypnogram")
+        return len(os.path.commonprefix([base(psg), hbase])) if hyp.parent == psg.parent else 0
+
+    owner = {h: max(psgs, key=lambda p: shared(p, h), default=None) for h in hyps}
     found = []
     for psg in psgs:
-        base = psg.name.removesuffix(".edf").removesuffix("-PSG")
-        best, best_len = None, 0
-        for h in hyps:
-            if h.parent != psg.parent:
-                continue
-            hbase = h.name.removesuffix(".edf").removesuffix("-Hypnogram")
-            common = len(os.path.commonprefix([base, hbase]))
-            if common > best_len:
-                best, best_len = h, common
-        if best is not None and best_len < max(1, len(base) - 2):
+        stem = base(psg)
+        best = max((h for h in hyps if owner[h] == psg), key=lambda h: shared(psg, h),
+                   default=None)
+        if best is not None and shared(psg, best) < max(1, len(stem) - 2):
             best = None  # prefix too short to be the same night
-        subject = base[:5] if _SUBJECT_RE.match(base) else base
-        found.append((psg, best, subject, base))
+        subject = stem[:5] if _SUBJECT_RE.match(stem) else stem
+        found.append((psg, best, subject, stem))
     return found
 
 
-def _read_night(psg: Path, hyp: Path | str | None, channel: str, subject: str):
+def _read_night(psg_bytes: bytes, hyp_bytes: bytes | None, channel: str, subject: str):
     """(normalized recording, its stats, stage intervals) of one night; stages
-    come from `hyp` if given, else from the PSG's own annotations ([] if none)."""
-    psg_bytes = psg.read_bytes()
+    come from the sidecar `hyp_bytes` if given, else from the PSG's own
+    annotations ([] if none)."""
     rec = read_recording(psg_bytes, channel, subject)
-    stages = parse_hypnogram(Path(hyp).read_bytes() if hyp else psg_bytes)
+    stages = parse_hypnogram(psg_bytes if hyp_bytes is None else hyp_bytes)
     stats = compute_stats(rec.samples)
     rec.samples = normalize(rec.samples, stats)
     return rec, stats, stages
@@ -249,6 +258,10 @@ def _write_curves_csv(curves: dict[int, evaluation.CurveSet], out_dir: Path) -> 
 # --- commands ---
 
 def cmd_fetch(args) -> int:
+    if args.retries < 1:
+        raise ConfigError(f"--retries must be >= 1, got {args.retries}")
+    if not 0 <= args.backoff < float("inf"):
+        raise ConfigError(f"--backoff must be a finite number >= 0, got {args.backoff}")
     root = Path(args.dataset_root if args.dataset_root else
                 (load_run_config(args.config).dataset_root if args.config else "."))
     entries = fetch.load_manifest(args.manifest)
@@ -270,9 +283,12 @@ def cmd_preprocess(args) -> int:
         cache_name = f"{subject}__{stem}"
         epochs_path = rc.cache_dir / f"{cache_name}{cache.EPOCH_SUFFIX}"
         src_path = rc.cache_dir / f"{cache_name}.src"
-        fingerprint = {f"psg.{k}": v for k, v in _file_fingerprint(psg).items()}
+        psg_bytes = psg.read_bytes()
+        hyp_bytes = None if hyp is None else hyp.read_bytes()
+        fingerprint = {f"psg.{k}": v for k, v in _file_fingerprint(psg, psg_bytes).items()}
         if hyp is not None:
-            fingerprint.update({f"hyp.{k}": v for k, v in _file_fingerprint(hyp).items()})
+            fingerprint.update(
+                {f"hyp.{k}": v for k, v in _file_fingerprint(hyp, hyp_bytes).items()})
         fingerprint["channel"] = rc.channel
         # .src holds what this code writes below; any other content means a stale cache
         src_text = format_kv(fingerprint).encode()
@@ -281,7 +297,7 @@ def cmd_preprocess(args) -> int:
             epochs = cache.load_epochs(epochs_path, subject)
         else:
             try:
-                rec, stats, stages = _read_night(psg, hyp, rc.channel, subject)
+                rec, stats, stages = _read_night(psg_bytes, hyp_bytes, rc.channel, subject)
                 if not stages:
                     raise DataError(f"{stem}: no stage annotations found")
                 epochs = epoch_recording(rec, stages)
@@ -393,7 +409,9 @@ def cmd_predict(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     psg_path = Path(args.edf)
-    rec, _, stages = _read_night(psg_path, args.hypnogram, channel, psg_path.stem)
+    psg_bytes = psg_path.read_bytes()
+    hyp_bytes = Path(args.hypnogram).read_bytes() if args.hypnogram else None
+    rec, _, stages = _read_night(psg_bytes, hyp_bytes, channel, psg_path.stem)
     rate = mp.cfg.input_length / EPOCH_SECONDS
     if abs(rec.sample_rate - rate) > 1e-9:
         raise ConfigMismatch(

@@ -312,7 +312,6 @@ def roc_pr_curves(scores: np.ndarray, labels: Sequence[int],
 @dataclass
 class EvalResult:
     cm: ConfusionMatrix
-    per_stage: dict[str, StageMetrics]
     summary: SummaryMetrics
     y_true: np.ndarray
     y_pred: np.ndarray
@@ -352,7 +351,6 @@ def evaluate(mp: ModelParams, epochs: EpochSet,
     cm = ConfusionMatrix.from_pairs(y_true, y_pred)
     return EvalResult(
         cm=cm,
-        per_stage={s.name: stage_metrics(cm, s) for s in StageLabel},
         summary=summary_metrics(cm),
         y_true=y_true,
         y_pred=y_pred,

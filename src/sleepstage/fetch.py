@@ -12,7 +12,7 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from .errors import ChecksumMismatch, DataError, NetworkFailure
 
@@ -45,6 +45,10 @@ def load_manifest(path) -> list[ManifestEntry]:
         bad = [k for k, kind in _FIELDS.items() if type(item.get(k)) is not kind]
         if bad or item["size"] < 0:
             raise DataError(f"manifest {path}: entry {n}: bad or missing {bad or ['size']}")
+        dest = PurePath(item["path"])
+        if not dest.parts or dest.is_absolute() or ".." in dest.parts or "\0" in item["path"]:
+            raise DataError(f"manifest {path}: entry {n}: path {item['path']!r} "
+                            "must name a file inside the dataset root")
     return [ManifestEntry(e["url"], e["path"], e["size"], e["sha256"].lower()) for e in raw]
 
 

@@ -51,6 +51,8 @@ class ModelConfig:
             raise ValueError("branch_channels and attention_blocks must be >= 1")
         if self.channel_attention_reduction < 1:
             raise ValueError("channel_attention_reduction must be >= 1")
+        if self.num_classes != 5:
+            raise ValueError(f"num_classes must be 5 (one logit per stage), got {self.num_classes}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -82,12 +84,7 @@ class ModelParams:
             p.zero_grad()
 
     def copy(self) -> "ModelParams":
-        out = ModelParams(self.cfg)
-        for name, p in self.params.items():
-            out.params[name] = ParamTensor(name, p.data.copy())
-        for name, s in self.bn_stats.items():
-            out.bn_stats[name] = s.copy()
-        return out
+        return ModelParams.from_state(self.cfg, self.state_arrays())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         arrays = {name: p.data for name, p in self.params.items()}
@@ -98,22 +95,17 @@ class ModelParams:
 
     @classmethod
     def from_state(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
-        """Inverse of `state_arrays`: every parameter and running stat the config
-        expects must be present with its shape."""
-        template = init_params(cfg, seed=0)
-        for name, expected in template.state_arrays().items():
+        """Inverse of `state_arrays`: a fresh `init_params` model filled in place.
+        Every parameter and running stat the config expects must be present
+        with its shape."""
+        out = init_params(cfg, seed=0)
+        for name, view in out.state_arrays().items():
             if name not in arrays:
                 raise DataError(f"checkpoint lacks entry {name!r}")
-            if arrays[name].shape != expected.shape:
+            if arrays[name].shape != view.shape:
                 raise DataError(f"checkpoint entry {name!r} has shape {arrays[name].shape}, "
-                                f"config expects {expected.shape}")
-        out = cls(cfg)
-        for name in template.params:
-            out.params[name] = ParamTensor(name, arrays[name].copy())
-        for name, stats in template.bn_stats.items():
-            stats.mean = arrays[f"{name}.running_mean"].copy()
-            stats.var = arrays[f"{name}.running_var"].copy()
-            out.bn_stats[name] = stats
+                                f"config expects {view.shape}")
+            view[...] = arrays[name]
         return out
 
 

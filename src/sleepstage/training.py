@@ -59,17 +59,11 @@ class ClassWeights:
 def class_weights(proportions) -> ClassWeights:
     """weight[c] = min(5, max(1, ln(1/p(c)))), natural log.
 
-    `proportions` maps class code (or StageLabel) to its label share; an
-    array indexed by code works too.
+    `proportions` is an array of label shares indexed by stage code.
     """
-    if isinstance(proportions, dict):
-        if len(proportions) != 5:
-            raise ZeroProportion("need a proportion for each of the 5 stages")
-        props = np.array([float(proportions[key]) for key in sorted(proportions)])
-    else:
-        props = np.asarray(proportions, dtype=np.float64)
-        if props.shape != (5,):
-            raise ZeroProportion("need a proportion for each of the 5 stages")
+    props = np.asarray(proportions, dtype=np.float64)
+    if props.shape != (5,):
+        raise ZeroProportion("need a proportion for each of the 5 stages")
     if np.any(props <= 0):
         raise ZeroProportion(f"non-positive class proportion in {props}")
     w = np.minimum(5.0, np.maximum(1.0, np.log(1.0 / props)))
@@ -154,7 +148,6 @@ class TrainResult:
     validation: evaluation.EvalResult  # of `params` on the validation split
     final_params: ModelParams
     log: list[LogRow]
-    weights: ClassWeights
     best_pass: int
     best_kappa: float
 
@@ -237,7 +230,7 @@ def train(epochs: EpochSet,
         best, best_kappa, best_pass = mp.copy(), float("nan"), log[-1].train_pass
         best_result = result
     return TrainResult(params=best, validation=best_result, final_params=mp, log=log,
-                       weights=weights, best_pass=best_pass, best_kappa=best_kappa)
+                       best_pass=best_pass, best_kappa=best_kappa)
 
 
 def write_training_log(rows: Sequence[LogRow], path) -> None:

@@ -291,7 +291,7 @@ class TestBackward:
 
     def test_half_sum_of_squares(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        loss = 0.5 * ag.tensor_sum(ag.mul(x, x))
+        loss = ag.mul(ag.tensor_sum(ag.mul(x, x)), Tensor(0.5))
         loss.backward()
         np.testing.assert_allclose(x.grad, [1.0, -2.0])
 

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior on synthetic corpora plus config and fetch logic."""
+import collections
 import csv
 import hashlib
 import json
+import os
 import threading
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -55,6 +57,7 @@ CORRUPT_CHECKPOINTS = {
     "channel-None": ({"channel": None}, {}, None, "channel"),
     "model-None": ({"model": None}, {}, None, "model"),
     "model-num_classes": ({}, {"num_classes": None}, None, "num_classes"),
+    "model-num_classes-4": ({}, {"num_classes": 4}, None, "num_classes"),
     "split.fold-None": ({"split.fold": None}, {}, None, "split.fold"),
     "split.k-three": ({"split.k": "three"}, {}, None, "split.k"),
     "split.kind-None": ({"split.kind": None}, {}, None, "split.kind"),
@@ -147,7 +150,8 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             build_run_config({"dataset.root": str(tmp_path), "split.kind": "loocv"})
         for key, value in [("split.k", "0"), ("split.ratio", "1.5"), ("split.ratio", "0"),
-                           ("model.channel_attention_reduction", "0"), ("seed", "-1")]:
+                           ("model.channel_attention_reduction", "0"), ("seed", "-1"),
+                           ("model.num_classes", "4")]:
             with pytest.raises(ConfigError):
                 build_run_config({"dataset.root": str(tmp_path), key: value})
 
@@ -324,6 +328,40 @@ class TestPreprocess:
         assert run_cli("preprocess", "--config", cfg) == 0
         assert src.read_bytes() == written
         assert epochs_file.stat().st_mtime_ns != before
+
+    def test_fresh_preprocess_reads_each_edf_once(self, tiny_corpus, tmp_path, monkeypatch):
+        reads = collections.Counter()
+        read_bytes = Path.read_bytes
+
+        def counting(path):
+            reads[path.name] += 1
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        assert run_cli("preprocess", "--config", write_config(tmp_path, tiny_corpus)) == 0
+        assert {name: n for name, n in reads.items() if name.endswith(".edf")} == {
+            "subjA-PSG.edf": 1, "subjA-Hypnogram.edf": 1, "subjB-PSG.edf": 1}
+
+    @pytest.mark.parametrize("names, pairs", [
+        (["SC4001E0-PSG.edf", "SC4001EC-Hypnogram.edf", "SC4002E0-PSG.edf",
+          "SC4002EC-Hypnogram.edf", "SC4011E0-PSG.edf"],
+         {"SC4001E0-PSG.edf": "SC4001EC-Hypnogram.edf",
+          "SC4002E0-PSG.edf": "SC4002EC-Hypnogram.edf", "SC4011E0-PSG.edf": None}),
+        (["subjA-PSG.edf", "subjA-Hypnogram.edf", "subjB-PSG.edf"],
+         {"subjA-PSG.edf": "subjA-Hypnogram.edf", "subjB-PSG.edf": None}),
+        (["night1-PSG.edf", "night2-PSG.edf", "night2-Hypnogram.edf"],
+         {"night1-PSG.edf": None, "night2-PSG.edf": "night2-Hypnogram.edf"}),
+        (["SC401-PSG.edf", "SC401-Hypnogram.edf", "SC402-PSG.edf"],
+         {"SC401-PSG.edf": "SC401-Hypnogram.edf", "SC402-PSG.edf": None}),
+        (["a/SC4001E0-PSG.edf", "b/SC4001EC-Hypnogram.edf"], {"a/SC4001E0-PSG.edf": None}),
+    ], ids=["physionet", "tiny-corpus", "night1-night2", "SC401-SC402", "other-directory"])
+    def test_discover_recordings_pairs_each_sidecar_once(self, tmp_path, names, pairs):
+        for name in names:
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).touch()
+        found = cli.discover_recordings(tmp_path)
+        assert {psg.relative_to(tmp_path).as_posix(): hyp and hyp.relative_to(tmp_path).as_posix()
+                for psg, hyp, _, _ in found} == pairs
 
     def test_missing_channel_is_data_error(self, tiny_corpus, tmp_path):
         cfg = write_config(tmp_path, tiny_corpus)
@@ -832,8 +870,15 @@ class TestFetch:
         b'[{"url": "x"}]',
         b'[{"url": "x", "path": "a", "size": "10", "sha256": "0"}]',
         b'[{"url": "x", "path": "a", "size": -1, "sha256": "0"}]',
+        b'[{"url": "x", "path": "../outside.bin", "size": 1, "sha256": "0"}]',
+        b'[{"url": "x", "path": "a/../../outside.bin", "size": 1, "sha256": "0"}]',
+        b'[{"url": "x", "path": "/outside.bin", "size": 1, "sha256": "0"}]',
+        b'[{"url": "x", "path": "", "size": 1, "sha256": "0"}]',
+        b'[{"url": "x", "path": ".", "size": 1, "sha256": "0"}]',
+        b'[{"url": "x", "path": "a\\u0000b", "size": 1, "sha256": "0"}]',
     ], ids=["not-utf8", "not-json", "not-a-list", "not-objects", "missing-key",
-            "size-as-text", "negative-size"])
+            "size-as-text", "negative-size", "path-parent", "path-inner-parent",
+            "path-absolute", "path-empty", "path-root-itself", "path-nul"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, blob):
         manifest = tmp_path / "m.json"
         manifest.write_bytes(blob)
@@ -841,6 +886,21 @@ class TestFetch:
                        "--dataset-root", tmp_path / "data") == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: manifest ") and str(manifest) in err
+        assert not (tmp_path / "data").exists() and not (tmp_path / "outside.bin").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--retries", 0), ("--retries", -1), ("--backoff", -1), ("--backoff", "nan"),
+        ("--backoff", "inf")])
+    def test_bad_retry_flags_are_config_errors(self, tmp_path, capsys, flag, value):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{
+            "url": (tmp_path / "a.edf").as_uri(), "path": "a.edf",
+            "size": 10, "sha256": "0" * 64,
+        }]))
+        assert run_cli("fetch", "--manifest", manifest, "--dataset-root", tmp_path / "data",
+                       flag, value) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: {flag} must be")
+        assert not (tmp_path / "data").exists()  # rejected before any download began
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=64) | MANIFEST_JSON.map(lambda v: json.dumps(v).encode()))
@@ -851,6 +911,9 @@ class TestFetch:
             entries = fetch.load_manifest(path)
         except DataError:
             return
+        root = path.parent / "root"
         for e in entries:
             assert isinstance(e.url, str) and isinstance(e.path, str)
             assert isinstance(e.sha256, str) and isinstance(e.size, int) and e.size >= 0
+            dest = Path(os.path.normpath(root / e.path))
+            assert dest != root and dest.is_relative_to(root)

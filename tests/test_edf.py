@@ -52,6 +52,22 @@ def one_signal_file(n_records=2, spr=3000) -> bytes:
                      record_duration=Fraction(30))
 
 
+# (offset, width) of header fields in a file with one signal
+ONE_SIGNAL_FIELDS = {
+    "patient_id": (8, 80), "start_date": (168, 8), "start_time": (176, 8),
+    "header_bytes": (184, 8), "record_count": (236, 8), "record_duration": (244, 8),
+    "signal_count": (252, 4), "physical_max": (368, 8), "samples_per_record": (472, 8),
+}
+
+# a 10-Hz EEG signal plus embedded annotations, two 30-s records; header 768 bytes
+EMBEDDED_NIGHT = build_edf(
+    [(eeg_signal_header(samples_per_record=300),
+      np.random.default_rng(0).integers(-2048, 2048, size=600)),
+     encode_annotation_signal([(0.0, 30.0, "W"), (30.0, 30.0, "2")], record_count=2,
+                              record_duration=30.0, samples_per_record=64)],
+    record_count=2, record_duration=Fraction(30))
+
+
 class TestParse:
     def test_two_record_synthetic(self):
         header, signals = parse_edf(one_signal_file())
@@ -68,17 +84,51 @@ class TestParse:
         assert header.header_bytes == 512
         assert header.start_datetime == dt.datetime(1989, 4, 24, 23, 0, 0)
 
-    def test_header_bytes_invariant(self):
+    @pytest.mark.parametrize("edits, error, match", [
+        ({"patient_id": b"\xff"}, MalformedHeader, "non-ASCII bytes at offset 8"),
+        ({"record_count": b"oops"}, MalformedHeader, "record_count: expected integer"),
+        ({"physical_max": b"high"}, MalformedHeader, "physical_max: expected number"),
+        ({"start_date": b"24.04"}, MalformedHeader, "bad start date/time"),
+        ({"start_date": b"31.02.89"}, MalformedHeader, "bad start date/time"),
+        ({"start_time": b"25.00.00"}, MalformedHeader, "bad start date/time"),
+        ({"record_duration": b"30s"}, MalformedHeader, "record_duration: got '30s'"),
+        ({"record_duration": b"-30"}, MalformedHeader, "record_duration -30 < 0"),
+        ({"signal_count": b"0"}, MalformedHeader, "signal_count 0 < 1"),
+        ({"header_bytes": b"300"}, MalformedHeader, r"header_bytes 300 != 256 \+ 256\*1"),
+        ({"signal_count": b"99", "header_bytes": b"25600"}, TruncatedFile,
+         "header needs 25600"),
+        ({"samples_per_record": b"0"}, MalformedHeader, "samples_per_record 0 < 1"),
+        ({"physical_max": b"-204.8"}, MalformedHeader, "physical_min == physical_max"),
+        ({"record_count": b"-2"}, MalformedHeader, "record_count -2 < 0"),
+        ({"record_duration": b"0"}, MalformedHeader, "record_duration 0 for a sampled signal"),
+    ], ids=["non-ascii", "non-numeric-int", "non-numeric-float", "date-unsplit",
+            "date-impossible", "time-impossible", "duration-unparsable", "duration-negative",
+            "no-signals", "header-bytes-invariant", "shorter-than-header",
+            "no-samples-per-record", "physical-range-empty", "record-count-below-minus-one",
+            "zero-duration-sampled"])
+    def test_header_rejections(self, edits, error, match):
+        """Each header check of parse_edf (and read_recording's zero-duration
+        check) on a one-signal file with the named fields overwritten."""
         data = bytearray(one_signal_file())
-        data[184:192] = b"300     "  # != 256 + 256*1
-        with pytest.raises(MalformedHeader):
-            parse_edf(bytes(data))
+        for name, value in edits.items():
+            offset, width = ONE_SIGNAL_FIELDS[name]
+            data[offset:offset + width] = value.ljust(width)
+        with pytest.raises(error, match=match):
+            read_recording(bytes(data), "EEG Fpz-Cz", "s")
 
-    def test_non_numeric_field(self):
-        data = bytearray(one_signal_file())
-        data[236:244] = b"oops    "
-        with pytest.raises(MalformedHeader):
-            parse_edf(bytes(data))
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 767), st.integers(0, 255)), min_size=1,
+                    max_size=8))
+    def test_any_header_mutation_reads_or_is_data_error(self, mutations):
+        data = bytearray(EMBEDDED_NIGHT)
+        for offset, value in mutations:
+            data[offset] = value
+        for read in (parse_edf, lambda b: read_recording(b, "EEG Fpz-Cz", "s"),
+                     parse_hypnogram):
+            try:
+                read(bytes(data))
+            except DataError:
+                pass
 
     def test_truncated_records(self):
         data = one_signal_file()
