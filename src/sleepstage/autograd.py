@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32/float64 tensors with reverse-mode automatic differentiation.
 
 Exactly the operator set the sleep-staging network needs, nothing more.
 Every op records a backward closure; gradients are validated against
@@ -7,7 +7,9 @@ central finite differences in the test suite. Conventions that matter:
 * convolution is cross-correlation (no kernel flip),
 * max pools route gradient to the first maximal index,
 * the soft-threshold subgradient at |x| == tau is 0,
-* everything is float64, contiguous, batch-outermost.
+* a tensor keeps a float32 or float64 array as it is and makes anything else
+  float64; training runs in float64, eval-mode inference in float32,
+* everything is contiguous, batch-outermost.
 """
 from __future__ import annotations
 
@@ -27,6 +29,8 @@ from .errors import (
 )
 
 _GRAD_ENABLED = True
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+BN_EPS = 1e-5
 
 
 class no_grad:
@@ -45,12 +49,15 @@ class no_grad:
 
 
 class Tensor:
-    """N-dimensional float64 value, optionally a node in a backward graph."""
+    """N-dimensional float32 or float64 value, optionally a node in a backward
+    graph. Float32 and float64 arrays are kept as they are (no copy); any
+    other input becomes float64."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -127,10 +134,15 @@ class ParamTensor(Tensor):
         return f"ParamTensor({self.name!r}, shape={self.shape})"
 
 
+def _records(*parents: Tensor) -> bool:
+    """Whether an op on `parents` joins the backward graph."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def make_op(out_data: np.ndarray, parents: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap a forward result, recording backward_fn when the graph is live."""
-    record = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    record = _records(*parents)
     out = Tensor(out_data, requires_grad=record)
     if record:
         out._parents = tuple(parents)
@@ -228,12 +240,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # --- activations ---
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = np.where(mask, x.data, 0.0)
+    """max(x, 0); NaN passes through."""
+    out = np.maximum(x.data, 0)
+    if _records(x):
+        mask = x.data > 0
 
     def _bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * mask)
+        x.accumulate_grad(g * mask)
 
     return make_op(out, (x,), _bw)
 
@@ -333,14 +346,18 @@ def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
     batch, chans, width = x.data.shape
     if kernel > width:
         raise ShapeMismatch(f"max_pool1d: kernel {kernel} > width {width}")
-    windows = sliding_window_view(x.data, kernel, axis=2)[:, :, ::stride, :]
-    arg = windows.argmax(axis=3)  # first maximal index
-    out = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
-    w_out = out.shape[2]
+    w_out = (width - kernel) // stride + 1
+    span = stride * (w_out - 1) + 1
+    # running maximum over the kernel's strided views; maximum(a, b) returns b
+    # on a tie, so `out` keeps the first maximal value, as argmax does
+    out = x.data[:, :, :span:stride].copy()
+    for k in range(1, kernel):
+        np.maximum(x.data[:, :, k:k + span:stride], out, out=out)
+    if _records(x):
+        windows = sliding_window_view(x.data, kernel, axis=2)[:, :, ::stride, :]
+        arg = windows.argmax(axis=3)  # first maximal index
 
     def _bw(g):
-        if not x.requires_grad:
-            return
         gx = np.zeros_like(x.data)
         bidx = np.broadcast_to(np.arange(batch)[:, None, None], arg.shape)
         cidx = np.broadcast_to(np.arange(chans)[None, :, None], arg.shape)
@@ -432,7 +449,7 @@ class RunningStats:
 
 
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
-                 training: bool, eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
+                 training: bool, eps: float = BN_EPS, momentum: float = 0.1) -> Tensor:
     """Normalize per channel over (batch, width) for [B,C,W] or batch for [B,C].
 
     Training mode uses biased batch statistics and folds them into the

@@ -22,7 +22,7 @@ from .errors import (
     TooFewSubjects,
     UndefinedMetric,
 )
-from .model import ModelParams, model_forward
+from .model import ModelParams, inference_params, model_forward
 
 N_STAGES = 5
 
@@ -321,13 +321,19 @@ class EvalResult:
 
 def predict_probabilities(mp: ModelParams, batches: np.ndarray,
                           batch_size: int = 32) -> np.ndarray:
-    """Eval-mode softmax probabilities for [N, input_length] sample rows."""
+    """Eval-mode softmax probabilities for [N, input_length] sample rows.
+
+    The forward runs in float32 on `inference_params(mp)`, with each batch
+    norm folded into its conv; `mp` is left as it was. The softmax of the
+    float32 logits is taken in float64.
+    """
+    folded = inference_params(mp)
     probs = []
     with ag.no_grad():
         for start in range(0, batches.shape[0], batch_size):
-            x = Tensor(batches[start:start + batch_size][:, None, :])
-            logits = model_forward(mp, x, training=False)
-            probs.append(ag.softmax(logits).data)
+            x = Tensor(batches[start:start + batch_size, None, :].astype(np.float32, copy=False))
+            logits = model_forward(folded, x, training=False)
+            probs.append(ag.softmax(Tensor(logits.data.astype(np.float64))).data)
     return np.concatenate(probs, axis=0)
 
 
@@ -344,8 +350,7 @@ def evaluate(mp: ModelParams, epochs: EpochSet,
         raise EmptySplit("no epochs to evaluate")
     # stable, so ties keep their order in `indices`
     chosen = chosen[np.lexsort((epochs.epoch_index[chosen], epochs.subjects[chosen]))]
-    x = epochs.samples[chosen].astype(np.float64)
-    probs = predict_probabilities(mp, x, batch_size=batch_size)
+    probs = predict_probabilities(mp, epochs.samples[chosen], batch_size=batch_size)
     y_pred = probs.argmax(axis=1)
     y_true = epochs.labels[chosen]
     cm = ConfusionMatrix.from_pairs(y_true, y_pred)

@@ -53,6 +53,12 @@ class ModelConfig:
             raise ValueError("channel_attention_reduction must be >= 1")
         if self.num_classes != 5:
             raise ValueError(f"num_classes must be 5 (one logit per stage), got {self.num_classes}")
+        if any(p < 0 for p in self.pool_sizes):
+            raise ValueError(f"pool sizes must be >= 0, got {self.pool_sizes}")
+        for i, (p, width) in enumerate(zip(self.pool_sizes, pipeline_widths(self))):
+            if p > width:
+                raise ValueError(f"pool_sizes[{i}] = {p} does not fit the width {width} "
+                                 f"it pools (input_length {self.input_length})")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -72,6 +78,8 @@ class ModelParams:
     cfg: ModelConfig
     params: dict[str, ParamTensor] = field(default_factory=dict)
     bn_stats: dict[str, RunningStats] = field(default_factory=dict)
+    # batch norms that `inference_params` folded into the conv before them
+    folded: frozenset[str] = frozenset()
 
     def __getitem__(self, name: str) -> ParamTensor:
         return self.params[name]
@@ -159,7 +167,40 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     return mp
 
 
+def inference_params(mp: ModelParams, dtype=np.float32) -> ModelParams:
+    """An eval-only copy of `mp` in `dtype` that shares no array with it.
+
+    Each `{stage}.bnN` that follows `{stage}.convN` is folded into that conv
+    (Jacob et al. 2018, arXiv:1712.05877, section 3.2): with
+    s = gamma / sqrt(running_var + eps), the conv's weight becomes w * s and
+    its bias (b - running_mean) * s + beta, and the batch norm is skipped.
+    The fold runs in float64; the result is then cast to `dtype`. The copy
+    holds plain tensors, so no op on it records a backward graph.
+    """
+    arrays = {name: p.data for name, p in mp.params.items()}
+    folded = set()
+    for bn, st in mp.bn_stats.items():
+        conv = bn.replace(".bn", ".conv")
+        if f"{conv}.weight" not in arrays:
+            continue  # block{i}.ca.bn follows a linear layer and stays
+        scale = arrays.pop(f"{bn}.gamma") / np.sqrt(st.var + ag.BN_EPS)
+        arrays[f"{conv}.weight"] = arrays[f"{conv}.weight"] * scale[:, None, None]
+        arrays[f"{conv}.bias"] = ((arrays[f"{conv}.bias"] - st.mean) * scale
+                                  + arrays.pop(f"{bn}.beta"))
+        folded.add(bn)
+    out = ModelParams(mp.cfg, folded=frozenset(folded))
+    out.params = {name: Tensor(a.astype(dtype)) for name, a in arrays.items()}
+    for name, st in mp.bn_stats.items():
+        if name not in folded:
+            out.bn_stats[name] = RunningStats(st.mean.size)
+            out.bn_stats[name].mean = st.mean.astype(dtype)
+            out.bn_stats[name].var = st.var.astype(dtype)
+    return out
+
+
 def _bn(mp: ModelParams, name: str, x: Tensor, training: bool) -> Tensor:
+    if name in mp.folded:
+        return x
     return ag.batch_norm1d(x, mp[f"{name}.gamma"], mp[f"{name}.beta"],
                            mp.bn_stats[name], training)
 
@@ -182,10 +223,13 @@ def branch_forward(mp: ModelParams, x: Tensor, k: int, training: bool) -> Tensor
 
 
 def multiscale_forward(mp: ModelParams, x: Tensor, training: bool) -> Tensor:
+    """Each branch, max-pooled by pool_sizes[0], then concatenated by channel
+    (pooling per channel, it gives the same values as pooling the concat)."""
     branches = [branch_forward(mp, x, k, training) for k in mp.cfg.branch_kernel_sizes]
-    fused = ag.concat(branches, axis=1)
     p = mp.cfg.pool_sizes[0]
-    return ag.max_pool1d(fused, p, p) if p else fused
+    if p:
+        branches = [ag.max_pool1d(b, p, p) for b in branches]
+    return ag.concat(branches, axis=1)
 
 
 def channel_attention(mp: ModelParams, block: int, x: Tensor,

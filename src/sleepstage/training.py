@@ -41,6 +41,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_passes < 1:
+            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
 
 
 @dataclass(frozen=True)

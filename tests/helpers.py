@@ -7,13 +7,18 @@ from pathlib import Path
 
 import numpy as np
 
+from numpy.lib.stride_tricks import sliding_window_view
+
+from sleepstage import autograd as ag
+from sleepstage import model
+from sleepstage.autograd import Tensor
 from sleepstage.edf import (
     EpochSet,
     SignalHeader,
     build_edf,
     encode_annotation_signal,
 )
-from sleepstage.model import ModelConfig
+from sleepstage.model import ModelConfig, ModelParams, branch_forward
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -119,3 +124,57 @@ def build_corpus_recording(path: Path, subject: str, stage_cycle, n_epochs: int,
                         record_duration=Fraction(30),
                         start=dt.datetime(1989, 4, 24, 23, 0, 0))
         (path / f"{subject}-PSG.edf").write_bytes(psg)
+
+
+# --- float64 reference forward: the engine ops as they were before the
+# inference path, to pin that training arithmetic did not change ---
+
+def reference_relu(x: Tensor) -> Tensor:
+    mask = x.data > 0
+    out = np.where(mask, x.data, 0.0)
+    return ag.make_op(out, (x,), lambda g: x.accumulate_grad(g * mask))
+
+
+def reference_max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
+    """Max pool as a sliding-window argmax gather; gradient to the first max."""
+    batch, chans, _ = x.data.shape
+    windows = sliding_window_view(x.data, kernel, axis=2)[:, :, ::stride, :]
+    arg = windows.argmax(axis=3)
+    out = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
+
+    def _bw(g):
+        gx = np.zeros_like(x.data)
+        bidx = np.broadcast_to(np.arange(batch)[:, None, None], arg.shape)
+        cidx = np.broadcast_to(np.arange(chans)[None, :, None], arg.shape)
+        pos = arg + stride * np.arange(out.shape[2])[None, None, :]
+        np.add.at(gx, (bidx, cidx, pos), g)
+        x.accumulate_grad(gx)
+
+    return ag.make_op(out, (x,), _bw)
+
+
+def reference_multiscale_forward(mp: ModelParams, x: Tensor, training: bool) -> Tensor:
+    """Concatenate the branches, then pool the concat."""
+    fused = ag.concat([branch_forward(mp, x, k, training)
+                       for k in mp.cfg.branch_kernel_sizes], axis=1)
+    p = mp.cfg.pool_sizes[0]
+    return ag.max_pool1d(fused, p, p) if p else fused
+
+
+def use_reference_forward(monkeypatch) -> None:
+    """Route model_forward through the reference ops for the rest of a test."""
+    monkeypatch.setattr(ag, "relu", reference_relu)
+    monkeypatch.setattr(ag, "max_pool1d", reference_max_pool1d)
+    monkeypatch.setattr(model, "multiscale_forward", reference_multiscale_forward)
+
+
+def randomize_batch_norms(mp: ModelParams, rng: np.random.Generator) -> ModelParams:
+    """Give every batch norm of mp random gamma, beta and running mean/var,
+    so that a wrong fold shows (a fresh model's norms are the identity)."""
+    for name, stats in mp.bn_stats.items():
+        n = stats.mean.size
+        mp[f"{name}.gamma"].data[...] = rng.uniform(0.5, 1.5, n)
+        mp[f"{name}.beta"].data[...] = rng.normal(0.0, 0.3, n)
+        stats.mean[...] = rng.normal(0.0, 0.3, n)
+        stats.var[...] = rng.uniform(0.5, 2.0, n)
+    return mp

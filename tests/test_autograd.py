@@ -13,6 +13,8 @@ from sleepstage.errors import (
     TruncatedFile,
 )
 
+from helpers import reference_max_pool1d, reference_relu
+
 RNG = np.random.default_rng(20240917)
 
 
@@ -111,6 +113,18 @@ class TestActivations:
         out = ag.relu(Tensor(np.array([-2.0, 0.0, 3.0])))
         np.testing.assert_allclose(out.data, [0.0, 0.0, 3.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_matches_reference_bit_for_bit(self, dtype):
+        x = np.concatenate([RNG.normal(size=50), [0.0, -0.0, 1e-30, -1e-30]]).astype(dtype)
+        for requires_grad in (False, True):
+            out = ag.relu(Tensor(x, requires_grad=requires_grad)).data
+            assert out.dtype == dtype
+            assert out.tobytes() == reference_relu(Tensor(x)).data.astype(dtype).tobytes()
+
+    def test_relu_passes_nan(self):
+        out = ag.relu(Tensor(np.array([np.nan, -1.0, 1.0]))).data
+        assert np.isnan(out[0]) and out[1:].tolist() == [0.0, 1.0]
+
     def test_gradients(self):
         for fn in (ag.relu, ag.sigmoid, ag.absolute):
             x = Tensor(RNG.normal(size=(3, 4)) + 0.1, requires_grad=True)
@@ -171,6 +185,29 @@ class TestPooling:
     def test_kernel_too_large(self):
         with pytest.raises(ShapeMismatch):
             ag.max_pool1d(Tensor(np.zeros((1, 1, 3))), 4, 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel,stride,width", [
+        (2, 2, 8), (4, 4, 23), (8, 8, 3000), (3, 2, 10), (3, 1, 7), (2, 3, 11), (5, 5, 5)])
+    def test_max_pool_matches_gather_bit_for_bit(self, dtype, kernel, stride, width):
+        # small integers make ties; signed zeros tie without equal bits
+        x = RNG.integers(-3, 4, size=(2, 3, width)).astype(dtype)
+        x[x == 0] = np.where(RNG.random(int((x == 0).sum())) < 0.5, -0.0, 0.0)
+        expect = reference_max_pool1d(Tensor(x), kernel, stride).data
+        for requires_grad in (False, True):
+            out = ag.max_pool1d(Tensor(x, requires_grad=requires_grad), kernel, stride).data
+            assert out.dtype == dtype and out.shape == expect.shape
+            assert out.tobytes() == expect.tobytes()
+
+    def test_max_pool_gradient_matches_gather(self):
+        x = RNG.integers(-3, 4, size=(2, 3, 23)).astype(np.float64)  # ties
+        probe = Tensor(RNG.normal(size=(2, 3, 5)))
+        grads = []
+        for pool in (ag.max_pool1d, reference_max_pool1d):
+            t = Tensor(x, requires_grad=True)
+            ag.tensor_sum(ag.mul(pool(t, 4, 4), probe)).backward()
+            grads.append(t.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
 
     def test_channel_pool_single_channel(self):
         x = Tensor(RNG.normal(size=(2, 1, 6)))
@@ -312,6 +349,31 @@ class TestBackward:
         loss = ag.tensor_sum(ag.add(ag.mul(x, x), x))  # d/dx = 2x + 1
         loss.backward()
         np.testing.assert_allclose(x.grad, [5.0])
+
+    @pytest.mark.parametrize("data,dtype", [
+        (np.ones(3, dtype=np.float32), np.float32), (np.ones(3), np.float64),
+        (np.ones(3, dtype=np.int32), np.float64), (np.ones(3, dtype=np.float16), np.float64),
+        ([1, 2], np.float64), (2.5, np.float64)])
+    def test_tensor_keeps_float32_and_float64(self, data, dtype):
+        t = Tensor(data)
+        assert t.data.dtype == dtype
+        if isinstance(data, np.ndarray) and data.dtype == dtype:
+            assert t.data is data
+
+    def test_float32_ops_stay_float32(self):
+        def f32(*shape):
+            return Tensor(RNG.normal(size=shape).astype(np.float32))
+
+        stats = RunningStats(3)
+        stats.mean, stats.var = stats.mean.astype(np.float32), stats.var.astype(np.float32)
+        h = ag.relu(ag.conv1d(f32(2, 3, 8), f32(3, 3, 3), f32(3), padding=1))
+        h = ag.batch_norm1d(h, f32(3), f32(3), stats, training=False)
+        h = ag.soft_threshold(ag.absolute(h), Tensor(np.full((2, 3, 1), 0.1, dtype=np.float32)))
+        pooled = ag.max_pool1d(h, 2, 2)
+        gate = ag.sigmoid(ag.linear(ag.global_avg_pool(pooled), f32(3, 3), f32(3)))
+        for out in (ag.channel_pool(h), ag.concat([h, h]), ag.softmax(gate),
+                    ag.add(pooled, ag.mul(pooled, ag.reshape(gate, (2, 3, 1))))):
+            assert out.data.dtype == np.float32
 
     def test_no_grad_suppresses_graph(self):
         x = Tensor(np.ones(2), requires_grad=True)

@@ -65,6 +65,7 @@ CORRUPT_CHECKPOINTS = {
     "split.seed-negative": ({"split.seed": "-1"}, {}, None, "seed must be >= 0"),
     "model-truncated": ({"model": '{"branch'}, {}, None, "model"),
     "model-spatial_kernel": ({}, {"spatial_kernel": 4}, None, "spatial_kernel"),
+    "model-pool_sizes": ({}, {"pool_sizes": [8, 4, 40]}, None, "pool_sizes"),
     "container-garbage": ({}, {}, lambda ckpt: ckpt.write_bytes(b"garbage" * 20),
                           "not a parameter container"),
     "container-truncated": ({}, {}, lambda ckpt: ckpt.write_bytes(ckpt.read_bytes()[:40]),
@@ -151,7 +152,8 @@ class TestConfigFormat:
             build_run_config({"dataset.root": str(tmp_path), "split.kind": "loocv"})
         for key, value in [("split.k", "0"), ("split.ratio", "1.5"), ("split.ratio", "0"),
                            ("model.channel_attention_reduction", "0"), ("seed", "-1"),
-                           ("model.num_classes", "4")]:
+                           ("model.num_classes", "4"), ("train.max_passes", "0"),
+                           ("model.input_length", "30"), ("model.pool_sizes", "2,-2,2")]:
             with pytest.raises(ConfigError):
                 build_run_config({"dataset.root": str(tmp_path), key: value})
 

@@ -2,6 +2,9 @@
 import numpy as np
 import pytest
 
+from sleepstage import autograd as ag
+from sleepstage import evaluation
+from sleepstage.autograd import Tensor
 from sleepstage.edf import StageLabel
 from sleepstage.errors import (
     EmptySplit,
@@ -15,14 +18,15 @@ from sleepstage.evaluation import (
     evaluate,
     holdout_split,
     kfold_split,
+    predict_probabilities,
     roc_pr_curves,
     stage_metrics,
     summary_metrics,
 )
-from sleepstage.model import init_params
+from sleepstage.model import ModelConfig, init_params, model_forward
 
 import reference_results as ref
-from helpers import epoch_set, micro_model_config
+from helpers import epoch_set, micro_model_config, randomize_batch_norms, sine_epochs
 
 RNG = np.random.default_rng(31)
 
@@ -368,3 +372,43 @@ class TestEvaluate:
                            epoch_index=[0, 1, 0])
         result = evaluate(mp, epochs)
         assert result.order == [("a", 0), ("a", 1), ("b", 0)]
+
+
+class TestFloat32Inference:
+    """predict_probabilities runs a float32 copy with folded batch norms."""
+
+    def test_matches_float64_forward_on_default_model(self):
+        # random batch norms: a fresh model's are the identity and hide a wrong fold
+        mp = randomize_batch_norms(init_params(ModelConfig(), seed=0),
+                                   np.random.default_rng(8))
+        rows = sine_epochs(48, seed=8).samples.astype(np.float32)  # as cached
+        probs = predict_probabilities(mp, rows)
+        with ag.no_grad():
+            logits = model_forward(mp, Tensor(rows[:, None, :].astype(np.float64)),
+                                   training=False)
+        expect = ag.softmax(logits).data
+        assert probs.dtype == np.float64
+        np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-4)
+        top2 = np.sort(expect, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 1e-3
+        assert clear.sum() > len(rows) // 2
+        np.testing.assert_array_equal(probs.argmax(axis=1)[clear], expect.argmax(axis=1)[clear])
+
+    def test_leaves_model_unchanged_and_unaliased(self, monkeypatch):
+        cfg = micro_model_config()
+        mp = randomize_batch_norms(init_params(cfg, seed=1), np.random.default_rng(9))
+        before = {name: a.tobytes() for name, a in mp.state_arrays().items()}
+        seen = []
+
+        def forward(params, x, training=False):
+            seen.append(params)
+            return model_forward(params, x, training)
+
+        monkeypatch.setattr(evaluation, "model_forward", forward)
+        predict_probabilities(mp, np.random.default_rng(9).normal(size=(40, 64)), batch_size=16)
+        assert len(seen) == 3 and all(p is seen[0] for p in seen)
+        assert seen[0] is not mp and seen[0].folded
+        for name, a in mp.state_arrays().items():
+            assert a.tobytes() == before[name], name
+            for b in seen[0].state_arrays().values():
+                assert not np.shares_memory(a, b), name

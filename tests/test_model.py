@@ -11,6 +11,7 @@ from sleepstage.model import (
     attention_block,
     branch_forward,
     channel_attention,
+    inference_params,
     init_params,
     model_forward,
     multiscale_forward,
@@ -19,7 +20,12 @@ from sleepstage.model import (
     spatial_attention,
 )
 
-from helpers import micro_model_config
+from helpers import (
+    micro_model_config,
+    randomize_batch_norms,
+    reference_max_pool1d,
+    reference_multiscale_forward,
+)
 
 RNG = np.random.default_rng(5)
 
@@ -42,6 +48,21 @@ class TestConfig:
             ModelConfig(branch_kernel_sizes=(3, 4, 7))
         with pytest.raises(ValueError):
             ModelConfig(pool_sizes=(8, 4))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(input_length=30),                                 # 30 -> 8 -> 3 < 4
+        dict(pool_sizes=(2, 2, 40), input_length=64),          # 64 -> 32 -> 16 < 40
+        dict(pool_sizes=(-1, 2, 2), input_length=64),
+        dict(pool_sizes=(65, 0, 0), input_length=64)])
+    def test_pool_sizes_must_fit_widths(self, overrides):
+        with pytest.raises(ValueError, match="pool"):
+            ModelConfig(**overrides)
+
+    def test_pool_sizes_that_fit_are_kept(self):
+        for overrides in (dict(pool_sizes=(0, 0, 0), input_length=1),
+                          dict(pool_sizes=(64, 0, 1), input_length=64),
+                          dict(pool_sizes=(8, 4, 4), input_length=300)):
+            ModelConfig(**overrides)
 
     def test_round_trip_dict(self):
         cfg = micro_model_config()
@@ -87,6 +108,51 @@ class TestMultiscale:
         c = cfg.branch_channels
         for i, k in enumerate(cfg.branch_kernel_sizes):
             np.testing.assert_allclose(fused.data[:, i * c:(i + 1) * c], outs[k])
+
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_pooling_each_branch_equals_pooling_the_concat(self, training):
+        _, mp = micro_params(seed=2)
+        x = RNG.normal(size=(2, 1, 64))
+        out = multiscale_forward(mp, Tensor(x), training=training).data
+        expect = reference_multiscale_forward(mp, Tensor(x), training=training).data
+        assert out.tobytes() == expect.tobytes()
+
+
+class TestInferenceParams:
+    """The eval-only copy with each conv -> batch-norm pair folded into one conv."""
+
+    def test_folded_conv_equals_conv_then_eval_batch_norm(self):
+        _, mp = micro_params(seed=3)
+        mp = randomize_batch_norms(mp, RNG)
+        folded = inference_params(mp, dtype=np.float64)
+        for bn in sorted(folded.folded):
+            conv = bn.replace(".bn", ".conv")
+            c_in, k = mp[f"{conv}.weight"].shape[1:]
+            x = Tensor(RNG.normal(size=(3, c_in, 64)))
+            h = ag.conv1d(x, mp[f"{conv}.weight"], mp[f"{conv}.bias"], padding=k // 2)
+            expect = ag.batch_norm1d(h, mp[f"{bn}.gamma"], mp[f"{bn}.beta"], mp.bn_stats[bn],
+                                     training=False).data
+            out = ag.conv1d(x, folded[f"{conv}.weight"], folded[f"{conv}.bias"],
+                            padding=k // 2).data
+            np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12, err_msg=bn)
+
+    def test_folded_model_equals_model_in_float64(self):
+        _, mp = micro_params(seed=3)
+        mp = randomize_batch_norms(mp, RNG)
+        x = RNG.normal(size=(4, 1, 64))
+        expect = model_forward(mp, Tensor(x)).data
+        out = model_forward(inference_params(mp, dtype=np.float64), Tensor(x)).data
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
+
+    def test_folds_every_conv_batch_norm_pair(self):
+        cfg, mp = micro_params()
+        folded = inference_params(mp)
+        assert folded.folded == {name for name in mp.bn_stats if ".ca." not in name}
+        assert set(folded.bn_stats) == {f"block{i}.ca.bn" for i in range(cfg.attention_blocks)}
+        assert not any(name.startswith(tuple(folded.folded)) for name in folded.params)
+        for name, p in folded.params.items():
+            assert p.data.dtype == np.float32 and not p.requires_grad, name
 
 
 class TestChannelAttention:

@@ -22,7 +22,7 @@ from sleepstage.training import (
     write_training_log,
 )
 
-from helpers import micro_model_config, sine_epochs
+from helpers import micro_model_config, sine_epochs, use_reference_forward
 
 RNG = np.random.default_rng(99)
 
@@ -220,6 +220,27 @@ class TestTrainLoop:
         for name in results[0].params.params:
             np.testing.assert_array_equal(results[0].params[name].data,
                                           results[1].params[name].data)
+
+    def test_matches_float64_reference_forward(self, monkeypatch):
+        """Per-pass losses and final state equal a run whose forward uses the
+        reference relu, max pool and concat-then-pool; the float32 validation
+        between passes leaves the trained model alone."""
+        from sleepstage.preprocess import AugmentConfig
+        epochs = tiny_dataset()
+        idx = np.arange(len(epochs))
+        cfg = TrainConfig(max_passes=3, seed=5, batch_size=4)
+
+        def run():
+            return train(epochs, idx[:20], idx[20:], cfg, micro_model_config(),
+                         augment_cfg=AugmentConfig(rng_seed=5))
+
+        fast = run()
+        use_reference_forward(monkeypatch)
+        reference = run()
+        assert [r.train_loss for r in fast.log] == [r.train_loss for r in reference.log]
+        expect = reference.final_params.state_arrays()
+        for name, a in fast.final_params.state_arrays().items():
+            assert a.dtype == np.float64 and a.tobytes() == expect[name].tobytes(), name
 
     def test_augmented_runs_reproducible(self):
         from sleepstage.preprocess import AugmentConfig
