@@ -2,9 +2,13 @@
 
 The format: a 256-byte fixed-width ASCII header, 256 more bytes per signal,
 then data records of interleaved 16-bit little-endian two's-complement
-samples. Hypnogram annotations arrive either as an embedded "EDF Annotations"
-signal (TAL-encoded) or as a sidecar EDF+ file of the same shape; both feed
-one parser.
+samples. The per-signal header is one table, `_SIGNAL_FIELDS`, that both
+parse_edf and serialize_edf walk. The data records are one [record_count,
+samples per record] int16 table in which each signal owns a block of columns:
+samples stay the stored int16 values, and read_recording decodes only its own
+channel's columns. Hypnogram annotations arrive either as an embedded "EDF
+Annotations" signal (TAL-encoded) or as a sidecar EDF+ file of the same shape;
+both feed one parser.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    DataError,
     MalformedHeader,
     OverlappingAnnotations,
     SampleRateMismatch,
@@ -138,30 +143,37 @@ class EpochSet:
                         self.epoch_index[key])
 
 
-# --- header field helpers ---
+# --- the EDF layout ---
 
-def _ascii(data: bytes, offset: int, width: int) -> str:
+# The per-signal header, in SignalHeader field order: (field, width, type).
+# Each field is one block of signal_count values, one per signal.
+_SIGNAL_FIELDS = (
+    ("label", 16, str),
+    ("transducer", 80, str),
+    ("physical_dimension", 8, str),
+    ("physical_min", 8, float),
+    ("physical_max", 8, float),
+    ("digital_min", 8, int),
+    ("digital_max", 8, int),
+    ("prefiltering", 80, str),
+    ("samples_per_record", 8, int),
+    ("reserved", 32, str),
+)
+_EXPECTED = {int: "integer", float: "number"}
+
+
+def _ascii_value(data: bytes, offset: int, width: int, kind: type, what: str):
     raw = data[offset:offset + width]
     try:
-        return raw.decode("ascii").strip()
+        text = raw.decode("ascii").strip()
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"non-ASCII bytes at offset {offset}") from exc
-
-
-def _ascii_int(data: bytes, offset: int, width: int, what: str) -> int:
-    text = _ascii(data, offset, width)
+    if kind is str:
+        return text
     try:
-        return int(text)
+        return kind(text)
     except ValueError as exc:
-        raise MalformedHeader(f"{what}: expected integer, got {text!r}") from exc
-
-
-def _ascii_float(data: bytes, offset: int, width: int, what: str) -> float:
-    text = _ascii(data, offset, width)
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise MalformedHeader(f"{what}: expected number, got {text!r}") from exc
+        raise MalformedHeader(f"{what}: expected {_EXPECTED[kind]}, got {text!r}") from exc
 
 
 def _parse_start(date_s: str, time_s: str) -> dt.datetime:
@@ -177,26 +189,25 @@ def _parse_start(date_s: str, time_s: str) -> dt.datetime:
         raise MalformedHeader(f"bad start date/time {date_s!r} {time_s!r}") from exc
 
 
-def parse_edf(data: bytes) -> tuple[EdfHeader, list[np.ndarray]]:
-    """Decode header and per-signal digital sample arrays (de-interleaved).
-
-    A record_count of -1 (EDF+ "unknown") is derived from the stream length.
-    """
+def _decode(data: bytes) -> tuple[EdfHeader, np.ndarray]:
+    """The checked header and the data records: a [record_count, samples per
+    record] little-endian int16 view of data, each signal a block of columns."""
     if len(data) < 256:
         raise TruncatedFile(f"stream holds {len(data)} bytes, header needs 256")
 
-    version = _ascii(data, 0, 8)
-    patient_id = _ascii(data, 8, 80)
-    recording_id = _ascii(data, 88, 80)
-    start = _parse_start(_ascii(data, 168, 8), _ascii(data, 176, 8))
-    header_bytes = _ascii_int(data, 184, 8, "header_bytes")
-    record_count = _ascii_int(data, 236, 8, "record_count")
-    dur_text = _ascii(data, 244, 8)
+    version = _ascii_value(data, 0, 8, str, "version")
+    patient_id = _ascii_value(data, 8, 80, str, "patient_id")
+    recording_id = _ascii_value(data, 88, 80, str, "recording_id")
+    start = _parse_start(_ascii_value(data, 168, 8, str, "start_date"),
+                         _ascii_value(data, 176, 8, str, "start_time"))
+    header_bytes = _ascii_value(data, 184, 8, int, "header_bytes")
+    record_count = _ascii_value(data, 236, 8, int, "record_count")
+    dur_text = _ascii_value(data, 244, 8, str, "record_duration")
     try:
         record_duration = Fraction(dur_text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedHeader(f"record_duration: got {dur_text!r}") from exc
-    signal_count = _ascii_int(data, 252, 4, "signal_count")
+    signal_count = _ascii_value(data, 252, 4, int, "signal_count")
 
     if signal_count < 1:
         raise MalformedHeader(f"signal_count {signal_count} < 1")
@@ -208,22 +219,14 @@ def parse_edf(data: bytes) -> tuple[EdfHeader, list[np.ndarray]]:
     if record_duration < 0:
         raise MalformedHeader(f"record_duration {record_duration} < 0")
 
-    ns = signal_count
     sigs: list[SignalHeader] = []
-    base = 256
-    for i in range(ns):
-        sigs.append(SignalHeader(
-            label=_ascii(data, base + 16 * i, 16),
-            transducer=_ascii(data, base + 16 * ns + 80 * i, 80),
-            physical_dimension=_ascii(data, base + 96 * ns + 8 * i, 8),
-            physical_min=_ascii_float(data, base + 104 * ns + 8 * i, 8, f"signal {i} physical_min"),
-            physical_max=_ascii_float(data, base + 112 * ns + 8 * i, 8, f"signal {i} physical_max"),
-            digital_min=_ascii_int(data, base + 120 * ns + 8 * i, 8, f"signal {i} digital_min"),
-            digital_max=_ascii_int(data, base + 128 * ns + 8 * i, 8, f"signal {i} digital_max"),
-            prefiltering=_ascii(data, base + 136 * ns + 80 * i, 80),
-            samples_per_record=_ascii_int(data, base + 216 * ns + 8 * i, 8, f"signal {i} samples_per_record"),
-            reserved=_ascii(data, base + 224 * ns + 32 * i, 32),
-        ))
+    for i in range(signal_count):
+        values, offset = [], 256
+        for name, width, kind in _SIGNAL_FIELDS:
+            values.append(_ascii_value(data, offset + width * i, width, kind,
+                                       f"signal {i} {name}"))
+            offset += width * signal_count
+        sigs.append(SignalHeader(*values))
 
     for i, s in enumerate(sigs):
         if s.samples_per_record < 1:
@@ -235,12 +238,11 @@ def parse_edf(data: bytes) -> tuple[EdfHeader, list[np.ndarray]]:
             raise MalformedHeader(f"signal {i}: physical_min == physical_max")
 
     record_samples = sum(s.samples_per_record for s in sigs)
-    record_bytes = 2 * record_samples
     if record_count == -1:
-        record_count = (len(data) - header_bytes) // record_bytes if record_bytes else 0
+        record_count = (len(data) - header_bytes) // (2 * record_samples)
     if record_count < 0:
         raise MalformedHeader(f"record_count {record_count} < 0")
-    needed = header_bytes + record_count * record_bytes
+    needed = header_bytes + record_count * 2 * record_samples
     if len(data) < needed:
         raise TruncatedFile(
             f"stream holds {len(data)} bytes, {record_count} records need {needed}")
@@ -256,17 +258,26 @@ def parse_edf(data: bytes) -> tuple[EdfHeader, list[np.ndarray]]:
         signal_count=signal_count,
         signals=sigs,
     )
+    records = np.frombuffer(data, dtype="<i2", count=record_count * record_samples,
+                            offset=header_bytes)
+    return header, records.reshape(record_count, record_samples)
 
-    flat = np.frombuffer(data, dtype="<i2", count=record_count * record_samples,
-                         offset=header_bytes)
-    table = flat.reshape(record_count, record_samples) if record_count else flat.reshape(0, record_samples)
-    signals: list[np.ndarray] = []
-    col = 0
-    for s in sigs:
-        block = table[:, col:col + s.samples_per_record]
-        signals.append(np.ascontiguousarray(block).reshape(-1).astype(np.int32))
-        col += s.samples_per_record
-    return header, signals
+
+def _columns(header: EdfHeader, index: int) -> slice:
+    """The record-table columns of signal `index`."""
+    start = sum(s.samples_per_record for s in header.signals[:index])
+    return slice(start, start + header.signals[index].samples_per_record)
+
+
+def parse_edf(data: bytes) -> tuple[EdfHeader, list[np.ndarray]]:
+    """Decode the header and each signal's digital samples, de-interleaved,
+    as the stored little-endian int16 values.
+
+    A record_count of -1 (EDF+ "unknown") is derived from the stream length.
+    """
+    header, records = _decode(data)
+    return header, [records[:, _columns(header, i)].flatten()
+                    for i in range(header.signal_count)]
 
 
 def serialize_edf(header: EdfHeader, signals: list[np.ndarray]) -> bytes:
@@ -275,15 +286,12 @@ def serialize_edf(header: EdfHeader, signals: list[np.ndarray]) -> bytes:
         raise ValueError("signal count mismatch")
 
     def fw(value, width: int) -> bytes:
+        if isinstance(value, float) and value == int(value):
+            value = int(value)
         text = str(value)
         if len(text) > width:
             raise ValueError(f"{text!r} does not fit in {width} ASCII bytes")
         return text.ljust(width).encode("ascii")
-
-    def fw_num(value, width: int) -> bytes:
-        if isinstance(value, float) and value == int(value):
-            value = int(value)
-        return fw(value, width)
 
     start = header.start_datetime
     dur = header.record_duration
@@ -300,29 +308,16 @@ def serialize_edf(header: EdfHeader, signals: list[np.ndarray]) -> bytes:
         fw(dur_repr, 8),
         fw(header.signal_count, 4),
     ]
-    sigs = header.signals
-    parts += [fw(s.label, 16) for s in sigs]
-    parts += [fw(s.transducer, 80) for s in sigs]
-    parts += [fw(s.physical_dimension, 8) for s in sigs]
-    parts += [fw_num(s.physical_min, 8) for s in sigs]
-    parts += [fw_num(s.physical_max, 8) for s in sigs]
-    parts += [fw(s.digital_min, 8) for s in sigs]
-    parts += [fw(s.digital_max, 8) for s in sigs]
-    parts += [fw(s.prefiltering, 80) for s in sigs]
-    parts += [fw(s.samples_per_record, 8) for s in sigs]
-    parts += [fw(s.reserved, 32) for s in sigs]
+    parts += [fw(getattr(s, name), width)
+              for name, width, _ in _SIGNAL_FIELDS for s in header.signals]
 
-    for sig_header, arr in zip(sigs, signals):
+    blocks = []
+    for sig_header, arr in zip(header.signals, signals):
         if len(arr) != header.record_count * sig_header.samples_per_record:
             raise ValueError(f"signal {sig_header.label!r}: wrong sample count")
-
-    records = []
-    for r in range(header.record_count):
-        for sig_header, arr in zip(sigs, signals):
-            spr = sig_header.samples_per_record
-            chunk = np.asarray(arr[r * spr:(r + 1) * spr], dtype="<i2")
-            records.append(chunk.tobytes())
-    return b"".join(parts) + b"".join(records)
+        blocks.append(np.asarray(arr, dtype="<i2").reshape(
+            header.record_count, sig_header.samples_per_record))
+    return b"".join(parts) + np.concatenate(blocks, axis=1).tobytes()
 
 
 def calibrate(digital: np.ndarray, sig: SignalHeader) -> np.ndarray:
@@ -350,8 +345,9 @@ def find_signal(header: EdfHeader, channel: str) -> int:
 
 
 def read_recording(data: bytes, channel: str, subject_id: str) -> EegRecording:
-    """Parse, select and calibrate one channel into an EegRecording."""
-    header, signals = parse_edf(data)
+    """Parse, select and calibrate one channel into an EegRecording; only
+    that channel's samples are decoded."""
+    header, records = _decode(data)
     idx = find_signal(header, channel)
     sig = header.signals[idx]
     if header.record_duration == 0:
@@ -361,7 +357,7 @@ def read_recording(data: bytes, channel: str, subject_id: str) -> EegRecording:
         subject_id=subject_id,
         channel_name=channel,
         sample_rate=float(rate),
-        samples=calibrate(signals[idx], sig),
+        samples=calibrate(records[:, _columns(header, idx)], sig).reshape(-1),
         start_datetime=header.start_datetime,
     )
 
@@ -391,15 +387,12 @@ def _decode_tals(raw: bytes):
 
 def extract_annotations(data: bytes) -> list[tuple[float, float, str]]:
     """All TAL annotations of an EDF+ stream, in file order."""
-    header, signals = parse_edf(data)
+    header, records = _decode(data)
     out: list[tuple[float, float, str]] = []
-    for sig_header, arr in zip(header.signals, signals):
-        if sig_header.label != ANNOTATION_LABEL:
-            continue
-        spr = sig_header.samples_per_record
-        raw = arr.astype("<i2").tobytes()
-        for r in range(header.record_count):
-            out.extend(_decode_tals(raw[2 * spr * r:2 * spr * (r + 1)]))
+    for i, sig_header in enumerate(header.signals):
+        if sig_header.label == ANNOTATION_LABEL:
+            for record in records[:, _columns(header, i)]:
+                out.extend(_decode_tals(record.tobytes()))
     return out
 
 
@@ -419,7 +412,7 @@ def parse_hypnogram(source: bytes | list[tuple[float, float, str]]) -> list[tupl
 
     `source` is either the bytes of an EDF+ stream carrying an annotation
     signal (sidecar hypnogram or the PSG itself) or an already-extracted
-    annotation list. Intervals must be ordered and non-overlapping.
+    annotation list. Intervals must be finite, ordered and non-overlapping.
     """
     entries = extract_annotations(source) if isinstance(source, (bytes, bytearray)) else source
     intervals: list[tuple[float, float, str]] = []
@@ -427,6 +420,9 @@ def parse_hypnogram(source: bytes | list[tuple[float, float, str]]) -> list[tupl
         token = _normalize_stage_text(text)
         if token not in _RAW_STAGE_MAP:
             raise UnknownStageString(f"stage annotation {text!r} at {onset}s")
+        if duration < 0 or not math.isfinite(onset + duration):
+            raise DataError(f"stage annotation {text!r} at {onset}s: onset and "
+                            f"duration {duration}s must be finite, the duration >= 0")
         intervals.append((onset, duration, token))
     for (o1, d1, _), (o2, _, _) in zip(intervals, intervals[1:]):
         if o2 < o1:

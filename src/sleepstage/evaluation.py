@@ -7,7 +7,7 @@ as a fraction. Division by zero reports a metric as absent, never as 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -293,7 +293,7 @@ def roc_pr_curves(scores: np.ndarray, labels: Sequence[int],
         idx = np.flatnonzero(np.diff(sorted_s, append=-np.inf))  # last index per distinct value
         roc = [(0.0, 0.0)]
         pr = [(0.0, 1.0)]
-        for i in idx:
+        for i in idx.tolist():
             tp = int(cum_tp[i])
             fp = (i + 1) - tp
             roc.append((fp / neg, tp / pos))
@@ -316,7 +316,6 @@ class EvalResult:
     y_true: np.ndarray
     y_pred: np.ndarray
     probabilities: np.ndarray
-    order: list[tuple[str, int]] = field(default_factory=list)  # (subject, epoch_index)
 
 
 def predict_probabilities(mp: ModelParams, batches: np.ndarray,
@@ -360,5 +359,4 @@ def evaluate(mp: ModelParams, epochs: EpochSet,
         y_true=y_true,
         y_pred=y_pred,
         probabilities=probs,
-        order=list(zip(epochs.subjects[chosen].tolist(), epochs.epoch_index[chosen].tolist())),
     )

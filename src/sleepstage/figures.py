@@ -5,6 +5,8 @@ raster toolkit is involved.
 """
 from __future__ import annotations
 
+from html import escape
+
 from .edf import StageLabel
 from .evaluation import ConfusionMatrix, DISPLAY_COL_ORDER, DISPLAY_ROW_ORDER
 
@@ -49,7 +51,7 @@ def hypnogram_svg(predicted, indices=None, reference=None,
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{title}</text>',
+        f'font-family="sans-serif" font-size="13">{escape(title, quote=False)}</text>',
     ]
     for stage, level in _HYPNO_LEVEL.items():
         y = margin_t + level * dy
@@ -86,7 +88,7 @@ def confusion_heatmap_svg(cm: ConfusionMatrix, title: str = "Confusion matrix") 
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{title}</text>',
+        f'font-family="sans-serif" font-size="13">{escape(title, quote=False)}</text>',
     ]
     for j, col_stage in enumerate(DISPLAY_COL_ORDER):
         x = margin_l + j * cell + cell / 2

@@ -236,7 +236,8 @@ def train(epochs: EpochSet,
 
 
 def write_training_log(rows: Sequence[LogRow], path) -> None:
-    """Append-only CSV: pass, step, train_loss, val_overall_acc, val_kappa, val_macro_f1."""
+    """Write the log as CSV: pass, step, train_loss, val_overall_acc, val_kappa,
+    val_macro_f1; an existing file is overwritten."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pass", "step", "train_loss", "val_overall_acc",

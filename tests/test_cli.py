@@ -421,6 +421,12 @@ class TestTrainEvalPredict:
             assert (eval_out / name).is_file(), name
         svg = (eval_out / "hypnogram.svg").read_text()
         assert svg.startswith("<svg") and "predicted" in svg
+        for name in ("roc.csv", "pr.csv", "auc.csv"):
+            with open(eval_out / name, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows, name
+            for row in rows:
+                [float(cell) for cell in row[1:]]  # plain numbers, no numpy reprs
 
         metrics_train = json.loads((out / "metrics.json").read_text())
         metrics_eval = json.loads((eval_out / "metrics.json").read_text())

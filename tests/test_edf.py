@@ -1,6 +1,7 @@
 """Parsing, calibration, hypnogram handling, epoching, and cache round trips."""
 import datetime as dt
 import logging
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,9 @@ EMBEDDED_NIGHT = build_edf(
      encode_annotation_signal([(0.0, 30.0, "W"), (30.0, 30.0, "2")], record_count=2,
                               record_duration=30.0, samples_per_record=64)],
     record_count=2, record_duration=Fraction(30))
+# byte offset of each record's 128 annotation bytes in EMBEDDED_NIGHT
+EMBEDDED_ANNOTATIONS = [768 + r * 2 * (300 + 64) + 2 * 300 for r in range(2)]
+TAL_TIMES = ["+0", "+30", "-30", "+60", "", "+nan", "-inf", "+inf", "+1e400", "+1e308"]
 
 
 class TestParse:
@@ -74,6 +78,7 @@ class TestParse:
         assert header.signal_count == 1
         assert header.record_count == 2
         assert len(signals[0]) == 6000
+        assert signals[0].dtype == np.int16
 
     def test_fields_decoded(self):
         header, _ = parse_edf(one_signal_file())
@@ -129,6 +134,23 @@ class TestParse:
                 read(bytes(data))
             except DataError:
                 pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(EMBEDDED_ANNOTATIONS), st.integers(0, 127),
+           st.one_of(st.binary(min_size=1, max_size=16),
+                     st.builds("{}\x15{}\x14Sleep stage W\x14\x00".format,
+                               st.sampled_from(TAL_TIMES),
+                               st.sampled_from(TAL_TIMES)).map(str.encode)))
+    def test_any_annotation_mutation_stages_or_is_data_error(self, block, at, patch):
+        """Bytes written into an annotation record, TALs with non-finite or
+        overflowing times among them, give stage windows or a DataError."""
+        data = bytearray(EMBEDDED_NIGHT)
+        patch = patch[:128 - at]
+        data[block + at:block + at + len(patch)] = patch
+        try:
+            scored_windows(parse_hypnogram(bytes(data)), 2)
+        except DataError:
+            pass
 
     def test_truncated_records(self):
         data = one_signal_file()
@@ -277,6 +299,13 @@ class TestHypnogram:
     def test_overlapping_intervals(self):
         with pytest.raises(OverlappingAnnotations):
             parse_hypnogram([(0.0, 60.0, "W"), (30.0, 30.0, "1")])
+
+    @pytest.mark.parametrize("onset, duration", [
+        (float("nan"), 30.0), (float("inf"), 30.0), (0.0, float("inf")),
+        (0.0, float("nan")), (1e308, 1e308), (60.0, -30.0)])
+    def test_non_finite_or_negative_times(self, onset, duration):
+        with pytest.raises(DataError, match=re.escape(f"stage annotation 'W' at {onset}s")):
+            parse_hypnogram([(0.0, 30.0, "2"), (onset, duration, "W")])
 
     def test_annotation_signal_round_trip(self):
         intervals = [(0.0, 1800.0, "W"), (1800.0, 900.0, "1"), (2700.0, 60.0, "M")]

@@ -368,10 +368,15 @@ class TestEvaluate:
     def test_order_sorted_by_subject_then_index(self):
         cfg = micro_model_config()
         mp = init_params(cfg, seed=0)
-        epochs = epoch_set(np.zeros((3, 64)), [StageLabel.W] * 3, ["b", "a", "a"],
+        rows = np.random.default_rng(3).normal(size=(3, 64))
+        epochs = epoch_set(rows, [StageLabel.W, StageLabel.R, StageLabel.N1], ["b", "a", "a"],
                            epoch_index=[0, 1, 0])
         result = evaluate(mp, epochs)
-        assert result.order == [("a", 0), ("a", 1), ("b", 0)]
+        # (a, 0), (a, 1), (b, 0) are rows 2, 1, 0
+        assert result.y_true.tolist() == [StageLabel.N1, StageLabel.R, StageLabel.W]
+        expect = predict_probabilities(mp, rows[[2, 1, 0]])
+        np.testing.assert_array_equal(result.probabilities, expect)
+        np.testing.assert_array_equal(result.y_pred, expect.argmax(axis=1))
 
 
 class TestFloat32Inference:

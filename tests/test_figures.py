@@ -1,5 +1,8 @@
 """SVG figure generation: structure, determinism, row normalization."""
+from xml.dom import minidom
+
 import numpy as np
+import pytest
 
 from sleepstage.evaluation import ConfusionMatrix
 from sleepstage.figures import confusion_heatmap_svg, hypnogram_svg
@@ -51,3 +54,13 @@ class TestHeatmapSvg:
         counts = np.random.default_rng(1).integers(0, 50, size=(5, 5))
         cm = ConfusionMatrix(counts)
         assert confusion_heatmap_svg(cm) == confusion_heatmap_svg(cm)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda title: hypnogram_svg([4, 3, 2], reference=[4, 4, 2], title=title),
+    lambda title: confusion_heatmap_svg(ConfusionMatrix(np.eye(5, dtype=int)), title=title),
+], ids=["hypnogram", "heatmap"])
+def test_title_is_escaped_text(draw):
+    title = "night&1 <a> \"b\" 'c'"
+    doc = minidom.parseString(draw(title))
+    assert doc.getElementsByTagName("text")[0].firstChild.data == title

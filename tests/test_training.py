@@ -295,7 +295,8 @@ class TestTrainLoop:
         fresh = evaluation.evaluate(result.params, epochs, idx[20:])
         np.testing.assert_array_equal(result.validation.probabilities, fresh.probabilities)
         assert result.validation.cm == fresh.cm
-        assert result.validation.order == fresh.order
+        np.testing.assert_array_equal(result.validation.y_true, fresh.y_true)
+        np.testing.assert_array_equal(result.validation.y_pred, fresh.y_pred)
 
     def test_log_csv_layout(self, tmp_path):
         epochs = tiny_dataset()
