@@ -8,7 +8,9 @@ central finite differences in the test suite. Conventions that matter:
 * max pools route gradient to the first maximal index,
 * the soft-threshold subgradient at |x| == tau is 0,
 * a tensor keeps a float32 or float64 array as it is and makes anything else
-  float64; training runs in float64, eval-mode inference in float32,
+  float64; each training step and eval-mode inference compute in float32,
+  while master weights, optimizer state, checkpoints and the gradient checks
+  stay float64,
 * everything is contiguous, batch-outermost.
 """
 from __future__ import annotations

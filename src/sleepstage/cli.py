@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cache, evaluation, fetch, figures, training
+from . import cache, evaluation, figures, training
 from .autograd import load_arrays, save_arrays
 from .config import (
     DATASET_ROOT_ENV,
@@ -258,6 +258,8 @@ def _write_curves_csv(curves: dict[int, evaluation.CurveSet], out_dir: Path) -> 
 # --- commands ---
 
 def cmd_fetch(args) -> int:
+    from . import fetch  # urllib, http.client and ssl load only for this command
+
     if args.retries < 1:
         raise ConfigError(f"--retries must be >= 1, got {args.retries}")
     if not 0 <= args.backoff < float("inf"):

@@ -135,6 +135,9 @@ def build_run_config(file_values: dict[str, str] | None = None,
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
 
+    for key in ("dataset.root", "cache.dir", "output.dir"):
+        if "\0" in values.get(key, ""):  # no file system takes it
+            raise ConfigError(f"{key}: a path cannot hold a NUL character")
     root = values.get("dataset.root") or os.environ.get(DATASET_ROOT_ENV)
     if not root:
         raise ConfigError(
@@ -184,5 +187,9 @@ def load_run_config(path: str | Path | None,
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file {p} does not exist")
-        file_values = parse_kv_text(p.read_text(), source=str(p))
+        try:
+            text = p.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {p} is not UTF-8 text: {exc}") from None
+        file_values = parse_kv_text(text, source=str(p))
     return build_run_config(file_values, overrides)

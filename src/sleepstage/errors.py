@@ -102,6 +102,10 @@ class EmptySplit(DataError):
     pass
 
 
+class NonFiniteLoss(SleepStageError):
+    """A training step's loss or global gradient norm is NaN or infinite."""
+
+
 # --- evaluation ---
 
 class UndefinedMetric(SleepStageError):

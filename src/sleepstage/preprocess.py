@@ -31,8 +31,8 @@ class AugmentConfig:
     def __post_init__(self):
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError(f"flip_probability {self.flip_probability} outside [0, 1]")
-        if self.noise_fraction < 0.0:
-            raise ValueError(f"noise_fraction {self.noise_fraction} < 0")
+        if not 0.0 <= self.noise_fraction < np.inf:  # NaN fails too
+            raise ValueError(f"noise_fraction must be finite and >= 0, got {self.noise_fraction}")
 
 
 def compute_stats(samples: np.ndarray) -> NormalizationStats:

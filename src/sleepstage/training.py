@@ -4,6 +4,14 @@ The loss weights each sample by w[class] = clamp(ln(1/p(class)), 1, 5) with
 p taken from the training split only, and averages a batch as
 sum(w_i * ce_i) / sum(w_i). Shuffling and augmentation draw from separate
 seeded RNG streams so runs are bit-reproducible.
+
+Every training step computes its forward and backward pass in float32 on a
+working copy of the model; the master weights, the Adam moments, the
+batch-norm running stats and every checkpoint stay float64 (mixed precision
+with full-precision master weights, Micikevicius et al. 2018,
+arXiv:1710.03740). The copy's float32 gradients are cast to float64 before
+the Adam update, and a loss or global gradient norm that is not finite stops
+the run before the update.
 """
 from __future__ import annotations
 
@@ -17,7 +25,7 @@ from . import autograd as ag
 from . import evaluation
 from .autograd import ParamTensor, Tensor
 from .edf import EpochSet
-from .errors import EmptySplit, MissingGradient, ShapeMismatch, ZeroProportion
+from .errors import EmptySplit, MissingGradient, NonFiniteLoss, ShapeMismatch, ZeroProportion
 from .model import ModelConfig, ModelParams, init_params, model_forward
 from .preprocess import AugmentConfig, augment
 
@@ -37,8 +45,14 @@ class TrainConfig:
     checkpoint_every: int = 0  # passes between periodic checkpoints; 0 = off
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        # written as `not (in range)` so that NaN fails too
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.adam_eps < np.inf:
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_passes < 1:
@@ -179,6 +193,12 @@ def train(epochs: EpochSet,
     weights = class_weights(proportions_from_labels(labels[train_idx]))
 
     mp = initial.copy() if initial is not None else init_params(model_cfg, seed=cfg.seed)
+    # the float32 working copy shares mp's running stats, so each training-mode
+    # forward on it folds its batch statistics into mp's float64 stats
+    work = ModelParams(mp.cfg, bn_stats=mp.bn_stats)
+    work.params = {name: ParamTensor(name, p.data.astype(np.float32))
+                   for name, p in mp.params.items()}
+    pairs = list(zip(mp.parameters(), work.parameters()))
     state = AdamState(mp.parameters())
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_SHUFFLE_STREAM,)))
@@ -200,11 +220,19 @@ def train(epochs: EpochSet,
                     rows[j] = augment(rows[j], augment_cfg, np.random.default_rng(
                         np.random.SeedSequence(augment_cfg.rng_seed,
                                                spawn_key=(_AUGMENT_STREAM, p, int(i)))))
-            x = Tensor(rows[:, None, :])
-            logits = model_forward(mp, x, training=True)
+            for master, w in pairs:
+                w.data[...] = master.data
+                w.zero_grad()
+            x = Tensor(rows.astype(np.float32)[:, None, :])
+            logits = model_forward(work, x, training=True)
             loss = weighted_ce_loss(logits, labels[batch], weights)
-            mp.zero_grad()
             loss.backward()
+            for master, w in pairs:
+                master.grad = None if w.grad is None else w.grad.astype(np.float64)
+            norm = np.sqrt(sum(np.vdot(m.grad, m.grad) for m, _ in pairs if m.grad is not None))
+            if not (np.isfinite(loss.item()) and np.isfinite(norm)):
+                raise NonFiniteLoss(f"training stopped at pass {p}, step {state.step + 1}: "
+                                    f"loss {loss.item()}, gradient norm {norm}")
             adam_step(mp.parameters(), state, cfg)
             losses.append(loss.item())
 

@@ -17,8 +17,10 @@ from sleepstage import cache, cli, errors, fetch
 from sleepstage.autograd import load_arrays, save_arrays
 from sleepstage.config import (
     DATASET_ROOT_ENV,
+    RunConfig,
     build_run_config,
     format_kv,
+    load_run_config,
     parse_kv_text,
 )
 from sleepstage.edf import StageLabel, build_edf, encode_annotation_signal
@@ -112,6 +114,18 @@ def _edited(values: dict, edits: dict) -> dict:
     return {k: v for k, v in out.items() if v is not None}
 
 
+# config text of real keys with values near their bounds, so that the
+# property below reaches past parse_kv_text into build_run_config
+CONFIG_KEYS = sorted(build_run_config({"dataset.root": "/data"}).resolved())
+CONFIG_LINE = st.tuples(
+    st.sampled_from(CONFIG_KEYS),
+    st.sampled_from(["0", "1", "-1", "3", "0.5", "1e999", "nan", "2,2,2", "8,4,4", "",
+                     "kfold", "holdout", "true", "/data", "a\0b"]) | st.text(max_size=8),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+CONFIG_TEXT = st.lists(CONFIG_LINE, max_size=6).map(
+    lambda lines: "\n".join(["dataset.root = /data", *lines]).encode())
+
+
 class TestConfigFormat:
     def test_parse_kv(self):
         values = parse_kv_text("# comment\n\na.b = 1\nc = hello = world\n")
@@ -124,6 +138,44 @@ class TestConfigFormat:
     def test_format_round_trip(self):
         values = {"b.key": "2", "a.key": "x"}
         assert parse_kv_text(format_kv(values)) == values
+
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"train.seed = \xff\xfe\n")
+        assert run_cli("preprocess", "--config", cfg) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config file {cfg} is not UTF-8 text")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64) | CONFIG_TEXT)
+    def test_any_bytes_give_run_config_or_config_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("config") / "run.cfg"
+        path.write_bytes(blob)
+        try:
+            rc = load_run_config(path)
+        except ConfigError:
+            return
+        assert isinstance(rc, RunConfig)
+        assert all("\0" not in str(p) for p in (rc.dataset_root, rc.cache_dir, rc.output_dir))
+        again = build_run_config(parse_kv_text(format_kv(rc.resolved())))
+        assert again.resolved() == rc.resolved()
+
+    @pytest.mark.parametrize("key, value", [
+        ("train.learning_rate", "nan"), ("train.learning_rate", "inf"),
+        ("train.adam_beta1", "1"), ("train.adam_beta2", "-0.1"), ("train.adam_beta2", "nan"),
+        ("train.adam_eps", "0"), ("train.adam_eps", "nan"),
+        ("augment.noise_fraction", "nan"), ("augment.noise_fraction", "inf")])
+    def test_non_finite_or_out_of_range_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key.split(".")[1]):
+            build_run_config({"dataset.root": "/data", key: value})
+
+    @pytest.mark.parametrize("key", ["dataset.root", "cache.dir", "output.dir"])
+    def test_nul_in_a_path_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"dataset.root = {tmp_path}\n{key} = a\0b\n".encode())
+        assert run_cli("preprocess", "--config", cfg) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: {key}: a path cannot hold a NUL character\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -212,6 +264,7 @@ EXIT_TABLE = {
     "NonScalarLoss": (4, "runtime"),
     "GraphConsumed": (4, "runtime"),
     "MissingGradient": (4, "runtime"),
+    "NonFiniteLoss": (4, "runtime"),
     "UndefinedMetric": (4, "runtime"),
     "NetworkFailure": (4, "network"),
     "ConfigError": (2, "configuration"),

@@ -10,7 +10,8 @@ from sleepstage import evaluation
 from sleepstage import training as tr
 from sleepstage.autograd import Tensor
 from sleepstage.edf import StageLabel
-from sleepstage.errors import EmptySplit, MissingGradient, ZeroProportion
+from sleepstage.errors import EmptySplit, MissingGradient, NonFiniteLoss, ZeroProportion
+from sleepstage.model import ModelConfig, init_params, model_forward
 from sleepstage.training import (
     AdamState,
     TrainConfig,
@@ -310,3 +311,102 @@ class TestTrainLoop:
         assert len(lines) == 2
         first = lines[1].split(",")
         assert first[0] == "1" and int(first[1]) == 5  # 20 epochs / batch 4
+
+
+def spy_adam_steps(monkeypatch) -> list:
+    """Record (gradient copies by name, Adam state) for each `adam_step` call."""
+    steps = []
+    original = tr.adam_step
+
+    def spy(params, state, cfg):
+        steps.append(({p.name: p.grad.copy() for p in params}, state))
+        original(params, state, cfg)
+
+    monkeypatch.setattr(tr, "adam_step", spy)
+    return steps
+
+
+class TestMixedPrecision:
+    """Each step runs forward and backward in float32 on a working copy; the
+    float64 master weights, Adam moments and running stats take the update."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_step_matches_float64_step(self, seed, monkeypatch):
+        epochs = sine_epochs(10, seed=seed)
+        train_idx, val_idx = np.arange(8), np.arange(8, 10)
+        initial = init_params(ModelConfig(), seed=seed)
+        forwards = []
+        forward = tr.model_forward
+
+        def spy_forward(mp, x, training=False):
+            forwards.append((mp, x.data.dtype))
+            return forward(mp, x, training)
+
+        monkeypatch.setattr(tr, "model_forward", spy_forward)
+        steps = spy_adam_steps(monkeypatch)
+        result = train(epochs, train_idx, val_idx,
+                       TrainConfig(batch_size=8, max_passes=1, seed=seed), ModelConfig(),
+                       initial=initial)
+        [(work, x_dtype)] = forwards
+        assert x_dtype == np.float32
+        assert all(p.data.dtype == p.grad.dtype == np.float32 for p in work.parameters())
+        [(grads, _)] = steps
+
+        # the same step in float64 on the master weights
+        reference = initial.copy()
+        x = Tensor(epochs.samples[train_idx].astype(np.float64)[:, None, :])
+        weights = class_weights(proportions_from_labels(epochs.labels[train_idx]))
+        loss = weighted_ce_loss(model_forward(reference, x, training=True),
+                                epochs.labels[train_idx], weights)
+        loss.backward()
+        assert result.log[0].train_loss == pytest.approx(loss.item(), rel=1e-4)
+        # the float32 batch statistics reach the master's float64 running stats
+        for name, want in reference.bn_stats.items():
+            got = result.final_params.bn_stats[name]
+            np.testing.assert_allclose(got.mean, want.mean, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(got.var, want.var, rtol=1e-4, atol=1e-6)
+        # One global bound: a conv bias ahead of a batch norm has a ~1e-17
+        # float64 gradient, so per-tensor relative bounds would be noise.
+        # Rounding alone leaves a ~1e-6 gap. A max-pool window whose two
+        # largest values differ by less than float32 resolution can route
+        # its gradient to the other index; with seed 1 one such window, in
+        # block 0's pool, moves the global gradient by 3.1e-3.
+        diff = sum(np.sum((grads[p.name] - p.grad) ** 2) for p in reference.parameters())
+        norm = sum(np.sum(p.grad ** 2) for p in reference.parameters())
+        assert norm > 0 and np.sqrt(diff / norm) <= 1e-2
+
+    def test_master_state_stays_float64(self, monkeypatch):
+        steps = spy_adam_steps(monkeypatch)
+        epochs = tiny_dataset()
+        idx = np.arange(len(epochs))
+        result = train(epochs, idx[:20], idx[20:], TrainConfig(max_passes=2, batch_size=4),
+                       micro_model_config())
+        assert len(steps) == 10
+        for grads, _ in steps:
+            assert all(g.dtype == np.float64 for g in grads.values())
+        state = steps[-1][1]
+        for name in state.m:
+            assert state.m[name].dtype == state.v[name].dtype == np.float64, name
+        for mp in (result.params, result.final_params):
+            assert all(p.data.dtype == np.float64 for p in mp.parameters())
+            for s in mp.bn_stats.values():
+                assert s.mean.dtype == s.var.dtype == np.float64
+            for name, a in mp.state_arrays().items():
+                assert a.dtype == np.float64, name
+
+    def test_nan_row_stops_the_run_before_the_update(self, monkeypatch):
+        epochs = tiny_dataset()
+        epochs.samples[7] = np.nan  # a training row
+        idx = np.arange(len(epochs))
+        initial = init_params(micro_model_config(), seed=0)
+        before = {name: a.copy() for name, a in initial.state_arrays().items()}
+        steps = spy_adam_steps(monkeypatch)
+        with pytest.raises(NonFiniteLoss) as exc:
+            train(epochs, idx[:20], idx[20:], TrainConfig(max_passes=2, batch_size=4),
+                  micro_model_config(), initial=initial)
+        assert f"pass 1, step {len(steps) + 1}: loss nan" in str(exc.value)
+        for grads, state in steps:  # the steps before the NaN batch updated normally
+            assert state.step == len(steps)
+            assert all(np.isfinite(g).all() for g in grads.values())
+        for name, a in initial.state_arrays().items():
+            assert a.tobytes() == before[name].tobytes(), name
