@@ -16,7 +16,9 @@ central finite differences in the test suite. Conventions that matter:
 from __future__ import annotations
 
 import math
+import os
 import struct
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -505,58 +507,79 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
 # --- named-parameter checkpoint container ---
 
 _CKPT_MAGIC = b"NPC1"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
-def save_arrays(arrays: dict[str, np.ndarray], path) -> None:
-    """Write named float64 arrays: magic, version, count, then per entry
-    name length + UTF-8 name, rank, dims, little-endian float64 payload.
+def save_arrays(arrays: dict[str, np.ndarray], manifest: str, path) -> None:
+    """Write a manifest text and named float64 arrays: magic, version,
+    manifest length + UTF-8 manifest, count, then per entry name length +
+    UTF-8 name, rank, dims, little-endian float64 payload.
+
+    The bytes go to `<path>.tmp` and replace `path` in one rename, so `path`
+    holds either its old bytes or all the new ones.
     """
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", _CKPT_VERSION))
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    text = manifest.encode("utf-8")
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<II", _CKPT_VERSION, len(text)))
+            fh.write(text)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def load_arrays(path) -> dict[str, np.ndarray]:
+def load_arrays(path) -> tuple[str, dict[str, np.ndarray]]:
+    """(manifest text, named arrays) of a container `save_arrays` wrote."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 12 or blob[:4] != _CKPT_MAGIC:
+    if len(blob) < 8 or blob[:4] != _CKPT_MAGIC:
         raise TruncatedFile(f"{path}: not a parameter container")
-    version, count = struct.unpack_from("<II", blob, 4)
+    (version,) = struct.unpack_from("<I", blob, 4)
     if version != _CKPT_VERSION:
         raise TruncatedFile(f"{path}: unsupported container version {version}")
-    off = 12
+    off = 8
+    part = "the manifest"
     out: dict[str, np.ndarray] = {}
 
     def take(nbytes: int) -> int:
         """Offset of the next `nbytes` bytes, which must lie inside the file."""
         nonlocal off
         if off + nbytes > len(blob):
-            raise TruncatedFile(f"{path}: container ends inside entry {len(out)}")
+            raise TruncatedFile(f"{path}: container ends inside {part}")
         off += nbytes
         return off - nbytes
 
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", blob, take(4))
-        start = take(nlen)
+    def text(what: str) -> str:
+        """The next length-prefixed UTF-8 string, which `what` names in errors."""
+        (nbytes,) = struct.unpack_from("<I", blob, take(4))
+        start = take(nbytes)
         try:
-            name = blob[start:off].decode("utf-8")
+            return blob[start:off].decode("utf-8")
         except UnicodeDecodeError:
-            raise TruncatedFile(f"{path}: entry {len(out)} has a name that is not UTF-8") from None
+            raise TruncatedFile(f"{path}: {what} is not UTF-8 text") from None
+
+    manifest = text("the manifest")
+    (count,) = struct.unpack_from("<I", blob, take(4))
+    for i in range(count):
+        part = f"entry {i}"
+        name = text(f"the name of entry {i}")
         (rank,) = struct.unpack_from("<I", blob, take(4))
         dims = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank))
         n = math.prod(dims)
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).reshape(dims)
         out[name] = arr.astype(np.float64)
-    return out
+    return manifest, out
 
 
 def finite_difference_grad(f: Callable[[], Tensor], param: Tensor,

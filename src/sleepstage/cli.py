@@ -3,7 +3,10 @@
 Exit codes: 0 success, 2 configuration problems, 3 data problems,
 4 runtime/network problems. Every run copies its resolved configuration
 into the output directory; all artifacts are byte-deterministic given
-(config, seed, corpus).
+(config, seed, corpus). A checkpoint is one file: its container holds the
+named arrays and a manifest of configuration keys (`dataset.channel`, every
+`model.*` key, the `split.*` keys the split's kind uses), so it says by
+itself which model, channel and split it holds.
 """
 from __future__ import annotations
 
@@ -28,8 +31,8 @@ from .config import (
     format_kv,
     load_run_config,
     parse_kv_text,
-    split_from_manifest,
-    split_manifest,
+    section_from_manifest,
+    section_manifest,
 )
 from .edf import (
     EPOCH_SECONDS,
@@ -52,7 +55,7 @@ from .errors import (  # the EXIT_* codes are re-exported for callers of main()
     SleepStageError,
 )
 from .evaluation import ConfusionMatrix, FoldSplit, SplitConfig
-from .model import ModelConfig, ModelParams
+from .model import ModelParams
 from .preprocess import compute_stats, normalize
 
 log = logging.getLogger("sleepstage")
@@ -96,11 +99,9 @@ def _write_resolved(rc: RunConfig, out_dir: Path) -> None:
     (out_dir / "config.resolved").write_text(format_kv(rc.resolved()))
 
 
-def _file_fingerprint(path: Path, data: bytes) -> dict[str, str]:
-    """Size and mtime of `path`, and the sha256 of `data`, its bytes."""
-    stat = path.stat()
-    digest = hashlib.sha256(data).hexdigest()
-    return {"size": str(stat.st_size), "mtime_ns": str(stat.st_mtime_ns), "sha256": digest}
+def _file_fingerprint(data: bytes) -> dict[str, str]:
+    """Size and sha256 of `data`, a source file's bytes."""
+    return {"size": str(len(data)), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def discover_recordings(dataset_root: Path) -> list[tuple[Path, Path | None, str, str]]:
@@ -145,48 +146,34 @@ def _read_night(psg_bytes: bytes, hyp_bytes: bytes | None, channel: str, subject
     return rec, stats, stages
 
 
-# --- checkpoint container + adjacent manifest ---
+# --- checkpoints: one container holding the manifest and the arrays ---
 
 def save_checkpoint(mp: ModelParams, path: Path, channel: str, split: SplitConfig) -> None:
-    save_arrays(mp.state_arrays(), path)
-    meta = {
-        "channel": channel,
-        "stats.version": "1",
-        "model": json.dumps(mp.cfg.to_dict(), sort_keys=True),
-        **split_manifest(split),
-    }
-    Path(str(path) + ".meta").write_text(format_kv(meta))
+    manifest = {"dataset.channel": channel, **section_manifest("model", mp.cfg),
+                **section_manifest("split", split)}
+    save_arrays(mp.state_arrays(), format_kv(manifest), path)
 
 
 def load_checkpoint(path: Path, channel: str | None) -> tuple[ModelParams, dict[str, str]]:
     """The checkpoint and its manifest, which must name `channel` when one is given."""
-    meta_path = Path(str(path) + ".meta")
     if not Path(path).is_file():
         raise ConfigError(f"checkpoint {path} does not exist")
-    if not meta_path.is_file():
-        raise ConfigMismatch(f"checkpoint manifest {meta_path} is missing")
+    text, arrays = load_arrays(path)
     try:
-        meta = parse_kv_text(meta_path.read_text(encoding="utf-8"), source=str(meta_path))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"checkpoint manifest {meta_path} is not UTF-8 text: {exc}") from None
+        manifest = parse_kv_text(text, source=f"checkpoint manifest {path}")
     except ConfigError as exc:
         raise DataError(str(exc)) from None
-    for key in ("channel", "model"):
-        if key not in meta:
-            raise DataError(f"checkpoint manifest {meta_path} lacks {key!r}")
-    try:
-        cfg = ModelConfig.from_dict(json.loads(meta["model"]))
-    except (DataError, ValueError, TypeError) as exc:
-        raise DataError(f"checkpoint manifest {meta_path}: bad 'model' entry: {exc}") from None
-    arrays = load_arrays(path)
+    if "dataset.channel" not in manifest:
+        raise DataError(f"checkpoint manifest {path} lacks 'dataset.channel'")
+    cfg = section_from_manifest("model", manifest, path)
     try:
         mp = ModelParams.from_state(cfg, arrays)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if channel is not None and channel != meta["channel"]:
-        raise ConfigMismatch(
-            f"checkpoint was trained on channel {meta['channel']!r}, run asks for {channel!r}")
-    return mp, meta
+    if channel is not None and channel != manifest["dataset.channel"]:
+        raise ConfigMismatch(f"checkpoint was trained on channel "
+                             f"{manifest['dataset.channel']!r}, run asks for {channel!r}")
+    return mp, manifest
 
 
 # --- metrics serialization ---
@@ -287,10 +274,9 @@ def cmd_preprocess(args) -> int:
         src_path = rc.cache_dir / f"{cache_name}.src"
         psg_bytes = psg.read_bytes()
         hyp_bytes = None if hyp is None else hyp.read_bytes()
-        fingerprint = {f"psg.{k}": v for k, v in _file_fingerprint(psg, psg_bytes).items()}
+        fingerprint = {f"psg.{k}": v for k, v in _file_fingerprint(psg_bytes).items()}
         if hyp is not None:
-            fingerprint.update(
-                {f"hyp.{k}": v for k, v in _file_fingerprint(hyp, hyp_bytes).items()})
+            fingerprint.update({f"hyp.{k}": v for k, v in _file_fingerprint(hyp_bytes).items()})
         fingerprint["channel"] = rc.channel
         # .src holds what this code writes below; any other content means a stale cache
         src_text = format_kv(fingerprint).encode()
@@ -381,9 +367,9 @@ def cmd_eval(args) -> int:
     rc = _run_config(args)
     out_dir = rc.output_dir
     _write_resolved(rc, out_dir)
-    mp, meta = load_checkpoint(Path(args.checkpoint), rc.channel)
+    mp, manifest = load_checkpoint(Path(args.checkpoint), rc.channel)
     epochs = _load_cache(rc, mp.cfg.input_length, "checkpoint expects")
-    split = split_from_manifest(meta, f"{args.checkpoint}.meta")
+    split = section_from_manifest("split", manifest, args.checkpoint)
     fold_split, [(_, _, val_idx, _)], split_desc = evaluation.plan_folds(epochs, split)
     _write_split_log(fold_split, out_dir / "split.json")
 
@@ -405,8 +391,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    mp, meta = load_checkpoint(Path(args.checkpoint), args.channel or None)
-    channel = args.channel or meta["channel"]
+    mp, manifest = load_checkpoint(Path(args.checkpoint), args.channel or None)
+    channel = args.channel or manifest["dataset.channel"]
     out_dir = Path(args.out or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -163,21 +163,27 @@ def build_run_config(file_values: dict[str, str] | None = None,
     )
 
 
-def split_manifest(split: SplitConfig) -> dict[str, str]:
-    """The checkpoint manifest's `split.<field>` entries: the fields the kind uses."""
-    return _format_section("split", split, split.used_fields())
+def _manifest_fields(prefix: str, section) -> tuple[str, ...]:
+    """Every model field; the split fields the split's kind uses."""
+    return section.used_fields() if prefix == "split" else tuple(_section_fields(prefix))
 
 
-def split_from_manifest(meta: dict[str, str], source: str) -> SplitConfig:
-    """The split a checkpoint manifest records; each field its kind uses must be there."""
+def section_manifest(prefix: str, section) -> dict[str, str]:
+    """The checkpoint manifest's `prefix.<field>` entries for `section`."""
+    return _format_section(prefix, section, _manifest_fields(prefix, section))
+
+
+def section_from_manifest(prefix: str, manifest: dict[str, str], source):
+    """The `prefix` section a checkpoint manifest records; each of its
+    manifest fields must be there."""
     try:
-        split = _build_section("split", meta, seed_key="split.seed")
+        section = _build_section(prefix, manifest, seed_key=f"{prefix}.seed")
     except ConfigError as exc:
         raise DataError(f"checkpoint manifest {source}: {exc}") from None
-    for name in split.used_fields():
-        if f"split.{name}" not in meta:
-            raise DataError(f"checkpoint manifest {source} lacks 'split.{name}'")
-    return split
+    for name in _manifest_fields(prefix, section):
+        if f"{prefix}.{name}" not in manifest:
+            raise DataError(f"checkpoint manifest {source} lacks '{prefix}.{name}'")
+    return section
 
 
 def load_run_config(path: str | Path | None,

@@ -9,7 +9,7 @@ Global average pooling and one fully connected layer produce the 5 logits.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,13 @@ class ModelConfig:
         return max(1, self.attention_channels // self.channel_attention_reduction)
 
     def __post_init__(self):
-        if any(k % 2 == 0 for k in self.branch_kernel_sizes):
+        sizes = self.branch_kernel_sizes
+        if not sizes or min(sizes) < 1 or len(set(sizes)) != len(sizes):
+            raise ValueError(f"branch_kernel_sizes must be one or more distinct sizes >= 1, "
+                             f"got {sizes}")
+        if self.spatial_kernel < 1:
+            raise ValueError(f"spatial_kernel must be >= 1, got {self.spatial_kernel}")
+        if any(k % 2 == 0 for k in sizes):
             raise ValueError("branch kernel sizes must be odd (same-padding)")
         if self.spatial_kernel % 2 == 0:
             raise ValueError("spatial_kernel must be odd")
@@ -59,16 +65,6 @@ class ModelConfig:
             if p > width:
                 raise ValueError(f"pool_sizes[{i}] = {p} does not fit the width {width} "
                                  f"it pools (input_length {self.input_length})")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        missing = [f.name for f in fields(cls) if f.name not in d]
-        if missing:
-            raise DataError(f"model configuration lacks {missing}")
-        return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls)})
 
 
 @dataclass

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import json
 import os
+import shutil
+import struct
 import threading
+from dataclasses import fields
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -41,45 +44,61 @@ seed = 11
 """
 
 
-def _meta(ckpt: Path) -> Path:
-    return Path(f"{ckpt}.meta")
-
-
 def _drop_entry(name: str):
     def rewrite(ckpt: Path) -> None:
-        arrays = load_arrays(ckpt)
+        manifest, arrays = load_arrays(ckpt)
         del arrays[name]
-        save_arrays(arrays, ckpt)
+        save_arrays(arrays, manifest, ckpt)
     return rewrite
 
 
-# case -> (manifest edits, model JSON edits, rewrite of the checkpoint files, text the
-# error names); an edit to None deletes the key
+def _append_to_manifest(line: str):
+    def rewrite(ckpt: Path) -> None:
+        manifest, arrays = load_arrays(ckpt)
+        save_arrays(arrays, manifest + line, ckpt)
+    return rewrite
+
+
+def _not_utf8(ckpt: Path) -> None:
+    blob = bytearray(ckpt.read_bytes())
+    blob[12] = 0xFF  # the manifest's first byte
+    ckpt.write_bytes(bytes(blob))
+
+
+# case -> (manifest edits, rewrite of the checkpoint file, text the error names);
+# an edit to None deletes the key
 CORRUPT_CHECKPOINTS = {
-    "channel-None": ({"channel": None}, {}, None, "channel"),
-    "model-None": ({"model": None}, {}, None, "model"),
-    "model-num_classes": ({}, {"num_classes": None}, None, "num_classes"),
-    "model-num_classes-4": ({}, {"num_classes": 4}, None, "num_classes"),
-    "split.fold-None": ({"split.fold": None}, {}, None, "split.fold"),
-    "split.k-three": ({"split.k": "three"}, {}, None, "split.k"),
-    "split.kind-None": ({"split.kind": None}, {}, None, "split.kind"),
-    "split.seed-None": ({"split.seed": None}, {}, None, "split.seed"),
-    "split.seed-negative": ({"split.seed": "-1"}, {}, None, "seed must be >= 0"),
-    "model-truncated": ({"model": '{"branch'}, {}, None, "model"),
-    "model-spatial_kernel": ({}, {"spatial_kernel": 4}, None, "spatial_kernel"),
-    "model-pool_sizes": ({}, {"pool_sizes": [8, 4, 40]}, None, "pool_sizes"),
-    "container-garbage": ({}, {}, lambda ckpt: ckpt.write_bytes(b"garbage" * 20),
+    "channel-None": ({"dataset.channel": None}, None, "dataset.channel"),
+    "model-None": ({f"model.{f.name}": None for f in fields(ModelConfig)}, None, "model."),
+    "model-num_classes": ({"model.num_classes": None}, None, "model.num_classes"),
+    "model-num_classes-4": ({"model.num_classes": "4"}, None, "num_classes"),
+    "split.fold-None": ({"split.fold": None}, None, "split.fold"),
+    "split.k-three": ({"split.k": "three"}, None, "split.k"),
+    "split.kind-None": ({"split.kind": None}, None, "split.kind"),
+    "split.seed-None": ({"split.seed": None}, None, "split.seed"),
+    "split.seed-negative": ({"split.seed": "-1"}, None, "seed must be >= 0"),
+    "model-truncated": ({"model.pool_sizes": "8,4,[4"}, None, "model.pool_sizes"),
+    "model-spatial_kernel": ({"model.spatial_kernel": "4"}, None, "spatial_kernel"),
+    "model-spatial_kernel-negative": ({"model.spatial_kernel": "-1"}, None, "spatial_kernel"),
+    "model-branch_kernel_sizes-empty": ({"model.branch_kernel_sizes": ""}, None,
+                                        "branch_kernel_sizes"),
+    "model-branch_kernel_sizes-duplicate": ({"model.branch_kernel_sizes": "3,3"}, None,
+                                            "branch_kernel_sizes"),
+    "model-branch_kernel_sizes-negative": ({"model.branch_kernel_sizes": "-1"}, None,
+                                           "branch_kernel_sizes"),
+    "model-pool_sizes": ({"model.pool_sizes": "8,4,40"}, None, "pool_sizes"),
+    "container-garbage": ({}, lambda ckpt: ckpt.write_bytes(b"garbage" * 20),
                           "not a parameter container"),
-    "container-truncated": ({}, {}, lambda ckpt: ckpt.write_bytes(ckpt.read_bytes()[:40]),
-                            "container ends inside entry"),
-    "container-running_mean-None": ({}, {}, _drop_entry("branch3.bn1.running_mean"),
+    "container-truncated": ({}, lambda ckpt: ckpt.write_bytes(ckpt.read_bytes()[:40]),
+                            "container ends inside the manifest"),
+    "container-truncated-entry": ({}, lambda ckpt: ckpt.write_bytes(ckpt.read_bytes()[:-40]),
+                                  "container ends inside entry"),
+    "container-running_mean-None": ({}, _drop_entry("branch3.bn1.running_mean"),
                                     "branch3.bn1.running_mean"),
-    "container-head.fc.weight-None": ({}, {}, _drop_entry("head.fc.weight"),
-                                      "head.fc.weight"),
-    "manifest-not-utf8": ({}, {}, lambda ckpt: _meta(ckpt).write_bytes(
-        b"\xff\xfe" + _meta(ckpt).read_bytes()), "fold1.ckpt.meta"),
-    "manifest-line-without-equals": ({}, {}, lambda ckpt: _meta(ckpt).write_bytes(
-        _meta(ckpt).read_bytes() + b"no key value here\n"), "fold1.ckpt.meta"),
+    "container-head.fc.weight-None": ({}, _drop_entry("head.fc.weight"), "head.fc.weight"),
+    "manifest-not-utf8": ({}, _not_utf8, "the manifest is not UTF-8 text"),
+    "manifest-line-without-equals": ({}, _append_to_manifest("no key value here\n"),
+                                     "expected 'key = value'"),
 }
 # every case under `eval` (ids as the case names) and under `predict`
 CORRUPT_CHECKPOINT_RUNS = [
@@ -164,7 +183,10 @@ class TestConfigFormat:
         ("train.learning_rate", "nan"), ("train.learning_rate", "inf"),
         ("train.adam_beta1", "1"), ("train.adam_beta2", "-0.1"), ("train.adam_beta2", "nan"),
         ("train.adam_eps", "0"), ("train.adam_eps", "nan"),
-        ("augment.noise_fraction", "nan"), ("augment.noise_fraction", "inf")])
+        ("augment.noise_fraction", "nan"), ("augment.noise_fraction", "inf"),
+        ("model.branch_kernel_sizes", ""), ("model.branch_kernel_sizes", "3,3"),
+        ("model.branch_kernel_sizes", "-1"), ("model.branch_kernel_sizes", "3,-3"),
+        ("model.spatial_kernel", "-1")])
     def test_non_finite_or_out_of_range_values_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[1]):
             build_run_config({"dataset.root": "/data", key: value})
@@ -350,11 +372,23 @@ class TestPreprocess:
     def test_changed_source_invalidates_cache(self, preprocessed):
         cfg, corpus = preprocessed
         psg = corpus / "subjA-PSG.edf"
-        psg.write_bytes(psg.read_bytes())  # rewrite bumps mtime
+        blob = bytearray(psg.read_bytes())
+        blob[8] = ord("Y") if blob[8] != ord("Y") else ord("Z")  # patient id: same size
+        psg.write_bytes(bytes(blob))
         epochs_file = corpus / "cache" / "subjA__subjA.epochs"
         before = epochs_file.stat().st_mtime_ns
         assert run_cli("preprocess", "--config", cfg) == 0
         assert epochs_file.stat().st_mtime_ns != before
+
+    def test_byte_identical_copy_reuses_cache(self, preprocessed, tmp_path):
+        """The fingerprint is size and content: copies with new mtimes keep the cache."""
+        cfg, corpus = preprocessed
+        copy = tmp_path / "copied"
+        shutil.copytree(corpus, copy, copy_function=shutil.copyfile)  # fresh mtimes
+        os.utime(copy / "subjA-PSG.edf", ns=(1, 1))
+        before = {p.name: p.stat().st_mtime_ns for p in (copy / "cache").iterdir()}
+        assert run_cli("preprocess", "--config", write_config(copy, copy)) == 0
+        assert {p.name: p.stat().st_mtime_ns for p in (copy / "cache").iterdir()} == before
 
     def test_missing_hypnogram_fails_that_file_only(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -455,7 +489,7 @@ class TestTrainEvalPredict:
         assert run_cli("train", "--config", cfg, "--split", "holdout:0.5",
                        "--out", out) == 0
         assert (out / "holdout.ckpt").is_file()
-        assert (out / "holdout.ckpt.meta").is_file()
+        assert not (out / "holdout.ckpt.meta").exists()
         assert (out / "metrics.json").is_file()
         assert (out / "split.json").is_file()
         assert (out / "config.resolved").is_file()
@@ -522,7 +556,7 @@ class TestTrainEvalPredict:
                        "--out", eval_out) == 0
         assert (eval_out / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
 
-    # the split as the .meta manifest and metrics.json record it, byte for byte
+    # the split as the checkpoint manifest and metrics.json record it, byte for byte
     @pytest.mark.parametrize("split, argv, stem, meta_lines, metrics_split", [
         ("kfold:3", ["--fold", 1], "fold1",
          "split.fold = 1\nsplit.k = 3\nsplit.kind = kfold\nsplit.seed = 11\n",
@@ -537,24 +571,21 @@ class TestTrainEvalPredict:
         cfg, corpus = preprocessed
         out = tmp_path / "train"
         assert run_cli("train", "--config", cfg, "--split", split, *argv, "--out", out) == 0
-        meta = (out / f"{stem}.ckpt.meta").read_text().splitlines(keepends=True)
-        assert "".join(line for line in meta if line.startswith("split.")) == meta_lines
+        manifest = load_arrays(out / f"{stem}.ckpt")[0].splitlines(keepends=True)
+        assert "".join(line for line in manifest if line.startswith("split.")) == meta_lines
         assert metrics_split in (out / "metrics.json").read_text()
 
     @pytest.mark.parametrize("case, command", CORRUPT_CHECKPOINT_RUNS)
     def test_incomplete_checkpoint_manifest_is_data_error(self, preprocessed, tmp_path,
                                                           capsys, case, command):
-        manifest_edits, model_edits, rewrite, named = CORRUPT_CHECKPOINTS[case]
+        manifest_edits, rewrite, named = CORRUPT_CHECKPOINTS[case]
         cfg, corpus = preprocessed
         out = tmp_path / "run"
         assert run_cli("train", "--config", cfg, "--split", "kfold:3", "--fold", 1,
                        "--out", out) == 0
         ckpt = out / "fold1.ckpt"
-        meta_path = out / "fold1.ckpt.meta"
-        meta = parse_kv_text(meta_path.read_text())
-        if model_edits:
-            meta["model"] = json.dumps(_edited(json.loads(meta["model"]), model_edits))
-        meta_path.write_text(format_kv(_edited(meta, manifest_edits)))
+        manifest, arrays = load_arrays(ckpt)
+        save_arrays(arrays, format_kv(_edited(parse_kv_text(manifest), manifest_edits)), ckpt)
         if rewrite is not None:
             rewrite(ckpt)
         capsys.readouterr()
@@ -571,6 +602,28 @@ class TestTrainEvalPredict:
         err = capsys.readouterr().err
         assert named in err
         assert "fold1.ckpt" in err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_version1_checkpoint_is_data_error(self, preprocessed, tmp_path, capsys, command):
+        """The two-file layout's container (version 1) has no second reader."""
+        cfg, corpus = preprocessed
+        model_cfg = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8, 4, 4))
+        arrays = init_params(model_cfg, seed=0).state_arrays()
+        blob = b"NPC1" + struct.pack("<II", 1, len(arrays))
+        for name, arr in arrays.items():
+            blob += struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", arr.ndim)
+            blob += struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.astype("<f8").tobytes()
+        ckpt = tmp_path / "old.ckpt"
+        ckpt.write_bytes(blob)
+        if command == "eval":
+            code = run_cli("eval", "--config", cfg, "--checkpoint", ckpt,
+                           "--out", tmp_path / "eval")
+        else:
+            code = run_cli("predict", "--checkpoint", ckpt, "--edf", corpus / "subjA-PSG.edf",
+                           "--out", tmp_path / "pred")
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.endswith(
+            f"data error: {ckpt}: unsupported container version 1\n")
 
     def test_eval_channel_mismatch_is_config_error(self, preprocessed, tmp_path):
         cfg, corpus = preprocessed
@@ -744,6 +797,19 @@ class TestPeriodicCheckpoints:
         assert (out / "holdout_pass1.ckpt").is_file()
         assert (out / "holdout_pass2.ckpt").is_file()
         assert (out / "holdout.ckpt").is_file()
+
+    def test_one_file_per_checkpoint(self, preprocessed, tmp_path):
+        cfg, corpus = preprocessed
+        cfg2 = tmp_path / "periodic.cfg"
+        cfg2.write_text(cfg.read_text() + "train.checkpoint_every = 1\ntrain.max_passes = 2\n")
+        out = tmp_path / "periodic"
+        assert run_cli("train", "--config", cfg2, "--split", "kfold:3", "--out", out) == 0
+        checkpoints = {f"fold{i}{p}.ckpt" for i in range(3) for p in ("", "_pass1", "_pass2")}
+        logs = {f"fold{i}_train_log.csv" for i in range(3)}
+        assert {p.name for p in out.iterdir()} == checkpoints | logs | {
+            "config.resolved", "metrics.json", "split.json"}
+        for name in checkpoints:
+            assert parse_kv_text(load_arrays(out / name)[0])["dataset.channel"] == EEG_CHANNEL
 
 
 class TestDeterminism:

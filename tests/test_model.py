@@ -4,6 +4,7 @@ import pytest
 
 from sleepstage import autograd as ag
 from sleepstage.autograd import Tensor
+from sleepstage.config import format_kv, parse_kv_text, section_from_manifest, section_manifest
 from sleepstage.errors import ShapeMismatch
 from sleepstage.model import (
     ModelConfig,
@@ -65,8 +66,9 @@ class TestConfig:
             ModelConfig(**overrides)
 
     def test_round_trip_dict(self):
-        cfg = micro_model_config()
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = micro_model_config(branch_kernel_sizes=(1, 9), spatial_kernel=5)
+        manifest = parse_kv_text(format_kv(section_manifest("model", cfg)))
+        assert section_from_manifest("model", manifest, "m.ckpt") == cfg
 
     def test_pipeline_widths_default(self):
         assert pipeline_widths(ModelConfig()) == [3000, 375, 93, 23, 23, 1]
@@ -361,10 +363,9 @@ class TestCheckpointState:
         cfg, mp = micro_params(seed=4)
         # make running stats non-trivial before saving
         model_forward(mp, Tensor(RNG.normal(size=(2, 1, 64))), training=True)
-        from sleepstage.autograd import load_arrays, save_arrays
         path = tmp_path / "model.ckpt"
-        save_arrays(mp.state_arrays(), path)
-        back = ModelParams.from_state(cfg, load_arrays(path))
+        ag.save_arrays(mp.state_arrays(), "", path)
+        back = ModelParams.from_state(cfg, ag.load_arrays(path)[1])
         for name in mp.params:
             np.testing.assert_array_equal(back[name].data, mp[name].data)
         for name in mp.bn_stats:
