@@ -10,8 +10,23 @@ central finite differences in the test suite. Conventions that matter:
 * a tensor keeps a float32 or float64 array as it is and makes anything else
   float64; each training step and eval-mode inference compute in float32,
   while master weights, optimizer state, checkpoints and the gradient checks
-  stay float64,
-* everything is contiguous, batch-outermost.
+  stay float64; a tensor's .grad has the tensor's dtype, whatever the dtype
+  of the gradients it receives,
+* arrays are batch-outermost ([B,C,W] or [B,F]).
+
+Gradient ownership: a backward closure never writes into the `g` it is
+handed, nor into an array it passes on. So the first gradient a tensor
+receives becomes its .grad without a copy (only cast to its dtype), and may be
+the same array as another tensor's .grad or a view of it (`add` hands one `g`
+to both parents); a later gradient is added out of place. Code that reads
+.grad must not write into it either.
+
+conv1d runs one matmul per kernel tap over a shifted view of the padded input:
+`kernel[:, :, k] @ x[k:k+W']` for the output, `kernel[:, :, k].T @ g` into the
+input gradient, and `g @ x[k:k+W'].T` summed over the batch for the weight
+gradient, so no [B,Cin,W',K] window matrix is copied. With one input channel
+that matrix is only B*W'*K values and one einsum over it computes the output
+faster than K thin matmuls, so the forward uses it there.
 """
 from __future__ import annotations
 
@@ -83,9 +98,13 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add g to .grad: the first g becomes .grad (cast to this tensor's
+        dtype, without a copy when it already has it); a later one is added
+        out of place, so an array that .grad shares is never written."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.asarray(g, dtype=self.data.dtype)
+        else:
+            self.grad = np.add(self.grad, g, dtype=self.data.dtype)
 
     def backward(self) -> None:
         """Populate .grad on every reachable tensor with requires_grad.
@@ -323,22 +342,30 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         raise ShapeMismatch(f"conv1d: width {width} + 2*{padding} < kernel {ksize}")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    windows = sliding_window_view(xp, ksize, axis=2)[:, :, ::stride, :]  # [B,Cin,W',K]
-    w_out = windows.shape[2]
-    out = np.einsum("biwk,oik->bow", windows, kernel.data, optimize=True)
+    w_out = (width + 2 * padding - ksize) // stride + 1
+    span = stride * (w_out - 1) + 1
+    taps = [xp[:, :, k:k + span:stride] for k in range(ksize)]  # K views [B,Cin,W']
+    if c_in == 1:
+        # one input channel: the [B,1,W',K] window matrix is small, and one
+        # einsum over it beats K thin matmuls
+        windows = sliding_window_view(xp, ksize, axis=2)[:, :, ::stride, :]
+        out = np.einsum("biwk,oik->bow", windows, kernel.data, optimize=True)
+    else:
+        out = kernel.data[:, :, 0] @ taps[0]
+        for k in range(1, ksize):
+            out += kernel.data[:, :, k] @ taps[k]
     out += bias.data[None, :, None]
 
     def _bw(g):
         if kernel.requires_grad:
-            kernel.accumulate_grad(np.einsum("bow,biwk->oik", g, windows, optimize=True))
+            kernel.accumulate_grad(np.stack(
+                [(g @ tap.transpose(0, 2, 1)).sum(axis=0) for tap in taps], axis=2))
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2)))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for k in range(ksize):
-                stop = k + stride * (w_out - 1) + 1
-                gxp[:, :, k:stop:stride] += np.einsum(
-                    "bow,oi->biw", g, kernel.data[:, :, k], optimize=True)
+                gxp[:, :, k:k + span:stride] += kernel.data[:, :, k].T @ g
             x.accumulate_grad(gxp[:, :, padding:padding + width] if padding else gxp)
 
     return make_op(out, (x, kernel, bias), _bw)
@@ -362,12 +389,13 @@ def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
         arg = windows.argmax(axis=3)  # first maximal index
 
     def _bw(g):
-        gx = np.zeros_like(x.data)
-        bidx = np.broadcast_to(np.arange(batch)[:, None, None], arg.shape)
-        cidx = np.broadcast_to(np.arange(chans)[None, :, None], arg.shape)
-        pos = arg + stride * np.arange(w_out)[None, None, :]
-        np.add.at(gx, (bidx, cidx, pos), g)
-        x.accumulate_grad(gx)
+        # flat index of each window's first maximum in x: row (b, c) starts
+        # at (b*C + c)*W; window j starts at stride*j
+        flat = (arg + width * np.arange(batch * chans).reshape(batch, chans, 1)
+                + stride * np.arange(w_out))
+        gx = np.zeros(x.data.size, dtype=x.data.dtype)
+        np.add.at(gx, flat.ravel(), g.ravel())
+        x.accumulate_grad(gx.reshape(x.data.shape))
 
     return make_op(out, (x,), _bw)
 
@@ -388,18 +416,16 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def global_max_pool(x: Tensor) -> Tensor:
     if x.ndim != 3:
         raise ShapeMismatch(f"global_max_pool expects [B,C,W], got {x.shape}")
-    batch, chans, _ = x.data.shape
+    batch, chans, width = x.data.shape
     arg = x.data.argmax(axis=2)
     out = np.take_along_axis(x.data, arg[:, :, None], axis=2)[:, :, 0]
 
     def _bw(g):
         if not x.requires_grad:
             return
-        gx = np.zeros_like(x.data)
-        bidx = np.repeat(np.arange(batch), chans)
-        cidx = np.tile(np.arange(chans), batch)
-        np.add.at(gx, (bidx, cidx, arg.ravel()), g.ravel())
-        x.accumulate_grad(gx)
+        gx = np.zeros(x.data.size, dtype=x.data.dtype)
+        np.add.at(gx, width * np.arange(batch * chans) + arg.ravel(), g.ravel())
+        x.accumulate_grad(gx.reshape(x.data.shape))
 
     return make_op(out, (x,), _bw)
 
@@ -417,9 +443,9 @@ def channel_pool(x: Tensor) -> Tensor:
         if not x.requires_grad:
             return
         gx = np.repeat(g[:, 0:1, :], chans, axis=1) / chans
-        bidx = np.repeat(np.arange(batch), width)
-        widx = np.tile(np.arange(width), batch)
-        np.add.at(gx, (bidx, arg.ravel(), widx), g[:, 1, :].ravel())
+        # flat index of (b, arg[b, w], w) in x is (b*C + arg)*W + w
+        flat = (chans * np.arange(batch)[:, None] + arg) * width + np.arange(width)
+        np.add.at(gx.reshape(-1), flat.ravel(), g[:, 1, :].ravel())
         x.accumulate_grad(gx)
 
     return make_op(out, (x,), _bw)
@@ -459,49 +485,51 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     Training mode uses biased batch statistics and folds them into the
     running stats as running = (1-momentum)*running + momentum*batch.
     """
-    if x.ndim == 3:
-        axes: tuple[int, ...] = (0, 2)
-        bshape = (1, -1, 1)
-    elif x.ndim == 2:
-        axes = (0,)
-        bshape = (1, -1)
-    else:
+    if x.ndim not in (2, 3):
         raise ShapeMismatch(f"batch_norm1d expects [B,C,W] or [B,C], got {x.shape}")
     chans = x.data.shape[1]
     if gamma.data.shape != (chans,) or beta.data.shape != (chans,):
         raise ShapeMismatch(
             f"batch_norm1d: gamma {gamma.shape} / beta {beta.shape} vs {chans} channels")
+    x3 = x.data.reshape(x.data.shape[0], chans, -1)  # [B,C] as [B,C,1]
+    n = x3.shape[0] * x3.shape[2]
 
     if training:
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mu = x3.mean(axis=(0, 2))
+        xhat = x3 - mu[:, None]
+        var = np.einsum("bcw,bcw->c", xhat, xhat) / n
         stats.mean = (1.0 - momentum) * stats.mean + momentum * mu
         stats.var = (1.0 - momentum) * stats.var + momentum * var
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= inv[:, None]
     else:
-        mu, var = stats.mean, stats.var
-
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
-    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+        inv = 1.0 / np.sqrt(stats.var + eps)
+        xhat = (x3 - stats.mean[:, None]) * inv[:, None]
+    out = xhat * gamma.data[:, None]
+    out += beta.data[:, None]
 
     def _bw(g):
+        g3 = g.reshape(x3.shape)
+        dgamma = np.einsum("bcw,bcw->c", g3, xhat)
+        dbeta = g3.sum(axis=(0, 2))
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=axes))
+            gamma.accumulate_grad(dgamma)
         if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=axes))
+            beta.accumulate_grad(dbeta)
         if x.requires_grad:
-            gh = g * gamma.data.reshape(bshape)
+            scale = (gamma.data * inv)[:, None]
             if training:
-                gx = inv.reshape(bshape) * (
-                    gh
-                    - gh.mean(axis=axes, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=axes, keepdims=True)
-                )
+                # gx = gamma*inv*(g - sum(g)/n - xhat*sum(g*xhat)/n), from the
+                # two sums above
+                gx = xhat * (dgamma / n)[:, None]
+                np.subtract(g3, gx, out=gx)
+                gx -= (dbeta / n)[:, None]
+                gx *= scale
             else:
-                gx = gh * inv.reshape(bshape)
-            x.accumulate_grad(gx)
+                gx = g3 * scale
+            x.accumulate_grad(gx.reshape(x.data.shape))
 
-    return make_op(out, (x, gamma, beta), _bw)
+    return make_op(out.reshape(x.data.shape), (x, gamma, beta), _bw)
 
 
 # --- named-parameter checkpoint container ---

@@ -18,7 +18,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -366,10 +366,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     rc = _run_config(args)
     out_dir = rc.output_dir
-    _write_resolved(rc, out_dir)
     mp, manifest = load_checkpoint(Path(args.checkpoint), rc.channel)
-    epochs = _load_cache(rc, mp.cfg.input_length, "checkpoint expects")
     split = section_from_manifest("split", manifest, args.checkpoint)
+    # the split evaluated is the one the checkpoint holds, whatever the config says
+    rc = replace(rc, split=split)
+    _write_resolved(rc, out_dir)
+    epochs = _load_cache(rc, mp.cfg.input_length, "checkpoint expects")
     fold_split, [(_, _, val_idx, _)], split_desc = evaluation.plan_folds(epochs, split)
     _write_split_log(fold_split, out_dir / "split.json")
 
@@ -512,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on its validation split")
-    common(p)
+    common(p, split=False)  # the checkpoint names its split
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -214,16 +214,20 @@ def train(epochs: EpochSet,
         losses = []
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            rows = epochs.samples[batch].astype(np.float64)
+            # one float32 gather (the cache holds float32 rows, so no cast there)
+            rows = epochs.samples[batch].astype(np.float32, copy=False)
             if augment_cfg is not None:
+                # each row is augmented in float64 from its stored values and
+                # rounded into the batch
                 for j, i in enumerate(batch):
-                    rows[j] = augment(rows[j], augment_cfg, np.random.default_rng(
-                        np.random.SeedSequence(augment_cfg.rng_seed,
-                                               spawn_key=(_AUGMENT_STREAM, p, int(i)))))
+                    rows[j] = augment(epochs.samples[i].astype(np.float64), augment_cfg,
+                                      np.random.default_rng(np.random.SeedSequence(
+                                          augment_cfg.rng_seed,
+                                          spawn_key=(_AUGMENT_STREAM, p, int(i)))))
             for master, w in pairs:
                 w.data[...] = master.data
                 w.zero_grad()
-            x = Tensor(rows.astype(np.float32)[:, None, :])
+            x = Tensor(rows[:, None, :])
             logits = model_forward(work, x, training=True)
             loss = weighted_ce_loss(logits, labels[batch], weights)
             loss.backward()

@@ -153,6 +153,34 @@ def reference_max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
     return ag.make_op(out, (x,), _bw)
 
 
+def reference_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
+                     padding: int = 0) -> Tensor:
+    """Conv1d as einsums over the [B,Cin,W',K] window view: one for the output
+    and the weight gradient, one per tap for the input gradient."""
+    width = x.data.shape[2]
+    ksize = kernel.data.shape[2]
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
+    windows = sliding_window_view(xp, ksize, axis=2)[:, :, ::stride, :]  # [B,Cin,W',K]
+    w_out = windows.shape[2]
+    out = np.einsum("biwk,oik->bow", windows, kernel.data, optimize=True)
+    out += bias.data[None, :, None]
+
+    def _bw(g):
+        if kernel.requires_grad:
+            kernel.accumulate_grad(np.einsum("bow,biwk->oik", g, windows, optimize=True))
+        if bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for k in range(ksize):
+                stop = k + stride * (w_out - 1) + 1
+                gxp[:, :, k:stop:stride] += np.einsum(
+                    "bow,oi->biw", g, kernel.data[:, :, k], optimize=True)
+            x.accumulate_grad(gxp[:, :, padding:padding + width] if padding else gxp)
+
+    return ag.make_op(out, (x, kernel, bias), _bw)
+
+
 def reference_multiscale_forward(mp: ModelParams, x: Tensor, training: bool) -> Tensor:
     """Concatenate the branches, then pool the concat."""
     fused = ag.concat([branch_forward(mp, x, k, training)

@@ -13,7 +13,9 @@ from sleepstage.errors import (
     TruncatedFile,
 )
 
-from helpers import reference_max_pool1d, reference_relu
+from sleepstage.training import ClassWeights, weighted_ce_loss
+
+from helpers import reference_conv1d, reference_max_pool1d, reference_relu
 
 RNG = np.random.default_rng(20240917)
 
@@ -79,6 +81,39 @@ class TestConv1d:
         b = Tensor(RNG.normal(size=4), requires_grad=True)
         check_grad(lambda: quadratic_probe(ag.conv1d(x, k, b, stride=stride,
                                                      padding=padding)), [x, k, b])
+
+    # every conv of the default model as (c_in, c_out, k, padding, width): the
+    # branch conv1 and proj (c_in 1), the branch conv2 (c_in 32), the block
+    # convs at each block width and the spatial mix (c_in 96), the spatial gate
+    # (c_in 2); then strided shapes, which the model does not use
+    @pytest.mark.parametrize("c_in,c_out,k,padding,width,stride", [
+        (1, 32, 3, 1, 3000, 1), (1, 32, 5, 2, 3000, 1), (1, 32, 7, 3, 3000, 1),
+        (1, 32, 1, 0, 3000, 1),
+        (32, 32, 3, 1, 3000, 1), (32, 32, 5, 2, 3000, 1), (32, 32, 7, 3, 3000, 1),
+        (96, 96, 3, 1, 375, 1), (96, 96, 3, 1, 93, 1), (96, 96, 3, 1, 23, 1),
+        (96, 96, 1, 0, 375, 1), (2, 1, 3, 1, 375, 1),
+        (1, 4, 3, 1, 11, 2), (3, 4, 3, 1, 11, 3), (3, 4, 4, 0, 12, 2)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_einsum_reference(self, c_in, c_out, k, padding, width, stride, dtype):
+        # float64 within 1e-12 of the reference's largest magnitude; float32
+        # within 2e-5 of it, about 170 float32 epsilons: the weight gradient
+        # sums B*W' = 6000 products in a different order (worst measured 3.3e-6)
+        tol = 1e-12 if dtype == np.float64 else 2e-5
+        rng = np.random.default_rng(c_in * 1000 + k * 10 + stride)
+        x = rng.normal(size=(2, c_in, width)).astype(dtype)
+        kernel = (rng.normal(size=(c_out, c_in, k)) / np.sqrt(c_in * k)).astype(dtype)
+        bias = rng.normal(size=c_out).astype(dtype)
+        results = []
+        for conv in (ag.conv1d, reference_conv1d):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in (x, kernel, bias)]
+            out = conv(*ts, stride=stride, padding=padding)
+            probe = np.linspace(-0.5, 1, out.data.size, dtype=dtype).reshape(out.shape)
+            ag.tensor_sum(ag.mul(out, Tensor(probe))).backward()
+            results.append([out.data] + [t.grad for t in ts])
+        for name, got, want in zip(("output", "x.grad", "kernel.grad", "bias.grad"), *results):
+            assert got.dtype == dtype and got.shape == want.shape, name
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= tol, f"{name}: relative error {err:.2e}"
 
 
 class TestActivations:
@@ -374,6 +409,72 @@ class TestBackward:
         for out in (ag.channel_pool(h), ag.concat([h, h]), ag.softmax(gate),
                     ag.add(pooled, ag.mul(pooled, ag.reshape(gate, (2, 3, 1))))):
             assert out.data.dtype == np.float32
+
+    def test_float32_stays_float32_through_backward(self, monkeypatch):
+        """Every op's output and every gradient stay float32 on float32 inputs,
+        though weighted_ce_loss hands the logits a float64 gradient."""
+        arrived = []  # (tensor, dtype of each gradient it receives)
+        accumulate = Tensor.accumulate_grad
+
+        def spy(t, g):
+            arrived.append((t, g.dtype))
+            accumulate(t, g)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+        rng = np.random.default_rng(5)
+        leaves = []
+
+        def f32(*shape):
+            leaves.append(Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True))
+            return leaves[-1]
+
+        x = f32(2, 3, 16)
+        h = ag.conv1d(x, f32(4, 3, 3), f32(4), padding=1)
+        h = ag.relu(ag.batch_norm1d(h, f32(4), f32(4), RunningStats(4), training=True))
+        h = ag.max_pool1d(h, 2, 2)  # [2,4,8]
+        energy = ag.global_avg_pool(ag.absolute(h))  # [2,4]
+        fc = ag.batch_norm1d(ag.linear(energy, f32(4, 4), f32(4)), f32(4), f32(4),
+                             RunningStats(4), training=True)
+        gate = ag.sigmoid(fc)
+        tau = ag.reshape(ag.mul(gate, energy), (2, 4, 1))
+        h2 = ag.soft_threshold(h, tau)
+        beta = ag.sigmoid(ag.conv1d(ag.channel_pool(h2), f32(1, 2, 3), f32(1), padding=1))
+        h3 = ag.relu(ag.add(ag.mul(h2, beta), h))
+        both = ag.concat([h3, h2], axis=1)  # [2,8,8]
+        feats = ag.add(ag.global_max_pool(both), ag.global_avg_pool(both))
+        logits = ag.linear(feats, f32(8, 5), f32(5))
+        logits = ag.add(logits, ag.softmax(logits))
+        loss = weighted_ce_loss(logits, [0, 3], ClassWeights((1.0, 2.0, 1.0, 1.5, 1.0)))
+        loss.backward()
+
+        assert np.dtype(np.float64) in [d for t, d in arrived if t is logits]
+        tensors = {id(t): t for t, _ in arrived if t is not loss}  # the loss is float64
+        assert all(id(t) in tensors for t in leaves)
+        for t in tensors.values():
+            assert t.data.dtype == np.float32 and t.grad.dtype == np.float32, t
+
+    def test_shared_gradient_is_never_written(self):
+        """The first gradient a tensor receives becomes its .grad without a copy,
+        so one array can be the .grad of several tensors; a later gradient is
+        added out of place and leaves the others' .grad alone."""
+        g = np.array([1.0, 2.0])
+        s, t = Tensor(np.zeros(2), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
+        s.accumulate_grad(g)
+        t.accumulate_grad(g)
+        s.accumulate_grad(np.array([10.0, 10.0]))
+        np.testing.assert_array_equal(s.grad, [11.0, 12.0])
+        np.testing.assert_array_equal(t.grad, [1.0, 2.0])
+        np.testing.assert_array_equal(g, [1.0, 2.0])
+
+        # add hands one g to both parents, and each parent then gets a second one
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        w1, w2, w3 = (Tensor(np.array(v)) for v in ([1.0, 2.0], [10.0, 20.0], [100.0, 200.0]))
+        loss = ag.tensor_sum(ag.add(ag.add(ag.mul(ag.add(a, b), w1), ag.mul(a, w2)),
+                                    ag.mul(b, w3)))
+        loss.backward()
+        np.testing.assert_array_equal(a.grad, [11.0, 22.0])
+        np.testing.assert_array_equal(b.grad, [101.0, 202.0])
 
     def test_no_grad_suppresses_graph(self):
         x = Tensor(np.ones(2), requires_grad=True)

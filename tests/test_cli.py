@@ -634,6 +634,37 @@ class TestTrainEvalPredict:
                        "--channel", "EEG Pz-Oz", "--out", tmp_path / "eval2")
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag", [["--split", "holdout:0.5"], ["--fold", "0"]],
+                             ids=["split", "fold"])
+    def test_eval_split_flags_are_usage_errors(self, preprocessed, tmp_path, capsys, flag):
+        """eval runs the split its checkpoint holds, so it takes no split flag."""
+        cfg, corpus = preprocessed
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eval", "--config", cfg, "--checkpoint", tmp_path / "any.ckpt",
+                    "--out", tmp_path / "eval", *flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    def test_eval_resolved_config_records_checkpoint_split(self, preprocessed, tmp_path):
+        cfg, corpus = preprocessed
+        out = tmp_path / "train"
+        assert run_cli("train", "--config", cfg, "--split", "kfold:3", "--fold", 1,
+                       "--out", out) == 0
+        # the same run configuration, but with a split that differs from the checkpoint's
+        eval_cfg = write_config(tmp_path, corpus,
+                                "split.kind = holdout\nsplit.ratio = 0.5")
+        eval_out = tmp_path / "eval"
+        assert run_cli("eval", "--config", eval_cfg, "--checkpoint", out / "fold1.ckpt",
+                       "--out", eval_out) == 0
+        resolved = parse_kv_text((eval_out / "config.resolved").read_text())
+        manifest = parse_kv_text(load_arrays(out / "fold1.ckpt")[0])
+        keys = ("split.kind", "split.k", "split.fold")
+        assert {k: resolved[k] for k in keys} == {k: manifest[k] for k in keys} \
+            == {"split.kind": "kfold", "split.k": "3", "split.fold": "1"}
+        assert json.loads((eval_out / "split.json").read_text()) == \
+            json.loads((out / "split.json").read_text())
+
     def test_predict_with_reference(self, preprocessed, tmp_path, capsys):
         cfg, corpus = preprocessed
         out = tmp_path / "run3"
