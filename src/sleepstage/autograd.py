@@ -341,7 +341,14 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     if width + 2 * padding < ksize:
         raise ShapeMismatch(f"conv1d: width {width} + 2*{padding} < kernel {ksize}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
+    xp = x.data
+    if padding:
+        # one buffer in which only the pad strips are zeroed: np.pad costs
+        # ~150 us of Python per call, and np.zeros a pass over the interior
+        xp = np.empty((batch, c_in, width + 2 * padding), dtype=x.data.dtype)
+        xp[:, :, :padding] = 0
+        xp[:, :, padding + width:] = 0
+        xp[:, :, padding:padding + width] = x.data
     w_out = (width + 2 * padding - ksize) // stride + 1
     span = stride * (w_out - 1) + 1
     taps = [xp[:, :, k:k + span:stride] for k in range(ksize)]  # K views [B,Cin,W']

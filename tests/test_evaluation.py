@@ -1,4 +1,6 @@
 """Metric suite against published reference tables, splits, ROC/PR curves."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -417,3 +419,85 @@ class TestFloat32Inference:
             assert a.tobytes() == before[name], name
             for b in seen[0].state_arrays().values():
                 assert not np.shares_memory(a, b), name
+
+
+@pytest.fixture(scope="module")
+def default_model_rows():
+    """The default model with random batch norms, and 64 cached-dtype rows."""
+    mp = randomize_batch_norms(init_params(ModelConfig(), seed=0), np.random.default_rng(14))
+    return mp, sine_epochs(64, seed=14).samples.astype(np.float32)
+
+
+class TestBlockedInference:
+    """predict_probabilities forwards at most block_rows(cfg) rows at a time,
+    whatever batch_size asks, and gathers each block's rows itself."""
+
+    def test_block_rows(self):
+        assert evaluation.block_rows(ModelConfig()) == 4
+        assert evaluation.block_rows(micro_model_config()) > 16
+        assert evaluation.block_rows(ModelConfig(branch_channels=256)) == 1
+
+    def test_probabilities_do_not_depend_on_batch_size(self, default_model_rows):
+        mp, rows = default_model_rows
+        probs = predict_probabilities(mp, rows, batch_size=64)
+        for batch_size in (4, 8, 32):
+            np.testing.assert_array_equal(
+                predict_probabilities(mp, rows, batch_size=batch_size), probs)
+        # 37 rows end in a one-row block, whose matmuls BLAS may sum in another order
+        np.testing.assert_allclose(predict_probabilities(mp, rows[:37]), probs[:37],
+                                   rtol=0, atol=1e-6)
+
+    def test_no_forward_exceeds_block_rows(self, default_model_rows, monkeypatch):
+        mp, rows = default_model_rows
+        seen = []
+
+        def forward(params, x, training=False):
+            seen.append(x.shape[0])
+            return model_forward(params, x, training)
+
+        monkeypatch.setattr(evaluation, "model_forward", forward)
+        predict_probabilities(mp, rows, batch_size=64)
+        block = evaluation.block_rows(mp.cfg)
+        assert seen == [block] * (len(rows) // block)
+
+    def test_working_set_does_not_grow_with_batch_size(self, default_model_rows):
+        mp, rows = default_model_rows
+        rows = np.tile(rows, (4, 1))  # 256 rows
+        peaks = []
+        for n in (64, 256):
+            tracemalloc.start()  # numpy reports its buffers to tracemalloc
+            try:
+                predict_probabilities(mp, rows[:n], batch_size=256)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 16 * 2**20, peaks
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+    def test_index_gathers_like_a_copy(self):
+        cfg = micro_model_config()
+        rng = np.random.default_rng(15)
+        mp = randomize_batch_norms(init_params(cfg, seed=4), rng)
+        samples = rng.normal(size=(30, 64)).astype(np.float32)
+        index = np.array([7, 2, 2, 29, 0, 11, 5])
+        np.testing.assert_array_equal(
+            predict_probabilities(mp, samples, batch_size=3, index=index),
+            predict_probabilities(mp, samples[index], batch_size=3))
+        epochs = epoch_set(samples, np.arange(30) % 5, epoch_index=np.arange(30)[::-1])
+        chosen = [3, 17, 8, 25]
+        result = evaluate(mp, epochs, chosen, batch_size=3)
+        # one subject, so evaluate orders the rows by descending position
+        np.testing.assert_array_equal(result.probabilities,
+                                      predict_probabilities(mp, samples[[25, 17, 8, 3]]))
+
+    def test_zero_rows(self):
+        cfg = micro_model_config()
+        probs = predict_probabilities(init_params(cfg, seed=0), np.empty((0, cfg.input_length)))
+        assert probs.shape == (0, 5) and probs.dtype == np.float64
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one(self, batch_size):
+        cfg = micro_model_config()
+        with pytest.raises(ValueError, match="batch_size"):
+            predict_probabilities(init_params(cfg, seed=0), np.zeros((2, cfg.input_length)),
+                                  batch_size=batch_size)
