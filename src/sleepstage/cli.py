@@ -227,13 +227,13 @@ def _write_curves_csv(curves: dict[int, evaluation.CurveSet], out_dir: Path) -> 
         w = csv.writer(fh)
         w.writerow(["stage", "fpr", "tpr"])
         for c, cs in sorted(curves.items()):
-            for fpr, tpr in cs.roc_points:
+            for fpr, tpr in cs.roc_points.tolist():
                 w.writerow([StageLabel(c).name, repr(fpr), repr(tpr)])
     with open(out_dir / "pr.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["stage", "recall", "precision"])
         for c, cs in sorted(curves.items()):
-            for rec, prec in cs.pr_points:
+            for rec, prec in cs.pr_points.tolist():
                 w.writerow([StageLabel(c).name, repr(rec), repr(prec)])
     with open(out_dir / "auc.csv", "w", newline="") as fh:
         w = csv.writer(fh)

@@ -7,8 +7,13 @@ as a fraction. Division by zero reports a metric as absent, never as 0.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,11 +57,18 @@ class ConfusionMatrix:
         return self
 
     @classmethod
-    def from_pairs(cls, y_true: Iterable[int], y_pred: Iterable[int]) -> "ConfusionMatrix":
-        cm = cls()
-        for t, p in zip(y_true, y_pred):
-            cm.counts[int(t), int(p)] += 1
-        return cm
+    def from_pairs(cls, y_true: Sequence[int], y_pred: Sequence[int]) -> "ConfusionMatrix":
+        """Count (true, predicted) code pairs; a code outside 0..4 is a ValueError."""
+        t = np.asarray(y_true, dtype=np.int64)
+        p = np.asarray(y_pred, dtype=np.int64)
+        if t.shape != p.shape:
+            raise ValueError(f"{t.size} true codes against {p.size} predicted codes")
+        for codes in (t, p):
+            bad = codes[(codes < 0) | (codes >= N_STAGES)]
+            if bad.size:
+                raise ValueError(f"stage code {int(bad[0])} outside 0..{N_STAGES - 1}")
+        pairs = np.bincount((N_STAGES * t + p).ravel(), minlength=N_STAGES * N_STAGES)
+        return cls(pairs.reshape(N_STAGES, N_STAGES))
 
     @classmethod
     def from_display(cls, rows: Sequence[Sequence[int]]) -> "ConfusionMatrix":
@@ -254,17 +266,17 @@ def plan_folds(epochs: EpochSet, split: SplitConfig):
 
 @dataclass(frozen=True)
 class CurveSet:
-    roc_points: tuple[tuple[float, float], ...]  # (fpr, tpr)
-    pr_points: tuple[tuple[float, float], ...]   # (recall, precision)
+    roc_points: np.ndarray  # float64 [n, 2] of (fpr, tpr)
+    pr_points: np.ndarray   # float64 [n, 2] of (recall, precision)
     roc_auc: float
     pr_auc: float
 
 
-def _trapezoid(points: Sequence[tuple[float, float]]) -> float:
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        area += 0.5 * (x1 - x0) * (y1 + y0)
-    return area
+def _trapezoid(points: np.ndarray) -> float:
+    """Trapezoidal area summed left to right (cumsum is sequential, where
+    np.sum is pairwise), so it equals a running loop over the points."""
+    x, y = points[:, 0], points[:, 1]
+    return float(np.cumsum(0.5 * np.diff(x) * (y[1:] + y[:-1]))[-1])
 
 
 def roc_pr_curves(scores: np.ndarray, labels: Sequence[int],
@@ -275,7 +287,7 @@ def roc_pr_curves(scores: np.ndarray, labels: Sequence[int],
     (0,0)/(1,1) for ROC and (0,1) for PR; areas are trapezoidal.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    codes = np.asarray([int(l) for l in labels])
+    codes = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 2 or scores.shape[0] != codes.size:
         raise ValueError(f"scores {scores.shape} vs {codes.size} labels")
     out: dict[int, CurveSet] = {}
@@ -291,16 +303,19 @@ def roc_pr_curves(scores: np.ndarray, labels: Sequence[int],
         sorted_s = s[order]
         cum_tp = np.cumsum(y[order])
         idx = np.flatnonzero(np.diff(sorted_s, append=-np.inf))  # last index per distinct value
-        roc = [(0.0, 0.0)]
-        pr = [(0.0, 1.0)]
-        for i in idx.tolist():
-            tp = int(cum_tp[i])
-            fp = (i + 1) - tp
-            roc.append((fp / neg, tp / pos))
-            pr.append((tp / pos, tp / (tp + fp)))
+        tp = cum_tp[idx]
+        above = idx + 1  # rows at or above each threshold, tp + fp
+        roc = np.empty((idx.size + 1, 2))
+        roc[0] = (0.0, 0.0)
+        roc[1:, 0] = (above - tp) / neg
+        roc[1:, 1] = tp / pos
+        pr = np.empty((idx.size + 1, 2))
+        pr[0] = (0.0, 1.0)
+        pr[1:, 0] = roc[1:, 1]
+        pr[1:, 1] = tp / above
         out[int(c)] = CurveSet(
-            roc_points=tuple(roc),
-            pr_points=tuple(pr),
+            roc_points=roc,
+            pr_points=pr,
             roc_auc=_trapezoid(roc),
             pr_auc=_trapezoid(pr),
         )
@@ -332,6 +347,83 @@ def block_rows(cfg: ModelConfig) -> int:
     return max(1, BLOCK_BYTES // (cfg.branch_channels * cfg.input_length * 4))
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the loaded OpenBLAS's process-wide thread count, or None
+    when no OpenBLAS with either pair of calls is mapped into this process.
+    Looked up on first pooled use, so importing the module reads no file."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+        libs = [ctypes.CDLL(path, mode=os.RTLD_NOLOAD) for path in paths]
+    except (OSError, AttributeError):  # no /proc, no RTLD_NOLOAD, or not loadable
+        return None
+    for lib in libs:
+        for prefix, suffix in (("openblas_", ""), ("scipy_openblas_", "64_")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+# Inference runs its row blocks on two worker threads, or inline on one core.
+# numpy releases the GIL in BLAS and ufuncs, so two blocks run at once, each in
+# its own core's L2; OpenBLAS is held to one thread meanwhile, or its threads
+# and the workers oversubscribe the cores. Two workers is the measured case
+# (2 cores, numpy 2.4.6, OpenBLAS 0.3.31: 1.6x the inline loop). More are
+# unmeasured: a block's ops are dispatched from Python, so they would contend
+# for the GIL, and each adds a block's working set (6.2 MiB at 4 rows).
+# OpenBLAS's count is process-wide (in 0.3.31, openblas_set_num_threads_local
+# sets it for every thread too), so only the calling thread sets and restores
+# it, under _POOL_LOCK.
+_WORKERS = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+_POOL_LOCK = threading.Lock()
+_POOL: ThreadPoolExecutor | None = None  # made on first use
+# Executor.map holds a future (about 1.8 KB) per block until its result is
+# read, so blocks are mapped this many at a time: 40 MB of futures for a
+# 91k-row fold becomes 2 MB.
+_MAP_BLOCKS = 1024
+
+
+def _forget_pool() -> None:
+    global _POOL
+    _POOL = None  # a forked child has none of the parent's worker threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_blocks(forward, starts: range) -> None:
+    """forward(start) for every start: on the pool's workers with OpenBLAS at
+    one thread, or inline in the calling thread when there is one core, one
+    block, or no OpenBLAS thread setter. A block's exception reaches the
+    caller and cancels the blocks not yet started; one that another worker
+    is running finishes on its own, its rows unused."""
+    blas = _openblas_thread_calls() if _WORKERS > 1 and len(starts) > 1 else None
+    if blas is None:
+        for start in starts:
+            forward(start)
+        return
+    global _POOL
+    get_threads, set_threads = blas
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="sleepstage-inference")
+        before = get_threads()
+        set_threads(1)
+        try:
+            for lo in range(0, len(starts), _MAP_BLOCKS):
+                for _ in _POOL.map(forward, starts[lo:lo + _MAP_BLOCKS]):
+                    pass
+        finally:
+            set_threads(before)
+
+
 def predict_probabilities(mp: ModelParams, samples: np.ndarray, batch_size: int = 32,
                           index: np.ndarray | None = None) -> np.ndarray:
     """Eval-mode softmax probabilities [N, num_classes] for sample rows.
@@ -339,9 +431,11 @@ def predict_probabilities(mp: ModelParams, samples: np.ndarray, batch_size: int 
     The rows are `samples[index]`, or all of `samples` [N, input_length]
     when `index` is None; each forward gathers only its own rows, so the
     subset is never copied whole. A forward takes at most `batch_size` rows,
-    and no more than `block_rows(mp.cfg)`. It runs in float32 on
-    `inference_params(mp)`, with each batch norm folded into its conv; `mp`
-    is left as it was. The softmax of the float32 logits is taken in float64.
+    and no more than `block_rows(mp.cfg)`; the blocks run on the inference
+    pool (see `_run_blocks`) and each writes its own rows of the result. It
+    runs in float32 on `inference_params(mp)`, with each batch norm folded
+    into its conv; `mp` is left as it was. The softmax of the float32 logits
+    is taken in float64.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -349,12 +443,15 @@ def predict_probabilities(mp: ModelParams, samples: np.ndarray, batch_size: int 
     folded = inference_params(mp)
     step = min(batch_size, block_rows(mp.cfg))
     probs = np.empty((index.size, mp.cfg.num_classes), dtype=np.float64)
+
+    def forward(start: int) -> None:
+        rows = samples[index[start:start + step]]
+        x = Tensor(rows[:, None, :].astype(np.float32, copy=False))
+        logits = model_forward(folded, x, training=False)
+        probs[start:start + step] = ag.softmax(Tensor(logits.data.astype(np.float64))).data
+
     with ag.no_grad():
-        for start in range(0, index.size, step):
-            rows = samples[index[start:start + step]]
-            x = Tensor(rows[:, None, :].astype(np.float32, copy=False))
-            logits = model_forward(folded, x, training=False)
-            probs[start:start + step] = ag.softmax(Tensor(logits.data.astype(np.float64))).data
+        _run_blocks(forward, range(0, index.size, step))
     return probs
 
 

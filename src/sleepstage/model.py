@@ -220,12 +220,16 @@ def branch_forward(mp: ModelParams, x: Tensor, k: int, training: bool) -> Tensor
 
 def multiscale_forward(mp: ModelParams, x: Tensor, training: bool) -> Tensor:
     """Each branch, max-pooled by pool_sizes[0], then concatenated by channel
-    (pooling per channel, it gives the same values as pooling the concat)."""
-    branches = [branch_forward(mp, x, k, training) for k in mp.cfg.branch_kernel_sizes]
+    (pooling per channel, it gives the same values as pooling the concat).
+    A branch is pooled as soon as it returns, so outside a recorded graph
+    only one full-width branch output is alive at a time."""
     p = mp.cfg.pool_sizes[0]
-    if p:
-        branches = [ag.max_pool1d(b, p, p) for b in branches]
-    return ag.concat(branches, axis=1)
+
+    def pooled(b: Tensor) -> Tensor:
+        return ag.max_pool1d(b, p, p) if p else b
+
+    return ag.concat([pooled(branch_forward(mp, x, k, training))
+                      for k in mp.cfg.branch_kernel_sizes], axis=1)
 
 
 def channel_attention(mp: ModelParams, block: int, x: Tensor,

@@ -206,3 +206,34 @@ def randomize_batch_norms(mp: ModelParams, rng: np.random.Generator) -> ModelPar
         stats.mean[...] = rng.normal(0.0, 0.3, n)
         stats.var[...] = rng.uniform(0.5, 2.0, n)
     return mp
+
+
+# --- reference curves: the tuple-per-point sweep that roc_pr_curves ran
+# before it built float64 point arrays ---
+
+def reference_trapezoid(points) -> float:
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        area += 0.5 * (x1 - x0) * (y1 + y0)
+    return area
+
+
+def reference_roc_pr_curves(scores: np.ndarray, labels, c: int):
+    """(roc_points, pr_points, roc_auc, pr_auc) of class c, points as tuples
+    of Python floats, one per distinct score, by a running loop."""
+    scores = np.asarray(scores, dtype=np.float64)
+    y = (np.asarray([int(label) for label in labels]) == c).astype(np.int64)
+    pos = int(y.sum())
+    neg = int(y.size - pos)
+    s = scores[:, c]
+    order = np.argsort(-s, kind="stable")
+    cum_tp = np.cumsum(y[order])
+    idx = np.flatnonzero(np.diff(s[order], append=-np.inf))
+    roc = [(0.0, 0.0)]
+    pr = [(0.0, 1.0)]
+    for i in idx.tolist():
+        tp = int(cum_tp[i])
+        fp = (i + 1) - tp
+        roc.append((fp / neg, tp / pos))
+        pr.append((tp / pos, tp / (tp + fp)))
+    return tuple(roc), tuple(pr), reference_trapezoid(roc), reference_trapezoid(pr)

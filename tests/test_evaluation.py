@@ -1,4 +1,7 @@
 """Metric suite against published reference tables, splits, ROC/PR curves."""
+import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,7 +31,13 @@ from sleepstage.evaluation import (
 from sleepstage.model import ModelConfig, init_params, model_forward
 
 import reference_results as ref
-from helpers import epoch_set, micro_model_config, randomize_batch_norms, sine_epochs
+from helpers import (
+    epoch_set,
+    micro_model_config,
+    randomize_batch_norms,
+    reference_roc_pr_curves,
+    sine_epochs,
+)
 
 RNG = np.random.default_rng(31)
 
@@ -71,6 +80,30 @@ class TestConfusionMatrix:
         a = ConfusionMatrix.from_pairs([0, 1], [0, 2])
         b = ConfusionMatrix.from_pairs([0], [0])
         assert a.merged(b).counts[0, 0] == 2
+
+    def test_from_pairs_counts_like_accumulate(self):
+        y_true, y_pred = RNG.integers(0, 5, size=(2, 2000))
+        loop = ConfusionMatrix()
+        for t, p in zip(y_true, y_pred):
+            loop.accumulate(t, p)
+        assert ConfusionMatrix.from_pairs(y_true, y_pred) == loop
+        assert ConfusionMatrix.from_pairs(y_true.tolist(),
+                                          [StageLabel(int(p)) for p in y_pred]) == loop
+        assert ConfusionMatrix.from_pairs([], []).total == 0
+
+    @pytest.mark.parametrize("y_true, y_pred, code", [
+        ([-1], [0], -1),          # used to wrap around to row W
+        ([0, 1], [0, -5], -5),
+        ([0], [5], 5),            # used to be IndexError
+        ([3, 9, 2], [0, 1, 2], 9),
+    ])
+    def test_from_pairs_rejects_codes_outside_stages(self, y_true, y_pred, code):
+        with pytest.raises(ValueError, match=rf"stage code {code} outside 0\.\.4"):
+            ConfusionMatrix.from_pairs(y_true, y_pred)
+
+    def test_from_pairs_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="2 true codes against 1"):
+            ConfusionMatrix.from_pairs([0, 1], [0])
 
 
 class TestStageMetricsAgainstPublished:
@@ -302,10 +335,41 @@ class TestCurves:
         curves = roc_pr_curves(scores, labels)
         for c in range(5):
             roc, pr, aroc, apr = brute_force_curves(scores, labels, c)
-            assert list(curves[c].roc_points) == pytest.approx(roc)
-            assert list(curves[c].pr_points) == pytest.approx(pr)
+            # pytest.approx's default tolerance, on the [n, 2] point arrays
+            np.testing.assert_allclose(curves[c].roc_points, roc, rtol=1e-6, atol=1e-12)
+            np.testing.assert_allclose(curves[c].pr_points, pr, rtol=1e-6, atol=1e-12)
             assert curves[c].roc_auc == pytest.approx(aroc)
             assert curves[c].pr_auc == pytest.approx(apr)
+
+    def test_points_equal_the_tuple_sweep(self):
+        rng = np.random.default_rng(41)
+        labels = rng.integers(0, 5, size=3000)
+        scores = rng.dirichlet(np.ones(5), size=3000)
+        scores[::3] = np.round(scores[::3], 2)  # repeated scores share a threshold
+        curves = roc_pr_curves(scores, labels)
+        for c in range(5):
+            roc, pr, roc_auc, pr_auc = reference_roc_pr_curves(scores, labels, c)
+            for points, expect in ((curves[c].roc_points, roc), (curves[c].pr_points, pr)):
+                assert points.dtype == np.float64 and points.shape == (len(expect), 2)
+                assert points.tolist() == [list(p) for p in expect]
+            # the CSVs write repr() of these, so type and bits must match
+            assert type(curves[c].roc_auc) is float and curves[c].roc_auc == roc_auc
+            assert type(curves[c].pr_auc) is float and curves[c].pr_auc == pr_auc
+
+    def test_points_are_held_as_arrays(self):
+        rng = np.random.default_rng(42)
+        n = 91_456  # one Sleep-EDF fold
+        labels = rng.integers(0, 5, size=n)
+        scores = rng.dirichlet(np.ones(5), size=n)
+        tracemalloc.start()
+        try:
+            curves = roc_pr_curves(scores, labels)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(cs.roc_points) + len(cs.pr_points) for cs in curves.values()) > 8 * n
+        # tuples of Python floats held 98 MB here, with a 105 MB peak
+        assert held < 16 * 2**20 and peak < 32 * 2**20, (held, peak)
 
     def test_single_class_present(self):
         labels = np.zeros(10, dtype=int)
@@ -428,6 +492,18 @@ def default_model_rows():
     return mp, sine_epochs(64, seed=14).samples.astype(np.float32)
 
 
+@pytest.fixture
+def two_workers(monkeypatch):
+    """A fresh inference pool of two workers, the most _WORKERS holds, so the
+    pooled path and its blocks in flight do not depend on this machine's
+    cores; shut down afterwards."""
+    monkeypatch.setattr(evaluation, "_WORKERS", 2)
+    monkeypatch.setattr(evaluation, "_POOL", None)
+    yield
+    if evaluation._POOL is not None:
+        evaluation._POOL.shutdown()
+
+
 class TestBlockedInference:
     """predict_probabilities forwards at most block_rows(cfg) rows at a time,
     whatever batch_size asks, and gathers each block's rows itself."""
@@ -460,7 +536,7 @@ class TestBlockedInference:
         block = evaluation.block_rows(mp.cfg)
         assert seen == [block] * (len(rows) // block)
 
-    def test_working_set_does_not_grow_with_batch_size(self, default_model_rows):
+    def test_working_set_does_not_grow_with_batch_size(self, default_model_rows, two_workers):
         mp, rows = default_model_rows
         rows = np.tile(rows, (4, 1))  # 256 rows
         peaks = []
@@ -501,3 +577,125 @@ class TestBlockedInference:
         with pytest.raises(ValueError, match="batch_size"):
             predict_probabilities(init_params(cfg, seed=0), np.zeros((2, cfg.input_length)),
                                   batch_size=batch_size)
+
+
+@pytest.fixture
+def openblas_threads(monkeypatch, two_workers):
+    """(get, set) of the BLAS thread count the pool holds to one thread, on a
+    pool of two workers. Where no OpenBLAS is found, a stand-in count keeps
+    the pooled path under test."""
+    calls = evaluation._openblas_thread_calls()
+    if calls is None:
+        count = [1]
+        calls = (lambda: count[0], lambda n: count.__setitem__(0, n))
+        monkeypatch.setattr(evaluation, "_openblas_thread_calls", lambda: calls)
+    get_threads, set_threads = calls
+    before = get_threads()
+    set_threads(2)  # as perfbench runs; a count left at one thread then shows
+    yield get_threads, set_threads
+    set_threads(before)
+
+
+def forward_spy(monkeypatch, on_call):
+    """Route evaluation.model_forward through on_call(x) first."""
+    def forward(params, x, training=False):
+        on_call(x)
+        return model_forward(params, x, training)
+    monkeypatch.setattr(evaluation, "model_forward", forward)
+
+
+class TestInferencePool:
+    """predict_probabilities runs its blocks on the worker pool with OpenBLAS
+    at one thread, restores the count, and gives the inline loop's bytes."""
+
+    def test_pool_gives_the_inline_bytes(self, default_model_rows, openblas_threads,
+                                         monkeypatch):
+        mp, rows = default_model_rows
+        threads = []
+        forward_spy(monkeypatch, lambda x: threads.append(threading.current_thread()))
+        pooled = predict_probabilities(mp, rows)
+        assert threading.main_thread() not in threads
+        assert len(set(threads)) == 2
+        monkeypatch.setattr(evaluation, "_MAP_BLOCKS", 3)  # 16 blocks map as 3+3+3+3+3+1
+        windowed = predict_probabilities(mp, rows)
+        threads.clear()
+        monkeypatch.setattr(evaluation, "_openblas_thread_calls", lambda: None)
+        inline = predict_probabilities(mp, rows)
+        assert set(threads) == {threading.main_thread()}
+        assert pooled.tobytes() == inline.tobytes()
+        assert windowed.tobytes() == inline.tobytes()
+
+    def test_blas_threads_restored(self, default_model_rows, openblas_threads, monkeypatch):
+        mp, rows = default_model_rows
+        get_threads, set_threads = openblas_threads
+        during = []
+        forward_spy(monkeypatch, lambda x: during.append(get_threads()))
+        for start in (2, 1):
+            set_threads(start)
+            predict_probabilities(mp, rows[:16])
+            assert get_threads() == start
+            # the count is process-wide: a fresh thread reads it too
+            seen = []
+            fresh = threading.Thread(target=lambda: seen.append(get_threads()))
+            fresh.start()
+            fresh.join()
+            assert seen == [start]
+        assert during and set(during) == {1}
+
+    def test_exception_in_a_block_reaches_the_caller(self, default_model_rows,
+                                                     openblas_threads, monkeypatch):
+        mp, rows = default_model_rows
+        get_threads = openblas_threads[0]
+        before = get_threads()
+        calls = itertools.count()  # next() is atomic, so exactly one block fails
+        started = []
+
+        def fail_third(x):
+            n = next(calls)
+            started.append(n)
+            if n == 2:
+                raise ZeroDivisionError("block failed")
+
+        forward_spy(monkeypatch, fail_third)
+        with pytest.raises(ZeroDivisionError, match="block failed"):
+            predict_probabilities(mp, rows)
+        assert get_threads() == before
+        # the blocks not yet started were cancelled
+        assert len(started) < len(rows) // evaluation.block_rows(mp.cfg)
+        monkeypatch.setattr(evaluation, "model_forward", model_forward)
+        np.testing.assert_array_equal(predict_probabilities(mp, rows[:8]),
+                                      predict_probabilities(mp, rows)[:8])
+
+    def test_one_row_blocks_under_fast_switching(self, openblas_threads, monkeypatch):
+        cfg = micro_model_config()
+        rng = np.random.default_rng(16)
+        mp = randomize_batch_norms(init_params(cfg, seed=5), rng)
+        samples = rng.normal(size=(300, cfg.input_length)).astype(np.float32)
+        monkeypatch.setattr(evaluation, "_WORKERS", 4)  # more workers than cores
+        monkeypatch.setattr(evaluation, "_MAP_BLOCKS", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = predict_probabilities(mp, samples, batch_size=1)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(evaluation, "_openblas_thread_calls", lambda: None)
+        # a lost or misplaced row write would show as a differing row
+        assert pooled.tobytes() == predict_probabilities(mp, samples, batch_size=1).tobytes()
+
+    def test_validation_leaves_training_unchanged(self, openblas_threads, monkeypatch):
+        from sleepstage.training import TrainConfig, train
+
+        epochs = sine_epochs(24, seed=21)
+        idx = np.arange(len(epochs))
+        states = []
+        # inline first: were the count left at one thread, the pooled run's
+        # second pass would step with it
+        for blas in (None, openblas_threads):
+            monkeypatch.setattr(evaluation, "_openblas_thread_calls", lambda blas=blas: blas)
+            result = train(epochs, idx[:16], idx[16:], TrainConfig(max_passes=2, batch_size=8),
+                           ModelConfig())
+            # final_params: the kept params may be pass 1's, trained before any validation
+            states.append({name: a.tobytes()
+                           for name, a in result.final_params.state_arrays().items()})
+        assert states[0] == states[1]
