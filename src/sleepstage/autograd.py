@@ -12,7 +12,10 @@ central finite differences in the test suite. Conventions that matter:
   while master weights, optimizer state, checkpoints and the gradient checks
   stay float64; a tensor's .grad has the tensor's dtype, whatever the dtype
   of the gradients it receives,
-* arrays are batch-outermost ([B,C,W] or [B,F]).
+* arrays are batch-outermost ([B,C,W] or [B,F]),
+* replicas of one model in separate threads, each forwarding its own rows of
+  one batch inside a `ReplicaGroup`, share training-mode batch norm's
+  statistics, so together they compute what one graph over the batch does.
 
 Gradient ownership: a backward closure never writes into the `g` it is
 handed, nor into an array it passes on. So the first gradient a tensor
@@ -30,9 +33,12 @@ faster than K thin matmuls, so the forward uses it there.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -485,12 +491,79 @@ class RunningStats:
         self.var = np.ones(channels, dtype=np.float64)
 
 
+class ReplicaGroup:
+    """Replicas of one model, each forwarding its own rows of one batch in its
+    own thread. Training-mode batch norm gathers the replicas' per-channel
+    statistics here, so that every replica normalizes with the whole batch's
+    (cross-device batch norm, Peng et al. 2018, arXiv:1711.07240). The
+    replicas run the same graph, so they reach the same batch norms in the
+    same order, and each gather is one barrier wait."""
+
+    def __init__(self, size: int):
+        self._parts: list = [None] * size
+        self._gathered: tuple = ()
+        self._barrier = threading.Barrier(size, action=self._gather)
+
+    def _gather(self) -> None:
+        # runs in one thread once every replica has arrived, before any leaves;
+        # the next gather runs only once every replica has read this one
+        self._gathered, self._parts = tuple(self._parts), [None] * len(self._parts)
+
+    def allgather(self, rank: int, part) -> tuple:
+        """Every replica's `part`, in rank order, once all have given theirs."""
+        self._parts[rank] = part
+        self._barrier.wait()
+        return self._gathered
+
+    def abort(self) -> None:
+        """Stop the group: a replica that waits in `allgather`, now or later,
+        raises threading.BrokenBarrierError. A replica that fails must call
+        this, or the others wait for it forever."""
+        self._barrier.abort()
+
+    @contextmanager
+    def member(self, rank: int):
+        """The ops the calling thread runs inside the block are replica `rank`'s."""
+        _REPLICA.group, _REPLICA.rank = self, rank
+        try:
+            yield
+        finally:
+            _REPLICA.group = None
+
+
+class _Replica(threading.local):
+    group: ReplicaGroup | None = None
+    rank: int = 0
+
+
+_REPLICA = _Replica()
+
+
+def _pooled_moments(parts) -> tuple:
+    """(count, mean, M2) of the union of the parts' rows from each part's
+    (count, mean, M2), folded in left to right (Chan, Golub and LeVeque's
+    pairwise update); a part of count 0 adds nothing."""
+    n, mean, m2 = parts[0]
+    for n_b, mean_b, m2_b in parts[1:]:
+        if n_b:
+            total = n + n_b
+            delta = mean_b - mean
+            mean = mean + delta * (n_b / total)
+            m2 = m2 + m2_b + delta * delta * (n * n_b / total)
+            n = total
+    return n, mean, m2
+
+
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
                  training: bool, eps: float = BN_EPS, momentum: float = 0.1) -> Tensor:
     """Normalize per channel over (batch, width) for [B,C,W] or batch for [B,C].
 
     Training mode uses biased batch statistics and folds them into the
-    running stats as running = (1-momentum)*running + momentum*batch.
+    running stats as running = (1-momentum)*running + momentum*batch. Inside
+    `ReplicaGroup.member` the batch is every replica's rows together: the
+    forward gathers each replica's (count, mean, M2) and the backward its
+    sums of g and g*xhat, both in rank order, so each replica computes what
+    one graph over the whole batch computes for its rows.
     """
     if x.ndim not in (2, 3):
         raise ShapeMismatch(f"batch_norm1d expects [B,C,W] or [B,C], got {x.shape}")
@@ -498,13 +571,18 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     if gamma.data.shape != (chans,) or beta.data.shape != (chans,):
         raise ShapeMismatch(
             f"batch_norm1d: gamma {gamma.shape} / beta {beta.shape} vs {chans} channels")
-    x3 = x.data.reshape(x.data.shape[0], chans, -1)  # [B,C] as [B,C,1]
+    x3 = x.data if x.ndim == 3 else x.data[:, :, None]  # [B,C] as [B,C,1]
     n = x3.shape[0] * x3.shape[2]
+    group, rank = (_REPLICA.group, _REPLICA.rank) if training else (None, 0)
 
     if training:
-        mu = x3.mean(axis=(0, 2))
+        mu = x3.sum(axis=(0, 2)) / max(n, 1)  # a replica of 0 rows gives zeros
         xhat = x3 - mu[:, None]
-        var = np.einsum("bcw,bcw->c", xhat, xhat) / n
+        m2 = np.einsum("bcw,bcw->c", xhat, xhat)
+        if group is not None:
+            n, mu, m2 = _pooled_moments(group.allgather(rank, (n, mu, m2)))
+            np.subtract(x3, mu[:, None], out=xhat)
+        var = m2 / n
         stats.mean = (1.0 - momentum) * stats.mean + momentum * mu
         stats.var = (1.0 - momentum) * stats.var + momentum * var
         inv = 1.0 / np.sqrt(var + eps)
@@ -527,10 +605,15 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
             scale = (gamma.data * inv)[:, None]
             if training:
                 # gx = gamma*inv*(g - sum(g)/n - xhat*sum(g*xhat)/n), from the
-                # two sums above
-                gx = xhat * (dgamma / n)[:, None]
+                # two sums above, or the whole batch's under a replica group
+                sum_g, sum_gx = dbeta, dgamma
+                if group is not None:
+                    parts = group.allgather(rank, (dbeta, dgamma))
+                    sum_g = functools.reduce(np.add, [p[0] for p in parts])
+                    sum_gx = functools.reduce(np.add, [p[1] for p in parts])
+                gx = xhat * (sum_gx / n)[:, None]
                 np.subtract(g3, gx, out=gx)
-                gx -= (dbeta / n)[:, None]
+                gx -= (sum_g / n)[:, None]
                 gx *= scale
             else:
                 gx = g3 * scale

@@ -458,8 +458,9 @@ def scored_windows(stages: list[tuple[float, float, str]],
                    n_windows: int) -> tuple[np.ndarray, np.ndarray]:
     """(epoch_index, labels) as int64 arrays in epoch_index order: the windows
     of a grid of n_windows that lie fully inside a single non-excluded stage
-    interval."""
-    kept: list[tuple[int, StageLabel]] = []
+    interval. A window inside two such intervals is an
+    OverlappingAnnotations error that names both onsets."""
+    kept: dict[int, tuple[StageLabel, float]] = {}
     for onset, duration, token in stages:
         label = map_label(token)
         if label is None:
@@ -470,10 +471,13 @@ def scored_windows(stages: list[tuple[float, float, str]],
             # float grid alignment: keep only windows truly inside the interval
             if w * EPOCH_SECONDS < onset - 1e-9 or (w + 1) * EPOCH_SECONDS > onset + duration + 1e-9:
                 continue
-            kept.append((w, label))
-    kept.sort(key=lambda wl: wl[0])
-    return (np.asarray([w for w, _ in kept], dtype=np.int64),
-            np.asarray([int(label) for _, label in kept], dtype=np.int64))
+            if w in kept:
+                raise OverlappingAnnotations(
+                    f"window {w} lies inside the scored intervals at {kept[w][1]}s "
+                    f"and {onset}s")
+            kept[w] = (label, onset)
+    index = np.asarray(sorted(kept), dtype=np.int64)
+    return index, np.asarray([int(kept[w][0]) for w in index], dtype=np.int64)
 
 
 def epoch_recording(rec: EegRecording,

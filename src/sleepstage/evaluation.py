@@ -7,17 +7,13 @@ as a fraction. Division by zero reports a metric as absent, never as 0.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import autograd as ag
+from . import parallel
 from .autograd import Tensor
 from .edf import EpochSet, StageLabel
 from .errors import (
@@ -51,10 +47,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def accumulate(self, true, pred) -> "ConfusionMatrix":
-        self.counts[int(true), int(pred)] += 1
-        return self
 
     @classmethod
     def from_pairs(cls, y_true: Sequence[int], y_pred: Sequence[int]) -> "ConfusionMatrix":
@@ -347,81 +339,27 @@ def block_rows(cfg: ModelConfig) -> int:
     return max(1, BLOCK_BYTES // (cfg.branch_channels * cfg.input_length * 4))
 
 
-@functools.cache
-def _openblas_thread_calls():
-    """(get, set) of the loaded OpenBLAS's process-wide thread count, or None
-    when no OpenBLAS with either pair of calls is mapped into this process.
-    Looked up on first pooled use, so importing the module reads no file."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps
-                            if "openblas" in line.rsplit("/", 1)[-1]})
-        libs = [ctypes.CDLL(path, mode=os.RTLD_NOLOAD) for path in paths]
-    except (OSError, AttributeError):  # no /proc, no RTLD_NOLOAD, or not loadable
-        return None
-    for lib in libs:
-        for prefix, suffix in (("openblas_", ""), ("scipy_openblas_", "64_")):
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
-    return None
-
-
-# Inference runs its row blocks on two worker threads, or inline on one core.
-# numpy releases the GIL in BLAS and ufuncs, so two blocks run at once, each in
-# its own core's L2; OpenBLAS is held to one thread meanwhile, or its threads
-# and the workers oversubscribe the cores. Two workers is the measured case
-# (2 cores, numpy 2.4.6, OpenBLAS 0.3.31: 1.6x the inline loop). More are
-# unmeasured: a block's ops are dispatched from Python, so they would contend
-# for the GIL, and each adds a block's working set (6.2 MiB at 4 rows).
-# OpenBLAS's count is process-wide (in 0.3.31, openblas_set_num_threads_local
-# sets it for every thread too), so only the calling thread sets and restores
-# it, under _POOL_LOCK.
-_WORKERS = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
-_POOL_LOCK = threading.Lock()
-_POOL: ThreadPoolExecutor | None = None  # made on first use
 # Executor.map holds a future (about 1.8 KB) per block until its result is
 # read, so blocks are mapped this many at a time: 40 MB of futures for a
 # 91k-row fold becomes 2 MB.
 _MAP_BLOCKS = 1024
 
 
-def _forget_pool() -> None:
-    global _POOL
-    _POOL = None  # a forked child has none of the parent's worker threads
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _run_blocks(forward, starts: range) -> None:
-    """forward(start) for every start: on the pool's workers with OpenBLAS at
-    one thread, or inline in the calling thread when there is one core, one
-    block, or no OpenBLAS thread setter. A block's exception reaches the
-    caller and cancels the blocks not yet started; one that another worker
-    is running finishes on its own, its rows unused."""
-    blas = _openblas_thread_calls() if _WORKERS > 1 and len(starts) > 1 else None
-    if blas is None:
+    """forward(start) for every start: on the shared worker pool with
+    OpenBLAS at one thread (see `parallel`), or inline in the calling thread
+    when there is one core, one block, or no OpenBLAS thread setter, where
+    the pool would only oversubscribe the cores. A block's exception reaches
+    the caller and cancels the blocks not yet started; one that another
+    worker is running finishes on its own, its rows unused."""
+    if parallel.WORKERS < 2 or len(starts) < 2 or parallel.openblas_thread_calls() is None:
         for start in starts:
             forward(start)
         return
-    global _POOL
-    get_threads, set_threads = blas
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="sleepstage-inference")
-        before = get_threads()
-        set_threads(1)
-        try:
-            for lo in range(0, len(starts), _MAP_BLOCKS):
-                for _ in _POOL.map(forward, starts[lo:lo + _MAP_BLOCKS]):
-                    pass
-        finally:
-            set_threads(before)
+    with parallel.pool() as pool:
+        for lo in range(0, len(starts), _MAP_BLOCKS):
+            for _ in pool.map(forward, starts[lo:lo + _MAP_BLOCKS]):
+                pass
 
 
 def predict_probabilities(mp: ModelParams, samples: np.ndarray, batch_size: int = 32,
@@ -431,7 +369,7 @@ def predict_probabilities(mp: ModelParams, samples: np.ndarray, batch_size: int 
     The rows are `samples[index]`, or all of `samples` [N, input_length]
     when `index` is None; each forward gathers only its own rows, so the
     subset is never copied whole. A forward takes at most `batch_size` rows,
-    and no more than `block_rows(mp.cfg)`; the blocks run on the inference
+    and no more than `block_rows(mp.cfg)`; the blocks run on the worker
     pool (see `_run_blocks`) and each writes its own rows of the result. It
     runs in float32 on `inference_params(mp)`, with each batch norm folded
     into its conv; `mp` is left as it was. The softmax of the float32 logits

@@ -5,25 +5,36 @@ p taken from the training split only, and averages a batch as
 sum(w_i * ce_i) / sum(w_i). Shuffling and augmentation draw from separate
 seeded RNG streams so runs are bit-reproducible.
 
-Every training step computes its forward and backward pass in float32 on a
-working copy of the model; the master weights, the Adam moments, the
+Every training step computes its forward and backward pass in float32 on
+working copies of the model; the master weights, the Adam moments, the
 batch-norm running stats and every checkpoint stay float64 (mixed precision
 with full-precision master weights, Micikevicius et al. 2018,
-arXiv:1710.03740). The copy's float32 gradients are cast to float64 before
-the Adam update, and a loss or global gradient norm that is not finite stops
+arXiv:1710.03740). A loss or global gradient norm that is not finite stops
 the run before the update.
+
+A step runs on both cores as two data-parallel replicas (`synced_step`):
+each forwards and backpropagates one half of the batch, replica 0 in the
+calling thread and replica 1 on the shared worker pool, while OpenBLAS is
+held to one thread. Batch norm pools the halves' statistics, each half's
+loss divides by the whole batch's weight total, and Adam gets replica 0's
+gradient plus replica 1's, each cast to float64 (Goyal et al. 2017,
+arXiv:1706.02677), so a step computes the one-batch step. There are always
+two replicas, also on one core, so the bytes do not depend on the worker
+count.
 """
 from __future__ import annotations
 
 import csv
+import threading
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autograd as ag
-from . import evaluation
-from .autograd import ParamTensor, Tensor
+from . import evaluation, parallel
+from .autograd import ParamTensor, RunningStats, Tensor
 from .edf import EpochSet
 from .errors import EmptySplit, MissingGradient, NonFiniteLoss, ShapeMismatch, ZeroProportion
 from .model import ModelConfig, ModelParams, init_params, model_forward
@@ -95,9 +106,14 @@ def proportions_from_labels(labels: Sequence[int]) -> np.ndarray:
     return counts / codes.size
 
 
-def weighted_ce_loss(logits: Tensor, labels, weights: ClassWeights) -> Tensor:
-    """Batch loss = sum_i w[c_i]*(-x_i[c_i] + logsumexp(x_i)) / sum_i w[c_i]."""
-    codes = np.asarray([int(l) for l in np.atleast_1d(labels)])
+def weighted_ce_loss(logits: Tensor, labels, weights: ClassWeights,
+                     weight_total: float | None = None) -> Tensor:
+    """Batch loss = sum_i w[c_i]*(-x_i[c_i] + logsumexp(x_i)) / sum_i w[c_i].
+
+    With `weight_total` the sum runs over these rows and divides by that
+    total instead, so the losses of a batch's row shares add up to its loss.
+    """
+    codes = np.asarray([int(l) for l in np.atleast_1d(labels)], dtype=np.int64)
     if logits.ndim != 2 or logits.shape[0] != codes.size:
         raise ShapeMismatch(f"logits {logits.shape} vs {codes.size} labels")
     x = logits.data
@@ -105,7 +121,7 @@ def weighted_ce_loss(logits: Tensor, labels, weights: ClassWeights) -> Tensor:
     lse = (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True)))[:, 0]
     w = weights.as_array()[codes]
     per_sample = w * (lse - x[np.arange(codes.size), codes])
-    w_total = w.sum()
+    w_total = w.sum() if weight_total is None else weight_total
     out = per_sample.sum() / w_total
 
     def _bw(g):
@@ -168,6 +184,51 @@ class TrainResult:
     best_kappa: float
 
 
+def synced_step(pool: Executor, replicas: Sequence[ModelParams], batch: np.ndarray,
+                rows: Callable[[np.ndarray], np.ndarray], labels: np.ndarray,
+                weights: ClassWeights) -> float:
+    """Forward and backward of one training batch on two replicas at once.
+
+    `batch` splits into two row shares (np.array_split, so a 1-row batch
+    leaves replica 1 none). Replica 0 runs its share in the calling thread,
+    replica 1 on `pool`; `rows(share)` gives a share's input rows in the
+    replicas' dtype. Batch norm pools both shares' statistics (see
+    `ag.ReplicaGroup`), and each share's loss divides its rows' weighted
+    cross-entropy by the whole batch's weight total, so each replica's .grad
+    is its share of the one-batch gradient. Returns the batch loss, replica
+    0's share plus replica 1's. An exception in either replica stops the
+    other at its next batch norm and reaches the caller with its own type.
+    """
+    shares = np.array_split(batch, 2)
+    weight_total = weights.as_array()[labels[batch]].sum()
+    group = ag.ReplicaGroup(2)
+
+    def run(r: int) -> float:
+        try:
+            with group.member(r):
+                x = Tensor(rows(shares[r])[:, None, :])
+                logits = model_forward(replicas[r], x, training=True)
+                loss = weighted_ce_loss(logits, labels[shares[r]], weights, weight_total)
+                loss.backward()
+            return loss.item()
+        except BaseException:
+            group.abort()
+            raise
+
+    other = pool.submit(run, 1)
+    try:
+        loss = run(0)
+    except threading.BrokenBarrierError:
+        cause = other.exception()  # waits for replica 1 to stop
+        if cause is None or isinstance(cause, threading.BrokenBarrierError):
+            raise
+        raise cause from None  # replica 1 failed first and broke the barrier
+    except BaseException:
+        other.exception()  # replica 1 stops at its next batch norm
+        raise
+    return loss + other.result()
+
+
 def train(epochs: EpochSet,
           train_idx: Sequence[int],
           val_idx: Sequence[int],
@@ -193,12 +254,16 @@ def train(epochs: EpochSet,
     weights = class_weights(proportions_from_labels(labels[train_idx]))
 
     mp = initial.copy() if initial is not None else init_params(model_cfg, seed=cfg.seed)
-    # the float32 working copy shares mp's running stats, so each training-mode
-    # forward on it folds its batch statistics into mp's float64 stats
-    work = ModelParams(mp.cfg, bn_stats=mp.bn_stats)
-    work.params = {name: ParamTensor(name, p.data.astype(np.float32))
-                   for name, p in mp.params.items()}
-    pairs = list(zip(mp.parameters(), work.parameters()))
+    # two float32 replicas; replica 0 shares mp's running stats, so its
+    # training-mode forwards fold each whole batch's statistics into mp's
+    # float64 stats, and replica 1's stats are its own and never read
+    replicas = [ModelParams(mp.cfg, bn_stats=mp.bn_stats),
+                ModelParams(mp.cfg, bn_stats={name: RunningStats(s.mean.size)
+                                              for name, s in mp.bn_stats.items()})]
+    for work in replicas:
+        work.params = {name: ParamTensor(name, p.data.astype(np.float32))
+                       for name, p in mp.params.items()}
+    triples = list(zip(mp.parameters(), *(work.parameters() for work in replicas)))
     state = AdamState(mp.parameters())
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_SHUFFLE_STREAM,)))
@@ -212,33 +277,42 @@ def train(epochs: EpochSet,
     for p in range(1, cfg.max_passes + 1):
         order = train_idx[shuffle_rng.permutation(train_idx.size)]
         losses = []
-        for start in range(0, order.size, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            # one float32 gather (the cache holds float32 rows, so no cast there)
-            rows = epochs.samples[batch].astype(np.float32, copy=False)
+
+        def rows(share: np.ndarray) -> np.ndarray:
+            # one float32 gather (the cache holds float32 rows, so no cast
+            # there); each row is augmented in float64 from its stored values
+            # and rounded in
+            out = epochs.samples[share].astype(np.float32, copy=False)
             if augment_cfg is not None:
-                # each row is augmented in float64 from its stored values and
-                # rounded into the batch
-                for j, i in enumerate(batch):
-                    rows[j] = augment(epochs.samples[i].astype(np.float64), augment_cfg,
-                                      np.random.default_rng(np.random.SeedSequence(
-                                          augment_cfg.rng_seed,
-                                          spawn_key=(_AUGMENT_STREAM, p, int(i)))))
-            for master, w in pairs:
-                w.data[...] = master.data
-                w.zero_grad()
-            x = Tensor(rows[:, None, :])
-            logits = model_forward(work, x, training=True)
-            loss = weighted_ce_loss(logits, labels[batch], weights)
-            loss.backward()
-            for master, w in pairs:
-                master.grad = None if w.grad is None else w.grad.astype(np.float64)
-            norm = np.sqrt(sum(np.vdot(m.grad, m.grad) for m, _ in pairs if m.grad is not None))
-            if not (np.isfinite(loss.item()) and np.isfinite(norm)):
-                raise NonFiniteLoss(f"training stopped at pass {p}, step {state.step + 1}: "
-                                    f"loss {loss.item()}, gradient norm {norm}")
-            adam_step(mp.parameters(), state, cfg)
-            losses.append(loss.item())
+                for j, i in enumerate(share):
+                    out[j] = augment(epochs.samples[i].astype(np.float64), augment_cfg,
+                                     np.random.default_rng(np.random.SeedSequence(
+                                         augment_cfg.rng_seed,
+                                         spawn_key=(_AUGMENT_STREAM, p, int(i)))))
+            return out
+
+        with parallel.pool() as pool:
+            for start in range(0, order.size, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                for master, w0, w1 in triples:
+                    w0.data[...] = master.data
+                    w1.data[...] = w0.data
+                    w0.zero_grad()
+                    w1.zero_grad()
+                loss = synced_step(pool, replicas, batch, rows, labels, weights)
+                for master, w0, w1 in triples:
+                    # replica 0's gradient plus replica 1's, each in float64
+                    master.grad = None
+                    if w0.grad is not None:
+                        master.grad = w0.grad.astype(np.float64)
+                        master.grad += w1.grad
+                norm = np.sqrt(sum(np.vdot(m.grad, m.grad) for m, _, _ in triples
+                                   if m.grad is not None))
+                if not (np.isfinite(loss) and np.isfinite(norm)):
+                    raise NonFiniteLoss(f"training stopped at pass {p}, step {state.step + 1}: "
+                                        f"loss {loss}, gradient norm {norm}")
+                adam_step(mp.parameters(), state, cfg)
+                losses.append(loss)
 
         result = evaluation.evaluate(mp, epochs, val_idx)
         kappa = result.summary.kappa

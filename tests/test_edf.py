@@ -392,6 +392,20 @@ class TestEpoching:
         assert grid.shape == (3, 3000) and np.shares_memory(grid, rec.samples)
         np.testing.assert_array_equal(grid.reshape(-1), rec.samples[:9000])
 
+    @pytest.mark.parametrize("second", ["Sleep stage 1", "Sleep stage W"],
+                             ids=["other-label", "same-label"])
+    def test_window_inside_two_scored_intervals_rejected(self, second):
+        # window 1 (30-60 s) lies inside both intervals
+        with pytest.raises(OverlappingAnnotations, match="intervals at 0s and 30s") as exc:
+            scored_windows([(0, 60, "Sleep stage W"), (30, 60, second)], 4)
+        assert exc.value.exit_code == 3
+
+    @pytest.mark.parametrize("excluded", ["Movement time", "Sleep stage ?"])
+    def test_overlap_with_an_excluded_interval_passes(self, excluded):
+        index, labels = scored_windows([(0, 60, "Sleep stage W"), (30, 60, excluded)], 4)
+        assert index.tolist() == [0, 1]
+        assert labels.tolist() == [int(StageLabel.W)] * 2
+
     def test_scored_windows_of_an_empty_grid(self):
         index, labels = scored_windows([(0.0, 90.0, "W")], 0)
         assert index.dtype == labels.dtype == np.int64

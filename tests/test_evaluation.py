@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sleepstage import autograd as ag
-from sleepstage import evaluation
+from sleepstage import evaluation, parallel
 from sleepstage.autograd import Tensor
 from sleepstage.edf import StageLabel
 from sleepstage.errors import (
@@ -46,15 +46,13 @@ STAGE_BY_NAME = {s.name: s for s in StageLabel}
 
 class TestConfusionMatrix:
     def test_accumulate_single(self):
-        cm = ConfusionMatrix().accumulate(StageLabel.W, StageLabel.W)
+        cm = ConfusionMatrix.from_pairs([StageLabel.W], [StageLabel.W])
         assert cm.counts[4, 4] == 1
         assert cm.total == 1
 
     def test_total_counts_calls(self):
-        cm = ConfusionMatrix()
         pairs = RNG.integers(0, 5, size=(100, 2))
-        for t, p in pairs:
-            cm.accumulate(t, p)
+        cm = ConfusionMatrix.from_pairs(pairs[:, 0], pairs[:, 1])
         assert cm.total == 100
 
     def test_display_round_trip(self):
@@ -69,12 +67,10 @@ class TestConfusionMatrix:
 
     def test_accumulating_stream_reproduces_table(self):
         cm_ref = ConfusionMatrix.from_display(ref.SLEEP_EDF_5FOLD_CM)
-        stream = ConfusionMatrix()
-        for t in range(5):
-            for p in range(5):
-                for _ in range(int(cm_ref.counts[t, p])):
-                    stream.accumulate(t, p)
-        assert stream == cm_ref
+        stream = [(t, p) for t in range(5) for p in range(5)
+                  for _ in range(int(cm_ref.counts[t, p]))]
+        y_true, y_pred = zip(*stream)
+        assert ConfusionMatrix.from_pairs(y_true, y_pred) == cm_ref
 
     def test_merge_adds(self):
         a = ConfusionMatrix.from_pairs([0, 1], [0, 2])
@@ -83,9 +79,9 @@ class TestConfusionMatrix:
 
     def test_from_pairs_counts_like_accumulate(self):
         y_true, y_pred = RNG.integers(0, 5, size=(2, 2000))
-        loop = ConfusionMatrix()
-        for t, p in zip(y_true, y_pred):
-            loop.accumulate(t, p)
+        counts = np.zeros((5, 5), dtype=np.int64)
+        np.add.at(counts, (y_true, y_pred), 1)
+        loop = ConfusionMatrix(counts)
         assert ConfusionMatrix.from_pairs(y_true, y_pred) == loop
         assert ConfusionMatrix.from_pairs(y_true.tolist(),
                                           [StageLabel(int(p)) for p in y_pred]) == loop
@@ -492,18 +488,6 @@ def default_model_rows():
     return mp, sine_epochs(64, seed=14).samples.astype(np.float32)
 
 
-@pytest.fixture
-def two_workers(monkeypatch):
-    """A fresh inference pool of two workers, the most _WORKERS holds, so the
-    pooled path and its blocks in flight do not depend on this machine's
-    cores; shut down afterwards."""
-    monkeypatch.setattr(evaluation, "_WORKERS", 2)
-    monkeypatch.setattr(evaluation, "_POOL", None)
-    yield
-    if evaluation._POOL is not None:
-        evaluation._POOL.shutdown()
-
-
 class TestBlockedInference:
     """predict_probabilities forwards at most block_rows(cfg) rows at a time,
     whatever batch_size asks, and gathers each block's rows itself."""
@@ -579,23 +563,6 @@ class TestBlockedInference:
                                   batch_size=batch_size)
 
 
-@pytest.fixture
-def openblas_threads(monkeypatch, two_workers):
-    """(get, set) of the BLAS thread count the pool holds to one thread, on a
-    pool of two workers. Where no OpenBLAS is found, a stand-in count keeps
-    the pooled path under test."""
-    calls = evaluation._openblas_thread_calls()
-    if calls is None:
-        count = [1]
-        calls = (lambda: count[0], lambda n: count.__setitem__(0, n))
-        monkeypatch.setattr(evaluation, "_openblas_thread_calls", lambda: calls)
-    get_threads, set_threads = calls
-    before = get_threads()
-    set_threads(2)  # as perfbench runs; a count left at one thread then shows
-    yield get_threads, set_threads
-    set_threads(before)
-
-
 def forward_spy(monkeypatch, on_call):
     """Route evaluation.model_forward through on_call(x) first."""
     def forward(params, x, training=False):
@@ -619,7 +586,7 @@ class TestInferencePool:
         monkeypatch.setattr(evaluation, "_MAP_BLOCKS", 3)  # 16 blocks map as 3+3+3+3+3+1
         windowed = predict_probabilities(mp, rows)
         threads.clear()
-        monkeypatch.setattr(evaluation, "_openblas_thread_calls", lambda: None)
+        monkeypatch.setattr(parallel, "openblas_thread_calls", lambda: None)
         inline = predict_probabilities(mp, rows)
         assert set(threads) == {threading.main_thread()}
         assert pooled.tobytes() == inline.tobytes()
@@ -671,7 +638,7 @@ class TestInferencePool:
         rng = np.random.default_rng(16)
         mp = randomize_batch_norms(init_params(cfg, seed=5), rng)
         samples = rng.normal(size=(300, cfg.input_length)).astype(np.float32)
-        monkeypatch.setattr(evaluation, "_WORKERS", 4)  # more workers than cores
+        monkeypatch.setattr(parallel, "WORKERS", 4)  # more workers than cores
         monkeypatch.setattr(evaluation, "_MAP_BLOCKS", 7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -679,7 +646,7 @@ class TestInferencePool:
             pooled = predict_probabilities(mp, samples, batch_size=1)
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(evaluation, "_openblas_thread_calls", lambda: None)
+        monkeypatch.setattr(parallel, "openblas_thread_calls", lambda: None)
         # a lost or misplaced row write would show as a differing row
         assert pooled.tobytes() == predict_probabilities(mp, samples, batch_size=1).tobytes()
 
@@ -689,10 +656,12 @@ class TestInferencePool:
         epochs = sine_epochs(24, seed=21)
         idx = np.arange(len(epochs))
         states = []
-        # inline first: were the count left at one thread, the pooled run's
-        # second pass would step with it
-        for blas in (None, openblas_threads):
-            monkeypatch.setattr(evaluation, "_openblas_thread_calls", lambda blas=blas: blas)
+        # training steps with OpenBLAS at one thread where the setter is
+        # found, since its sums can depend on the count; so the inline run
+        # steps at one thread too, and only where validation runs differs
+        for blas, count in ((None, 1), (openblas_threads, 2)):
+            monkeypatch.setattr(parallel, "openblas_thread_calls", lambda blas=blas: blas)
+            openblas_threads[1](count)
             result = train(epochs, idx[:16], idx[16:], TrainConfig(max_passes=2, batch_size=8),
                            ModelConfig())
             # final_params: the kept params may be pass 1's, trained before any validation

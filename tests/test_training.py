@@ -1,12 +1,19 @@
 """Class weights, the weighted loss against a loop oracle, Adam, train loop."""
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sleepstage import autograd as ag
-from sleepstage import evaluation
+from sleepstage import evaluation, parallel
 from sleepstage import training as tr
 from sleepstage.autograd import Tensor
 from sleepstage.edf import StageLabel
@@ -23,7 +30,7 @@ from sleepstage.training import (
     write_training_log,
 )
 
-from helpers import micro_model_config, sine_epochs, use_reference_forward
+from helpers import micro_model_config, randomize_batch_norms, sine_epochs, use_reference_forward
 
 RNG = np.random.default_rng(99)
 
@@ -339,7 +346,7 @@ class TestMixedPrecision:
         forward = tr.model_forward
 
         def spy_forward(mp, x, training=False):
-            forwards.append((mp, x.data.dtype))
+            forwards.append((mp, x.data.shape[0], x.data.dtype))
             return forward(mp, x, training)
 
         monkeypatch.setattr(tr, "model_forward", spy_forward)
@@ -347,9 +354,11 @@ class TestMixedPrecision:
         result = train(epochs, train_idx, val_idx,
                        TrainConfig(batch_size=8, max_passes=1, seed=seed), ModelConfig(),
                        initial=initial)
-        [(work, x_dtype)] = forwards
-        assert x_dtype == np.float32
-        assert all(p.data.dtype == p.grad.dtype == np.float32 for p in work.parameters())
+        # two 4-row float32 forwards, one on each float32 replica
+        [(work0, *shape0), (work1, *shape1)] = forwards
+        assert shape0 == shape1 == [4, np.float32] and work0 is not work1
+        for work in (work0, work1):
+            assert all(p.data.dtype == p.grad.dtype == np.float32 for p in work.parameters())
         [(grads, _)] = steps
 
         # the same step in float64 on the master weights
@@ -410,3 +419,176 @@ class TestMixedPrecision:
             assert all(np.isfinite(g).all() for g in grads.values())
         for name, a in initial.state_arrays().items():
             assert a.tobytes() == before[name].tobytes(), name
+
+
+def relative_l2(got, want) -> float:
+    """Global relative L2 distance of two equal-length lists of arrays."""
+    diff = sum(np.sum((g - w) ** 2) for g, w in zip(got, want))
+    return float(np.sqrt(diff / sum(np.sum(w ** 2) for w in want)))
+
+
+def state_bytes(result) -> dict:
+    """The bytes a checkpoint holds, of the kept and of the final model."""
+    return {(kind, name): a.tobytes()
+            for kind, mp in (("kept", result.params), ("final", result.final_params))
+            for name, a in mp.state_arrays().items()}
+
+
+class TestReplicas:
+    """Each step splits its batch between two replicas, replica 0 in the
+    calling thread and replica 1 on a pool worker; batch norm pools their
+    statistics, so a step computes the one-batch step."""
+
+    @pytest.mark.parametrize("n_rows", [8, 7, 1])
+    def test_synced_step_equals_one_graph_step_in_float64(self, n_rows, two_workers):
+        epochs = sine_epochs(10, seed=3)
+        initial = randomize_batch_norms(init_params(ModelConfig(), seed=3),
+                                        np.random.default_rng(3))
+        batch = np.arange(n_rows)
+        weights = tr.ClassWeights(values=(1.0, 2.5, 5.0, 1.5, 3.0))
+
+        reference = initial.copy()
+        x = Tensor(epochs.samples[batch].astype(np.float64)[:, None, :])
+        loss = weighted_ce_loss(model_forward(reference, x, training=True),
+                                epochs.labels[batch], weights)
+        loss.backward()
+
+        replicas = [initial.copy(), initial.copy()]
+        with parallel.pool() as pool:
+            got = tr.synced_step(pool, replicas, batch,
+                                 lambda share: epochs.samples[share].astype(np.float64),
+                                 epochs.labels, weights)
+        assert got == pytest.approx(loss.item(), rel=1e-10, abs=0)
+        names = sorted(reference.bn_stats)
+        for kind in ("mean", "var"):
+            assert relative_l2([getattr(replicas[0].bn_stats[n], kind) for n in names],
+                               [getattr(reference.bn_stats[n], kind) for n in names]) <= 1e-10
+        # one global bound: a conv bias ahead of a batch norm has a ~1e-16
+        # true gradient, so a per-tensor relative bound would measure noise
+        params = list(reference.params)
+        summed = [replicas[0][n].grad + replicas[1][n].grad for n in params]
+        assert relative_l2(summed, [reference[n].grad for n in params]) <= 1e-10
+
+    def test_bytes_do_not_depend_on_the_pool(self, worker_pool, openblas_threads,
+                                             monkeypatch):
+        """A pool of two workers, of one, and no BLAS setter found give the
+        same bytes. OpenBLAS's sums can depend on its thread count, which a
+        run holds at one thread where the setter is found; without the
+        setter the run keeps the process's count, held at one here by hand."""
+        from sleepstage.preprocess import AugmentConfig
+        set_threads = openblas_threads[1]
+        epochs = sine_epochs(24, seed=8)
+        idx = np.arange(len(epochs))
+        threads = []
+        forward = tr.model_forward
+
+        def spy_forward(mp, x, training=False):
+            threads.append(threading.current_thread())
+            return forward(mp, x, training)
+
+        monkeypatch.setattr(tr, "model_forward", spy_forward)
+        runs = []
+        for workers, blas, count in ((2, openblas_threads, 2), (1, openblas_threads, 2),
+                                     (2, None, 1)):
+            worker_pool(workers)
+            monkeypatch.setattr(parallel, "openblas_thread_calls", lambda blas=blas: blas)
+            set_threads(count)
+            threads.clear()
+            # 19 rows at batch 8: the last batch splits into 2 and 1 rows
+            runs.append(state_bytes(train(
+                epochs, idx[:19], idx[19:], TrainConfig(max_passes=2, batch_size=8, seed=4),
+                ModelConfig(), augment_cfg=AugmentConfig(rng_seed=4))))
+            # each of the 6 steps forwards once in the calling thread, once on a worker
+            assert len(threads) == 12 and threads.count(threading.main_thread()) == 6
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_one_row_last_batch_leaves_replica_1_empty(self, two_workers, monkeypatch):
+        epochs = tiny_dataset(50)
+        idx = np.arange(len(epochs))
+        shares = []
+        forward = tr.model_forward
+
+        def spy_forward(mp, x, training=False):
+            shares.append(x.shape[0])
+            return forward(mp, x, training)
+
+        parts = {0: [], 1: []}
+        allgather = ag.ReplicaGroup.allgather
+
+        def spy_allgather(group, rank, part):
+            parts[rank].append(part)
+            return allgather(group, rank, part)
+
+        monkeypatch.setattr(tr, "model_forward", spy_forward)
+        monkeypatch.setattr(ag.ReplicaGroup, "allgather", spy_allgather)
+        steps = spy_adam_steps(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the filters are process-wide
+            result = train(epochs, idx[:41], idx[41:], TrainConfig(max_passes=1, batch_size=8),
+                           micro_model_config())
+        assert len(steps) == 6 and sorted(shares[-2:]) == [0, 1]
+        # replica 1's gathers in the last step: zero counts, zero sums
+        per_step = len(parts[1]) // 6
+        assert per_step and len(parts[0]) == len(parts[1])
+        assert any(len(part) == 3 for part in parts[1][-per_step:])
+        for part in parts[1][-per_step:]:
+            # forward (count, mean, M2) and backward (sum g, sum g*xhat) alike
+            assert not any(np.any(a) for a in part)
+        assert np.isfinite(result.log[0].train_loss)
+        for grads, _ in steps:
+            assert all(np.isfinite(g).all() for g in grads.values())
+        for a in result.final_params.state_arrays().values():
+            assert np.isfinite(a).all()
+
+    def test_exception_in_a_replica_reaches_the_caller(self):
+        """In a child process with a timeout, so that a replica left waiting
+        at a barrier fails the test instead of hanging the suite."""
+        code = textwrap.dedent("""
+            import itertools, threading
+            import numpy as np
+            from sleepstage import autograd as ag, parallel, training as tr
+            from helpers import micro_model_config, sine_epochs
+
+            epochs = sine_epochs(30, seed=12, length=64, rate=64 / 30.0)
+            idx = np.arange(30)
+            blas = parallel.openblas_thread_calls()
+            if blas is None:  # a stand-in count keeps the restore under test
+                count = [1]
+                blas = (lambda: count[0], lambda n: count.__setitem__(0, n))
+                parallel.openblas_thread_calls = lambda: blas
+            blas[1](2)
+            batch_norm = ag.batch_norm1d
+
+            def run():
+                return tr.train(epochs, idx[:20], idx[20:],
+                                tr.TrainConfig(max_passes=2, batch_size=8),
+                                micro_model_config())
+
+            for in_main in (False, True):
+                calls = itertools.count()
+
+                def failing(*args, **kwargs):
+                    # the 3rd batch norm of the 2nd step, in one replica only;
+                    # the other waits for it at that batch norm's barrier
+                    if (threading.current_thread() is threading.main_thread()) == in_main:
+                        if next(calls) == 17:
+                            raise ZeroDivisionError("replica failed")
+                    return batch_norm(*args, **kwargs)
+
+                ag.batch_norm1d = failing
+                try:
+                    run()
+                    print("no-error")
+                except BaseException as exc:
+                    print(type(exc).__name__)
+                print(blas[0]())
+                ag.batch_norm1d = batch_norm
+                print(len(run().log))
+            """)
+        tests = Path(__file__).parent
+        src = Path(ag.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["ZeroDivisionError", "2", "2"] * 2, out.stdout
