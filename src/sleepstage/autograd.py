@@ -35,11 +35,9 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import struct
 import threading
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,6 +50,7 @@ from .errors import (
     ShapeMismatch,
     TruncatedFile,
 )
+from .files import write_atomic
 
 _GRAD_ENABLED = True
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -633,28 +632,23 @@ def save_arrays(arrays: dict[str, np.ndarray], manifest: str, path) -> None:
     manifest length + UTF-8 manifest, count, then per entry name length +
     UTF-8 name, rank, dims, little-endian float64 payload.
 
-    The bytes go to `<path>.tmp` and replace `path` in one rename, so `path`
-    holds either its old bytes or all the new ones.
+    The file is written atomically (`files.write_atomic`).
     """
     text = manifest.encode("utf-8")
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(struct.pack("<II", _CKPT_VERSION, len(text)))
-            fh.write(text)
-            fh.write(struct.pack("<I", len(arrays)))
-            for name, arr in arrays.items():
-                nb = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+
+    def write(fh) -> None:
+        fh.write(_CKPT_MAGIC)
+        fh.write(struct.pack("<II", _CKPT_VERSION, len(text)))
+        fh.write(text)
+        fh.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(nb)))
+            fh.write(nb)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_atomic(path, write)
 
 
 def load_arrays(path) -> tuple[str, dict[str, np.ndarray]]:

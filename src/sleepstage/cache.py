@@ -3,7 +3,8 @@
 Cache layout: 4 magic bytes, u32 version, u32 epoch count, then from byte
 12 one record per epoch of the packed dtype [('label','u1'),('x','<f4',(L,))],
 with L implied by the file size. Epochs are stored in epoch_index order;
-loading renumbers them densely from 0 into one EpochSet.
+loading renumbers them densely from 0 into one EpochSet. Both kinds of file
+are written atomically.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .edf import EpochSet, StageLabel
 from .errors import DataError, TruncatedFile
+from .files import write_atomic
 from .preprocess import NormalizationStats
 
 _MAGIC = b"SSE1"
@@ -29,15 +31,24 @@ def _record_dtype(length: int) -> np.dtype:
 
 
 def save_epochs(epochs: EpochSet, path) -> None:
+    """Write `epochs` in epoch_index order, atomically; rows already in that
+    order, as epoch_recording returns them, are cast into the records
+    without a gather."""
     if not epochs:
         raise ValueError("refusing to write an empty epoch cache")
-    order = np.argsort(epochs.epoch_index, kind="stable")
     records = np.empty(len(epochs), dtype=_record_dtype(epochs.samples.shape[1]))
-    records["label"] = epochs.labels[order]
-    records["x"] = epochs.samples[order]
-    with open(path, "wb") as fh:
+    if np.all(epochs.epoch_index[1:] >= epochs.epoch_index[:-1]):
+        records["label"] = epochs.labels
+        records["x"] = epochs.samples
+    else:
+        order = np.argsort(epochs.epoch_index, kind="stable")
+        records["label"] = epochs.labels[order]
+        records["x"] = epochs.samples[order]
+
+    def write(fh) -> None:
         fh.write(_MAGIC + struct.pack("<II", _VERSION, len(records)))
-        fh.write(records.tobytes())
+        fh.write(records.view(np.uint8))
+    write_atomic(path, write)
 
 
 def _read_records(path) -> np.ndarray:
@@ -89,7 +100,8 @@ def load_epochs(path, subject_id: str) -> EpochSet:
 
 
 def save_stats(stats: NormalizationStats, path) -> None:
-    Path(path).write_text(f"s05 = {stats.s05!r}\ns95 = {stats.s95!r}\n")
+    text = f"s05 = {stats.s05!r}\ns95 = {stats.s95!r}\n".encode()
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 def load_stats(path) -> NormalizationStats:

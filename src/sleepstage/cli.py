@@ -55,6 +55,7 @@ from .errors import (  # the EXIT_* codes are re-exported for callers of main()
     SleepStageError,
 )
 from .evaluation import ConfusionMatrix, FoldSplit, SplitConfig
+from .files import write_atomic
 from .model import ModelParams
 from .preprocess import compute_stats, normalize
 
@@ -297,7 +298,7 @@ def cmd_preprocess(args) -> int:
                 continue
             cache.save_epochs(epochs, epochs_path)
             cache.save_stats(stats, rc.cache_dir / f"{cache_name}{cache.STATS_SUFFIX}")
-            src_path.write_bytes(src_text)
+            write_atomic(src_path, lambda fh: fh.write(src_text))
             log.info("%s: cached %d epochs", stem, len(epochs))
         totals += np.bincount(epochs.labels, minlength=len(StageLabel))
 

@@ -321,19 +321,27 @@ def serialize_edf(header: EdfHeader, signals: list[np.ndarray]) -> bytes:
 
 
 def calibrate(digital: np.ndarray, sig: SignalHeader) -> np.ndarray:
-    """Affine digital -> physical map; out-of-range samples clamp with a warning."""
+    """Affine digital -> physical map, pmin + (d - dmin) * gain, as a new
+    float64 array; out-of-range samples clamp with a warning.
+
+    The range check reads the stored values' own min and max, so only a
+    signal with an out-of-range sample pays for counting them. The map runs
+    in place on the one float64 copy; d += pmin gives the bits of pmin + d.
+    """
     if sig.digital_min == sig.digital_max:
         raise DegenerateCalibration(f"signal {sig.label!r}: digital_min == digital_max")
-    d = np.asarray(digital, dtype=np.float64)
-    below = d < sig.digital_min
-    above = d > sig.digital_max
-    n_out = int(below.sum() + above.sum())
-    if n_out:
+    raw = np.asarray(digital)
+    d = np.array(raw, dtype=np.float64)
+    if raw.size and (raw.min() < sig.digital_min or raw.max() > sig.digital_max):
+        n_out = int(np.count_nonzero(d < sig.digital_min) + np.count_nonzero(d > sig.digital_max))
         log.warning("signal %r: clamped %d samples outside [%d, %d]",
                     sig.label, n_out, sig.digital_min, sig.digital_max)
-        d = np.clip(d, sig.digital_min, sig.digital_max)
+        np.clip(d, sig.digital_min, sig.digital_max, out=d)
     gain = (sig.physical_max - sig.physical_min) / (sig.digital_max - sig.digital_min)
-    return sig.physical_min + (d - sig.digital_min) * gain
+    d -= sig.digital_min
+    d *= gain
+    d += sig.physical_min
+    return d
 
 
 def find_signal(header: EdfHeader, channel: str) -> int:

@@ -7,6 +7,7 @@ and are left unclipped. Augmentation flips an epoch in time with probability
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +36,74 @@ class AugmentConfig:
             raise ValueError(f"noise_fraction must be finite and >= 0, got {self.noise_fraction}")
 
 
+_BINS = 1 << 16      # histogram bins of compute_stats, codes 0..65535
+_CHUNK = 1 << 16     # samples binned at a time
+
+
+def _linear_position(n: int, q: float) -> tuple[int, int, float]:
+    """(lower rank, upper rank, weight) of quantile q of n sorted values, as
+    numpy's method="linear" places it (Hyndman & Fan's definition 7): at
+    (n - 1) * q, clamped to the last value, whose index numpy writes as -1."""
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return n - 1, n - 1, virtual + 1.0
+    lower = math.floor(virtual)
+    return lower, lower + 1, virtual - lower
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's quantile interpolation between neighbours a <= b, including
+    its form for t >= 0.5."""
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
 def compute_stats(samples: np.ndarray) -> NormalizationStats:
-    """Empirical 5th/95th percentiles, linear interpolation between ranks."""
-    x = np.asarray(samples, dtype=np.float64)
+    """Empirical 5th/95th percentiles, linear interpolation between ranks;
+    equal to np.percentile(samples, [5, 95], method="linear").
+
+    Selection by histogram: each sample gets a uint16 code floor((x - lo) *
+    scale), monotone in x, so the value of rank r lies in the code whose
+    cumulative count first exceeds r, and is found by partitioning only that
+    code's members. A span or scale that is not finite (overflow near the
+    float64 limits, a zero or subnormal span) puts every sample in code 0,
+    where the partition is over the whole signal.
+    """
+    x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size == 0:
         raise EmptySignal("cannot take percentiles of an empty signal")
-    if not np.all(np.isfinite(x)):
+    lo, hi = float(x.min()), float(x.max())  # NaN or +-inf lands in one of them
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise EmptySignal("signal contains non-finite samples")
-    s05, s95 = np.percentile(x, [5.0, 95.0], method="linear")
+    span = hi - lo  # Python floats: inf on overflow, no warning
+    scale = (_BINS - 1) / span if 0.0 < span < math.inf else math.inf
+    if not math.isfinite(scale):  # also inf for a subnormal span
+        lo, scale = 0.0, 0.0
+
+    codes = np.empty(x.size, dtype=np.uint16)
+    counts = np.zeros(_BINS, dtype=np.int64)
+    shifted = np.empty(min(x.size, _CHUNK))
+    for start in range(0, x.size, _CHUNK):
+        part = x[start:start + _CHUNK]
+        d = np.subtract(part, lo, out=shifted[:part.size])
+        code = np.multiply(d, scale, out=codes[start:start + part.size], casting="unsafe")
+        counts += np.bincount(code, minlength=_BINS)
+
+    positions = [_linear_position(x.size, q) for q in (0.05, 0.95)]
+    ranks = sorted({r for lower, upper, _ in positions for r in (lower, upper)})
+    ends = np.cumsum(counts)
+    bins = np.searchsorted(ends, ranks, side="right")
+    value: dict[int, float] = {}
+    for b in np.unique(bins):
+        first = int(ends[b] - counts[b])  # rank of the code's smallest member
+        wanted = [r for r, rb in zip(ranks, bins) if rb == b]
+        members = x[codes == b]
+        members.partition([r - first for r in wanted])
+        value.update((r, float(members[r - first])) for r in wanted)
+    s05, s95 = (_lerp(value[lower], value[upper], t) for lower, upper, t in positions)
     if s05 == s95:
         raise DegenerateSignal(f"5th and 95th percentiles coincide at {s05}")
-    return NormalizationStats(s05=float(s05), s95=float(s95))
+    return NormalizationStats(s05=s05, s95=s95)
 
 
 def normalize(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:

@@ -1,4 +1,6 @@
 """Operator semantics and gradient correctness for the tensor engine."""
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -543,7 +545,7 @@ class TestCheckpointContainer:
         if fail_at == "os.replace":
             def refuse(src, dst):
                 raise OSError("rename refused")
-            monkeypatch.setattr(ag.os, "replace", refuse)
+            monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError):
             ag.save_arrays(arrays, "changed = 1\n", path)
         assert path.read_bytes() == before

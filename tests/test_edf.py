@@ -1,5 +1,6 @@
 """Parsing, calibration, hypnogram handling, epoching, and cache round trips."""
 import datetime as dt
+import hashlib
 import logging
 import re
 from fractions import Fraction
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sleepstage import cache
+from sleepstage import cache, files
+from sleepstage.autograd import save_arrays
 from sleepstage.edf import (
     EpochSet,
     LabeledEpoch,
@@ -39,7 +41,7 @@ from sleepstage.errors import (
     TruncatedFile,
     UnknownStageString,
 )
-from sleepstage.preprocess import NormalizationStats
+from sleepstage.preprocess import NormalizationStats, compute_stats, normalize
 
 from helpers import eeg_signal_header, epoch_set
 
@@ -257,6 +259,66 @@ class TestCalibrate:
         np.testing.assert_allclose(out, [0.0, 10.0])
         assert any("clamped" in r.message for r in caplog.records)
 
+    def test_out_of_range_int16_keeps_clamps_and_count(self, caplog):
+        sig = SignalHeader(label="x", physical_min=-1.0, physical_max=1.0,
+                           digital_min=-100, digital_max=100)
+        digital = np.array([[-32768, -100, 0], [100, 101, 32767], [5, -101, 7]], dtype=np.int16)
+        with caplog.at_level(logging.WARNING, logger="sleepstage.edf"):
+            out = calibrate(digital[:, ::-1], sig)
+        np.testing.assert_allclose(out, [[0.0, -1.0, -1.0], [1.0, 1.0, 1.0], [0.07, -1.0, 0.05]],
+                                   rtol=0, atol=1e-15)
+        assert out[1, 0] == out[1, 2] == 1.0 and out[0, 2] == out[2, 1] == -1.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "signal 'x': clamped 4 samples outside [-100, 100]"]
+
+    @pytest.mark.parametrize("outlier", [-101, 101])
+    def test_one_sample_just_outside_is_clamped(self, caplog, outlier):
+        sig = SignalHeader(label="x", physical_min=-1.0, physical_max=1.0,
+                           digital_min=-100, digital_max=100)
+        digital = np.array([-100, 100, outlier, 3], dtype=np.int16)
+        with caplog.at_level(logging.WARNING, logger="sleepstage.edf"):
+            out = calibrate(digital, sig)
+        assert out[2] == np.sign(outlier)
+        assert [r.getMessage() for r in caplog.records] == [
+            "signal 'x': clamped 1 samples outside [-100, 100]"]
+
+    def test_in_range_signal_logs_nothing(self, caplog):
+        sig = SignalHeader(label="x", physical_min=0.0, physical_max=10.0,
+                           digital_min=0, digital_max=10)
+        with caplog.at_level(logging.WARNING, logger="sleepstage.edf"):
+            calibrate(np.array([0, 10, 5], dtype=np.int16), sig)
+            calibrate(np.zeros((0, 3), dtype=np.int16), sig)
+        assert caplog.records == []
+
+    def test_float64_input_comes_back_unmodified(self):
+        sig = SignalHeader(label="x", physical_min=-3.0, physical_max=5.0,
+                           digital_min=-20, digital_max=20)
+        digital = RNG.uniform(-30, 30, size=50)
+        before = digital.copy()
+        out = calibrate(digital, sig)
+        np.testing.assert_array_equal(digital, before)
+        assert not np.shares_memory(out, digital)
+        np.testing.assert_array_equal(
+            out, sig.physical_min + (np.clip(before, -20, 20) + 20) * (8.0 / 40))
+
+    @given(st.integers(-32768, 32000), st.integers(1, 65535),
+           st.floats(-1e4, 1e4), st.floats(1e-3, 1e4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_strided_record_columns_bit_equal_the_affine_map(self, dmin, drange, pmin, pwidth, seed):
+        """As read_recording passes it: one signal's block of columns of the
+        [records, samples per record] int16 table, a strided 2-D view."""
+        dmax = min(dmin + drange, 32767)
+        sig = SignalHeader(label="x", physical_min=pmin, physical_max=pmin + pwidth,
+                           digital_min=dmin, digital_max=dmax)
+        table = np.random.default_rng(seed).integers(dmin, dmax + 1, size=(6, 3 + 40 + 5),
+                                                     dtype=np.int16)
+        view = table[:, 3:43]
+        out = calibrate(view, sig)
+        gain = (sig.physical_max - sig.physical_min) / (dmax - dmin)
+        expected = sig.physical_min + (view.astype(np.float64) - dmin) * gain
+        assert out.dtype == np.float64 and out.shape == view.shape and out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+
     @given(st.floats(-1000, 1000), st.floats(-1000, 1000), st.floats(0, 1))
     @settings(max_examples=50, deadline=None)
     def test_affine_property(self, d1, d2, alpha):
@@ -442,6 +504,65 @@ class TestEpochCache:
         with pytest.raises(TruncatedFile):
             cache.load_epochs(path, "x")
 
+    @pytest.mark.parametrize("save", ["epochs", "stats", "arrays"])
+    def test_interrupted_write_keeps_previous_bytes(self, tmp_path, monkeypatch, save):
+        """A write that fails mid-file leaves the old file whole and no temp."""
+        def write(path, value):
+            if save == "epochs":
+                cache.save_epochs(epoch_set(np.full((2, 5), value), [1, 2]), path)
+            elif save == "stats":
+                cache.save_stats(NormalizationStats(s05=-value, s95=value), path)
+            else:
+                save_arrays({"w": np.full(3, value)}, "k = v\n", path)
+
+        path = tmp_path / "artifact"
+        write(path, 1.0)
+        before = path.read_bytes()
+
+        class FailsMidFile:
+            def __init__(self, name, mode):
+                self.fh = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(bytes(data)[:3])
+                self.fh.flush()
+                raise OSError("device full")
+
+        monkeypatch.setattr(files, "open", FailsMidFile, raising=False)
+        with pytest.raises(OSError, match="device full"):
+            write(path, 2.0)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+        monkeypatch.undo()
+        write(path, 2.0)
+        assert path.read_bytes() != before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_write_atomic_publishes_in_one_rename(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"old")
+
+        def write(fh):
+            fh.write(b"new ")
+            assert path.read_bytes() == b"old"
+            fh.write(b"bytes")
+        files.write_atomic(path, write)
+        assert path.read_bytes() == b"new bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+    def test_sorted_and_shuffled_epochs_write_the_same_bytes(self, tmp_path):
+        epochs = epoch_set(RNG.normal(size=(6, 7)), [0, 1, 2, 3, 4, 0], epoch_index=[1, 3, 4, 8, 9, 12])
+        shuffled = epochs[np.asarray([3, 0, 5, 1, 4, 2])]
+        cache.save_epochs(epochs, tmp_path / "a.epochs")
+        cache.save_epochs(shuffled, tmp_path / "b.epochs")
+        assert (tmp_path / "a.epochs").read_bytes() == (tmp_path / "b.epochs").read_bytes()
+
     def test_stats_round_trip(self, tmp_path):
         stats = NormalizationStats(s05=-12.3456789012345, s95=98.7654321098765)
         path = tmp_path / "s.stats"
@@ -547,3 +668,56 @@ class TestEpochSet:
         assert isinstance(picked, EpochSet)
         assert picked.labels.tolist() == [4, 0]
         assert picked.subjects.tolist() == ["s0", "s0"]
+
+
+# sha256 of the cache files of golden_night, recorded at the commit before
+# compute_stats used histogram selection (np.percentile then)
+GOLDEN_DIGESTS = {
+    "golden.epochs": "eb59709472ff4367b4b9477349bf0e162128f4a9e04c0a77d2f691b8de9df909",
+    "golden.stats": "f7a1f375ab11589337182ad8be419f47aa2f2f90d43d61fb9fd67803fc0ee5c5",
+}
+
+
+def golden_night() -> bytes:
+    """A seeded 60-epoch night at 100 Hz: a 16-bit EEG channel between a
+    12-bit EOG channel and its stage annotations, so the EEG's samples are a
+    strided block of columns of the record table. Scored W/1/2/3/4/R with a
+    movement and an unscored stretch that leave gaps in epoch_index."""
+    rng = np.random.default_rng(20240417)
+    n, spr = 60, 3000
+    eog = SignalHeader(label="EOG horizontal", physical_dimension="uV",
+                       physical_min=-204.8, physical_max=204.7,
+                       digital_min=-2048, digital_max=2047, samples_per_record=spr)
+    eeg = SignalHeader(label="EEG Fpz-Cz", physical_dimension="uV",
+                       physical_min=-500.0, physical_max=500.0,
+                       digital_min=-32768, digital_max=32767, samples_per_record=spr)
+    eeg_digital = np.clip(np.round(2500.0 * rng.standard_t(4, size=n * spr)), -32768, 32767)
+    eog_digital = rng.integers(-2048, 2048, size=n * spr)
+    runs = [("W", 5), ("1", 3), ("2", 10), ("M", 2), ("3", 6), ("4", 4), ("2", 8),
+            ("R", 7), ("?", 3), ("2", 5), ("W", 7)]
+    intervals, onset = [], 0.0
+    for token, count in runs:
+        intervals.append((onset, 30.0 * count, token))
+        onset += 30.0 * count
+    annotations = encode_annotation_signal(intervals, record_count=n, record_duration=30.0,
+                                           samples_per_record=16 * (2 + len(intervals)))
+    return build_edf([(eog, eog_digital.astype(np.int32)),
+                      (eeg, eeg_digital.astype(np.int32)), annotations],
+                     record_count=n, record_duration=Fraction(30))
+
+
+class TestGoldenIngest:
+    def test_cache_bytes_pinned(self, tmp_path):
+        """preprocess's calls on golden_night write the pinned bytes."""
+        psg = golden_night()
+        rec = read_recording(psg, "EEG Fpz-Cz", "golden")
+        stages = parse_hypnogram(psg)
+        stats = compute_stats(rec.samples)
+        rec.samples = normalize(rec.samples, stats)
+        epochs = epoch_recording(rec, stages)
+        cache.save_epochs(epochs, tmp_path / "golden.epochs")
+        cache.save_stats(stats, tmp_path / "golden.stats")
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("golden.epochs", "golden.stats")}
+        assert len(epochs) == 55
+        assert digests == GOLDEN_DIGESTS

@@ -1,8 +1,12 @@
 """Percentile stats, normalization endpoints, and augmentation behavior."""
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sleepstage.edf import SignalHeader, calibrate
 from sleepstage.errors import DegenerateSignal, EmptySignal
 from sleepstage.preprocess import (
     AugmentConfig,
@@ -40,6 +44,93 @@ class TestComputeStats:
     def test_order(self):
         stats = compute_stats(RNG.normal(size=5000))
         assert stats.s05 < stats.s95
+
+
+def assert_numpy_percentiles(x: np.ndarray) -> None:
+    """compute_stats(x) gives np.percentile(x, [5, 95], method="linear") as
+    floats, or DegenerateSignal naming the value where they coincide; it
+    raises no RuntimeWarning, whatever numpy's own arithmetic warns of."""
+    with np.errstate(all="ignore"):
+        expected = np.percentile(x, [5.0, 95.0], method="linear")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected[0] == expected[1]:
+            with pytest.raises(DegenerateSignal, match="^5th and 95th percentiles coincide at ") as exc:
+                compute_stats(x)
+            assert float(str(exc.value).rsplit(" ", 1)[1]) == expected[0]
+        else:
+            stats = compute_stats(x)
+            assert type(stats.s05) is float and type(stats.s95) is float
+            np.testing.assert_array_equal([stats.s05, stats.s95], expected)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+seeds = st.integers(0, 2**32 - 1)
+# more than one 65,536-sample chunk at the top end
+sizes = st.sampled_from([1, 2, 19, 20, 21, 100, 1001, 65_536, 65_537, 150_001])
+
+
+class TestComputeStatsIsNumpyPercentile:
+    @given(st.lists(finite, min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_one_to_three_values(self, xs):
+        assert_numpy_percentiles(np.asarray(xs))
+
+    @given(st.lists(finite, min_size=1, max_size=4), sizes, seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_heavy_duplicates(self, pool, n, seed):
+        assert_numpy_percentiles(np.random.default_rng(seed).choice(pool, size=n))
+
+    @given(st.sampled_from([12, 16]), st.floats(-1e4, -1e-3), st.floats(1e-3, 1e4),
+           st.sampled_from([1.0, 30.0, 3000.0]), sizes, seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_edf_calibrated_signals(self, bits, pmin, pmax, spread, n, seed):
+        dmax = 2 ** (bits - 1) - 1
+        sig = SignalHeader(label="x", physical_min=pmin, physical_max=pmax,
+                           digital_min=-dmax - 1, digital_max=dmax)
+        rng = np.random.default_rng(seed)
+        digital = np.clip(np.round(spread * rng.standard_t(4, size=n)), -dmax - 1, dmax)
+        assert_numpy_percentiles(calibrate(digital.astype(np.int16), sig))
+
+    @given(st.lists(st.floats(1.6e308, 1.7976931348623157e308), min_size=1, max_size=40),
+           st.lists(st.booleans(), min_size=40, max_size=40))
+    @settings(max_examples=120, deadline=None)
+    def test_values_near_the_float64_limits(self, magnitudes, negative):
+        signs = np.where(negative[:len(magnitudes)], -1.0, 1.0)
+        assert_numpy_percentiles(signs * np.asarray(magnitudes))
+
+    @given(sizes, seeds, st.sampled_from([0.0, 1.0, -3.5e-300, 2.2250738585072014e-308]))
+    @settings(max_examples=40, deadline=None)
+    def test_large_arrays_near_the_float64_limits(self, n, seed, offset):
+        x = 1.7e308 * np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
+        assert_numpy_percentiles(x)
+        assert_numpy_percentiles(np.abs(x) + offset)
+
+    @given(st.lists(st.integers(0, 2**20), min_size=1, max_size=200),
+           st.sampled_from([0.0, 5e-324, -2.2250738585072014e-308, 1e-300]))
+    @settings(max_examples=120, deadline=None)
+    def test_subnormal_spans(self, steps, base):
+        assert_numpy_percentiles(base + 5e-324 * np.asarray(steps, dtype=np.float64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 70_000])
+    def test_non_finite_sample_is_empty_signal(self, bad, n):
+        x = RNG.normal(size=n)
+        x[n // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptySignal, match="^signal contains non-finite samples$"):
+                compute_stats(x)
+
+    def test_empty_signal_message(self):
+        with pytest.raises(EmptySignal, match="^cannot take percentiles of an empty signal$"):
+            compute_stats(np.array([]))
+
+    @pytest.mark.parametrize("value", [3.25, 0.0, -1e308, 5e-324])
+    def test_constant_signal_message(self, value):
+        with pytest.raises(DegenerateSignal,
+                           match=f"^5th and 95th percentiles coincide at {re.escape(str(value))}$"):
+            compute_stats(np.full(70_000, value))
 
 
 class TestNormalize:
