@@ -55,7 +55,7 @@ from .errors import (  # the EXIT_* codes are re-exported for callers of main()
     SleepStageError,
 )
 from .evaluation import ConfusionMatrix, FoldSplit, SplitConfig
-from .files import write_atomic
+from .files import write_atomic, write_csv_atomic, write_text_atomic
 from .model import ModelParams
 from .preprocess import compute_stats, normalize
 
@@ -97,7 +97,7 @@ def _run_config(args) -> RunConfig:
 
 def _write_resolved(rc: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text(format_kv(rc.resolved()))
+    write_text_atomic(out_dir / "config.resolved", format_kv(rc.resolved()))
 
 
 def _file_fingerprint(data: bytes) -> dict[str, str]:
@@ -197,7 +197,7 @@ def _metrics_payload(cm: ConfusionMatrix, rc: RunConfig,
 
 
 def write_metrics_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _fmt(v) -> str:
@@ -220,27 +220,19 @@ def print_metrics_table(cm: ConfusionMatrix) -> None:
 def _write_split_log(split: FoldSplit, path: Path) -> None:
     payload = {"kind": split.kind, "seed": split.seed,
                "parts": [list(p) for p in split.parts]}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_curves_csv(curves: dict[int, evaluation.CurveSet], out_dir: Path) -> None:
-    with open(out_dir / "roc.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stage", "fpr", "tpr"])
-        for c, cs in sorted(curves.items()):
-            for fpr, tpr in cs.roc_points.tolist():
-                w.writerow([StageLabel(c).name, repr(fpr), repr(tpr)])
-    with open(out_dir / "pr.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stage", "recall", "precision"])
-        for c, cs in sorted(curves.items()):
-            for rec, prec in cs.pr_points.tolist():
-                w.writerow([StageLabel(c).name, repr(rec), repr(prec)])
-    with open(out_dir / "auc.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stage", "roc_auc", "pr_auc"])
-        for c, cs in sorted(curves.items()):
-            w.writerow([StageLabel(c).name, repr(cs.roc_auc), repr(cs.pr_auc)])
+    stages = [(StageLabel(c).name, cs) for c, cs in sorted(curves.items())]
+    write_csv_atomic(out_dir / "roc.csv", ["stage", "fpr", "tpr"],
+                     ([name, repr(fpr), repr(tpr)]
+                      for name, cs in stages for fpr, tpr in cs.roc_points.tolist()))
+    write_csv_atomic(out_dir / "pr.csv", ["stage", "recall", "precision"],
+                     ([name, repr(rec), repr(prec)]
+                      for name, cs in stages for rec, prec in cs.pr_points.tolist()))
+    write_csv_atomic(out_dir / "auc.csv", ["stage", "roc_auc", "pr_auc"],
+                     ([name, repr(cs.roc_auc), repr(cs.pr_auc)] for name, cs in stages))
 
 
 # --- commands ---
@@ -379,8 +371,8 @@ def cmd_eval(args) -> int:
     result = evaluation.evaluate(mp, epochs, val_idx)
     payload = _metrics_payload(result.cm, rc, split_desc, result.y_true.size)
     write_metrics_json(payload, out_dir / "metrics.json")
-    (out_dir / "confusion.svg").write_text(figures.confusion_heatmap_svg(result.cm))
-    (out_dir / "hypnogram.svg").write_text(figures.hypnogram_svg(
+    write_text_atomic(out_dir / "confusion.svg", figures.confusion_heatmap_svg(result.cm))
+    write_text_atomic(out_dir / "hypnogram.svg", figures.hypnogram_svg(
         result.y_pred, indices=range(result.y_pred.size), reference=result.y_true,
         title="Validation staging: predicted vs reference"))
     present = sorted(set(int(c) for c in result.y_true))
@@ -415,11 +407,9 @@ def cmd_predict(args) -> int:
     reference = dict(zip(index.tolist(), (StageLabel(c).name for c in labels)))
 
     csv_path = out_dir / "predictions.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch_index", "onset_seconds", "predicted", "reference"])
-        for i, p in enumerate(pred):
-            w.writerow([i, i * EPOCH_SECONDS, StageLabel(p).name, reference.get(i, "")])
+    write_csv_atomic(csv_path, ["epoch_index", "onset_seconds", "predicted", "reference"],
+                     ([i, i * EPOCH_SECONDS, StageLabel(p).name, reference.get(i, "")]
+                      for i, p in enumerate(pred)))
 
     if index.size:
         agree = float(np.mean(pred[index] == labels))
@@ -429,7 +419,7 @@ def cmd_predict(args) -> int:
                                     title=f"{psg_path.stem}: predicted vs reference")
     else:
         svg = figures.hypnogram_svg(pred, title=f"{psg_path.stem}: predicted staging")
-    (out_dir / "hypnogram.svg").write_text(svg)
+    write_text_atomic(out_dir / "hypnogram.svg", svg)
     print(f"wrote {csv_path}")
     return 0
 
@@ -459,7 +449,7 @@ def cmd_plot(args) -> int:
         except (csv.Error, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{args.predictions}: bad predictions file: {exc!r}") from None
         path = out_dir / "hypnogram.svg"
-        path.write_text(figures.hypnogram_svg(pred, indices=indices, reference=ref))
+        write_text_atomic(path, figures.hypnogram_svg(pred, indices=indices, reference=ref))
         wrote.append(path)
     if args.metrics:
         try:
@@ -468,7 +458,7 @@ def cmd_plot(args) -> int:
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"{args.metrics}: bad metrics file: {exc!r}") from None
         path = out_dir / "confusion.svg"
-        path.write_text(figures.confusion_heatmap_svg(cm))
+        write_text_atomic(path, figures.confusion_heatmap_svg(cm))
         wrote.append(path)
     if not wrote:
         raise ConfigError("plot needs --predictions and/or --metrics")

@@ -1,10 +1,13 @@
-"""Atomic file writes, shared by the cache, the checkpoint container and
-the CLI; imports nothing of sleepstage, so any module can use it."""
+"""Atomic file writes, shared by the cache, the checkpoint container, the
+training log and the CLI; imports nothing of sleepstage, so any module can
+use it. Text goes out as UTF-8 with its newlines as given."""
 from __future__ import annotations
 
+import codecs
+import csv
 import os
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 
 def write_atomic(path, write: Callable[[BinaryIO], object]) -> None:
@@ -19,3 +22,17 @@ def write_atomic(path, write: Callable[[BinaryIO], object]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
+
+
+def write_csv_atomic(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """`header`, then each row, as csv.writer formats them (lines end in
+    CRLF); the rows are written as they come, not gathered first."""
+    def write(fh) -> None:
+        out = csv.writer(codecs.getwriter("utf-8")(fh))
+        out.writerow(header)
+        out.writerows(rows)
+    write_atomic(path, write)

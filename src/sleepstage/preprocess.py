@@ -60,7 +60,10 @@ def _lerp(a: float, b: float, t: float) -> float:
 
 def compute_stats(samples: np.ndarray) -> NormalizationStats:
     """Empirical 5th/95th percentiles, linear interpolation between ranks;
-    equal to np.percentile(samples, [5, 95], method="linear").
+    equal to np.percentile(samples, [5, 95], method="linear"). Percentiles
+    that coincide, or that are not finite because two neighbouring ranks lie
+    more than the float64 range apart, raise DegenerateSignal, since
+    normalize cannot map the signal onto [-1, 1] with them.
 
     Selection by histogram: each sample gets a uint16 code floor((x - lo) *
     scale), monotone in x, so the value of rank r lies in the code whose
@@ -101,6 +104,8 @@ def compute_stats(samples: np.ndarray) -> NormalizationStats:
         members.partition([r - first for r in wanted])
         value.update((r, float(members[r - first])) for r in wanted)
     s05, s95 = (_lerp(value[lower], value[upper], t) for lower, upper, t in positions)
+    if not (math.isfinite(s05) and math.isfinite(s95)):
+        raise DegenerateSignal(f"5th and 95th percentiles {s05} and {s95} are not finite")
     if s05 == s95:
         raise DegenerateSignal(f"5th and 95th percentiles coincide at {s05}")
     return NormalizationStats(s05=s05, s95=s95)

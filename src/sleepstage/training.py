@@ -24,7 +24,6 @@ count.
 """
 from __future__ import annotations
 
-import csv
 import threading
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ from . import evaluation, parallel
 from .autograd import ParamTensor, RunningStats, Tensor
 from .edf import EpochSet
 from .errors import EmptySplit, MissingGradient, NonFiniteLoss, ShapeMismatch, ZeroProportion
+from .files import write_csv_atomic
 from .model import ModelConfig, ModelParams, init_params, model_forward
 from .preprocess import AugmentConfig, augment
 
@@ -343,15 +343,11 @@ def train(epochs: EpochSet,
 
 def write_training_log(rows: Sequence[LogRow], path) -> None:
     """Write the log as CSV: pass, step, train_loss, val_overall_acc, val_kappa,
-    val_macro_f1; an existing file is overwritten."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pass", "step", "train_loss", "val_overall_acc",
-                         "val_kappa", "val_macro_f1"])
-        for r in rows:
-            writer.writerow([
-                r.train_pass, r.step, repr(r.train_loss),
-                "" if r.val_overall_acc is None else repr(r.val_overall_acc),
-                "" if r.val_kappa is None else repr(r.val_kappa),
-                "" if r.val_macro_f1 is None else repr(r.val_macro_f1),
-            ])
+    val_macro_f1; an existing file is replaced atomically."""
+    write_csv_atomic(path, ["pass", "step", "train_loss", "val_overall_acc",
+                            "val_kappa", "val_macro_f1"],
+                     ([r.train_pass, r.step, repr(r.train_loss),
+                       "" if r.val_overall_acc is None else repr(r.val_overall_acc),
+                       "" if r.val_kappa is None else repr(r.val_kappa),
+                       "" if r.val_macro_f1 is None else repr(r.val_macro_f1)]
+                      for r in rows))

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from sleepstage import autograd as ag
-from sleepstage import model
+from sleepstage import cache, model
 from sleepstage.autograd import Tensor
 from sleepstage.edf import (
     EpochSet,
@@ -237,3 +237,32 @@ def reference_roc_pr_curves(scores: np.ndarray, labels, c: int):
         roc.append((fp / neg, tp / pos))
         pr.append((tp / pos, tp / (tp + fp)))
     return tuple(roc), tuple(pr), reference_trapezoid(roc), reference_trapezoid(pr)
+
+
+# --- reference cache load: each file read whole and viewed as records, then
+# the files joined with np.concatenate, as cache.load_all did before it
+# streamed records into one preallocated array ---
+
+def reference_load_all(cache_dir) -> EpochSet:
+    """The EpochSet of every *.epochs file of cache_dir, in sorted order,
+    epoch_index running on across a subject's files; no checks."""
+    paths = sorted(Path(cache_dir).glob(f"*{cache.EPOCH_SUFFIX}"))
+    files, subjects = [], []
+    for p in paths:
+        blob = p.read_bytes()
+        record = (len(blob) - 12) // int.from_bytes(blob[8:12], "little")
+        files.append(np.frombuffer(
+            blob, offset=12, dtype=[("label", "u1"), ("x", "<f4", ((record - 1) // 4,))]))
+        subjects.append(cache.subject_of(p.name[:-len(cache.EPOCH_SUFFIX)]))
+    counts = [len(f) for f in files]
+    bases, next_index = [], {}
+    for subject, count in zip(subjects, counts):
+        bases.append(next_index.get(subject, 0))
+        next_index[subject] = bases[-1] + count
+    return EpochSet(
+        samples=np.concatenate([f["x"] for f in files]),
+        labels=np.concatenate([f["label"] for f in files]).astype(np.int64),
+        subjects=np.repeat(subjects, counts),
+        epoch_index=np.concatenate([base + np.arange(count, dtype=np.int64)
+                                    for base, count in zip(bases, counts)]),
+    )

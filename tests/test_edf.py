@@ -3,6 +3,7 @@ import datetime as dt
 import hashlib
 import logging
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sleepstage import cache, files
 from sleepstage.autograd import save_arrays
+from sleepstage.cli import write_metrics_json
 from sleepstage.edf import (
     EpochSet,
     LabeledEpoch,
@@ -42,8 +44,9 @@ from sleepstage.errors import (
     UnknownStageString,
 )
 from sleepstage.preprocess import NormalizationStats, compute_stats, normalize
+from sleepstage.training import LogRow, write_training_log
 
-from helpers import eeg_signal_header, epoch_set
+from helpers import eeg_signal_header, epoch_set, reference_load_all
 
 RNG = np.random.default_rng(7)
 
@@ -504,7 +507,7 @@ class TestEpochCache:
         with pytest.raises(TruncatedFile):
             cache.load_epochs(path, "x")
 
-    @pytest.mark.parametrize("save", ["epochs", "stats", "arrays"])
+    @pytest.mark.parametrize("save", ["epochs", "stats", "arrays", "metrics", "training_log"])
     def test_interrupted_write_keeps_previous_bytes(self, tmp_path, monkeypatch, save):
         """A write that fails mid-file leaves the old file whole and no temp."""
         def write(path, value):
@@ -512,8 +515,13 @@ class TestEpochCache:
                 cache.save_epochs(epoch_set(np.full((2, 5), value), [1, 2]), path)
             elif save == "stats":
                 cache.save_stats(NormalizationStats(s05=-value, s95=value), path)
-            else:
+            elif save == "arrays":
                 save_arrays({"w": np.full(3, value)}, "k = v\n", path)
+            elif save == "metrics":
+                write_metrics_json({"summary": {"overall_accuracy": value}}, path)
+            else:
+                write_training_log([LogRow(1, 10, value, None, None, None),
+                                    LogRow(2, 20, value / 2, 80.0, 0.7, 0.6)], path)
 
         path = tmp_path / "artifact"
         write(path, 1.0)
@@ -617,6 +625,70 @@ class TestEpochCache:
                               tmp_path / f"{name}.epochs")
         with pytest.raises(DataError, match="mix epoch lengths"):
             cache.load_all(tmp_path)
+
+    LENGTH = 3000
+    CHUNK = max(1, cache.READ_BYTES // (1 + 4 * LENGTH))  # records read at a time
+
+    def save_night(self, path, count, seed):
+        rng = np.random.default_rng(seed)
+        cache.save_epochs(epoch_set(rng.normal(size=(count, self.LENGTH)).astype(np.float32),
+                                    rng.integers(0, len(StageLabel), count)), path)
+
+    def test_load_all_equals_the_joined_files(self, tmp_path):
+        """Record counts on each side of the read chunk, across files of two
+        subjects, load byte for byte as the whole files viewed and joined."""
+        c = self.CHUNK
+        assert c > 2
+        counts = {"a__n1": 1, "a__n2": c - 1, "b__n1": c, "a__n3": c + 1, "b__n2": 2 * c + 1}
+        for seed, (name, count) in enumerate(counts.items()):
+            self.save_night(tmp_path / f"{name}.epochs", count, seed)
+        loaded, expected = cache.load_all(tmp_path), reference_load_all(tmp_path)
+        assert len(loaded) == sum(counts.values())
+        for column in ("samples", "labels", "subjects", "epoch_index"):
+            got, want = getattr(loaded, column), getattr(expected, column)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_label_byte_past_the_first_chunk(self, tmp_path):
+        path = tmp_path / "s.epochs"
+        self.save_night(path, 2 * self.CHUNK + 1, 0)
+        blob = bytearray(path.read_bytes())
+        blob[12 + (self.CHUNK + 3) * (1 + 4 * self.LENGTH)] = 7
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TruncatedFile, match="label byte 7 is not a stage code"):
+            cache.load_all(tmp_path)
+
+    @pytest.mark.parametrize("grow", [False, True], ids=["truncated", "grown"])
+    def test_file_changed_after_its_header_is_truncated_file(self, tmp_path, monkeypatch, grow):
+        """A file cut short or grown between the header check and the read
+        stops the load with TruncatedFile naming it."""
+        path = tmp_path / "s__n1.epochs"
+        self.save_night(path, self.CHUNK + 1, 0)
+        header = cache._header
+
+        def header_then_change(p):
+            result = header(p)
+            blob = p.read_bytes()
+            p.write_bytes(blob + blob[12:] if grow else blob[:-100])
+            return result
+        monkeypatch.setattr(cache, "_header", header_then_change)
+        with pytest.raises(TruncatedFile, match=f"^{re.escape(str(path))}: changed while it was loaded$"):
+            cache.load_all(tmp_path)
+
+    def test_load_holds_one_copy_of_the_samples(self, tmp_path):
+        """A load's traced peak is its result's samples and labels, plus
+        less than 1 MiB: no file is held whole beside the joined rows."""
+        for i in range(8):
+            self.save_night(tmp_path / f"s{i % 2}__n{i}.epochs", 40 + i, i)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            loaded = cache.load_all(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == sum(40 + i for i in range(8))
+        assert peak <= loaded.samples.nbytes + loaded.labels.nbytes + (1 << 20)
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=64))

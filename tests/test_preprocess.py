@@ -48,13 +48,17 @@ class TestComputeStats:
 
 def assert_numpy_percentiles(x: np.ndarray) -> None:
     """compute_stats(x) gives np.percentile(x, [5, 95], method="linear") as
-    floats, or DegenerateSignal naming the value where they coincide; it
-    raises no RuntimeWarning, whatever numpy's own arithmetic warns of."""
+    floats, or DegenerateSignal where they are not finite or where they
+    coincide, naming the value; it raises no RuntimeWarning, whatever
+    numpy's own arithmetic warns of."""
     with np.errstate(all="ignore"):
         expected = np.percentile(x, [5.0, 95.0], method="linear")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if expected[0] == expected[1]:
+        if not np.all(np.isfinite(expected)):
+            with pytest.raises(DegenerateSignal, match="^5th and 95th percentiles .* are not finite$"):
+                compute_stats(x)
+        elif expected[0] == expected[1]:
             with pytest.raises(DegenerateSignal, match="^5th and 95th percentiles coincide at ") as exc:
                 compute_stats(x)
             assert float(str(exc.value).rsplit(" ", 1)[1]) == expected[0]
@@ -98,6 +102,19 @@ class TestComputeStatsIsNumpyPercentile:
     def test_values_near_the_float64_limits(self, magnitudes, negative):
         signs = np.where(negative[:len(magnitudes)], -1.0, 1.0)
         assert_numpy_percentiles(signs * np.asarray(magnitudes))
+
+    @given(st.lists(st.sampled_from([-1.7e308, 1.7e308]), min_size=1, max_size=6),
+           st.lists(finite, max_size=40), seeds)
+    @settings(max_examples=120, deadline=None)
+    def test_float64_limits_mixed_with_ordinary_values(self, extremes, ordinary, seed):
+        x = np.asarray(extremes + ordinary, dtype=np.float64)
+        assert_numpy_percentiles(np.random.default_rng(seed).permutation(x))
+
+    def test_percentiles_past_the_float64_range_are_degenerate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSignal, match="^5th and 95th percentiles inf and -inf are not finite$"):
+                compute_stats(np.array([-1.7e308, 1.7e308]))
 
     @given(sizes, seeds, st.sampled_from([0.0, 1.0, -3.5e-300, 2.2250738585072014e-308]))
     @settings(max_examples=40, deadline=None)
