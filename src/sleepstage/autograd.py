@@ -24,6 +24,16 @@ the same array as another tensor's .grad or a view of it (`add` hands one `g`
 to both parents); a later gradient is added out of place. Code that reads
 .grad must not write into it either.
 
+Saved arrays: the backward graph is made of `_Node`s, kept apart from the
+tensors' values. A node holds its gradient, its parents' nodes and its
+closure, but no forward array, and a closure captures its parents' nodes
+plus only the arrays and shapes its backward reads, never a `Tensor`: batch
+norm saves x̂, not its input; conv1d its padded input; mul and linear their
+operands; add, reshape and the pools shapes and argmax indices. An array
+only a backward reads (a mask, a sign, an argmax) is built only when the op
+records. So an activation is freed once the caller drops its tensor and no
+closure saved it, and `backward` lets go of each node once its closure ran.
+
 conv1d runs one matmul per kernel tap over a shifted view of the padded input:
 `kernel[:, :, k] @ x[k:k+W']` for the output, `kernel[:, :, k].T @ g` into the
 input gradient, and `g @ x[k:k+W'].T` summed over the batch for the weight
@@ -72,21 +82,50 @@ class no_grad:
         return False
 
 
-class Tensor:
-    """N-dimensional float32 or float64 value, optionally a node in a backward
-    graph. Float32 and float64 arrays are kept as they are (no copy); any
-    other input becomes float64."""
+class _Node:
+    """A recorded value's place in the backward graph: its gradient, its
+    parents' nodes and the closure that hands its gradient on. A node holds no
+    forward array, so a graph keeps alive only what its closures saved."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("dtype", "grad", "parents", "backward_fn")
+
+    def __init__(self, dtype: np.dtype, parents: tuple[_Node, ...] = (),
+                 backward_fn: Callable[[np.ndarray], None] | None = None):
+        self.dtype = dtype
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward_fn = backward_fn
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add g to .grad: the first g becomes .grad (cast to this node's
+        dtype, without a copy when it already has it); a later one is added
+        out of place, so an array that .grad shares is never written."""
+        if self.grad is None:
+            self.grad = np.asarray(g, dtype=self.dtype)
+        else:
+            self.grad = np.add(self.grad, g, dtype=self.dtype)
+
+
+class Tensor:
+    """N-dimensional float32 or float64 value and, when it is recorded, its
+    node in a backward graph (`node` is None otherwise). Float32 and float64
+    arrays are kept as they are (no copy); any other input becomes float64."""
+
+    __slots__ = ("data", "node", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self.node = _Node(self.data.dtype) if requires_grad else None
         self._consumed = False
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -100,30 +139,32 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self.node is not None:
+            self.node.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add g to .grad: the first g becomes .grad (cast to this tensor's
-        dtype, without a copy when it already has it); a later one is added
-        out of place, so an array that .grad shares is never written."""
-        if self.grad is None:
-            self.grad = np.asarray(g, dtype=self.data.dtype)
-        else:
-            self.grad = np.add(self.grad, g, dtype=self.data.dtype)
+        """Add g to .grad, as `_Node.accumulate_grad` does; a tensor that is
+        not recorded gets a node of its own first."""
+        if self.node is None:
+            self.node = _Node(self.data.dtype)
+        self.node.accumulate_grad(g)
 
     def backward(self) -> None:
         """Populate .grad on every reachable tensor with requires_grad.
 
         The traversal consumes the graph: a second call raises GraphConsumed.
+        Each node is let go once its closure has run, so the gradient of a
+        tensor nobody holds is freed during the walk.
         """
         if self.data.size != 1:
             raise NonScalarLoss(f"backward() needs a scalar, got shape {self.shape}")
         if self._consumed:
             raise GraphConsumed("backward() already ran on this graph")
 
-        order: list[Tensor] = []
+        self.accumulate_grad(np.ones_like(self.data))
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self.node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -133,16 +174,16 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        self.accumulate_grad(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
-                node._backward_fn = None
-                node._parents = ()
+        while order:
+            node = order.pop()
+            if node.backward_fn is not None and node.grad is not None:
+                node.backward_fn(node.grad)
+                node.backward_fn = None
+                node.parents = ()
         self._consumed = True
 
     def __repr__(self):
@@ -150,7 +191,8 @@ class Tensor:
 
 
 class ParamTensor(Tensor):
-    """Learnable tensor with a stable name used by the checkpoint container."""
+    """Learnable tensor with a stable name used by the checkpoint container.
+    Its .grad is assignable, as an optimizer's gradient input."""
 
     __slots__ = ("name",)
 
@@ -158,23 +200,26 @@ class ParamTensor(Tensor):
         super().__init__(data, requires_grad=True)
         self.name = name
 
+    @Tensor.grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.node.grad = value
+
     def __repr__(self):
         return f"ParamTensor({self.name!r}, shape={self.shape})"
 
 
 def _records(*parents: Tensor) -> bool:
     """Whether an op on `parents` joins the backward graph."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    return _GRAD_ENABLED and any(p.node is not None for p in parents)
 
 
 def make_op(out_data: np.ndarray, parents: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap a forward result, recording backward_fn when the graph is live."""
-    record = _records(*parents)
-    out = Tensor(out_data, requires_grad=record)
-    if record:
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    out = Tensor(out_data)
+    if _records(*parents):
+        out.node = _Node(out.data.dtype, tuple(p.node for p in parents if p.node is not None),
+                         backward_fn)
     return out
 
 
@@ -193,55 +238,51 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(x: Tensor, y: Tensor) -> Tensor:
     out = x.data + y.data
+    xn, yn, x_shape, y_shape = x.node, y.node, x.data.shape, y.data.shape
 
     def _bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(_unbroadcast(g, x.data.shape))
-        if y.requires_grad:
-            y.accumulate_grad(_unbroadcast(g, y.data.shape))
+        if xn is not None:
+            xn.accumulate_grad(_unbroadcast(g, x_shape))
+        if yn is not None:
+            yn.accumulate_grad(_unbroadcast(g, y_shape))
 
     return make_op(out, (x, y), _bw)
 
 
 def mul(x: Tensor, y: Tensor) -> Tensor:
     out = x.data * y.data
+    xn, yn, x_shape, y_shape = x.node, y.node, x.data.shape, y.data.shape
+    # each operand is saved only for the other's gradient
+    xd = x.data if yn is not None else None
+    yd = y.data if xn is not None else None
 
     def _bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(_unbroadcast(g * y.data, x.data.shape))
-        if y.requires_grad:
-            y.accumulate_grad(_unbroadcast(g * x.data, y.data.shape))
+        if xn is not None:
+            xn.accumulate_grad(_unbroadcast(g * yd, x_shape))
+        if yn is not None:
+            yn.accumulate_grad(_unbroadcast(g * xd, y_shape))
 
     return make_op(out, (x, y), _bw)
 
 
-def tensor_sum(x: Tensor) -> Tensor:
-    out = x.data.sum()
-
-    def _bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(g, x.data.shape).copy())
-
-    return make_op(out, (x,), _bw)
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = x.data.reshape(shape)
+    xn, x_shape = x.node, x.data.shape
 
     def _bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.data.shape))
+        xn.accumulate_grad(g.reshape(x_shape))
 
     return make_op(out, (x,), _bw)
 
 
 def absolute(x: Tensor) -> Tensor:
     out = np.abs(x.data)
-    sign = np.sign(x.data)
+    xn = x.node
+    if _records(x):
+        sign = np.sign(x.data)
 
     def _bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * sign)
+        xn.accumulate_grad(g * sign)
 
     return make_op(out, (x,), _bw)
 
@@ -253,14 +294,16 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.data.shape != (weight.data.shape[1],):
         raise ShapeMismatch(f"linear: bias {bias.shape} vs weight {weight.shape}")
     out = x.data @ weight.data + bias.data
+    xn, wn, bn = x.node, weight.node, bias.node
+    xd, wd = x.data, weight.data
 
     def _bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g @ weight.data.T)
-        if weight.requires_grad:
-            weight.accumulate_grad(x.data.T @ g)
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=0))
+        if xn is not None:
+            xn.accumulate_grad(g @ wd.T)
+        if wn is not None:
+            wn.accumulate_grad(xd.T @ g)
+        if bn is not None:
+            bn.accumulate_grad(g.sum(axis=0))
 
     return make_op(out, (x, weight, bias), _bw)
 
@@ -270,11 +313,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); NaN passes through."""
     out = np.maximum(x.data, 0)
+    xn = x.node
     if _records(x):
         mask = x.data > 0
 
     def _bw(g):
-        x.accumulate_grad(g * mask)
+        xn.accumulate_grad(g * mask)
 
     return make_op(out, (x,), _bw)
 
@@ -286,10 +330,10 @@ def sigmoid(x: Tensor) -> Tensor:
     out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     e = np.exp(d[~pos])
     out[~pos] = e / (1.0 + e)
+    xn = x.node
 
     def _bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * out * (1.0 - out))
+        xn.accumulate_grad(g * out * (1.0 - out))
 
     return make_op(out, (x,), _bw)
 
@@ -301,29 +345,38 @@ def softmax(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=1, keepdims=True)
+    xn = x.node
 
     def _bw(g):
-        if x.requires_grad:
-            dot = (g * out).sum(axis=1, keepdims=True)
-            x.accumulate_grad(out * (g - dot))
+        dot = (g * out).sum(axis=1, keepdims=True)
+        xn.accumulate_grad(out * (g - dot))
 
     return make_op(out, (x,), _bw)
 
 
 def soft_threshold(x: Tensor, tau: Tensor) -> Tensor:
-    """y = sign(x) * max(|x| - tau, 0), tau >= 0 broadcastable over x."""
+    """y = sign(x) * max(|x| - tau, 0), tau >= 0 broadcastable over x.
+
+    Computed as copysign(fmax(|x| - tau, 0), x) + 0, which is +0.0 wherever
+    |x| <= tau (adding +0.0 turns copysign's -0.0 into +0.0), also where x or
+    tau is NaN. The backward reads only the output: it is nonzero exactly
+    where |x| > tau, and there it has the sign of x.
+    """
     if np.any(tau.data < 0):
         raise NegativeThreshold("soft_threshold needs tau >= 0 elementwise")
-    sign = np.sign(x.data)
-    shrunk = np.abs(x.data) - tau.data
-    mask = shrunk > 0
-    out = np.where(mask, sign * shrunk, 0.0)
+    out = np.abs(x.data)
+    out -= tau.data
+    np.fmax(out, 0, out=out)
+    np.copysign(out, x.data, out=out)
+    out += 0.0
+    xn, tn, tau_shape = x.node, tau.node, tau.data.shape
 
     def _bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * mask)
-        if tau.requires_grad:
-            tau.accumulate_grad(_unbroadcast(np.where(mask, -sign * g, 0.0), tau.data.shape))
+        mask = out != 0
+        if xn is not None:
+            xn.accumulate_grad(g * mask)
+        if tn is not None:
+            tn.accumulate_grad(_unbroadcast(np.where(mask, -np.sign(out) * g, 0.0), tau_shape))
 
     return make_op(out, (x, tau), _bw)
 
@@ -356,34 +409,40 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         xp[:, :, padding:padding + width] = x.data
     w_out = (width + 2 * padding - ksize) // stride + 1
     span = stride * (w_out - 1) + 1
+    kd = kernel.data
     taps = [xp[:, :, k:k + span:stride] for k in range(ksize)]  # K views [B,Cin,W']
     if c_in == 1:
         # one input channel: the [B,1,W',K] window matrix is small, and one
         # einsum over it beats K thin matmuls
         windows = sliding_window_view(xp, ksize, axis=2)[:, :, ::stride, :]
-        out = np.einsum("biwk,oik->bow", windows, kernel.data, optimize=True)
+        out = np.einsum("biwk,oik->bow", windows, kd, optimize=True)
     else:
-        out = kernel.data[:, :, 0] @ taps[0]
+        out = kd[:, :, 0] @ taps[0]
         for k in range(1, ksize):
-            out += kernel.data[:, :, k] @ taps[k]
+            out += kd[:, :, k] @ taps[k]
     out += bias.data[None, :, None]
+    xn, kn, bn = x.node, kernel.node, bias.node
 
     def _bw(g):
-        if kernel.requires_grad:
-            kernel.accumulate_grad(np.stack(
+        if kn is not None:
+            kn.accumulate_grad(np.stack(
                 [(g @ tap.transpose(0, 2, 1)).sum(axis=0) for tap in taps], axis=2))
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2)))
-        if x.requires_grad:
+        if bn is not None:
+            bn.accumulate_grad(g.sum(axis=(0, 2)))
+        if xn is not None:
             gxp = np.zeros_like(xp)
             for k in range(ksize):
-                gxp[:, :, k:k + span:stride] += kernel.data[:, :, k].T @ g
-            x.accumulate_grad(gxp[:, :, padding:padding + width] if padding else gxp)
+                gxp[:, :, k:k + span:stride] += kd[:, :, k].T @ g
+            xn.accumulate_grad(gxp[:, :, padding:padding + width] if padding else gxp)
 
     return make_op(out, (x, kernel, bias), _bw)
 
 
 def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
+    """Max over windows of `kernel` samples, `stride` apart; the gradient goes
+    to each window's first maximal sample. A window holding NaN outputs NaN,
+    and routes its gradient to the first maximum of the samples before its
+    first NaN (to the NaN when it comes first)."""
     if x.ndim != 3:
         raise ShapeMismatch(f"max_pool1d expects [B,C,W], got {x.shape}")
     batch, chans, width = x.data.shape
@@ -391,23 +450,29 @@ def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
         raise ShapeMismatch(f"max_pool1d: kernel {kernel} > width {width}")
     w_out = (width - kernel) // stride + 1
     span = stride * (w_out - 1) + 1
+    record = _records(x)
     # running maximum over the kernel's strided views; maximum(a, b) returns b
-    # on a tie, so `out` keeps the first maximal value, as argmax does
+    # on a tie, so `out` keeps the first maximal value, and `arg`, the tap
+    # index of the first maximum, moves only where a tap is strictly greater
     out = x.data[:, :, :span:stride].copy()
+    if record:
+        arg = np.zeros(out.shape, dtype=np.min_scalar_type(kernel - 1))
     for k in range(1, kernel):
-        np.maximum(x.data[:, :, k:k + span:stride], out, out=out)
-    if _records(x):
-        windows = sliding_window_view(x.data, kernel, axis=2)[:, :, ::stride, :]
-        arg = windows.argmax(axis=3)  # first maximal index
+        tap = x.data[:, :, k:k + span:stride]
+        if record:
+            up = tap > out
+            arg += up * (k - arg)
+        np.maximum(tap, out, out=out)
+    xn = x.node
 
     def _bw(g):
         # flat index of each window's first maximum in x: row (b, c) starts
         # at (b*C + c)*W; window j starts at stride*j
         flat = (arg + width * np.arange(batch * chans).reshape(batch, chans, 1)
                 + stride * np.arange(w_out))
-        gx = np.zeros(x.data.size, dtype=x.data.dtype)
+        gx = np.zeros(batch * chans * width, dtype=xn.dtype)
         np.add.at(gx, flat.ravel(), g.ravel())
-        x.accumulate_grad(gx.reshape(x.data.shape))
+        xn.accumulate_grad(gx.reshape(batch, chans, width))
 
     return make_op(out, (x,), _bw)
 
@@ -417,10 +482,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ShapeMismatch(f"global_avg_pool expects [B,C,W], got {x.shape}")
     width = x.data.shape[2]
     out = x.data.mean(axis=2)
+    xn = x.node
 
     def _bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.repeat(g[:, :, None], width, axis=2) / width)
+        xn.accumulate_grad(np.repeat(g[:, :, None], width, axis=2) / width)
 
     return make_op(out, (x,), _bw)
 
@@ -431,13 +496,12 @@ def global_max_pool(x: Tensor) -> Tensor:
     batch, chans, width = x.data.shape
     arg = x.data.argmax(axis=2)
     out = np.take_along_axis(x.data, arg[:, :, None], axis=2)[:, :, 0]
+    xn = x.node
 
     def _bw(g):
-        if not x.requires_grad:
-            return
-        gx = np.zeros(x.data.size, dtype=x.data.dtype)
+        gx = np.zeros(batch * chans * width, dtype=xn.dtype)
         np.add.at(gx, width * np.arange(batch * chans) + arg.ravel(), g.ravel())
-        x.accumulate_grad(gx.reshape(x.data.shape))
+        xn.accumulate_grad(gx.reshape(batch, chans, width))
 
     return make_op(out, (x,), _bw)
 
@@ -450,15 +514,14 @@ def channel_pool(x: Tensor) -> Tensor:
     arg = x.data.argmax(axis=1)  # [B,W], first maximal channel
     mx = np.take_along_axis(x.data, arg[:, None, :], axis=1)[:, 0, :]
     out = np.stack([x.data.mean(axis=1), mx], axis=1)
+    xn = x.node
 
     def _bw(g):
-        if not x.requires_grad:
-            return
         gx = np.repeat(g[:, 0:1, :], chans, axis=1) / chans
         # flat index of (b, arg[b, w], w) in x is (b*C + arg)*W + w
         flat = (chans * np.arange(batch)[:, None] + arg) * width + np.arange(width)
         np.add.at(gx.reshape(-1), flat.ravel(), g[:, 1, :].ravel())
-        x.accumulate_grad(gx)
+        xn.accumulate_grad(gx)
 
     return make_op(out, (x,), _bw)
 
@@ -469,11 +532,12 @@ def concat(xs: Sequence[Tensor], axis: int = 1) -> Tensor:
     out = np.concatenate([t.data for t in xs], axis=axis)
     sizes = [t.data.shape[axis] for t in xs]
     splits = np.cumsum(sizes)[:-1]
+    nodes = [t.node for t in xs]
 
     def _bw(g):
-        for t, piece in zip(xs, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t.accumulate_grad(piece)
+        for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            if node is not None:
+                node.accumulate_grad(piece)
 
     return make_op(out, tuple(xs), _bw)
 
@@ -591,17 +655,19 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
         xhat = (x3 - stats.mean[:, None]) * inv[:, None]
     out = xhat * gamma.data[:, None]
     out += beta.data[:, None]
+    xn, gn, bn, gd = x.node, gamma.node, beta.node, gamma.data
+    x_shape, x3_shape = x.data.shape, x3.shape
 
     def _bw(g):
-        g3 = g.reshape(x3.shape)
+        g3 = g.reshape(x3_shape)
         dgamma = np.einsum("bcw,bcw->c", g3, xhat)
         dbeta = g3.sum(axis=(0, 2))
-        if gamma.requires_grad:
-            gamma.accumulate_grad(dgamma)
-        if beta.requires_grad:
-            beta.accumulate_grad(dbeta)
-        if x.requires_grad:
-            scale = (gamma.data * inv)[:, None]
+        if gn is not None:
+            gn.accumulate_grad(dgamma)
+        if bn is not None:
+            bn.accumulate_grad(dbeta)
+        if xn is not None:
+            scale = (gd * inv)[:, None]
             if training:
                 # gx = gamma*inv*(g - sum(g)/n - xhat*sum(g*xhat)/n), from the
                 # two sums above, or the whole batch's under a replica group
@@ -616,7 +682,7 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
                 gx *= scale
             else:
                 gx = g3 * scale
-            x.accumulate_grad(gx.reshape(x.data.shape))
+            xn.accumulate_grad(gx.reshape(x_shape))
 
     return make_op(out.reshape(x.data.shape), (x, gamma, beta), _bw)
 
@@ -689,22 +755,11 @@ def load_arrays(path) -> tuple[str, dict[str, np.ndarray]]:
         (rank,) = struct.unpack_from("<I", blob, take(4))
         dims = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank))
         n = math.prod(dims)
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).reshape(dims)
+        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n))
+        try:
+            arr = arr.reshape(dims)
+        except ValueError:  # an empty shape whose other dims overflow numpy's sizes
+            raise TruncatedFile(f"{path}: entry {i} has shape {dims}, "
+                                f"which no array can take") from None
         out[name] = arr.astype(np.float64)
     return manifest, out
-
-
-def finite_difference_grad(f: Callable[[], Tensor], param: Tensor,
-                           h: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of scalar f() wrt param, perturbing in place."""
-    flat = param.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = f().item()
-        flat[i] = orig - h
-        down = f().item()
-        flat[i] = orig
-        grad[i] = (up - down) / (2.0 * h)
-    return grad.reshape(param.data.shape)

@@ -112,9 +112,15 @@ def compute_stats(samples: np.ndarray) -> NormalizationStats:
 
 
 def normalize(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """x_norm = 2*(x - s05)/(s95 - s05) - 1; strictly monotone, no clipping."""
+    """x_norm = 2*(x - s05)/(s95 - s05) - 1; strictly monotone, no clipping.
+    Stats that coincide, or that lie more than the float64 range apart (so
+    the samples between them would overflow to NaN), raise DegenerateSignal
+    before any sample is read."""
     if stats.s05 == stats.s95:
         raise DegenerateSignal("degenerate normalization stats")
+    if not math.isfinite(float(stats.s95) - float(stats.s05)):  # Python floats: no warning
+        raise DegenerateSignal(f"normalization stats {stats.s05} and {stats.s95} "
+                               f"span more than the float64 range")
     return 2.0 * (np.asarray(x, dtype=np.float64) - stats.s05) / (stats.s95 - stats.s05) - 1.0
 
 

@@ -123,13 +123,13 @@ def weighted_ce_loss(logits: Tensor, labels, weights: ClassWeights,
     per_sample = w * (lse - x[np.arange(codes.size), codes])
     w_total = w.sum() if weight_total is None else weight_total
     out = per_sample.sum() / w_total
+    node = logits.node
 
     def _bw(g):
-        if logits.requires_grad:
-            p = np.exp(x - m)
-            p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(codes.size), codes] -= 1.0
-            logits.accumulate_grad(g * p * (w / w_total)[:, None])
+        p = np.exp(x - m)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(codes.size), codes] -= 1.0
+        node.accumulate_grad(g * p * (w / w_total)[:, None])
 
     return ag.make_op(np.float64(out), (logits,), _bw)
 

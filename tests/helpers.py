@@ -126,6 +126,33 @@ def build_corpus_recording(path: Path, subject: str, stage_cycle, n_epochs: int,
         (path / f"{subject}-PSG.edf").write_bytes(psg)
 
 
+# --- gradient checking: a sum op and central finite differences ---
+
+def tensor_sum(x: Tensor) -> Tensor:
+    """Sum of every element of x, as a scalar tensor."""
+    node, shape = x.node, x.data.shape
+
+    def _bw(g):
+        node.accumulate_grad(np.broadcast_to(g, shape).copy())
+
+    return ag.make_op(x.data.sum(), (x,), _bw)
+
+
+def finite_difference_grad(f, param: Tensor, h: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient of scalar f() wrt param, perturbing in place."""
+    flat = param.data.reshape(-1)
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = f().item()
+        flat[i] = orig - h
+        down = f().item()
+        flat[i] = orig
+        grad[i] = (up - down) / (2.0 * h)
+    return grad.reshape(param.data.shape)
+
+
 # --- float64 reference forward: the engine ops as they were before the
 # inference path, to pin that training arithmetic did not change ---
 
@@ -151,6 +178,22 @@ def reference_max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
         x.accumulate_grad(gx)
 
     return ag.make_op(out, (x,), _bw)
+
+
+def reference_soft_threshold(x: Tensor, tau: Tensor) -> Tensor:
+    """Soft threshold as an np.where over sign(x) * (|x| - tau)."""
+    sign = np.sign(x.data)
+    shrunk = np.abs(x.data) - tau.data
+    mask = shrunk > 0
+    out = np.where(mask, sign * shrunk, 0.0)
+
+    def _bw(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * mask)
+        if tau.requires_grad:
+            tau.accumulate_grad(ag._unbroadcast(np.where(mask, -sign * g, 0.0), tau.data.shape))
+
+    return ag.make_op(out, (x, tau), _bw)
 
 
 def reference_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,

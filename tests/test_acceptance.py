@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 import reference_results as ref
-from helpers import ACCEPTANCE_LINES, build_corpus_recording, micro_model_config, sine_epochs
+from helpers import (
+    ACCEPTANCE_LINES,
+    build_corpus_recording,
+    finite_difference_grad,
+    micro_model_config,
+    sine_epochs,
+    tensor_sum,
+)
 
 from sleepstage import autograd as ag
 from sleepstage import cli, evaluation
@@ -117,7 +124,7 @@ def _fd_check(build_loss, params, h=1e-4, tol=1e-4):
     loss.backward()
     worst = 0.0
     for p in params:
-        numeric = ag.finite_difference_grad(build_loss, p, h=h)
+        numeric = finite_difference_grad(build_loss, p, h=h)
         rel = np.abs(p.grad - numeric) / np.maximum(1.0, np.abs(numeric))
         worst = max(worst, float(rel.max()))
     assert worst < tol, f"worst relative gradient error {worst:.3e}"
@@ -129,7 +136,7 @@ def test_criterion_2_gradient_correctness():
 
     def probe(out: Tensor) -> Tensor:
         coeffs = Tensor(np.linspace(0.5, 1.5, out.data.size).reshape(out.data.shape))
-        return ag.tensor_sum(ag.mul(ag.mul(out, out), coeffs))
+        return tensor_sum(ag.mul(ag.mul(out, out), coeffs))
 
     # each primitive in isolation
     x = Tensor(RNG.normal(size=(2, 3, 10)), requires_grad=True)
@@ -178,7 +185,7 @@ def test_criterion_2_gradient_correctness():
     analytic = {p.name: p.grad.copy() for p in mp.parameters()}
     worst = 0.0
     for p in mp.parameters():
-        numeric = ag.finite_difference_grad(model_loss, p, h=1e-4)
+        numeric = finite_difference_grad(model_loss, p, h=1e-4)
         rel = np.abs(analytic[p.name] - numeric) / np.maximum(1.0, np.abs(numeric))
         worst = max(worst, float(rel.max()))
     assert worst < 1e-4
@@ -248,7 +255,7 @@ def test_criterion_4_architecture_contracts():
             p.data[:] = 0.0
     xt = Tensor(RNG.normal(size=(2, 12, 16)), requires_grad=True)
     out = attention_block(mmp, 0, xt, training=False)
-    ag.tensor_sum(ag.mul(out, out)).backward()
+    tensor_sum(ag.mul(out, out)).backward()
     assert xt.grad is not None and np.any(xt.grad != 0)
 
     report("ACCEPTANCE 4: PASS - default model maps [B,1,3000]->[B,5]; "

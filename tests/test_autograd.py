@@ -1,5 +1,7 @@
 """Operator semantics and gradient correctness for the tensor engine."""
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,14 @@ from sleepstage.errors import (
 
 from sleepstage.training import ClassWeights, weighted_ce_loss
 
-from helpers import reference_conv1d, reference_max_pool1d, reference_relu
+from helpers import (
+    finite_difference_grad,
+    reference_conv1d,
+    reference_max_pool1d,
+    reference_relu,
+    reference_soft_threshold,
+    tensor_sum,
+)
 
 RNG = np.random.default_rng(20240917)
 
@@ -31,7 +40,7 @@ def check_grad(build_loss, tensors, h=1e-4, tol=1e-4):
     loss.backward()
     for t in tensors:
         assert t.grad is not None, "gradient never reached input"
-        numeric = ag.finite_difference_grad(build_loss, t, h=h)
+        numeric = finite_difference_grad(build_loss, t, h=h)
         rel = np.abs(t.grad - numeric) / np.maximum(1.0, np.abs(numeric))
         assert rel.max() < tol, f"relative error {rel.max():.3e}"
 
@@ -39,7 +48,7 @@ def check_grad(build_loss, tensors, h=1e-4, tol=1e-4):
 def quadratic_probe(out: Tensor) -> Tensor:
     """Scalar loss with nonuniform curvature so gradients are informative."""
     coeffs = Tensor(np.linspace(0.3, 1.7, out.data.size).reshape(out.data.shape))
-    return ag.tensor_sum(ag.mul(ag.mul(out, out), coeffs))
+    return tensor_sum(ag.mul(ag.mul(out, out), coeffs))
 
 
 class TestConv1d:
@@ -110,7 +119,7 @@ class TestConv1d:
             ts = [Tensor(a.copy(), requires_grad=True) for a in (x, kernel, bias)]
             out = conv(*ts, stride=stride, padding=padding)
             probe = np.linspace(-0.5, 1, out.data.size, dtype=dtype).reshape(out.shape)
-            ag.tensor_sum(ag.mul(out, Tensor(probe))).backward()
+            tensor_sum(ag.mul(out, Tensor(probe))).backward()
             results.append([out.data] + [t.grad for t in ts])
         for name, got, want in zip(("output", "x.grad", "kernel.grad", "bias.grad"), *results):
             assert got.dtype == dtype and got.shape == want.shape, name
@@ -199,6 +208,40 @@ class TestSoftThreshold:
         tau = Tensor(np.abs(RNG.normal(size=(2, 3, 1))) * 0.5, requires_grad=True)
         check_grad(lambda: quadratic_probe(ag.soft_threshold(x, tau)), [x, tau])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tau_shape", [(2, 3, 1), (2, 3, 9), (1, 3, 1)])
+    def test_matches_where_reference_bit_for_bit(self, dtype, tau_shape):
+        """copysign(fmax(|x| - tau, 0), x) + 0 and its backward give the bytes
+        of the np.where form: outputs, x and tau gradients, with ties |x| ==
+        tau, signed zeros in x, tau and the incoming gradient, and a row that
+        lies wholly inside the dead zone."""
+        rng = np.random.default_rng(31)
+        x = rng.integers(-3, 4, size=(2, 3, 9)).astype(dtype)
+        x[x == 0] = np.where(rng.random(int((x == 0).sum())) < 0.5, -0.0, 0.0)
+        x[0, 1] = -0.0
+        tau = rng.integers(0, 3, size=tau_shape).astype(dtype)
+        tau[tau == 0] = np.where(rng.random(int((tau == 0).sum())) < 0.5, -0.0, 0.0)
+        probe = rng.normal(size=x.shape).astype(dtype)
+        probe[0, 0, :3] = [0.0, -0.0, 0.0]
+        results = []
+        for op in (ag.soft_threshold, reference_soft_threshold):
+            ts = [Tensor(x.copy(), requires_grad=True), Tensor(tau.copy(), requires_grad=True)]
+            out = op(*ts)
+            tensor_sum(ag.mul(out, Tensor(probe))).backward()
+            results.append([out.data] + [t.grad for t in ts])
+            assert ag.soft_threshold(Tensor(x), Tensor(tau)).data.tobytes() == out.data.tobytes()
+        for name, got, want in zip(("output", "x.grad", "tau.grad"), *results):
+            assert got.dtype == dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_nan_gives_the_reference_output(self):
+        x = np.array([[[np.nan, 2.0, -np.inf, np.inf, -3.0]]])
+        for tau in (np.array([[[1.0]]]), np.array([[[np.inf]]]), np.array([[[np.nan]]])):
+            with np.errstate(invalid="ignore"):  # inf - inf and NaN arithmetic
+                got = ag.soft_threshold(Tensor(x), Tensor(tau)).data
+                want = reference_soft_threshold(Tensor(x), Tensor(tau)).data
+            assert got.tobytes() == want.tobytes()
+
 
 class TestPooling:
     def test_global_avg(self):
@@ -216,7 +259,7 @@ class TestPooling:
     def test_max_pool_tie_routes_to_first(self):
         x = Tensor(np.array([[[2.0, 2.0]]]), requires_grad=True)
         out = ag.max_pool1d(x, 2, 2)
-        ag.tensor_sum(out).backward()
+        tensor_sum(out).backward()
         np.testing.assert_allclose(x.grad, [[[1.0, 0.0]]])
 
     def test_kernel_too_large(self):
@@ -236,13 +279,43 @@ class TestPooling:
             assert out.dtype == dtype and out.shape == expect.shape
             assert out.tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel,stride,width", [
+        (2, 2, 8), (4, 4, 23), (8, 8, 3000), (3, 2, 10), (3, 1, 7), (2, 3, 11), (5, 5, 5)])
+    def test_max_pool_gradient_matches_gather_bit_for_bit(self, dtype, kernel, stride, width):
+        """The running int8 argmax routes every gradient where the sliding-window
+        argmax does: ties and signed zeros to the first maximum, overlapping
+        windows (stride < kernel) adding up."""
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + width)
+        x = rng.integers(-3, 4, size=(2, 3, width)).astype(dtype)
+        x[x == 0] = np.where(rng.random(int((x == 0).sum())) < 0.5, -0.0, 0.0)
+        probe = Tensor(rng.normal(size=(2, 3, (width - kernel) // stride + 1)).astype(dtype))
+        grads = []
+        for pool in (ag.max_pool1d, reference_max_pool1d):
+            t = Tensor(x, requires_grad=True)
+            tensor_sum(ag.mul(pool(t, kernel, stride), probe)).backward()
+            grads.append(t.grad)
+        assert grads[0].dtype == dtype
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+    def test_max_pool_window_with_nan_routes_before_the_nan(self):
+        """A window holding NaN outputs NaN; its gradient goes to the first
+        maximum of the samples before the first NaN, or to the NaN itself
+        when it comes first."""
+        x = Tensor(np.array([[[1.0, 5.0, np.nan, 7.0, np.nan, 2.0, 3.0, 4.0]]]),
+                   requires_grad=True)
+        out = ag.max_pool1d(x, 4, 4)
+        assert np.isnan(out.data).all()
+        tensor_sum(out).backward()
+        np.testing.assert_array_equal(x.grad, [[[0, 1, 0, 0, 1, 0, 0, 0]]])
+
     def test_max_pool_gradient_matches_gather(self):
         x = RNG.integers(-3, 4, size=(2, 3, 23)).astype(np.float64)  # ties
         probe = Tensor(RNG.normal(size=(2, 3, 5)))
         grads = []
         for pool in (ag.max_pool1d, reference_max_pool1d):
             t = Tensor(x, requires_grad=True)
-            ag.tensor_sum(ag.mul(pool(t, 4, 4), probe)).backward()
+            tensor_sum(ag.mul(pool(t, 4, 4), probe)).backward()
             grads.append(t.grad)
         assert grads[0].tobytes() == grads[1].tobytes()
 
@@ -357,15 +430,39 @@ class TestBatchNorm:
             [x, gamma, beta])
 
 
+class TestSavedArrays:
+    def test_batch_norm_frees_its_input(self):
+        """Batch norm saves xhat and no reference to its input, so the conv
+        output is freed once the caller drops it, while the graph still
+        carries every gradient."""
+        x = Tensor(RNG.normal(size=(3, 2, 12)), requires_grad=True)
+        k = Tensor(RNG.normal(size=(4, 2, 3)), requires_grad=True)
+        b = Tensor(RNG.normal(size=4), requires_grad=True)
+        gamma = Tensor(RNG.uniform(0.5, 1.5, size=4), requires_grad=True)
+        beta = Tensor(RNG.normal(size=4), requires_grad=True)
+        stats = RunningStats(4)
+
+        h = ag.conv1d(x, k, b, padding=1)
+        freed = weakref.ref(h.data)
+        y = ag.batch_norm1d(h, gamma, beta, stats, training=True)
+        del h
+        gc.collect()
+        assert freed() is None
+        assert y.requires_grad
+        check_grad(lambda: quadratic_probe(ag.batch_norm1d(
+            ag.conv1d(x, k, b, padding=1), gamma, beta, stats, training=True)),
+            [x, k, b, gamma, beta])
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        ag.tensor_sum(x).backward()
+        tensor_sum(x).backward()
         np.testing.assert_allclose(x.grad, np.ones((2, 3)))
 
     def test_half_sum_of_squares(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        loss = ag.mul(ag.tensor_sum(ag.mul(x, x)), Tensor(0.5))
+        loss = ag.mul(tensor_sum(ag.mul(x, x)), Tensor(0.5))
         loss.backward()
         np.testing.assert_allclose(x.grad, [1.0, -2.0])
 
@@ -376,14 +473,14 @@ class TestBackward:
 
     def test_graph_consumed(self):
         x = Tensor(np.ones(2), requires_grad=True)
-        loss = ag.tensor_sum(ag.mul(x, x))
+        loss = tensor_sum(ag.mul(x, x))
         loss.backward()
         with pytest.raises(GraphConsumed):
             loss.backward()
 
     def test_accumulation_through_shared_input(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        loss = ag.tensor_sum(ag.add(ag.mul(x, x), x))  # d/dx = 2x + 1
+        loss = tensor_sum(ag.add(ag.mul(x, x), x))  # d/dx = 2x + 1
         loss.backward()
         np.testing.assert_allclose(x.grad, [5.0])
 
@@ -415,14 +512,14 @@ class TestBackward:
     def test_float32_stays_float32_through_backward(self, monkeypatch):
         """Every op's output and every gradient stay float32 on float32 inputs,
         though weighted_ce_loss hands the logits a float64 gradient."""
-        arrived = []  # (tensor, dtype of each gradient it receives)
-        accumulate = Tensor.accumulate_grad
+        arrived = []  # (graph node, dtype of each gradient it receives)
+        accumulate = ag._Node.accumulate_grad
 
-        def spy(t, g):
-            arrived.append((t, g.dtype))
-            accumulate(t, g)
+        def spy(node, g):
+            arrived.append((node, g.dtype))
+            accumulate(node, g)
 
-        monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+        monkeypatch.setattr(ag._Node, "accumulate_grad", spy)
         rng = np.random.default_rng(5)
         leaves = []
 
@@ -449,11 +546,11 @@ class TestBackward:
         loss = weighted_ce_loss(logits, [0, 3], ClassWeights((1.0, 2.0, 1.0, 1.5, 1.0)))
         loss.backward()
 
-        assert np.dtype(np.float64) in [d for t, d in arrived if t is logits]
-        tensors = {id(t): t for t, _ in arrived if t is not loss}  # the loss is float64
-        assert all(id(t) in tensors for t in leaves)
-        for t in tensors.values():
-            assert t.data.dtype == np.float32 and t.grad.dtype == np.float32, t
+        assert np.dtype(np.float64) in [d for n, d in arrived if n is logits.node]
+        nodes = {id(n): n for n, _ in arrived if n is not loss.node}  # the loss is float64
+        assert all(id(t.node) in nodes for t in leaves)
+        for n in nodes.values():  # a node's dtype is its tensor's value dtype
+            assert n.dtype == np.float32 and n.grad.dtype == np.float32, n
 
     def test_shared_gradient_is_never_written(self):
         """The first gradient a tensor receives becomes its .grad without a copy,
@@ -472,7 +569,7 @@ class TestBackward:
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
         w1, w2, w3 = (Tensor(np.array(v)) for v in ([1.0, 2.0], [10.0, 20.0], [100.0, 200.0]))
-        loss = ag.tensor_sum(ag.add(ag.add(ag.mul(ag.add(a, b), w1), ag.mul(a, w2)),
+        loss = tensor_sum(ag.add(ag.add(ag.mul(ag.add(a, b), w1), ag.mul(a, w2)),
                                     ag.mul(b, w3)))
         loss.backward()
         np.testing.assert_array_equal(a.grad, [11.0, 22.0])
@@ -561,6 +658,18 @@ class TestCheckpointContainer:
             cut.write_bytes(blob[:n])
             with pytest.raises(TruncatedFile):
                 ag.load_arrays(cut)
+
+    def test_empty_shape_past_numpy_sizes_is_truncated_file(self, tmp_path):
+        """Shape (0, 2**62) holds no values, so the payload check passes it,
+        but numpy cannot form such an array."""
+        path = tmp_path / "m.ckpt"
+        ag.save_arrays({"w": np.zeros((0, 3))}, "", path)
+        blob = path.read_bytes()
+        dims = (0).to_bytes(8, "little") + (3).to_bytes(8, "little")
+        assert blob.count(dims) == 1
+        path.write_bytes(blob.replace(dims, (0).to_bytes(8, "little") + (2**62).to_bytes(8, "little")))
+        with pytest.raises(TruncatedFile, match=r"entry 0 has shape \(0, 4611686018427387904\)"):
+            ag.load_arrays(path)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -168,6 +168,16 @@ class TestNormalize:
         with pytest.raises(DegenerateSignal):
             normalize(np.zeros(5), NormalizationStats(s05=1.0, s95=1.0))
 
+    @pytest.mark.parametrize("extreme", [1e308, 1.7e308])
+    def test_stats_past_the_float64_range_are_degenerate(self, extreme):
+        x = np.array([-extreme] * 10 + [extreme] * 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = compute_stats(x)  # finite percentiles, an infinite span
+            with pytest.raises(DegenerateSignal, match="span more than the float64 range$") as exc:
+                normalize(x, stats)
+        assert exc.value.exit_code == 3
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_strictly_monotone(self, xs):

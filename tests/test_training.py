@@ -1,11 +1,13 @@
 """Class weights, the weighted loss against a loop oracle, Adam, train loop."""
 import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,10 +17,10 @@ import pytest
 from sleepstage import autograd as ag
 from sleepstage import evaluation, parallel
 from sleepstage import training as tr
-from sleepstage.autograd import Tensor
+from sleepstage.autograd import ParamTensor, Tensor
 from sleepstage.edf import StageLabel
 from sleepstage.errors import EmptySplit, MissingGradient, NonFiniteLoss, ZeroProportion
-from sleepstage.model import ModelConfig, init_params, model_forward
+from sleepstage.model import ModelConfig, ModelParams, init_params, model_forward
 from sleepstage.training import (
     AdamState,
     TrainConfig,
@@ -30,7 +32,13 @@ from sleepstage.training import (
     write_training_log,
 )
 
-from helpers import micro_model_config, randomize_batch_norms, sine_epochs, use_reference_forward
+from helpers import (
+    finite_difference_grad,
+    micro_model_config,
+    randomize_batch_norms,
+    sine_epochs,
+    use_reference_forward,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -142,7 +150,7 @@ class TestWeightedCELoss:
 
         loss = build()
         loss.backward()
-        numeric = ag.finite_difference_grad(build, logits)
+        numeric = finite_difference_grad(build, logits)
         rel = np.abs(logits.grad - numeric) / np.maximum(1.0, np.abs(numeric))
         assert rel.max() < 1e-4
 
@@ -432,6 +440,60 @@ def state_bytes(result) -> dict:
     return {(kind, name): a.tobytes()
             for kind, mp in (("kept", result.params), ("final", result.final_params))
             for name, a in mp.state_arrays().items()}
+
+
+def default_replica_loss():
+    """A builder of one 4-row default-model training loss on a float32
+    replica, made as `train` makes its replicas."""
+    mp = init_params(ModelConfig(), seed=0)
+    work = ModelParams(mp.cfg, bn_stats=mp.bn_stats)
+    work.params = {n: ParamTensor(n, p.data.astype(np.float32)) for n, p in mp.params.items()}
+    x = np.random.default_rng(0).normal(size=(4, 1, 3000)).astype(np.float32)
+    weights = class_weights(np.full(5, 0.2))
+    return lambda: weighted_ce_loss(model_forward(work, Tensor(x), training=True),
+                                    [0, 1, 2, 3], weights)
+
+
+class TestStepMemory:
+    """A recorded graph keeps only the arrays its backward reads."""
+
+    def test_training_forward_holds_at_most_30_mib(self):
+        # every full-width activation kept would be ~66 MiB
+        build = default_replica_loss()
+        build()  # first-call caches stay out of the figure
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = build()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert loss.requires_grad
+        assert held <= 30 * 2**20, f"the graph holds {held / 2**20:.1f} MiB"
+
+    def test_no_backward_closure_holds_a_tensor(self):
+        """A closure that captured a Tensor would keep its forward array alive
+        for as long as the graph lives; closures capture nodes and arrays."""
+        stack, seen, closures = [default_replica_loss()().node], set(), 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if node.backward_fn is None:
+                continue
+            closures += 1
+            for cell in node.backward_fn.__closure__ or ():
+                try:
+                    value = cell.cell_contents
+                except ValueError:  # a name the op binds only when it records
+                    continue
+                held = value if isinstance(value, (list, tuple)) else [value]
+                assert not any(isinstance(v, Tensor) for v in held), \
+                    f"{node.backward_fn.__qualname__} holds a Tensor"
+        assert closures > 90  # the default model and its loss record 99 ops
 
 
 class TestReplicas:
