@@ -65,6 +65,7 @@ from .files import write_atomic
 _GRAD_ENABLED = True
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 class no_grad:
@@ -383,9 +384,9 @@ def soft_threshold(x: Tensor, tau: Tensor) -> Tensor:
 
 # --- convolution / pooling ---
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """Cross-correlate x:[B,Cin,W] with kernel:[Cout,Cin,K] + bias:[Cout]."""
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+    """Cross-correlate x:[B,Cin,W], zero-padded by `padding` on each side, with
+    kernel:[Cout,Cin,K] + bias:[Cout] at stride 1: [B,Cout,W+2*padding-K+1]."""
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeMismatch(f"conv1d: x {x.shape}, kernel {kernel.shape}")
     batch, c_in, width = x.data.shape
@@ -394,8 +395,6 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         raise ShapeMismatch(f"conv1d: {c_in} input channels vs kernel {c_in_k}")
     if bias.data.shape != (c_out,):
         raise ShapeMismatch(f"conv1d: bias {bias.shape} vs {c_out} output channels")
-    if stride < 1:
-        raise ShapeMismatch("conv1d: stride must be >= 1")
     if width + 2 * padding < ksize:
         raise ShapeMismatch(f"conv1d: width {width} + 2*{padding} < kernel {ksize}")
 
@@ -407,14 +406,13 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         xp[:, :, :padding] = 0
         xp[:, :, padding + width:] = 0
         xp[:, :, padding:padding + width] = x.data
-    w_out = (width + 2 * padding - ksize) // stride + 1
-    span = stride * (w_out - 1) + 1
+    w_out = width + 2 * padding - ksize + 1
     kd = kernel.data
-    taps = [xp[:, :, k:k + span:stride] for k in range(ksize)]  # K views [B,Cin,W']
+    taps = [xp[:, :, k:k + w_out] for k in range(ksize)]  # K views [B,Cin,W']
     if c_in == 1:
         # one input channel: the [B,1,W',K] window matrix is small, and one
         # einsum over it beats K thin matmuls
-        windows = sliding_window_view(xp, ksize, axis=2)[:, :, ::stride, :]
+        windows = sliding_window_view(xp, ksize, axis=2)
         out = np.einsum("biwk,oik->bow", windows, kd, optimize=True)
     else:
         out = kd[:, :, 0] @ taps[0]
@@ -432,33 +430,34 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         if xn is not None:
             gxp = np.zeros_like(xp)
             for k in range(ksize):
-                gxp[:, :, k:k + span:stride] += kd[:, :, k].T @ g
+                gxp[:, :, k:k + w_out] += kd[:, :, k].T @ g
             xn.accumulate_grad(gxp[:, :, padding:padding + width] if padding else gxp)
 
     return make_op(out, (x, kernel, bias), _bw)
 
 
-def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
-    """Max over windows of `kernel` samples, `stride` apart; the gradient goes
-    to each window's first maximal sample. A window holding NaN outputs NaN,
-    and routes its gradient to the first maximum of the samples before its
-    first NaN (to the NaN when it comes first)."""
+def max_pool1d(x: Tensor, size: int) -> Tensor:
+    """Max over non-overlapping windows of `size` samples (a trailing partial
+    window is dropped); the gradient goes to each window's first maximal
+    sample. A window holding NaN outputs NaN, and routes its gradient to the
+    first maximum of the samples before its first NaN (to the NaN when it
+    comes first)."""
     if x.ndim != 3:
         raise ShapeMismatch(f"max_pool1d expects [B,C,W], got {x.shape}")
     batch, chans, width = x.data.shape
-    if kernel > width:
-        raise ShapeMismatch(f"max_pool1d: kernel {kernel} > width {width}")
-    w_out = (width - kernel) // stride + 1
-    span = stride * (w_out - 1) + 1
+    if size > width:
+        raise ShapeMismatch(f"max_pool1d: size {size} > width {width}")
+    w_out = width // size
+    span = size * (w_out - 1) + 1
     record = _records(x)
-    # running maximum over the kernel's strided views; maximum(a, b) returns b
-    # on a tie, so `out` keeps the first maximal value, and `arg`, the tap
-    # index of the first maximum, moves only where a tap is strictly greater
-    out = x.data[:, :, :span:stride].copy()
+    # running maximum over the windows' taps; maximum(a, b) returns b on a
+    # tie, so `out` keeps the first maximal value, and `arg`, the tap index
+    # of the first maximum, moves only where a tap is strictly greater
+    out = x.data[:, :, :span:size].copy()
     if record:
-        arg = np.zeros(out.shape, dtype=np.min_scalar_type(kernel - 1))
-    for k in range(1, kernel):
-        tap = x.data[:, :, k:k + span:stride]
+        arg = np.zeros(out.shape, dtype=np.min_scalar_type(size - 1))
+    for k in range(1, size):
+        tap = x.data[:, :, k:k + span:size]
         if record:
             up = tap > out
             arg += up * (k - arg)
@@ -467,9 +466,9 @@ def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
 
     def _bw(g):
         # flat index of each window's first maximum in x: row (b, c) starts
-        # at (b*C + c)*W; window j starts at stride*j
+        # at (b*C + c)*W; window j starts at size*j
         flat = (arg + width * np.arange(batch * chans).reshape(batch, chans, 1)
-                + stride * np.arange(w_out))
+                + size * np.arange(w_out))
         gx = np.zeros(batch * chans * width, dtype=xn.dtype)
         np.add.at(gx, flat.ravel(), g.ravel())
         xn.accumulate_grad(gx.reshape(batch, chans, width))
@@ -486,22 +485,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
     def _bw(g):
         xn.accumulate_grad(np.repeat(g[:, :, None], width, axis=2) / width)
-
-    return make_op(out, (x,), _bw)
-
-
-def global_max_pool(x: Tensor) -> Tensor:
-    if x.ndim != 3:
-        raise ShapeMismatch(f"global_max_pool expects [B,C,W], got {x.shape}")
-    batch, chans, width = x.data.shape
-    arg = x.data.argmax(axis=2)
-    out = np.take_along_axis(x.data, arg[:, :, None], axis=2)[:, :, 0]
-    xn = x.node
-
-    def _bw(g):
-        gx = np.zeros(batch * chans * width, dtype=xn.dtype)
-        np.add.at(gx, width * np.arange(batch * chans) + arg.ravel(), g.ravel())
-        xn.accumulate_grad(gx.reshape(batch, chans, width))
 
     return make_op(out, (x,), _bw)
 
@@ -526,16 +509,16 @@ def channel_pool(x: Tensor) -> Tensor:
     return make_op(out, (x,), _bw)
 
 
-def concat(xs: Sequence[Tensor], axis: int = 1) -> Tensor:
+def concat(xs: Sequence[Tensor]) -> Tensor:
+    """Join [B,C_i,W] tensors on the channel axis."""
     if not xs:
         raise ShapeMismatch("concat of zero tensors")
-    out = np.concatenate([t.data for t in xs], axis=axis)
-    sizes = [t.data.shape[axis] for t in xs]
-    splits = np.cumsum(sizes)[:-1]
+    out = np.concatenate([t.data for t in xs], axis=1)
+    splits = np.cumsum([t.data.shape[1] for t in xs])[:-1]
     nodes = [t.node for t in xs]
 
     def _bw(g):
-        for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
+        for node, piece in zip(nodes, np.split(g, splits, axis=1)):
             if node is not None:
                 node.accumulate_grad(piece)
 
@@ -618,11 +601,12 @@ def _pooled_moments(parts) -> tuple:
 
 
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
-                 training: bool, eps: float = BN_EPS, momentum: float = 0.1) -> Tensor:
+                 training: bool) -> Tensor:
     """Normalize per channel over (batch, width) for [B,C,W] or batch for [B,C].
 
     Training mode uses biased batch statistics and folds them into the
-    running stats as running = (1-momentum)*running + momentum*batch. Inside
+    running stats as running = (1-BN_MOMENTUM)*running + BN_MOMENTUM*batch;
+    both modes divide by sqrt(var + BN_EPS). Inside
     `ReplicaGroup.member` the batch is every replica's rows together: the
     forward gathers each replica's (count, mean, M2) and the backward its
     sums of g and g*xhat, both in rank order, so each replica computes what
@@ -646,12 +630,12 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
             n, mu, m2 = _pooled_moments(group.allgather(rank, (n, mu, m2)))
             np.subtract(x3, mu[:, None], out=xhat)
         var = m2 / n
-        stats.mean = (1.0 - momentum) * stats.mean + momentum * mu
-        stats.var = (1.0 - momentum) * stats.var + momentum * var
-        inv = 1.0 / np.sqrt(var + eps)
+        stats.mean = (1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * mu
+        stats.var = (1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * var
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv[:, None]
     else:
-        inv = 1.0 / np.sqrt(stats.var + eps)
+        inv = 1.0 / np.sqrt(stats.var + BN_EPS)
         xhat = (x3 - stats.mean[:, None]) * inv[:, None]
     out = xhat * gamma.data[:, None]
     out += beta.data[:, None]

@@ -3,10 +3,12 @@
 Exit codes: 0 success, 2 configuration problems, 3 data problems,
 4 runtime/network problems. Every run copies its resolved configuration
 into the output directory; all artifacts are byte-deterministic given
-(config, seed, corpus). A checkpoint is one file: its container holds the
-named arrays and a manifest of configuration keys (`dataset.channel`, every
-`model.*` key, the `split.*` keys the split's kind uses), so it says by
-itself which model, channel and split it holds.
+(config, seed, corpus). Training bytes also depend on the BLAS thread count
+wherever `parallel` finds no OpenBLAS thread setter; there,
+`OPENBLAS_NUM_THREADS=1` gives byte-identical reruns. A checkpoint is one
+file: its container holds the named arrays and a manifest of configuration
+keys (`dataset.channel`, every `model.*` key, the `split.*` keys the split's
+kind uses), so it says by itself which model, channel and split it holds.
 """
 from __future__ import annotations
 
@@ -171,6 +173,11 @@ def load_checkpoint(path: Path, channel: str | None) -> tuple[ModelParams, dict[
         mp = ModelParams.from_state(cfg, arrays)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    for name, arr in mp.state_arrays().items():
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: checkpoint entry {name!r} holds NaN or infinity")
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise DataError(f"{path}: checkpoint entry {name!r} holds a negative variance")
     if channel is not None and channel != manifest["dataset.channel"]:
         raise ConfigMismatch(f"checkpoint was trained on channel "
                              f"{manifest['dataset.channel']!r}, run asks for {channel!r}")

@@ -201,10 +201,8 @@ def _bn(mp: ModelParams, name: str, x: Tensor, training: bool) -> Tensor:
                            mp.bn_stats[name], training)
 
 
-def _conv(mp: ModelParams, name: str, x: Tensor, stride: int = 1,
-          padding: int = 0) -> Tensor:
-    return ag.conv1d(x, mp[f"{name}.weight"], mp[f"{name}.bias"],
-                     stride=stride, padding=padding)
+def _conv(mp: ModelParams, name: str, x: Tensor, padding: int = 0) -> Tensor:
+    return ag.conv1d(x, mp[f"{name}.weight"], mp[f"{name}.bias"], padding=padding)
 
 
 def branch_forward(mp: ModelParams, x: Tensor, k: int, training: bool) -> Tensor:
@@ -226,10 +224,10 @@ def multiscale_forward(mp: ModelParams, x: Tensor, training: bool) -> Tensor:
     p = mp.cfg.pool_sizes[0]
 
     def pooled(b: Tensor) -> Tensor:
-        return ag.max_pool1d(b, p, p) if p else b
+        return ag.max_pool1d(b, p) if p else b
 
     return ag.concat([pooled(branch_forward(mp, x, k, training))
-                      for k in mp.cfg.branch_kernel_sizes], axis=1)
+                      for k in mp.cfg.branch_kernel_sizes])
 
 
 def channel_attention(mp: ModelParams, block: int, x: Tensor,
@@ -290,27 +288,18 @@ def model_forward(mp: ModelParams, x, training: bool = False) -> Tensor:
         if i + 1 < mp.cfg.attention_blocks:
             p = mp.cfg.pool_sizes[i + 1]
             if p:
-                h = ag.max_pool1d(h, p, p)
+                h = ag.max_pool1d(h, p)
     feats = ag.global_avg_pool(h)
     return ag.linear(feats, mp["head.fc.weight"], mp["head.fc.bias"])
 
 
 def pipeline_widths(cfg: ModelConfig) -> list[int]:
-    """Feature widths after each pooling stage, ending at the pooled scalar."""
+    """Feature widths after each pooling stage, ending at the pooled scalar:
+    the input, after each pool_sizes[i], after the last block, then 1."""
     widths = [cfg.input_length]
-    w = cfg.input_length
-    p = cfg.pool_sizes[0]
-    if p:
-        w = (w - p) // p + 1
-    widths.append(w)
-    for i in range(cfg.attention_blocks):
-        if i + 1 < cfg.attention_blocks:
-            p = cfg.pool_sizes[i + 1]
-            if p:
-                w = (w - p) // p + 1
-        widths.append(w)
-    widths.append(1)
-    return widths
+    for p in cfg.pool_sizes:
+        widths.append(widths[-1] // p if p else widths[-1])
+    return widths + [widths[-1], 1]
 
 
 def parameter_count(cfg: ModelConfig) -> int:

@@ -70,21 +70,9 @@ class TrainConfig:
             raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
 
 
-@dataclass(frozen=True)
-class ClassWeights:
-    """Per-stage loss weights, each clamped into [1, 5]."""
-
-    values: tuple[float, float, float, float, float]
-
-    def __getitem__(self, label) -> float:
-        return self.values[int(label)]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-
-def class_weights(proportions) -> ClassWeights:
-    """weight[c] = min(5, max(1, ln(1/p(c)))), natural log.
+def class_weights(proportions) -> np.ndarray:
+    """float64 [5] loss weights, weight[c] = min(5, max(1, ln(1/p(c)))),
+    natural log.
 
     `proportions` is an array of label shares indexed by stage code.
     """
@@ -93,8 +81,7 @@ def class_weights(proportions) -> ClassWeights:
         raise ZeroProportion("need a proportion for each of the 5 stages")
     if np.any(props <= 0):
         raise ZeroProportion(f"non-positive class proportion in {props}")
-    w = np.minimum(5.0, np.maximum(1.0, np.log(1.0 / props)))
-    return ClassWeights(values=tuple(float(v) for v in w))
+    return np.minimum(5.0, np.maximum(1.0, np.log(1.0 / props)))
 
 
 def proportions_from_labels(labels: Sequence[int]) -> np.ndarray:
@@ -106,7 +93,7 @@ def proportions_from_labels(labels: Sequence[int]) -> np.ndarray:
     return counts / codes.size
 
 
-def weighted_ce_loss(logits: Tensor, labels, weights: ClassWeights,
+def weighted_ce_loss(logits: Tensor, labels, weights: np.ndarray,
                      weight_total: float | None = None) -> Tensor:
     """Batch loss = sum_i w[c_i]*(-x_i[c_i] + logsumexp(x_i)) / sum_i w[c_i].
 
@@ -119,7 +106,7 @@ def weighted_ce_loss(logits: Tensor, labels, weights: ClassWeights,
     x = logits.data
     m = x.max(axis=1, keepdims=True)
     lse = (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True)))[:, 0]
-    w = weights.as_array()[codes]
+    w = weights[codes]
     per_sample = w * (lse - x[np.arange(codes.size), codes])
     w_total = w.sum() if weight_total is None else weight_total
     out = per_sample.sum() / w_total
@@ -186,7 +173,7 @@ class TrainResult:
 
 def synced_step(pool: Executor, replicas: Sequence[ModelParams], batch: np.ndarray,
                 rows: Callable[[np.ndarray], np.ndarray], labels: np.ndarray,
-                weights: ClassWeights) -> float:
+                weights: np.ndarray) -> float:
     """Forward and backward of one training batch on two replicas at once.
 
     `batch` splits into two row shares (np.array_split, so a 1-row batch
@@ -200,7 +187,7 @@ def synced_step(pool: Executor, replicas: Sequence[ModelParams], batch: np.ndarr
     other at its next batch norm and reaches the caller with its own type.
     """
     shares = np.array_split(batch, 2)
-    weight_total = weights.as_array()[labels[batch]].sum()
+    weight_total = weights[labels[batch]].sum()
     group = ag.ReplicaGroup(2)
 
     def run(r: int) -> float:

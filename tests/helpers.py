@@ -162,10 +162,10 @@ def reference_relu(x: Tensor) -> Tensor:
     return ag.make_op(out, (x,), lambda g: x.accumulate_grad(g * mask))
 
 
-def reference_max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
+def reference_max_pool1d(x: Tensor, size: int) -> Tensor:
     """Max pool as a sliding-window argmax gather; gradient to the first max."""
     batch, chans, _ = x.data.shape
-    windows = sliding_window_view(x.data, kernel, axis=2)[:, :, ::stride, :]
+    windows = sliding_window_view(x.data, size, axis=2)[:, :, ::size, :]
     arg = windows.argmax(axis=3)
     out = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
 
@@ -173,7 +173,7 @@ def reference_max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
         gx = np.zeros_like(x.data)
         bidx = np.broadcast_to(np.arange(batch)[:, None, None], arg.shape)
         cidx = np.broadcast_to(np.arange(chans)[None, :, None], arg.shape)
-        pos = arg + stride * np.arange(out.shape[2])[None, None, :]
+        pos = arg + size * np.arange(out.shape[2])[None, None, :]
         np.add.at(gx, (bidx, cidx, pos), g)
         x.accumulate_grad(gx)
 
@@ -196,14 +196,13 @@ def reference_soft_threshold(x: Tensor, tau: Tensor) -> Tensor:
     return ag.make_op(out, (x, tau), _bw)
 
 
-def reference_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
-                     padding: int = 0) -> Tensor:
+def reference_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
     """Conv1d as einsums over the [B,Cin,W',K] window view: one for the output
     and the weight gradient, one per tap for the input gradient."""
     width = x.data.shape[2]
     ksize = kernel.data.shape[2]
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    windows = sliding_window_view(xp, ksize, axis=2)[:, :, ::stride, :]  # [B,Cin,W',K]
+    windows = sliding_window_view(xp, ksize, axis=2)  # [B,Cin,W',K]
     w_out = windows.shape[2]
     out = np.einsum("biwk,oik->bow", windows, kernel.data, optimize=True)
     out += bias.data[None, :, None]
@@ -216,8 +215,7 @@ def reference_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for k in range(ksize):
-                stop = k + stride * (w_out - 1) + 1
-                gxp[:, :, k:stop:stride] += np.einsum(
+                gxp[:, :, k:k + w_out] += np.einsum(
                     "bow,oi->biw", g, kernel.data[:, :, k], optimize=True)
             x.accumulate_grad(gxp[:, :, padding:padding + width] if padding else gxp)
 
@@ -227,9 +225,9 @@ def reference_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
 def reference_multiscale_forward(mp: ModelParams, x: Tensor, training: bool) -> Tensor:
     """Concatenate the branches, then pool the concat."""
     fused = ag.concat([branch_forward(mp, x, k, training)
-                       for k in mp.cfg.branch_kernel_sizes], axis=1)
+                       for k in mp.cfg.branch_kernel_sizes])
     p = mp.cfg.pool_sizes[0]
-    return ag.max_pool1d(fused, p, p) if p else fused
+    return ag.max_pool1d(fused, p) if p else fused
 
 
 def use_reference_forward(monkeypatch) -> None:

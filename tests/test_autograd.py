@@ -17,7 +17,7 @@ from sleepstage.errors import (
     TruncatedFile,
 )
 
-from sleepstage.training import ClassWeights, weighted_ce_loss
+from sleepstage.training import weighted_ce_loss
 
 from helpers import (
     finite_difference_grad,
@@ -68,8 +68,10 @@ class TestConv1d:
 
     def test_output_width_formula(self):
         x = Tensor(RNG.normal(size=(1, 1, 5)))
-        out = ag.conv1d(x, Tensor(RNG.normal(size=(1, 1, 3))), Tensor(np.zeros(1)), stride=2)
-        assert out.shape == (1, 1, 2)
+        for padding in (0, 1, 2):  # W + 2p - K + 1
+            out = ag.conv1d(x, Tensor(RNG.normal(size=(1, 1, 3))), Tensor(np.zeros(1)),
+                            padding=padding)
+            assert out.shape == (1, 1, 5 + 2 * padding - 3 + 1)
 
     def test_same_padding_preserves_width(self):
         for k in (3, 5, 7):
@@ -85,39 +87,38 @@ class TestConv1d:
         with pytest.raises(ShapeMismatch):
             ag.conv1d(x, Tensor(np.zeros((1, 2, 7))), Tensor(np.zeros(1)))
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 2), (2, 0), (3, 1)])
-    def test_gradients(self, stride, padding):
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    def test_gradients(self, padding):
         x = Tensor(RNG.normal(size=(2, 3, 11)), requires_grad=True)
         k = Tensor(RNG.normal(size=(4, 3, 3)), requires_grad=True)
         b = Tensor(RNG.normal(size=4), requires_grad=True)
-        check_grad(lambda: quadratic_probe(ag.conv1d(x, k, b, stride=stride,
-                                                     padding=padding)), [x, k, b])
+        check_grad(lambda: quadratic_probe(ag.conv1d(x, k, b, padding=padding)), [x, k, b])
 
     # every conv of the default model as (c_in, c_out, k, padding, width): the
     # branch conv1 and proj (c_in 1), the branch conv2 (c_in 32), the block
-    # convs at each block width and the spatial mix (c_in 96), the spatial gate
-    # (c_in 2); then strided shapes, which the model does not use
-    @pytest.mark.parametrize("c_in,c_out,k,padding,width,stride", [
-        (1, 32, 3, 1, 3000, 1), (1, 32, 5, 2, 3000, 1), (1, 32, 7, 3, 3000, 1),
-        (1, 32, 1, 0, 3000, 1),
-        (32, 32, 3, 1, 3000, 1), (32, 32, 5, 2, 3000, 1), (32, 32, 7, 3, 3000, 1),
-        (96, 96, 3, 1, 375, 1), (96, 96, 3, 1, 93, 1), (96, 96, 3, 1, 23, 1),
-        (96, 96, 1, 0, 375, 1), (2, 1, 3, 1, 375, 1),
-        (1, 4, 3, 1, 11, 2), (3, 4, 3, 1, 11, 3), (3, 4, 4, 0, 12, 2)])
+    # convs at each block width and the spatial mix (c_in 96), and the spatial
+    # gate (c_in 2); then small shapes the model does not use, one with an
+    # even kernel
+    @pytest.mark.parametrize("c_in,c_out,k,padding,width", [
+        (1, 32, 3, 1, 3000), (1, 32, 5, 2, 3000), (1, 32, 7, 3, 3000), (1, 32, 1, 0, 3000),
+        (32, 32, 3, 1, 3000), (32, 32, 5, 2, 3000), (32, 32, 7, 3, 3000),
+        (96, 96, 3, 1, 375), (96, 96, 3, 1, 93), (96, 96, 3, 1, 23),
+        (96, 96, 1, 0, 375), (2, 1, 3, 1, 375),
+        (1, 4, 3, 1, 11), (3, 4, 3, 1, 11), (3, 4, 4, 0, 12)])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_matches_einsum_reference(self, c_in, c_out, k, padding, width, stride, dtype):
+    def test_matches_einsum_reference(self, c_in, c_out, k, padding, width, dtype):
         # float64 within 1e-12 of the reference's largest magnitude; float32
         # within 2e-5 of it, about 170 float32 epsilons: the weight gradient
         # sums B*W' = 6000 products in a different order (worst measured 3.3e-6)
         tol = 1e-12 if dtype == np.float64 else 2e-5
-        rng = np.random.default_rng(c_in * 1000 + k * 10 + stride)
+        rng = np.random.default_rng(c_in * 1000 + k * 10 + 1)
         x = rng.normal(size=(2, c_in, width)).astype(dtype)
         kernel = (rng.normal(size=(c_out, c_in, k)) / np.sqrt(c_in * k)).astype(dtype)
         bias = rng.normal(size=c_out).astype(dtype)
         results = []
         for conv in (ag.conv1d, reference_conv1d):
             ts = [Tensor(a.copy(), requires_grad=True) for a in (x, kernel, bias)]
-            out = conv(*ts, stride=stride, padding=padding)
+            out = conv(*ts, padding=padding)
             probe = np.linspace(-0.5, 1, out.data.size, dtype=dtype).reshape(out.shape)
             tensor_sum(ag.mul(out, Tensor(probe))).backward()
             results.append([out.data] + [t.grad for t in ts])
@@ -248,52 +249,48 @@ class TestPooling:
         out = ag.global_avg_pool(Tensor(np.array([[[1.0, 2, 3, 4]]])))
         np.testing.assert_allclose(out.data, [[2.5]])
 
-    def test_global_max(self):
-        out = ag.global_max_pool(Tensor(np.array([[[1.0, 2, 3, 4]]])))
-        np.testing.assert_allclose(out.data, [[4.0]])
-
     def test_max_pool(self):
-        out = ag.max_pool1d(Tensor(np.array([[[1.0, 3, 2, 5]]])), 2, 2)
+        out = ag.max_pool1d(Tensor(np.array([[[1.0, 3, 2, 5]]])), 2)
         np.testing.assert_allclose(out.data, [[[3.0, 5.0]]])
 
     def test_max_pool_tie_routes_to_first(self):
         x = Tensor(np.array([[[2.0, 2.0]]]), requires_grad=True)
-        out = ag.max_pool1d(x, 2, 2)
+        out = ag.max_pool1d(x, 2)
         tensor_sum(out).backward()
         np.testing.assert_allclose(x.grad, [[[1.0, 0.0]]])
 
-    def test_kernel_too_large(self):
+    def test_size_too_large(self):
         with pytest.raises(ShapeMismatch):
-            ag.max_pool1d(Tensor(np.zeros((1, 1, 3))), 4, 1)
+            ag.max_pool1d(Tensor(np.zeros((1, 1, 3))), 4)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kernel,stride,width", [
-        (2, 2, 8), (4, 4, 23), (8, 8, 3000), (3, 2, 10), (3, 1, 7), (2, 3, 11), (5, 5, 5)])
-    def test_max_pool_matches_gather_bit_for_bit(self, dtype, kernel, stride, width):
+    @pytest.mark.parametrize("size,width", [
+        (2, 8), (4, 23), (8, 3000), (3, 10), (2, 11), (5, 5)])
+    def test_max_pool_matches_gather_bit_for_bit(self, dtype, size, width):
         # small integers make ties; signed zeros tie without equal bits
         x = RNG.integers(-3, 4, size=(2, 3, width)).astype(dtype)
         x[x == 0] = np.where(RNG.random(int((x == 0).sum())) < 0.5, -0.0, 0.0)
-        expect = reference_max_pool1d(Tensor(x), kernel, stride).data
+        expect = reference_max_pool1d(Tensor(x), size).data
         for requires_grad in (False, True):
-            out = ag.max_pool1d(Tensor(x, requires_grad=requires_grad), kernel, stride).data
+            out = ag.max_pool1d(Tensor(x, requires_grad=requires_grad), size).data
             assert out.dtype == dtype and out.shape == expect.shape
             assert out.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kernel,stride,width", [
-        (2, 2, 8), (4, 4, 23), (8, 8, 3000), (3, 2, 10), (3, 1, 7), (2, 3, 11), (5, 5, 5)])
-    def test_max_pool_gradient_matches_gather_bit_for_bit(self, dtype, kernel, stride, width):
+    @pytest.mark.parametrize("size,width", [
+        (2, 8), (4, 23), (8, 3000), (3, 10), (2, 11), (5, 5)])
+    def test_max_pool_gradient_matches_gather_bit_for_bit(self, dtype, size, width):
         """The running int8 argmax routes every gradient where the sliding-window
-        argmax does: ties and signed zeros to the first maximum, overlapping
-        windows (stride < kernel) adding up."""
-        rng = np.random.default_rng(kernel * 100 + stride * 10 + width)
+        argmax does: ties and signed zeros to the first maximum, and nothing to
+        a trailing partial window."""
+        rng = np.random.default_rng(size * 110 + width)
         x = rng.integers(-3, 4, size=(2, 3, width)).astype(dtype)
         x[x == 0] = np.where(rng.random(int((x == 0).sum())) < 0.5, -0.0, 0.0)
-        probe = Tensor(rng.normal(size=(2, 3, (width - kernel) // stride + 1)).astype(dtype))
+        probe = Tensor(rng.normal(size=(2, 3, width // size)).astype(dtype))
         grads = []
         for pool in (ag.max_pool1d, reference_max_pool1d):
             t = Tensor(x, requires_grad=True)
-            tensor_sum(ag.mul(pool(t, kernel, stride), probe)).backward()
+            tensor_sum(ag.mul(pool(t, size), probe)).backward()
             grads.append(t.grad)
         assert grads[0].dtype == dtype
         assert grads[0].tobytes() == grads[1].tobytes()
@@ -304,7 +301,7 @@ class TestPooling:
         when it comes first."""
         x = Tensor(np.array([[[1.0, 5.0, np.nan, 7.0, np.nan, 2.0, 3.0, 4.0]]]),
                    requires_grad=True)
-        out = ag.max_pool1d(x, 4, 4)
+        out = ag.max_pool1d(x, 4)
         assert np.isnan(out.data).all()
         tensor_sum(out).backward()
         np.testing.assert_array_equal(x.grad, [[[0, 1, 0, 0, 1, 0, 0, 0]]])
@@ -315,7 +312,7 @@ class TestPooling:
         grads = []
         for pool in (ag.max_pool1d, reference_max_pool1d):
             t = Tensor(x, requires_grad=True)
-            tensor_sum(ag.mul(pool(t, 4, 4), probe)).backward()
+            tensor_sum(ag.mul(pool(t, 4), probe)).backward()
             grads.append(t.grad)
         assert grads[0].tobytes() == grads[1].tobytes()
 
@@ -340,20 +337,19 @@ class TestPooling:
 
     def test_gradients(self):
         x = Tensor(RNG.normal(size=(2, 3, 8)), requires_grad=True)
-        check_grad(lambda: quadratic_probe(ag.max_pool1d(x, 2, 2)), [x])
+        check_grad(lambda: quadratic_probe(ag.max_pool1d(x, 2)), [x])
         check_grad(lambda: quadratic_probe(ag.global_avg_pool(x)), [x])
-        check_grad(lambda: quadratic_probe(ag.global_max_pool(x)), [x])
         check_grad(lambda: quadratic_probe(ag.channel_pool(x)), [x])
 
 
 class TestCombinators:
     def test_concat_shapes(self):
         parts = [Tensor(RNG.normal(size=(1, 32, 10))) for _ in range(3)]
-        assert ag.concat(parts, axis=1).shape == (1, 96, 10)
+        assert ag.concat(parts).shape == (1, 96, 10)
 
     def test_concat_permutation_moves_blocks(self):
         a, b, c = (Tensor(RNG.normal(size=(1, 2, 4))) for _ in range(3))
-        swapped = ag.concat([b, a, c], axis=1)
+        swapped = ag.concat([b, a, c])
         np.testing.assert_allclose(swapped.data[:, 0:2], b.data)
         np.testing.assert_allclose(swapped.data[:, 2:4], a.data)
 
@@ -368,7 +364,7 @@ class TestCombinators:
 
     def test_gradients(self):
         xs = [Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(3)]
-        check_grad(lambda: quadratic_probe(ag.concat(xs, axis=1)), xs)
+        check_grad(lambda: quadratic_probe(ag.concat(xs)), xs)
         a = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
         b = Tensor(RNG.normal(size=(2, 1, 4)), requires_grad=True)  # broadcast
         check_grad(lambda: quadratic_probe(ag.mul(a, b)), [a, b])
@@ -401,11 +397,14 @@ class TestBatchNorm:
 
     def test_running_stats_update_and_eval(self):
         stats = RunningStats(2)
+        stats.mean, stats.var = np.array([0.5, -2.0]), np.array([4.0, 0.25])
+        old_mean, old_var = stats.mean, stats.var
         x = RNG.normal(size=(8, 2, 6)) * 3 + 1
         ag.batch_norm1d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                        stats, training=True, momentum=1.0)
-        np.testing.assert_allclose(stats.mean, x.mean(axis=(0, 2)))
-        np.testing.assert_allclose(stats.var, x.var(axis=(0, 2)))
+                        stats, training=True)
+        assert ag.BN_MOMENTUM == 0.1
+        np.testing.assert_allclose(stats.mean, 0.9 * old_mean + 0.1 * x.mean(axis=(0, 2)))
+        np.testing.assert_allclose(stats.var, 0.9 * old_var + 0.1 * x.var(axis=(0, 2)))
         out = ag.batch_norm1d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
                               stats, training=False)
         expect = (x - stats.mean[None, :, None]) / np.sqrt(stats.var[None, :, None] + 1e-5)
@@ -503,7 +502,7 @@ class TestBackward:
         h = ag.relu(ag.conv1d(f32(2, 3, 8), f32(3, 3, 3), f32(3), padding=1))
         h = ag.batch_norm1d(h, f32(3), f32(3), stats, training=False)
         h = ag.soft_threshold(ag.absolute(h), Tensor(np.full((2, 3, 1), 0.1, dtype=np.float32)))
-        pooled = ag.max_pool1d(h, 2, 2)
+        pooled = ag.max_pool1d(h, 2)
         gate = ag.sigmoid(ag.linear(ag.global_avg_pool(pooled), f32(3, 3), f32(3)))
         for out in (ag.channel_pool(h), ag.concat([h, h]), ag.softmax(gate),
                     ag.add(pooled, ag.mul(pooled, ag.reshape(gate, (2, 3, 1))))):
@@ -530,7 +529,7 @@ class TestBackward:
         x = f32(2, 3, 16)
         h = ag.conv1d(x, f32(4, 3, 3), f32(4), padding=1)
         h = ag.relu(ag.batch_norm1d(h, f32(4), f32(4), RunningStats(4), training=True))
-        h = ag.max_pool1d(h, 2, 2)  # [2,4,8]
+        h = ag.max_pool1d(h, 2)  # [2,4,8]
         energy = ag.global_avg_pool(ag.absolute(h))  # [2,4]
         fc = ag.batch_norm1d(ag.linear(energy, f32(4, 4), f32(4)), f32(4), f32(4),
                              RunningStats(4), training=True)
@@ -539,11 +538,11 @@ class TestBackward:
         h2 = ag.soft_threshold(h, tau)
         beta = ag.sigmoid(ag.conv1d(ag.channel_pool(h2), f32(1, 2, 3), f32(1), padding=1))
         h3 = ag.relu(ag.add(ag.mul(h2, beta), h))
-        both = ag.concat([h3, h2], axis=1)  # [2,8,8]
-        feats = ag.add(ag.global_max_pool(both), ag.global_avg_pool(both))
+        both = ag.concat([h3, h2])  # [2,8,8]
+        feats = ag.global_avg_pool(both)
         logits = ag.linear(feats, f32(8, 5), f32(5))
         logits = ag.add(logits, ag.softmax(logits))
-        loss = weighted_ce_loss(logits, [0, 3], ClassWeights((1.0, 2.0, 1.0, 1.5, 1.0)))
+        loss = weighted_ce_loss(logits, [0, 3], np.array([1.0, 2.0, 1.0, 1.5, 1.0]))
         loss.backward()
 
         assert np.dtype(np.float64) in [d for n, d in arrived if n is logits.node]

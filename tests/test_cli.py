@@ -52,6 +52,14 @@ def _drop_entry(name: str):
     return rewrite
 
 
+def _set_entry(name: str, value: float):
+    def rewrite(ckpt: Path) -> None:
+        manifest, arrays = load_arrays(ckpt)
+        arrays[name].flat[0] = value
+        save_arrays(arrays, manifest, ckpt)
+    return rewrite
+
+
 def _append_to_manifest(line: str):
     def rewrite(ckpt: Path) -> None:
         manifest, arrays = load_arrays(ckpt)
@@ -96,6 +104,11 @@ CORRUPT_CHECKPOINTS = {
     "container-running_mean-None": ({}, _drop_entry("branch3.bn1.running_mean"),
                                     "branch3.bn1.running_mean"),
     "container-head.fc.weight-None": ({}, _drop_entry("head.fc.weight"), "head.fc.weight"),
+    "container-head.fc.bias-nan": ({}, _set_entry("head.fc.bias", np.nan), "'head.fc.bias'"),
+    "container-block0.conv1.weight-inf": ({}, _set_entry("block0.conv1.weight", -np.inf),
+                                          "'block0.conv1.weight'"),
+    "container-running_var-negative": ({}, _set_entry("branch3.bn1.running_var", -5.0),
+                                       "'branch3.bn1.running_var' holds a negative variance"),
     "manifest-not-utf8": ({}, _not_utf8, "the manifest is not UTF-8 text"),
     "manifest-line-without-equals": ({}, _append_to_manifest("no key value here\n"),
                                      "expected 'key = value'"),

@@ -107,7 +107,7 @@ class TestMultiscale:
         x = Tensor(RNG.normal(size=(1, 1, 64)))
         outs = {k: branch_forward(mp, x, k, training=False).data
                 for k in cfg.branch_kernel_sizes}
-        fused = ag.concat([Tensor(outs[k]) for k in cfg.branch_kernel_sizes], axis=1)
+        fused = ag.concat([Tensor(outs[k]) for k in cfg.branch_kernel_sizes])
         c = cfg.branch_channels
         for i, k in enumerate(cfg.branch_kernel_sizes):
             np.testing.assert_allclose(fused.data[:, i * c:(i + 1) * c], outs[k])

@@ -37,3 +37,20 @@ def test_cli_import_leaves_the_network_stack_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_engine_op_is_one_the_network_calls():
+    """Each function of `autograd` that records an op (calls `make_op`) is
+    referenced as `ag.<name>` by the model, the training loop or evaluation,
+    so the engine carries no op the network does not use."""
+    package = Path(sleepstage.__file__).parent
+    engine = ast.parse((package / "autograd.py").read_text())
+    ops = {node.name for node in engine.body if isinstance(node, ast.FunctionDef)
+           and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                   and call.func.id == "make_op" for call in ast.walk(node))}
+    used = {node.attr for name in ("model.py", "training.py", "evaluation.py")
+            for node in ast.walk(ast.parse((package / name).read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "ag"}
+    assert len(ops) > 10
+    assert sorted(ops - used) == []

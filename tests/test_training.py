@@ -73,7 +73,7 @@ class TestClassWeights:
             p = RNG.dirichlet(np.ones(5) * 0.3)
             if np.any(p == 0):
                 continue
-            w = class_weights(p).as_array()
+            w = class_weights(p)
             assert np.all(w >= 1.0) and np.all(w <= 5.0)
 
     def test_zero_proportion(self):
@@ -107,7 +107,7 @@ class TestWeightedCELoss:
     def test_confident_correct_prediction(self):
         # weight 2 on the true class: per-sample 2*(-10 + ln(e^10 + 4)),
         # batch divides by the weight sum 2
-        w = tr.ClassWeights(values=(2.0, 1.0, 1.0, 1.0, 1.0))
+        w = np.array([2.0, 1.0, 1.0, 1.0, 1.0])
         logits = np.array([[10.0, 0.0, 0.0, 0.0, 0.0]])
         loss = weighted_ce_loss(Tensor(logits), [0], w)
         expect = -10.0 + math.log(math.exp(10.0) + 4.0)
@@ -119,16 +119,16 @@ class TestWeightedCELoss:
             n = int(RNG.integers(1, 9))
             logits = RNG.normal(size=(n, 5)) * 3
             labels = RNG.integers(0, 5, size=n)
-            weights = tr.ClassWeights(values=tuple(RNG.uniform(1, 5, size=5)))
+            weights = RNG.uniform(1, 5, size=5)
             got = weighted_ce_loss(Tensor(logits), labels, weights).item()
-            want = loop_oracle_loss(logits, labels, weights.values)
+            want = loop_oracle_loss(logits, labels, weights)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_constant_weights_reduce_to_mean_ce(self):
         logits = RNG.normal(size=(6, 5))
         labels = RNG.integers(0, 5, size=6)
         for const in (1.0, 3.7):
-            w = tr.ClassWeights(values=(const,) * 5)
+            w = np.full(5, const)
             got = weighted_ce_loss(Tensor(logits), labels, w).item()
             plain = loop_oracle_loss(logits, labels, [1.0] * 5)
             assert got == pytest.approx(plain, abs=1e-12)
@@ -137,13 +137,13 @@ class TestWeightedCELoss:
         for _ in range(20):
             logits = RNG.normal(size=(4, 5)) * 10
             labels = RNG.integers(0, 5, size=4)
-            w = tr.ClassWeights(values=tuple(RNG.uniform(1, 5, size=5)))
+            w = RNG.uniform(1, 5, size=5)
             assert weighted_ce_loss(Tensor(logits), labels, w).item() >= 0.0
 
     def test_gradient_matches_finite_differences(self):
         logits = Tensor(RNG.normal(size=(4, 5)), requires_grad=True)
         labels = RNG.integers(0, 5, size=4)
-        w = tr.ClassWeights(values=tuple(RNG.uniform(1, 5, size=5)))
+        w = RNG.uniform(1, 5, size=5)
 
         def build():
             return weighted_ce_loss(logits, labels, w)
@@ -507,7 +507,7 @@ class TestReplicas:
         initial = randomize_batch_norms(init_params(ModelConfig(), seed=3),
                                         np.random.default_rng(3))
         batch = np.arange(n_rows)
-        weights = tr.ClassWeights(values=(1.0, 2.5, 5.0, 1.5, 3.0))
+        weights = np.array([1.0, 2.5, 5.0, 1.5, 3.0])
 
         reference = initial.copy()
         x = Tensor(epochs.samples[batch].astype(np.float64)[:, None, :])
