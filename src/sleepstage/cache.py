@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .edf import EpochSet, StageLabel
+from .edf import N_STAGES, EpochSet
 from .errors import DataError, TruncatedFile
 from .files import write_atomic, write_text_atomic
 from .preprocess import NormalizationStats
@@ -100,7 +100,7 @@ def _read_into(path, buffer: np.ndarray, samples: np.ndarray, labels: np.ndarray
             labels[start:start + n] = chunk["label"]
             samples[start:start + n] = chunk["x"]
             top = max(top, int(chunk["label"].max()))
-    if top >= len(StageLabel):
+    if top >= N_STAGES:
         raise TruncatedFile(f"{path}: label byte {top} is not a stage code")
 
 
@@ -139,14 +139,6 @@ def load_epochs(path, subject_id: str) -> EpochSet:
 
 def save_stats(stats: NormalizationStats, path) -> None:
     write_text_atomic(path, f"s05 = {stats.s05!r}\ns95 = {stats.s95!r}\n")
-
-
-def load_stats(path) -> NormalizationStats:
-    values = {}
-    for line in Path(path).read_text().splitlines():
-        key, _, val = line.partition("=")
-        values[key.strip()] = float(val.strip())
-    return NormalizationStats(s05=values["s05"], s95=values["s95"])
 
 
 def subject_of(cache_name: str) -> str:

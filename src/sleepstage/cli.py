@@ -38,6 +38,7 @@ from .config import (
 )
 from .edf import (
     EPOCH_SECONDS,
+    N_STAGES,
     EpochSet,
     StageLabel,
     epoch_recording,
@@ -267,7 +268,7 @@ def cmd_preprocess(args) -> int:
     if not recs:
         raise SleepStageError(f"no EDF recordings under {rc.dataset_root}")
     last_error: SleepStageError | None = None
-    totals = np.zeros(len(StageLabel), dtype=np.int64)
+    totals = np.zeros(N_STAGES, dtype=np.int64)
     for psg, hyp, subject, stem in recs:
         cache_name = f"{subject}__{stem}"
         epochs_path = rc.cache_dir / f"{cache_name}{cache.EPOCH_SUFFIX}"
@@ -299,7 +300,7 @@ def cmd_preprocess(args) -> int:
             cache.save_stats(stats, rc.cache_dir / f"{cache_name}{cache.STATS_SUFFIX}")
             write_atomic(src_path, lambda fh: fh.write(src_text))
             log.info("%s: cached %d epochs", stem, len(epochs))
-        totals += np.bincount(epochs.labels, minlength=len(StageLabel))
+        totals += np.bincount(epochs.labels, minlength=N_STAGES)
 
     grand = int(totals.sum())
     print("stage   epochs  share")
@@ -340,7 +341,6 @@ def cmd_train(args) -> int:
     out_dir = rc.output_dir
     _write_resolved(rc, out_dir)
     epochs = _load_cache(rc, rc.model.input_length, "model.input_length is")
-    augment_cfg = rc.augment if rc.augment_enabled else None
 
     fold_split, plan, split_desc = evaluation.plan_folds(epochs, rc.split)
     _write_split_log(fold_split, out_dir / "split.json")
@@ -349,7 +349,7 @@ def cmd_train(args) -> int:
         stem = name.replace(" ", "")  # "fold 1" -> fold1.ckpt
         result = training.train(
             epochs, train_idx, val_idx, rc.train, rc.model,
-            augment_cfg=augment_cfg,
+            augment_cfg=rc.augment,
             on_pass=_periodic_saver(rc, out_dir, stem, split))
         training.write_training_log(result.log, out_dir / f"{stem}_train_log.csv")
         save_checkpoint(result.params, out_dir / f"{stem}.ckpt", rc.channel, split)
@@ -461,7 +461,7 @@ def cmd_plot(args) -> int:
     if args.metrics:
         try:
             payload = json.loads(Path(args.metrics).read_text())
-            cm = ConfusionMatrix(np.asarray(payload["confusion_matrix"]["rows_true_cols_pred"]))
+            cm = ConfusionMatrix(payload["confusion_matrix"]["rows_true_cols_pred"])
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"{args.metrics}: bad metrics file: {exc!r}") from None
         path = out_dir / "confusion.svg"

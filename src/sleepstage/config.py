@@ -68,9 +68,7 @@ _PARSERS = {int: _to_int, float: _to_float, tuple: _to_int_tuple,
             str: lambda key, value: value, type(None): _to_int}
 _FORMATTERS = {int: str, float: repr, tuple: lambda v: ",".join(map(str, v)),
                str: str, type(None): str}
-_TOP_LEVEL_KEYS = {
-    "dataset.root", "dataset.channel", "cache.dir", "output.dir", "seed", "augment.enabled",
-}
+_TOP_LEVEL_KEYS = {"dataset.root", "dataset.channel", "cache.dir", "output.dir", "seed"}
 
 
 def _section_fields(prefix: str) -> list[str]:
@@ -107,7 +105,6 @@ class RunConfig:
     train: TrainConfig = TrainConfig()
     augment: AugmentConfig = AugmentConfig()
     split: SplitConfig = SplitConfig()
-    augment_enabled: bool = True
 
     def resolved(self) -> dict[str, str]:
         values = {
@@ -116,7 +113,6 @@ class RunConfig:
             "cache.dir": str(self.cache_dir),
             "output.dir": str(self.output_dir),
             "seed": str(self.seed),
-            "augment.enabled": str(self.augment_enabled).lower(),
         }
         for prefix in _SECTIONS:
             values.update(_format_section(prefix, getattr(self, prefix), _section_fields(prefix)))
@@ -147,18 +143,12 @@ def build_run_config(file_values: dict[str, str] | None = None,
     cache_dir = Path(values["cache.dir"]) if "cache.dir" in values else dataset_root / "cache"
 
     sections = {prefix: _build_section(prefix, values) for prefix in _SECTIONS}
-
-    enabled_text = values.get("augment.enabled", "true").lower()
-    if enabled_text not in ("true", "false", "1", "0", "yes", "no"):
-        raise ConfigError(f"augment.enabled: expected boolean, got {enabled_text!r}")
-
     return RunConfig(
         dataset_root=dataset_root,
         output_dir=output_dir,
         cache_dir=cache_dir,
         channel=values.get("dataset.channel", DEFAULT_CHANNEL),
         seed=_to_int("seed", values.get("seed", "0")),
-        augment_enabled=enabled_text in ("true", "1", "yes"),
         **sections,
     )
 

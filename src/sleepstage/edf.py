@@ -48,6 +48,9 @@ class StageLabel(IntEnum):
     W = 4
 
 
+# classes the model stages: its logits, the loss weights, the confusion matrix
+N_STAGES = len(StageLabel)
+
 # raw hypnogram vocabulary -> stage (None = excluded from the dataset)
 _RAW_STAGE_MAP: dict[str, StageLabel | None] = {
     "W": StageLabel.W,

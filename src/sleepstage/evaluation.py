@@ -15,7 +15,7 @@ import numpy as np
 from . import autograd as ag
 from . import parallel
 from .autograd import Tensor
-from .edf import EpochSet, StageLabel
+from .edf import N_STAGES, EpochSet, StageLabel
 from .errors import (
     EmptySplit,
     SingleClassPresent,
@@ -25,11 +25,11 @@ from .errors import (
 )
 from .model import ModelConfig, ModelParams, inference_params, model_forward
 
-N_STAGES = 5
-
 # the conventional published layout: rows W,R,N1,N2,N3 with columns N3..W
 DISPLAY_ROW_ORDER = [StageLabel.W, StageLabel.R, StageLabel.N1, StageLabel.N2, StageLabel.N3]
 DISPLAY_COL_ORDER = [StageLabel.N3, StageLabel.N2, StageLabel.N1, StageLabel.R, StageLabel.W]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class ConfusionMatrix:
@@ -38,11 +38,19 @@ class ConfusionMatrix:
     def __init__(self, counts: np.ndarray | None = None):
         if counts is None:
             self.counts = np.zeros((N_STAGES, N_STAGES), dtype=np.int64)
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (N_STAGES, N_STAGES) or np.any(counts < 0):
-                raise ValueError(f"bad confusion counts shape {counts.shape}")
-            self.counts = counts.copy()
+            return
+        # each cell as given, so that no bool, float or huge integer is cast
+        cells = np.array(counts, dtype=object)
+        if cells.shape != (N_STAGES, N_STAGES):
+            raise ValueError(f"bad confusion counts shape {cells.shape}")
+        for v in cells.flat:
+            if (isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer))
+                    or not 0 <= v <= _INT64_MAX):
+                raise ValueError(f"confusion count {v!r} is not an integer in 0..{_INT64_MAX}")
+        total = sum(int(v) for v in cells.flat)
+        if total > _INT64_MAX:  # so no row, column or total sum wraps around
+            raise ValueError(f"confusion counts total {total} exceeds {_INT64_MAX}")
+        self.counts = cells.astype(np.int64)
 
     @property
     def total(self) -> int:
@@ -61,17 +69,6 @@ class ConfusionMatrix:
                 raise ValueError(f"stage code {int(bad[0])} outside 0..{N_STAGES - 1}")
         pairs = np.bincount((N_STAGES * t + p).ravel(), minlength=N_STAGES * N_STAGES)
         return cls(pairs.reshape(N_STAGES, N_STAGES))
-
-    @classmethod
-    def from_display(cls, rows: Sequence[Sequence[int]]) -> "ConfusionMatrix":
-        """Build from the published layout (rows W,R,N1,N2,N3 x cols N3..W)."""
-        m = np.asarray(rows, dtype=np.int64)
-        if m.shape != (N_STAGES, N_STAGES):
-            raise ValueError(f"display matrix must be 5x5, got {m.shape}")
-        return cls(m[::-1, :])
-
-    def to_display(self) -> np.ndarray:
-        return self.counts[::-1, :].copy()
 
     def merged(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         return ConfusionMatrix(self.counts + other.counts)
@@ -364,7 +361,7 @@ def _run_blocks(forward, starts: range) -> None:
 
 def predict_probabilities(mp: ModelParams, samples: np.ndarray, batch_size: int = 32,
                           index: np.ndarray | None = None) -> np.ndarray:
-    """Eval-mode softmax probabilities [N, num_classes] for sample rows.
+    """Eval-mode softmax probabilities [N, N_STAGES] for sample rows.
 
     The rows are `samples[index]`, or all of `samples` [N, input_length]
     when `index` is None; each forward gathers only its own rows, so the
@@ -380,7 +377,7 @@ def predict_probabilities(mp: ModelParams, samples: np.ndarray, batch_size: int 
     index = np.arange(len(samples)) if index is None else np.asarray(index, dtype=np.int64)
     folded = inference_params(mp)
     step = min(batch_size, block_rows(mp.cfg))
-    probs = np.empty((index.size, mp.cfg.num_classes), dtype=np.float64)
+    probs = np.empty((index.size, N_STAGES), dtype=np.float64)
 
     def forward(start: int) -> None:
         rows = samples[index[start:start + step]]

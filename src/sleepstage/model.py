@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ParamTensor, RunningStats, Tensor
+from .edf import N_STAGES
 from .errors import DataError, ShapeMismatch
 
 
@@ -28,7 +29,6 @@ class ModelConfig:
     # pool_sizes[0] follows the branch concat; pool_sizes[i] follows block i
     # for i < attention_blocks-1; nothing pools after the last block.
     pool_sizes: tuple[int, ...] = (8, 4, 4)
-    num_classes: int = 5
     input_length: int = 3000
 
     @property
@@ -57,8 +57,6 @@ class ModelConfig:
             raise ValueError("branch_channels and attention_blocks must be >= 1")
         if self.channel_attention_reduction < 1:
             raise ValueError("channel_attention_reduction must be >= 1")
-        if self.num_classes != 5:
-            raise ValueError(f"num_classes must be 5 (one logit per stage), got {self.num_classes}")
         if any(p < 0 for p in self.pool_sizes):
             raise ValueError(f"pool sizes must be >= 0, got {self.pool_sizes}")
         for i, (p, width) in enumerate(zip(self.pool_sizes, pipeline_widths(self))):
@@ -159,7 +157,7 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
         conv(f"block{i}.sa.gate", 1, 2, cfg.spatial_kernel)
         conv(f"block{i}.sa.mix", c, c, 1)
 
-    fc("head.fc", c, cfg.num_classes)
+    fc("head.fc", c, N_STAGES)
     return mp
 
 
@@ -274,7 +272,7 @@ def attention_block(mp: ModelParams, block: int, x: Tensor, training: bool) -> T
 
 
 def model_forward(mp: ModelParams, x, training: bool = False) -> Tensor:
-    """[B,1,input_length] -> [B,num_classes] pre-softmax logits."""
+    """[B,1,input_length] -> [B,N_STAGES] pre-softmax logits."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
     if x.ndim != 3 or x.shape[1] != 1:
@@ -300,8 +298,3 @@ def pipeline_widths(cfg: ModelConfig) -> list[int]:
     for p in cfg.pool_sizes:
         widths.append(widths[-1] // p if p else widths[-1])
     return widths + [widths[-1], 1]
-
-
-def parameter_count(cfg: ModelConfig) -> int:
-    mp = init_params(cfg, seed=0)
-    return sum(p.data.size for p in mp.parameters())

@@ -34,7 +34,7 @@ import numpy as np
 from . import autograd as ag
 from . import evaluation, parallel
 from .autograd import ParamTensor, RunningStats, Tensor
-from .edf import EpochSet
+from .edf import N_STAGES, EpochSet
 from .errors import EmptySplit, MissingGradient, NonFiniteLoss, ShapeMismatch, ZeroProportion
 from .files import write_csv_atomic
 from .model import ModelConfig, ModelParams, init_params, model_forward
@@ -48,9 +48,6 @@ _AUGMENT_STREAM = 1
 class TrainConfig:
     learning_rate: float = 0.0005
     batch_size: int = 8
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_passes: int = 30
     seed: int = 0
     checkpoint_every: int = 0  # passes between periodic checkpoints; 0 = off
@@ -59,11 +56,6 @@ class TrainConfig:
         # written as `not (in range)` so that NaN fails too
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not 0 < self.adam_eps < np.inf:
-            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_passes < 1:
@@ -71,14 +63,14 @@ class TrainConfig:
 
 
 def class_weights(proportions) -> np.ndarray:
-    """float64 [5] loss weights, weight[c] = min(5, max(1, ln(1/p(c)))),
+    """float64 [N_STAGES] loss weights, weight[c] = min(5, max(1, ln(1/p(c)))),
     natural log.
 
     `proportions` is an array of label shares indexed by stage code.
     """
     props = np.asarray(proportions, dtype=np.float64)
-    if props.shape != (5,):
-        raise ZeroProportion("need a proportion for each of the 5 stages")
+    if props.shape != (N_STAGES,):
+        raise ZeroProportion(f"need a proportion for each of the {N_STAGES} stages")
     if np.any(props <= 0):
         raise ZeroProportion(f"non-positive class proportion in {props}")
     return np.minimum(5.0, np.maximum(1.0, np.log(1.0 / props)))
@@ -86,7 +78,7 @@ def class_weights(proportions) -> np.ndarray:
 
 def proportions_from_labels(labels: Sequence[int]) -> np.ndarray:
     codes = np.asarray([int(l) for l in labels])
-    counts = np.bincount(codes, minlength=5).astype(np.float64)
+    counts = np.bincount(codes, minlength=N_STAGES).astype(np.float64)
     if codes.size == 0 or np.any(counts == 0):
         raise ZeroProportion(
             f"training split lacks examples of some stage (counts {counts.astype(int)})")
@@ -121,6 +113,13 @@ def weighted_ce_loss(logits: Tensor, labels, weights: np.ndarray,
     return ag.make_op(np.float64(out), (logits,), _bw)
 
 
+# Adam's moment decay rates and denominator guard, at the values Kingma & Ba
+# (2015, arXiv:1412.6980) recommend
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """First/second moment estimates plus the shared step counter."""
 
@@ -135,7 +134,7 @@ def adam_step(params: Sequence[ParamTensor], state: AdamState,
     """One bias-corrected Adam update, in place."""
     state.step += 1
     t = state.step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p in params:
         if p.grad is None:
             raise MissingGradient(f"parameter {p.name!r} has no gradient")
@@ -148,7 +147,7 @@ def adam_step(params: Sequence[ParamTensor], state: AdamState,
         v += (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -243,13 +242,16 @@ def train(epochs: EpochSet,
     mp = initial.copy() if initial is not None else init_params(model_cfg, seed=cfg.seed)
     # two float32 replicas; replica 0 shares mp's running stats, so its
     # training-mode forwards fold each whole batch's statistics into mp's
-    # float64 stats, and replica 1's stats are its own and never read
+    # float64 stats, and replica 1's stats are its own and never read.
+    # Replica 1's tensors hold replica 0's weight arrays, each with its own
+    # .grad, so one cast per step updates both.
     replicas = [ModelParams(mp.cfg, bn_stats=mp.bn_stats),
                 ModelParams(mp.cfg, bn_stats={name: RunningStats(s.mean.size)
                                               for name, s in mp.bn_stats.items()})]
-    for work in replicas:
-        work.params = {name: ParamTensor(name, p.data.astype(np.float32))
-                       for name, p in mp.params.items()}
+    replicas[0].params = {name: ParamTensor(name, p.data.astype(np.float32))
+                          for name, p in mp.params.items()}
+    replicas[1].params = {name: ParamTensor(name, p.data)
+                          for name, p in replicas[0].params.items()}
     triples = list(zip(mp.parameters(), *(work.parameters() for work in replicas)))
     state = AdamState(mp.parameters())
     shuffle_rng = np.random.default_rng(
@@ -283,7 +285,6 @@ def train(epochs: EpochSet,
                 batch = order[start:start + cfg.batch_size]
                 for master, w0, w1 in triples:
                     w0.data[...] = master.data
-                    w1.data[...] = w0.data
                     w0.zero_grad()
                     w1.zero_grad()
                 loss = synced_step(pool, replicas, batch, rows, labels, weights)

@@ -13,12 +13,14 @@ from sleepstage import autograd as ag
 from sleepstage import cache, model
 from sleepstage.autograd import Tensor
 from sleepstage.edf import (
+    N_STAGES,
     EpochSet,
     SignalHeader,
     build_edf,
     encode_annotation_signal,
 )
-from sleepstage.model import ModelConfig, ModelParams, branch_forward
+from sleepstage.evaluation import ConfusionMatrix
+from sleepstage.model import ModelConfig, ModelParams, branch_forward, init_params
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -33,6 +35,23 @@ def micro_model_config(**overrides) -> ModelConfig:
     base = dict(branch_channels=4, input_length=64, pool_sizes=(2, 2, 2))
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def parameter_count(cfg: ModelConfig) -> int:
+    mp = init_params(cfg, seed=0)
+    return sum(p.data.size for p in mp.parameters())
+
+
+def from_display(rows) -> ConfusionMatrix:
+    """Build from the published layout (rows W,R,N1,N2,N3 x cols N3..W)."""
+    m = np.asarray(rows, dtype=np.int64)
+    if m.shape != (N_STAGES, N_STAGES):
+        raise ValueError(f"display matrix must be 5x5, got {m.shape}")
+    return ConfusionMatrix(m[::-1, :])
+
+
+def to_display(cm: ConfusionMatrix) -> np.ndarray:
+    return cm.counts[::-1, :].copy()
 
 
 def sine_epoch(label: int, rng: np.random.Generator, length: int = 3000,

@@ -19,6 +19,7 @@ from helpers import (
     ACCEPTANCE_LINES,
     build_corpus_recording,
     finite_difference_grad,
+    from_display,
     micro_model_config,
     sine_epochs,
     tensor_sum,
@@ -63,7 +64,7 @@ def test_criterion_1_metrics_oracle_vs_published_tables():
     source_inconsistent: list[str] = []
 
     for bench, (display_cm, stage_table, summary) in sorted(ref.BENCHMARKS.items()):
-        cm = ConfusionMatrix.from_display(display_cm)
+        cm = from_display(display_cm)
         for stage in ref.DISPLAY_ROWS:
             exact = ref.exact_stage_values(display_cm, stage)
             got = stage_metrics(cm, STAGE_BY_NAME[stage])
@@ -99,12 +100,12 @@ def test_criterion_1_metrics_oracle_vs_published_tables():
                 matched += 1
 
     # the headline summary values named by the gate, asserted explicitly
-    edf = summary_metrics(ConfusionMatrix.from_display(ref.SLEEP_EDF_5FOLD_CM))
+    edf = summary_metrics(from_display(ref.SLEEP_EDF_5FOLD_CM))
     assert edf.overall_accuracy == pytest.approx(91.74, abs=PCT_TOL)
     assert edf.kappa == pytest.approx(0.8723, abs=DIMLESS_TOL)
     assert edf.macro_f1 == pytest.approx(0.8231, abs=DIMLESS_TOL)
     assert edf.mean_accuracy == pytest.approx(96.70, abs=PCT_TOL)
-    edfx = summary_metrics(ConfusionMatrix.from_display(ref.SLEEP_EDFX_HOLDOUT_CM))
+    edfx = summary_metrics(from_display(ref.SLEEP_EDFX_HOLDOUT_CM))
     assert edfx.overall_accuracy == pytest.approx(88.38, abs=PCT_TOL)
     assert edfx.kappa == pytest.approx(0.7963, abs=DIMLESS_TOL)
 

@@ -67,6 +67,13 @@ def _append_to_manifest(line: str):
     return rewrite
 
 
+def _four_class_head(ckpt: Path) -> None:
+    manifest, arrays = load_arrays(ckpt)
+    arrays["head.fc.weight"] = arrays["head.fc.weight"][:, :4]
+    arrays["head.fc.bias"] = arrays["head.fc.bias"][:4]
+    save_arrays(arrays, manifest, ckpt)
+
+
 def _not_utf8(ckpt: Path) -> None:
     blob = bytearray(ckpt.read_bytes())
     blob[12] = 0xFF  # the manifest's first byte
@@ -78,8 +85,6 @@ def _not_utf8(ckpt: Path) -> None:
 CORRUPT_CHECKPOINTS = {
     "channel-None": ({"dataset.channel": None}, None, "dataset.channel"),
     "model-None": ({f"model.{f.name}": None for f in fields(ModelConfig)}, None, "model."),
-    "model-num_classes": ({"model.num_classes": None}, None, "model.num_classes"),
-    "model-num_classes-4": ({"model.num_classes": "4"}, None, "num_classes"),
     "split.fold-None": ({"split.fold": None}, None, "split.fold"),
     "split.k-three": ({"split.k": "three"}, None, "split.k"),
     "split.kind-None": ({"split.kind": None}, None, "split.kind"),
@@ -104,6 +109,8 @@ CORRUPT_CHECKPOINTS = {
     "container-running_mean-None": ({}, _drop_entry("branch3.bn1.running_mean"),
                                     "branch3.bn1.running_mean"),
     "container-head.fc.weight-None": ({}, _drop_entry("head.fc.weight"), "head.fc.weight"),
+    "container-head-4-class": ({}, _four_class_head,
+                               "'head.fc.weight' has shape (6, 4), config expects (6, 5)"),
     "container-head.fc.bias-nan": ({}, _set_entry("head.fc.bias", np.nan), "'head.fc.bias'"),
     "container-block0.conv1.weight-inf": ({}, _set_entry("block0.conv1.weight", -np.inf),
                                           "'block0.conv1.weight'"),
@@ -117,6 +124,14 @@ CORRUPT_CHECKPOINTS = {
 CORRUPT_CHECKPOINT_RUNS = [
     pytest.param(case, command, id=case if command == "eval" else f"{case}-{command}")
     for case in CORRUPT_CHECKPOINTS for command in ("eval", "predict")]
+
+
+def metrics_with_cell(cell: str) -> str:
+    """metrics.json text whose 5x5 matrix holds the JSON value `cell` among counts of 1."""
+    rows = [["1"] * 5 for _ in range(5)]
+    rows[1][2] = cell
+    matrix = ", ".join(f"[{', '.join(row)}]" for row in rows)
+    return f'{{"confusion_matrix": {{"rows_true_cols_pred": [{matrix}]}}}}'
 
 
 def write_night(path: Path, stem: str, intervals, n_epochs: int, embedded: bool) -> None:
@@ -194,8 +209,6 @@ class TestConfigFormat:
 
     @pytest.mark.parametrize("key, value", [
         ("train.learning_rate", "nan"), ("train.learning_rate", "inf"),
-        ("train.adam_beta1", "1"), ("train.adam_beta2", "-0.1"), ("train.adam_beta2", "nan"),
-        ("train.adam_eps", "0"), ("train.adam_eps", "nan"),
         ("augment.noise_fraction", "nan"), ("augment.noise_fraction", "inf"),
         ("model.branch_kernel_sizes", ""), ("model.branch_kernel_sizes", "3,3"),
         ("model.branch_kernel_sizes", "-1"), ("model.branch_kernel_sizes", "3,-3"),
@@ -215,6 +228,35 @@ class TestConfigFormat:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             build_run_config({"dataset.root": "/x", "mistyped.key": "1"})
+
+    # not configuration keys: Adam's constants, the stage count, and an
+    # augmentation switch (both augmentation strengths at 0 turn it off)
+    @pytest.mark.parametrize("key, value", [
+        ("train.adam_beta1", "1"), ("train.adam_beta1", "0.9"),
+        ("train.adam_beta2", "-0.1"), ("train.adam_beta2", "nan"),
+        ("train.adam_eps", "0"), ("train.adam_eps", "nan"),
+        ("model.num_classes", "4"), ("model.num_classes", "5"),
+        ("augment.enabled", "false"), ("augment.enabled", "true")])
+    def test_removed_keys_exit_2_as_unknown(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset.root = {tmp_path}\n{key} = {value}\n")
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "out") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: unknown configuration keys: ['{key}']\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_resolved_file_with_removed_keys_names_them(self, tmp_path, capsys):
+        """A config.resolved that still lists the five removed keys is refused
+        before the run starts, naming all five."""
+        cfg = tmp_path / "config.resolved"
+        cfg.write_text(format_kv(build_run_config({"dataset.root": str(tmp_path)}).resolved())
+                       + "augment.enabled = true\nmodel.num_classes = 5\n"
+                       "train.adam_beta1 = 0.9\ntrain.adam_beta2 = 0.999\n"
+                       "train.adam_eps = 1e-08\n")
+        assert run_cli("train", "--config", cfg) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: unknown configuration keys: ['augment.enabled', "
+            "'model.num_classes', 'train.adam_beta1', 'train.adam_beta2', 'train.adam_eps']\n")
 
     def test_missing_dataset_root(self, monkeypatch):
         monkeypatch.delenv(DATASET_ROOT_ENV, raising=False)
@@ -239,7 +281,7 @@ class TestConfigFormat:
             build_run_config({"dataset.root": str(tmp_path), "split.kind": "loocv"})
         for key, value in [("split.k", "0"), ("split.ratio", "1.5"), ("split.ratio", "0"),
                            ("model.channel_attention_reduction", "0"), ("seed", "-1"),
-                           ("model.num_classes", "4"), ("train.max_passes", "0"),
+                           ("train.max_passes", "0"),
                            ("model.input_length", "30"), ("model.pool_sizes", "2,-2,2")]:
             with pytest.raises(ConfigError):
                 build_run_config({"dataset.root": str(tmp_path), key: value})
@@ -262,7 +304,6 @@ class TestConfigFormat:
     def test_resolved_default_literal(self):
         rc = build_run_config({"dataset.root": "/data"})
         assert format_kv(rc.resolved()) == (
-            "augment.enabled = true\n"
             "augment.flip_probability = 0.5\n"
             "augment.noise_fraction = 0.01\n"
             "cache.dir = /data/cache\n"
@@ -273,7 +314,6 @@ class TestConfigFormat:
             "model.branch_kernel_sizes = 3,5,7\n"
             "model.channel_attention_reduction = 4\n"
             "model.input_length = 3000\n"
-            "model.num_classes = 5\n"
             "model.pool_sizes = 8,4,4\n"
             "model.spatial_kernel = 3\n"
             "output.dir = out\n"
@@ -281,9 +321,6 @@ class TestConfigFormat:
             "split.k = 5\n"
             "split.kind = kfold\n"
             "split.ratio = 0.8\n"
-            "train.adam_beta1 = 0.9\n"
-            "train.adam_beta2 = 0.999\n"
-            "train.adam_eps = 1e-08\n"
             "train.batch_size = 8\n"
             "train.checkpoint_every = 0\n"
             "train.learning_rate = 0.0005\n"
@@ -617,6 +654,34 @@ class TestTrainEvalPredict:
         assert "fold1.ckpt" in err
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_with_num_classes_key_gives_the_same_bytes(self, preprocessed, tmp_path,
+                                                                  command):
+        """A checkpoint whose manifest holds `model.num_classes = 5`, as each
+        one written before that key was dropped does, evaluates and predicts
+        to the same bytes: the extra manifest key is ignored."""
+        cfg, corpus = preprocessed
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--split", "kfold:3", "--fold", 1,
+                       "--out", out) == 0
+        new = out / "fold1.ckpt"
+        old = tmp_path / "old.ckpt"
+        manifest, arrays = load_arrays(new)
+        save_arrays(arrays, format_kv({**parse_kv_text(manifest), "model.num_classes": "5"}), old)
+        assert "model.input_length = 300\nmodel.num_classes = 5\n" in load_arrays(old)[0]
+        written = []
+        for ckpt in (new, old):
+            run_out = tmp_path / ckpt.stem
+            if command == "eval":
+                assert run_cli("eval", "--config", cfg, "--checkpoint", ckpt,
+                               "--out", run_out) == 0
+                written.append((run_out / "metrics.json").read_bytes())
+            else:
+                assert run_cli("predict", "--checkpoint", ckpt, "--edf",
+                               corpus / "subjA-PSG.edf", "--out", run_out) == 0
+                written.append((run_out / "predictions.csv").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_version1_checkpoint_is_data_error(self, preprocessed, tmp_path, capsys, command):
         """The two-file layout's container (version 1) has no second reader."""
         cfg, corpus = preprocessed
@@ -805,12 +870,16 @@ class TestTrainEvalPredict:
         ("--metrics", '{"schema_version": 1}'),
         ("--metrics", '{"confusion_matrix": {"rows_true_cols_pred": [[1, 0], [0, 1]]}}'),
         ("--metrics", '{"confusion_matrix": {"rows_true_cols_pred": "many"}}'),
+        ("--metrics", metrics_with_cell("1.5")),
+        ("--metrics", metrics_with_cell("true")),
+        ("--metrics", metrics_with_cell("1e30")),
         ("--predictions", "epoch_index,onset_seconds,predicted,reference\n0,0,X,\n"),
         ("--predictions", "epoch_index,onset_seconds,reference\n0,0,W\n"),
         ("--predictions", "epoch_index,onset_seconds,predicted,reference\n1.5,45,W,\n"),
         ("--predictions", "epoch_index,onset_seconds,predicted,reference\n"),
         ("--predictions", "epoch_index,onset_seconds,predicted,reference\n-5,0,W,\n-3,0,N2,\n"),
     ], ids=["metrics-not-json", "metrics-no-matrix", "metrics-2x2", "metrics-not-counts",
+            "metrics-count-1.5", "metrics-count-true", "metrics-count-1e30",
             "predictions-stage-X", "predictions-no-predicted-column",
             "predictions-non-integer-index", "predictions-no-rows",
             "predictions-negative-index"])

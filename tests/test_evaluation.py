@@ -1,8 +1,10 @@
 """Metric suite against published reference tables, splits, ROC/PR curves."""
 import itertools
+import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,10 +35,12 @@ from sleepstage.model import ModelConfig, init_params, model_forward
 import reference_results as ref
 from helpers import (
     epoch_set,
+    from_display,
     micro_model_config,
     randomize_batch_norms,
     reference_roc_pr_curves,
     sine_epochs,
+    to_display,
 )
 
 RNG = np.random.default_rng(31)
@@ -56,17 +60,17 @@ class TestConfusionMatrix:
         assert cm.total == 100
 
     def test_display_round_trip(self):
-        cm = ConfusionMatrix.from_display(ref.SLEEP_EDF_5FOLD_CM)
-        np.testing.assert_array_equal(cm.to_display(), np.asarray(ref.SLEEP_EDF_5FOLD_CM))
+        cm = from_display(ref.SLEEP_EDF_5FOLD_CM)
+        np.testing.assert_array_equal(to_display(cm), np.asarray(ref.SLEEP_EDF_5FOLD_CM))
 
     def test_display_orientation(self):
-        cm = ConfusionMatrix.from_display(ref.SLEEP_EDF_5FOLD_CM)
+        cm = from_display(ref.SLEEP_EDF_5FOLD_CM)
         # first display row is true W; its last column is predicted W
         assert cm.counts[int(StageLabel.W), int(StageLabel.W)] == 7792
         assert cm.counts[int(StageLabel.N1), int(StageLabel.N1)] == 364
 
     def test_accumulating_stream_reproduces_table(self):
-        cm_ref = ConfusionMatrix.from_display(ref.SLEEP_EDF_5FOLD_CM)
+        cm_ref = from_display(ref.SLEEP_EDF_5FOLD_CM)
         stream = [(t, p) for t in range(5) for p in range(5)
                   for _ in range(int(cm_ref.counts[t, p]))]
         y_true, y_pred = zip(*stream)
@@ -86,6 +90,36 @@ class TestConfusionMatrix:
         assert ConfusionMatrix.from_pairs(y_true.tolist(),
                                           [StageLabel(int(p)) for p in y_pred]) == loop
         assert ConfusionMatrix.from_pairs([], []).total == 0
+
+    @pytest.mark.parametrize("cell", [1.5, 1e30, True, np.float64(2.0), -1, 1 << 63, "3", None])
+    def test_counts_must_be_non_negative_int64(self, cell):
+        """A cell that is not a count is refused by its value, and not cast first."""
+        counts = [[1] * 5 for _ in range(5)]
+        counts[2][3] = cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^confusion count {re.escape(repr(cell))} is not"):
+                ConfusionMatrix(counts)
+
+    def test_counts_total_must_fit_int64(self):
+        """Cells that each fit int64 but sum past it would wrap the row sums
+        the metrics and the heatmap shading divide by."""
+        for cell in (1 << 62, np.int64(1 << 62)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy scalars would wrap with a warning
+                with pytest.raises(ValueError, match=r"^confusion counts total \d+ exceeds"):
+                    ConfusionMatrix([[cell] * 5] * 5)
+        a = ConfusionMatrix(np.full((5, 5), (1 << 63) // 50))
+        with pytest.raises(ValueError, match="total"):
+            a.merged(a).merged(a)
+
+    def test_counts_accept_numpy_integers(self):
+        counts = np.arange(25, dtype=np.uint8).reshape(5, 5)
+        cm = ConfusionMatrix(counts)
+        assert cm.counts.dtype == np.int64 and cm.counts.tolist() == counts.tolist()
+        top = np.zeros((5, 5), dtype=np.int64)
+        top[4, 0] = np.iinfo(np.int64).max
+        assert ConfusionMatrix(top).total == np.iinfo(np.int64).max
 
     @pytest.mark.parametrize("y_true, y_pred, code", [
         ([-1], [0], -1),          # used to wrap around to row W
@@ -107,7 +141,7 @@ class TestStageMetricsAgainstPublished:
     def test_exact_fraction_oracle(self, bench):
         """Package output must equal exact arithmetic on the matrix."""
         display_cm, _, _ = ref.BENCHMARKS[bench]
-        cm = ConfusionMatrix.from_display(display_cm)
+        cm = from_display(display_cm)
         for stage_name in ref.DISPLAY_ROWS:
             exact = ref.exact_stage_values(display_cm, stage_name)
             got = stage_metrics(cm, STAGE_BY_NAME[stage_name])
@@ -129,7 +163,7 @@ class TestStageMetricsAgainstPublished:
          for m in ("accuracy", "recall", "precision", "f1")])
     def test_published_values_within_rounding(self, bench, stage, metric):
         display_cm, stage_table, _ = ref.BENCHMARKS[bench]
-        cm = ConfusionMatrix.from_display(display_cm)
+        cm = from_display(display_cm)
         got = getattr(stage_metrics(cm, STAGE_BY_NAME[stage]),
                       metric)
         printed = stage_table[stage][("accuracy", "recall", "precision", "f1").index(metric)]
@@ -161,7 +195,7 @@ class TestSummaryMetricsAgainstPublished:
     def test_exact_fraction_oracle(self, bench):
         display_cm, _, _ = ref.BENCHMARKS[bench]
         exact = ref.exact_summary_values(display_cm)
-        got = summary_metrics(ConfusionMatrix.from_display(display_cm))
+        got = summary_metrics(from_display(display_cm))
         assert got.overall_accuracy == pytest.approx(float(exact["overall_accuracy"]), abs=1e-9)
         assert got.kappa == pytest.approx(float(exact["kappa"]), abs=1e-12)
         assert got.mean_accuracy == pytest.approx(float(exact["mean_accuracy"]), abs=1e-9)
@@ -181,7 +215,7 @@ class TestSummaryMetricsAgainstPublished:
          for f in ("mean_recall", "mean_accuracy", "overall_accuracy", "kappa", "macro_f1")])
     def test_published_summaries_within_rounding(self, bench, field):
         display_cm, _, summary = ref.BENCHMARKS[bench]
-        got = summary_metrics(ConfusionMatrix.from_display(display_cm))
+        got = summary_metrics(from_display(display_cm))
         printed = dict(zip(("mean_recall", "mean_accuracy", "overall_accuracy",
                             "kappa", "macro_f1"), summary))[field]
         tol = 0.0005 if field in ("kappa", "macro_f1") else 0.0100001
@@ -214,7 +248,7 @@ class TestSummaryMetricsAgainstPublished:
         assert summary.overall_accuracy == pytest.approx(acc_from_recalls, abs=1e-9)
 
     def test_macro_f1_is_mean_of_stage_f1(self):
-        cm = ConfusionMatrix.from_display(ref.SLEEP_EDF_5FOLD_CM)
+        cm = from_display(ref.SLEEP_EDF_5FOLD_CM)
         f1s = [stage_metrics(cm, s).f1 for s in StageLabel]
         assert summary_metrics(cm).macro_f1 == pytest.approx(np.mean(f1s) / 100, abs=1e-12)
 

@@ -5,6 +5,7 @@ import pytest
 from sleepstage import autograd as ag
 from sleepstage.autograd import Tensor
 from sleepstage.config import format_kv, parse_kv_text, section_from_manifest, section_manifest
+from sleepstage.edf import N_STAGES
 from sleepstage.errors import ShapeMismatch
 from sleepstage.model import (
     ModelConfig,
@@ -16,13 +17,13 @@ from sleepstage.model import (
     init_params,
     model_forward,
     multiscale_forward,
-    parameter_count,
     pipeline_widths,
     spatial_attention,
 )
 
 from helpers import (
     micro_model_config,
+    parameter_count,
     randomize_batch_norms,
     reference_max_pool1d,
     reference_multiscale_forward,
@@ -343,7 +344,7 @@ class TestParameterCount:
         per_block += 1 * 2 * cfg.spatial_kernel + 1   # spatial gate conv
         per_block += c * c * 1 + c            # pointwise mix
         total += cfg.attention_blocks * per_block
-        total += c * cfg.num_classes + cfg.num_classes  # head
+        total += c * N_STAGES + N_STAGES  # head
         return total
 
     def test_matches_shape_walking_oracle(self):

@@ -54,3 +54,43 @@ def test_every_engine_op_is_one_the_network_calls():
             and node.value.id == "ag"}
     assert len(ops) > 10
     assert sorted(ops - used) == []
+
+
+def _names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name that `tree` reads, imports or looks up as an attribute,
+    outside the subtree `skip`."""
+    found, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_function_and_class_has_a_user():
+    """Each public top-level function or class of the package is named by the
+    package outside its own definition, or by perfbench. Code that only the
+    tests call lives in tests/helpers.py."""
+    package = Path(sleepstage.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    benched = set().union(*(_names(ast.parse(path.read_text(), str(path)))
+                            for path in sorted(perfbench.rglob("*.py"))))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in benched
+                    and not any(node.name in _names(other, skip=node)
+                                for other in trees.values())):
+                unused.append(f"{module}: {node.name}")
+    assert len(trees) > 10 and benched
+    assert unused == []
