@@ -1,13 +1,13 @@
 """Binary epoch cache and per-subject normalization stats files.
 
-Cache layout: 4 magic bytes, u32 version, u32 epoch count, then from byte
-12 one record per epoch of the packed dtype [('label','u1'),('x','<f4',(L,))],
-with L implied by the file size. Epochs are stored in epoch_index order;
-loading renumbers them densely from 0 into one EpochSet. A load checks
-every file's header against its size first, then reads each file once, a
-few hundred KiB of records at a time, straight into one float32 samples
-array, so its peak memory is about that array. Both kinds of file are
-written atomically.
+Cache layout: 4 magic bytes, u32 version, u32 epoch count N, then from byte
+12 the two columns of an EpochSet: N label bytes (stage codes), then N*L
+little-endian float32 samples, row after row, with L implied by the file
+size. Epochs are stored in epoch_index order; loading renumbers them
+densely from 0 into one EpochSet. A load checks every file's header
+against its size first, allocates the samples and labels once, then reads
+each file's samples straight into their rows, so its peak memory is about
+that samples array. Both kinds of file are written atomically.
 """
 from __future__ import annotations
 
@@ -23,39 +23,27 @@ from .files import write_atomic, write_text_atomic
 from .preprocess import NormalizationStats
 
 _MAGIC = b"SSE1"
-_VERSION = 1
+VERSION = 2
 
 EPOCH_SUFFIX = ".epochs"
 STATS_SUFFIX = ".stats"
-# Bytes of records a load reads at a time, through one buffer reused for
-# every file: few system calls, and the buffer stays in a core's L2 cache
-# while its rows are copied out. Never less than one record.
-READ_BYTES = 3 << 17
-
-
-def _record_dtype(length: int) -> np.dtype:
-    """One cached epoch: its stage code, then `length` float32 samples."""
-    return np.dtype([("label", "u1"), ("x", "<f4", (length,))])
 
 
 def save_epochs(epochs: EpochSet, path) -> None:
     """Write `epochs` in epoch_index order, atomically; rows already in that
-    order, as epoch_recording returns them, are cast into the records
-    without a gather."""
+    order, as epoch_recording returns them, are written without a gather."""
     if not epochs:
         raise ValueError("refusing to write an empty epoch cache")
-    records = np.empty(len(epochs), dtype=_record_dtype(epochs.samples.shape[1]))
-    if np.all(epochs.epoch_index[1:] >= epochs.epoch_index[:-1]):
-        records["label"] = epochs.labels
-        records["x"] = epochs.samples
-    else:
-        order = np.argsort(epochs.epoch_index, kind="stable")
-        records["label"] = epochs.labels[order]
-        records["x"] = epochs.samples[order]
+    index = epochs.epoch_index
+    rows = (slice(None) if np.all(index[1:] >= index[:-1])
+            else np.argsort(index, kind="stable"))
+    labels = epochs.labels[rows].astype(np.uint8)
+    samples = np.ascontiguousarray(epochs.samples[rows], dtype="<f4")
 
     def write(fh) -> None:
-        fh.write(_MAGIC + struct.pack("<II", _VERSION, len(records)))
-        fh.write(records.view(np.uint8))
+        fh.write(_MAGIC + struct.pack("<II", VERSION, len(labels)))
+        fh.write(labels)
+        fh.write(samples)
     write_atomic(path, write)
 
 
@@ -69,43 +57,40 @@ def _header(path) -> tuple[int, int]:
     if len(head) < 12 or head[:4] != _MAGIC:
         raise TruncatedFile(f"{path}: not an epoch cache")
     version, count = struct.unpack_from("<II", head, 4)
-    if version != _VERSION:
-        raise TruncatedFile(f"{path}: unsupported cache version {version}")
+    if version != VERSION:
+        raise TruncatedFile(f"{path}: unsupported cache version {version} (this program "
+                            f"reads version {VERSION}); re-run `sleepstage preprocess`")
     body = size - 12
     if count == 0:
         raise TruncatedFile(f"{path}: empty cache")
     if body % count:
         raise TruncatedFile(f"{path}: {body} payload bytes not divisible by {count} epochs")
-    record = body // count
-    if (record - 1) % 4:
-        raise TruncatedFile(f"{path}: record size {record} is not 1 + 4*samples")
-    return count, (record - 1) // 4
+    per_epoch = body // count
+    if (per_epoch - 1) % 4:
+        raise TruncatedFile(f"{path}: {per_epoch} bytes per epoch is not 1 + 4*samples")
+    return count, (per_epoch - 1) // 4
 
 
-def _read_into(path, buffer: np.ndarray, samples: np.ndarray, labels: np.ndarray) -> None:
-    """Stream the records of one cache file, whose _header gave len(samples)
-    records of buffer's dtype, through `buffer` into `samples` and `labels`."""
-    count, record, raw = len(samples), buffer.itemsize, buffer.view(np.uint8)
-    top = 0
+def _read_into(path, samples: np.ndarray, labels: np.ndarray) -> None:
+    """Read one cache file, whose _header gave len(samples) epochs of
+    samples.shape[1] samples, straight into `samples` and `labels`."""
+    count = len(samples)
     with open(path, "rb") as fh:
         # the file may have been replaced or resized since _header read it
-        if (fh.read(12) != _MAGIC + struct.pack("<II", _VERSION, count)
-                or os.fstat(fh.fileno()).st_size != 12 + count * record):
+        if (fh.read(12) != _MAGIC + struct.pack("<II", VERSION, count)
+                or os.fstat(fh.fileno()).st_size != 12 + count + samples.nbytes):
             raise TruncatedFile(f"{path}: changed while it was loaded")
-        for start in range(0, count, len(buffer)):
-            n = min(len(buffer), count - start)
-            if fh.readinto(raw[:n * record]) != n * record:
-                raise TruncatedFile(f"{path}: changed while it was loaded")
-            chunk = buffer[:n]
-            labels[start:start + n] = chunk["label"]
-            samples[start:start + n] = chunk["x"]
-            top = max(top, int(chunk["label"].max()))
+        codes = np.frombuffer(fh.read(count), dtype=np.uint8)
+        if len(codes) != count or fh.readinto(samples) != samples.nbytes:
+            raise TruncatedFile(f"{path}: changed while it was loaded")
+    top = int(codes.max())
     if top >= N_STAGES:
         raise TruncatedFile(f"{path}: label byte {top} is not a stage code")
+    labels[:] = codes
 
 
 def _load(paths: list[Path], subjects: list[str]) -> EpochSet:
-    """The records of `paths` in order, each file read once, straight into
+    """The epochs of `paths` in order, each file read once, straight into
     one samples and one labels array; epoch_index runs on across a
     subject's files."""
     if not paths:
@@ -114,13 +99,11 @@ def _load(paths: list[Path], subjects: list[str]) -> EpochSet:
     counts, lengths = zip(*(_header(p) for p in paths))
     if len(set(lengths)) != 1:
         raise DataError(f"cache files mix epoch lengths {sorted({(n,) for n in lengths})}")
-    samples = np.empty((sum(counts), lengths[0]), dtype=np.float32)
+    samples = np.empty((sum(counts), lengths[0]), dtype="<f4")
     labels = np.empty(sum(counts), dtype=np.int64)
-    dtype = _record_dtype(lengths[0])
-    buffer = np.empty(max(1, READ_BYTES // dtype.itemsize), dtype=dtype)
     bases, next_index, start = [], {}, 0
     for path, subject, count in zip(paths, subjects, counts):
-        _read_into(path, buffer, samples[start:start + count], labels[start:start + count])
+        _read_into(path, samples[start:start + count], labels[start:start + count])
         start += count
         bases.append(next_index.get(subject, 0))
         next_index[subject] = bases[-1] + count
@@ -131,8 +114,6 @@ def _load(paths: list[Path], subjects: list[str]) -> EpochSet:
         epoch_index=np.concatenate([base + np.arange(count, dtype=np.int64)
                                     for base, count in zip(bases, counts)]),
     )
-
-
 def load_epochs(path, subject_id: str) -> EpochSet:
     return _load([Path(path)], [subject_id])
 

@@ -279,6 +279,7 @@ def cmd_preprocess(args) -> int:
         if hyp is not None:
             fingerprint.update({f"hyp.{k}": v for k, v in _file_fingerprint(hyp_bytes).items()})
         fingerprint["channel"] = rc.channel
+        fingerprint["cache.version"] = str(cache.VERSION)
         # .src holds what this code writes below; any other content means a stale cache
         src_text = format_kv(fingerprint).encode()
         if epochs_path.is_file() and src_path.is_file() and src_path.read_bytes() == src_text:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError, DataError
 from .evaluation import SplitConfig
@@ -57,6 +58,12 @@ def _to_int_tuple(key: str, value: str) -> tuple[int, ...]:
         raise ConfigError(f"{key}: expected comma-separated integers, got {value!r}") from None
 
 
+def _to_path(key: str, value: str) -> Path:
+    if "\0" in value:  # no file system takes it
+        raise ConfigError(f"{key}: a path cannot hold a NUL character")
+    return Path(value)
+
+
 # The model.*, train.*, augment.* and split.* keys are the fields of these
 # dataclasses, parsed and formatted by the type of each field's default; a
 # None default marks an optional integer, left out while unset. The seed
@@ -64,11 +71,14 @@ def _to_int_tuple(key: str, value: str) -> tuple[int, ...]:
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "augment": AugmentConfig,
              "split": SplitConfig}
 _SEED_FIELDS = {"seed", "rng_seed"}
-_PARSERS = {int: _to_int, float: _to_float, tuple: _to_int_tuple,
+_PARSERS = {int: _to_int, float: _to_float, tuple: _to_int_tuple, Path: _to_path,
             str: lambda key, value: value, type(None): _to_int}
 _FORMATTERS = {int: str, float: repr, tuple: lambda v: ",".join(map(str, v)),
                str: str, type(None): str}
-_TOP_LEVEL_KEYS = {"dataset.root", "dataset.channel", "cache.dir", "output.dir", "seed"}
+# The top-level keys and the RunConfig field each one sets, parsed by the
+# field's type and formatted with str().
+_TOP_LEVEL = {"dataset.root": "dataset_root", "dataset.channel": "channel",
+              "cache.dir": "cache_dir", "output.dir": "output_dir", "seed": "seed"}
 
 
 def _section_fields(prefix: str) -> list[str]:
@@ -107,13 +117,7 @@ class RunConfig:
     split: SplitConfig = SplitConfig()
 
     def resolved(self) -> dict[str, str]:
-        values = {
-            "dataset.root": str(self.dataset_root),
-            "dataset.channel": self.channel,
-            "cache.dir": str(self.cache_dir),
-            "output.dir": str(self.output_dir),
-            "seed": str(self.seed),
-        }
+        values = {key: str(getattr(self, name)) for key, name in _TOP_LEVEL.items()}
         for prefix in _SECTIONS:
             values.update(_format_section(prefix, getattr(self, prefix), _section_fields(prefix)))
         return values
@@ -126,31 +130,24 @@ def build_run_config(file_values: dict[str, str] | None = None,
     values.update(file_values or {})
     values.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
-    known = _TOP_LEVEL_KEYS | {f"{p}.{name}" for p in _SECTIONS for name in _section_fields(p)}
+    known = set(_TOP_LEVEL) | {f"{p}.{name}" for p in _SECTIONS for name in _section_fields(p)}
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
 
-    for key in ("dataset.root", "cache.dir", "output.dir"):
-        if "\0" in values.get(key, ""):  # no file system takes it
-            raise ConfigError(f"{key}: a path cannot hold a NUL character")
-    root = values.get("dataset.root") or os.environ.get(DATASET_ROOT_ENV)
-    if not root:
-        raise ConfigError(
-            f"dataset.root missing (set it in the config or via ${DATASET_ROOT_ENV})")
-    dataset_root = Path(root)
-    output_dir = Path(values.get("output.dir", "out"))
-    cache_dir = Path(values["cache.dir"]) if "cache.dir" in values else dataset_root / "cache"
-
+    types = get_type_hints(RunConfig)
+    top = {name: _PARSERS[types[name]](key, values[key])
+           for key, name in _TOP_LEVEL.items() if key in values}
+    if not values.get("dataset.root"):
+        root = os.environ.get(DATASET_ROOT_ENV)
+        if not root:
+            raise ConfigError(
+                f"dataset.root missing (set it in the config or via ${DATASET_ROOT_ENV})")
+        top["dataset_root"] = Path(root)
+    top.setdefault("output_dir", Path("out"))
+    top.setdefault("cache_dir", top["dataset_root"] / "cache")
     sections = {prefix: _build_section(prefix, values) for prefix in _SECTIONS}
-    return RunConfig(
-        dataset_root=dataset_root,
-        output_dir=output_dir,
-        cache_dir=cache_dir,
-        channel=values.get("dataset.channel", DEFAULT_CHANNEL),
-        seed=_to_int("seed", values.get("seed", "0")),
-        **sections,
-    )
+    return RunConfig(**top, **sections)
 
 
 def _manifest_fields(prefix: str, section) -> tuple[str, ...]:

@@ -161,8 +161,8 @@ class SplitConfig:
     def __post_init__(self):
         if self.kind not in ("kfold", "holdout"):
             raise ValueError(f"split.kind must be kfold or holdout, got {self.kind!r}")
-        if self.k < 1:
-            raise ValueError(f"split.k must be >= 1, got {self.k}")
+        if self.k < 2:  # one fold would leave nothing to train on
+            raise ValueError(f"split.k must be >= 2, got {self.k}")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"split.ratio must lie in (0, 1), got {self.ratio!r}")
         if self.kind == "kfold" and self.fold is not None and not 0 <= self.fold < self.k:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,30 +300,42 @@ def reference_roc_pr_curves(scores: np.ndarray, labels, c: int):
     return tuple(roc), tuple(pr), reference_trapezoid(roc), reference_trapezoid(pr)
 
 
-# --- reference cache load: each file read whole and viewed as records, then
-# the files joined with np.concatenate, as cache.load_all did before it
-# streamed records into one preallocated array ---
+# --- reference cache load: each file read whole and viewed as its two
+# columns (label bytes, then float32 sample rows), then the files joined with
+# np.concatenate ---
 
 def reference_load_all(cache_dir) -> EpochSet:
     """The EpochSet of every *.epochs file of cache_dir, in sorted order,
     epoch_index running on across a subject's files; no checks."""
     paths = sorted(Path(cache_dir).glob(f"*{cache.EPOCH_SUFFIX}"))
-    files, subjects = [], []
+    labels, samples, subjects = [], [], []
     for p in paths:
         blob = p.read_bytes()
-        record = (len(blob) - 12) // int.from_bytes(blob[8:12], "little")
-        files.append(np.frombuffer(
-            blob, offset=12, dtype=[("label", "u1"), ("x", "<f4", ((record - 1) // 4,))]))
+        count = int.from_bytes(blob[8:12], "little")
+        labels.append(np.frombuffer(blob, dtype=np.uint8, count=count, offset=12))
+        samples.append(np.frombuffer(blob, dtype="<f4", offset=12 + count).reshape(count, -1))
         subjects.append(cache.subject_of(p.name[:-len(cache.EPOCH_SUFFIX)]))
-    counts = [len(f) for f in files]
+    counts = [len(column) for column in labels]
     bases, next_index = [], {}
     for subject, count in zip(subjects, counts):
         bases.append(next_index.get(subject, 0))
         next_index[subject] = bases[-1] + count
     return EpochSet(
-        samples=np.concatenate([f["x"] for f in files]),
-        labels=np.concatenate([f["label"] for f in files]).astype(np.int64),
+        samples=np.concatenate(samples),
+        labels=np.concatenate(labels).astype(np.int64),
         subjects=np.repeat(subjects, counts),
         epoch_index=np.concatenate([base + np.arange(count, dtype=np.int64)
                                     for base, count in zip(bases, counts)]),
     )
+
+
+def version1_cache_bytes(blob: bytes) -> bytes:
+    """The version-1 layout of a cache file's bytes: the same magic and count,
+    version 1, then one record per epoch of its label byte and its float32
+    samples, in place of the label column and the sample rows."""
+    count = int.from_bytes(blob[8:12], "little")
+    samples = np.frombuffer(blob, dtype="<f4", offset=12 + count).reshape(count, -1)
+    records = np.empty(count, dtype=[("label", "u1"), ("x", "<f4", (samples.shape[1],))])
+    records["label"] = np.frombuffer(blob, dtype=np.uint8, count=count, offset=12)
+    records["x"] = samples
+    return blob[:4] + struct.pack("<II", 1, count) + records.tobytes()

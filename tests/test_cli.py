@@ -31,7 +31,8 @@ from sleepstage.errors import ChecksumMismatch, ConfigError, DataError, NetworkF
 from sleepstage.evaluation import SplitConfig
 from sleepstage.model import ModelConfig, init_params
 
-from helpers import EEG_CHANNEL, build_corpus_recording, digitize, eeg_signal_header
+from helpers import (EEG_CHANNEL, build_corpus_recording, digitize, eeg_signal_header,
+                     version1_cache_bytes)
 
 MICRO_MODEL_LINES = """
 dataset.channel = EEG Fpz-Cz
@@ -279,7 +280,8 @@ class TestConfigFormat:
             build_run_config({"dataset.root": str(tmp_path), "split.k": "five"})
         with pytest.raises(ConfigError):
             build_run_config({"dataset.root": str(tmp_path), "split.kind": "loocv"})
-        for key, value in [("split.k", "0"), ("split.ratio", "1.5"), ("split.ratio", "0"),
+        for key, value in [("split.k", "0"), ("split.k", "1"), ("split.ratio", "1.5"),
+                           ("split.ratio", "0"),
                            ("model.channel_attention_reduction", "0"), ("seed", "-1"),
                            ("train.max_passes", "0"),
                            ("model.input_length", "30"), ("model.pool_sizes", "2,-2,2")]:
@@ -468,6 +470,22 @@ class TestPreprocess:
         assert src.read_bytes() == written
         assert epochs_file.stat().st_mtime_ns != before
 
+    def test_version1_cache_is_rebuilt(self, preprocessed):
+        """A cache in the version-1 layout, beside the .src text written with
+        it (which named no cache version), is rebuilt to the bytes a fresh
+        preprocess writes, not taken as up to date."""
+        cfg, corpus = preprocessed
+        cache_dir = corpus / "cache"
+        written = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+        for name in ("subjA__subjA", "subjB__subjB"):
+            src = written[f"{name}.src"]
+            assert src.startswith(b"cache.version = 2\n")
+            (cache_dir / f"{name}.src").write_bytes(src.removeprefix(b"cache.version = 2\n"))
+            (cache_dir / f"{name}.epochs").write_bytes(
+                version1_cache_bytes(written[f"{name}.epochs"]))
+        assert run_cli("preprocess", "--config", cfg) == 0
+        assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == written
+
     def test_fresh_preprocess_reads_each_edf_once(self, tiny_corpus, tmp_path, monkeypatch):
         reads = collections.Counter()
         read_bytes = Path.read_bytes
@@ -594,6 +612,19 @@ class TestTrainEvalPredict:
         assert run_cli("train", "--config", cfg, "--split", "kfold:3",
                        "--fold", fold, "--out", out) == cli.EXIT_CONFIG
         assert not (out / "split.json").exists()
+
+    @pytest.mark.parametrize("argv, extra", [(["--split", "kfold:1"], ""), ([], "split.k = 1")],
+                             ids=["flag", "config"])
+    def test_one_fold_split_exits_2_before_writing(self, preprocessed, tmp_path, capsys,
+                                                   argv, extra):
+        """k = 1 leaves no epoch to train on; it is refused at config load,
+        before the output directory is made."""
+        _, corpus = preprocessed
+        out = tmp_path / "one_fold_split"
+        assert run_cli("train", "--config", write_config(tmp_path, corpus, extra),
+                       "--out", out, *argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: split.k must be >= 2, got 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("split, stem", [("kfold:3", "fold1"), ("holdout:0.5", "holdout")])
     def test_eval_reproduces_train_metrics(self, preprocessed, tmp_path, split, stem):
@@ -892,6 +923,23 @@ class TestTrainEvalPredict:
 
     def test_plot_without_inputs_is_config_error(self, tmp_path):
         assert run_cli("plot", "--out", tmp_path) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_version1_cache_says_to_rerun_preprocess(self, preprocessed, tmp_path, capsys,
+                                                     command):
+        cfg, corpus = preprocessed
+        path = corpus / "cache" / "subjB__subjB.epochs"
+        path.write_bytes(version1_cache_bytes(path.read_bytes()))
+        ckpt = tmp_path / "m.ckpt"
+        model_cfg = ModelConfig(branch_channels=2, input_length=300)
+        cli.save_checkpoint(init_params(model_cfg, seed=0), ckpt, EEG_CHANNEL, SplitConfig(fold=0))
+        argv = ["--checkpoint", ckpt] if command == "eval" else []
+        capsys.readouterr()
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "out",
+                       *argv) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {path}: unsupported cache version 1 (this program reads "
+            "version 2); re-run `sleepstage preprocess`\n")
 
     def test_train_before_preprocess_is_runtime_error(self, tiny_corpus, tmp_path):
         cfg = write_config(tmp_path, tiny_corpus)

@@ -586,10 +586,11 @@ class TestEpochCache:
         path = tmp_path / "s.epochs"
         cache.save_epochs(epochs, path)
         assert path.read_bytes() == bytes.fromhex(
-            "53534531" "01000000" "03000000"  # magic, version 1, 3 epochs
-            "04" "0000803f" "00000000" "000000bf" "00004040"  # index 0: W, 1, 0, -0.5, 3
-            "00" "000000c0" "0000003e" "00008040" "000040bf"  # index 1: N3, -2, 0.125, 4, -0.75
-            "03" "0000003f" "000080bf" "00000040" "0000803e")  # index 2: R, 0.5, -1, 2, 0.25
+            "53534531" "02000000" "03000000"  # magic, version 2, 3 epochs
+            "04" "00" "03"  # labels by epoch index: W, N3, R
+            "0000803f" "00000000" "000000bf" "00004040"  # index 0: 1, 0, -0.5, 3
+            "000000c0" "0000003e" "00008040" "000040bf"  # index 1: -2, 0.125, 4, -0.75
+            "0000003f" "000080bf" "00000040" "0000803e")  # index 2: 0.5, -1, 2, 0.25
 
     def test_load_all_renumbers_per_subject(self, tmp_path):
         epochs = epoch_set(RNG.normal(size=(3, 10)), np.arange(3), "a")
@@ -616,7 +617,7 @@ class TestEpochCache:
         path = tmp_path / "s.epochs"
         cache.save_epochs(epoch_set(np.zeros((3, 4)), [StageLabel.W] * 3), path)
         blob = bytearray(path.read_bytes())
-        blob[12 + 17] = 9  # label byte of the second record
+        blob[12 + 1] = 9  # label byte of the second epoch
         path.write_bytes(bytes(blob))
         with pytest.raises(TruncatedFile, match="label byte 9 is not a stage code"):
             cache.load_epochs(path, "s")
@@ -629,7 +630,6 @@ class TestEpochCache:
             cache.load_all(tmp_path)
 
     LENGTH = 3000
-    CHUNK = max(1, cache.READ_BYTES // (1 + 4 * LENGTH))  # records read at a time
 
     def save_night(self, path, count, seed):
         rng = np.random.default_rng(seed)
@@ -637,11 +637,9 @@ class TestEpochCache:
                                     rng.integers(0, len(StageLabel), count)), path)
 
     def test_load_all_equals_the_joined_files(self, tmp_path):
-        """Record counts on each side of the read chunk, across files of two
-        subjects, load byte for byte as the whole files viewed and joined."""
-        c = self.CHUNK
-        assert c > 2
-        counts = {"a__n1": 1, "a__n2": c - 1, "b__n1": c, "a__n3": c + 1, "b__n2": 2 * c + 1}
+        """Files of 1 to 65 epochs, across two subjects, load byte for byte as
+        the whole files viewed and joined."""
+        counts = {"a__n1": 1, "a__n2": 31, "b__n1": 32, "a__n3": 33, "b__n2": 65}
         for seed, (name, count) in enumerate(counts.items()):
             self.save_night(tmp_path / f"{name}.epochs", count, seed)
         loaded, expected = cache.load_all(tmp_path), reference_load_all(tmp_path)
@@ -651,11 +649,11 @@ class TestEpochCache:
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
 
-    def test_rejects_label_byte_past_the_first_chunk(self, tmp_path):
+    def test_rejects_label_byte_of_a_later_epoch(self, tmp_path):
         path = tmp_path / "s.epochs"
-        self.save_night(path, 2 * self.CHUNK + 1, 0)
+        self.save_night(path, 65, 0)
         blob = bytearray(path.read_bytes())
-        blob[12 + (self.CHUNK + 3) * (1 + 4 * self.LENGTH)] = 7
+        blob[12 + 35] = 7  # label byte of the 36th epoch
         path.write_bytes(bytes(blob))
         with pytest.raises(TruncatedFile, match="label byte 7 is not a stage code"):
             cache.load_all(tmp_path)
@@ -665,7 +663,7 @@ class TestEpochCache:
         """A file cut short or grown between the header check and the read
         stops the load with TruncatedFile naming it."""
         path = tmp_path / "s__n1.epochs"
-        self.save_night(path, self.CHUNK + 1, 0)
+        self.save_night(path, 33, 0)
         header = cache._header
 
         def header_then_change(p):
@@ -744,11 +742,19 @@ class TestEpochSet:
         assert picked.subjects.tolist() == ["s0", "s0"]
 
 
-# sha256 of the cache files of golden_night, recorded at the commit before
-# compute_stats used histogram selection (np.percentile then)
+# sha256 of the cache files of golden_night: the stats recorded at the commit
+# before compute_stats used histogram selection (np.percentile then), the
+# epochs at the cache's version-2 (columns) layout
 GOLDEN_DIGESTS = {
-    "golden.epochs": "eb59709472ff4367b4b9477349bf0e162128f4a9e04c0a77d2f691b8de9df909",
+    "golden.epochs": "496ad43e81bc1ac27f536686a2f9c2f0446eb67a7eba0973e66c8b269b83cbd6",
     "golden.stats": "f7a1f375ab11589337182ad8be419f47aa2f2f90d43d61fb9fd67803fc0ee5c5",
+}
+# sha256 of the samples and labels that load_epochs gives for golden.epochs;
+# the version-1 layout (one label-and-samples record per epoch) loaded the
+# same bytes
+GOLDEN_LOADED_DIGESTS = {
+    "samples": "61c43463013d229b825ece5f76befdc83b8a095a942f9b995dea46dc7ba40b44",
+    "labels": "44e71b463b4fa5fb269ff9da82d260b8c06f597394d90146ef522fd6e500c479",
 }
 
 
@@ -795,3 +801,7 @@ class TestGoldenIngest:
                    for name in ("golden.epochs", "golden.stats")}
         assert len(epochs) == 55
         assert digests == GOLDEN_DIGESTS
+        loaded = cache.load_epochs(tmp_path / "golden.epochs", "golden")
+        assert (loaded.samples.dtype, loaded.labels.dtype) == (np.float32, np.int64)
+        assert {name: hashlib.sha256(getattr(loaded, name).tobytes()).hexdigest()
+                for name in GOLDEN_LOADED_DIGESTS} == GOLDEN_LOADED_DIGESTS
