@@ -44,8 +44,6 @@ faster than K thin matmuls, so the forward uses it there.
 from __future__ import annotations
 
 import functools
-import math
-import struct
 import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -53,14 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    GraphConsumed,
-    NegativeThreshold,
-    NonScalarLoss,
-    ShapeMismatch,
-    TruncatedFile,
-)
-from .files import write_atomic
+from .errors import GraphConsumed, NegativeThreshold, NonScalarLoss, ShapeMismatch
 
 _GRAD_ENABLED = True
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -670,80 +661,3 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
 
     return make_op(out.reshape(x.data.shape), (x, gamma, beta), _bw)
 
-
-# --- named-parameter checkpoint container ---
-
-_CKPT_MAGIC = b"NPC1"
-_CKPT_VERSION = 2
-
-
-def save_arrays(arrays: dict[str, np.ndarray], manifest: str, path) -> None:
-    """Write a manifest text and named float64 arrays: magic, version,
-    manifest length + UTF-8 manifest, count, then per entry name length +
-    UTF-8 name, rank, dims, little-endian float64 payload.
-
-    The file is written atomically (`files.write_atomic`).
-    """
-    text = manifest.encode("utf-8")
-
-    def write(fh) -> None:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(text)))
-        fh.write(text)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    write_atomic(path, write)
-
-
-def load_arrays(path) -> tuple[str, dict[str, np.ndarray]]:
-    """(manifest text, named arrays) of a container `save_arrays` wrote."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8 or blob[:4] != _CKPT_MAGIC:
-        raise TruncatedFile(f"{path}: not a parameter container")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != _CKPT_VERSION:
-        raise TruncatedFile(f"{path}: unsupported container version {version}")
-    off = 8
-    part = "the manifest"
-    out: dict[str, np.ndarray] = {}
-
-    def take(nbytes: int) -> int:
-        """Offset of the next `nbytes` bytes, which must lie inside the file."""
-        nonlocal off
-        if off + nbytes > len(blob):
-            raise TruncatedFile(f"{path}: container ends inside {part}")
-        off += nbytes
-        return off - nbytes
-
-    def text(what: str) -> str:
-        """The next length-prefixed UTF-8 string, which `what` names in errors."""
-        (nbytes,) = struct.unpack_from("<I", blob, take(4))
-        start = take(nbytes)
-        try:
-            return blob[start:off].decode("utf-8")
-        except UnicodeDecodeError:
-            raise TruncatedFile(f"{path}: {what} is not UTF-8 text") from None
-
-    manifest = text("the manifest")
-    (count,) = struct.unpack_from("<I", blob, take(4))
-    for i in range(count):
-        part = f"entry {i}"
-        name = text(f"the name of entry {i}")
-        (rank,) = struct.unpack_from("<I", blob, take(4))
-        dims = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank))
-        n = math.prod(dims)
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n))
-        try:
-            arr = arr.reshape(dims)
-        except ValueError:  # an empty shape whose other dims overflow numpy's sizes
-            raise TruncatedFile(f"{path}: entry {i} has shape {dims}, "
-                                f"which no array can take") from None
-        out[name] = arr.astype(np.float64)
-    return manifest, out

@@ -5,10 +5,10 @@ Exit codes: 0 success, 2 configuration problems, 3 data problems,
 into the output directory; all artifacts are byte-deterministic given
 (config, seed, corpus). Training bytes also depend on the BLAS thread count
 wherever `parallel` finds no OpenBLAS thread setter; there,
-`OPENBLAS_NUM_THREADS=1` gives byte-identical reruns. A checkpoint is one
-file: its container holds the named arrays and a manifest of configuration
-keys (`dataset.channel`, every `model.*` key, the `split.*` keys the split's
-kind uses), so it says by itself which model, channel and split it holds.
+`OPENBLAS_NUM_THREADS=1` gives byte-identical reruns. A checkpoint
+(`sleepstage.checkpoint`) says by itself which model, channel and split it
+holds: `eval` runs on its split and `predict` reads its channel. Text files
+are read and written as UTF-8.
 """
 from __future__ import annotations
 
@@ -26,16 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cache, evaluation, figures, training
-from .autograd import load_arrays, save_arrays
-from .config import (
-    DATASET_ROOT_ENV,
-    RunConfig,
-    format_kv,
-    load_run_config,
-    parse_kv_text,
-    section_from_manifest,
-    section_manifest,
-)
+from .checkpoint import load_checkpoint, save_checkpoint
+from .config import DATASET_ROOT_ENV, RunConfig, format_kv, load_run_config
 from .edf import (
     EPOCH_SECONDS,
     N_STAGES,
@@ -148,41 +140,6 @@ def _read_night(psg_bytes: bytes, hyp_bytes: bytes | None, channel: str, subject
     stats = compute_stats(rec.samples)
     rec.samples = normalize(rec.samples, stats)
     return rec, stats, stages
-
-
-# --- checkpoints: one container holding the manifest and the arrays ---
-
-def save_checkpoint(mp: ModelParams, path: Path, channel: str, split: SplitConfig) -> None:
-    manifest = {"dataset.channel": channel, **section_manifest("model", mp.cfg),
-                **section_manifest("split", split)}
-    save_arrays(mp.state_arrays(), format_kv(manifest), path)
-
-
-def load_checkpoint(path: Path, channel: str | None) -> tuple[ModelParams, dict[str, str]]:
-    """The checkpoint and its manifest, which must name `channel` when one is given."""
-    if not Path(path).is_file():
-        raise ConfigError(f"checkpoint {path} does not exist")
-    text, arrays = load_arrays(path)
-    try:
-        manifest = parse_kv_text(text, source=f"checkpoint manifest {path}")
-    except ConfigError as exc:
-        raise DataError(str(exc)) from None
-    if "dataset.channel" not in manifest:
-        raise DataError(f"checkpoint manifest {path} lacks 'dataset.channel'")
-    cfg = section_from_manifest("model", manifest, path)
-    try:
-        mp = ModelParams.from_state(cfg, arrays)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    for name, arr in mp.state_arrays().items():
-        if not np.isfinite(arr).all():
-            raise DataError(f"{path}: checkpoint entry {name!r} holds NaN or infinity")
-        if name.endswith(".running_var") and (arr < 0).any():
-            raise DataError(f"{path}: checkpoint entry {name!r} holds a negative variance")
-    if channel is not None and channel != manifest["dataset.channel"]:
-        raise ConfigMismatch(f"checkpoint was trained on channel "
-                             f"{manifest['dataset.channel']!r}, run asks for {channel!r}")
-    return mp, manifest
 
 
 # --- metrics serialization ---
@@ -367,13 +324,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     rc = _run_config(args)
     out_dir = rc.output_dir
-    mp, manifest = load_checkpoint(Path(args.checkpoint), rc.channel)
-    split = section_from_manifest("split", manifest, args.checkpoint)
+    ckpt = load_checkpoint(Path(args.checkpoint), rc.channel)
     # the split evaluated is the one the checkpoint holds, whatever the config says
-    rc = replace(rc, split=split)
+    rc, mp = replace(rc, split=ckpt.split()), ckpt.params
     _write_resolved(rc, out_dir)
     epochs = _load_cache(rc, mp.cfg.input_length, "checkpoint expects")
-    fold_split, [(_, _, val_idx, _)], split_desc = evaluation.plan_folds(epochs, split)
+    fold_split, [(_, _, val_idx, _)], split_desc = evaluation.plan_folds(epochs, rc.split)
     _write_split_log(fold_split, out_dir / "split.json")
 
     result = evaluation.evaluate(mp, epochs, val_idx)
@@ -394,8 +350,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    mp, manifest = load_checkpoint(Path(args.checkpoint), args.channel or None)
-    channel = args.channel or manifest["dataset.channel"]
+    ckpt = load_checkpoint(Path(args.checkpoint), args.channel or None)
+    mp, channel = ckpt.params, ckpt.channel
     out_dir = Path(args.out or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -434,7 +390,7 @@ def cmd_predict(args) -> int:
 
 def _read_predictions(path: str):
     """(epoch indices, predicted stages, reference stages or None) of a predictions.csv."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise DataError(f"{path}: empty predictions file")
@@ -461,9 +417,9 @@ def cmd_plot(args) -> int:
         wrote.append(path)
     if args.metrics:
         try:
-            payload = json.loads(Path(args.metrics).read_text())
+            payload = json.loads(Path(args.metrics).read_text(encoding="utf-8"))
             cm = ConfusionMatrix(payload["confusion_matrix"]["rows_true_cols_pred"])
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
             raise DataError(f"{args.metrics}: bad metrics file: {exc!r}") from None
         path = out_dir / "confusion.svg"
         write_text_atomic(path, figures.confusion_heatmap_svg(cm))

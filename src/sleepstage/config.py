@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .evaluation import SplitConfig
 from .model import ModelConfig
 from .preprocess import AugmentConfig
@@ -81,17 +81,18 @@ _TOP_LEVEL = {"dataset.root": "dataset_root", "dataset.channel": "channel",
               "cache.dir": "cache_dir", "output.dir": "output_dir", "seed": "seed"}
 
 
-def _section_fields(prefix: str) -> list[str]:
+def section_fields(prefix: str) -> list[str]:
+    """The fields of section `prefix` that are keys of their own."""
     return [f.name for f in fields(_SECTIONS[prefix]) if f.name not in _SEED_FIELDS]
 
 
-def _format_section(prefix: str, section, names) -> dict[str, str]:
+def format_section(prefix: str, section, names) -> dict[str, str]:
     """`prefix.name` -> text for each named field that is set."""
     return {f"{prefix}.{f.name}": _FORMATTERS[type(f.default)](getattr(section, f.name))
             for f in fields(section) if f.name in names and getattr(section, f.name) is not None}
 
 
-def _build_section(prefix: str, values: dict[str, str], seed_key: str = "seed"):
+def build_section(prefix: str, values: dict[str, str], seed_key: str = "seed"):
     """The section from the `prefix.<field>` values present; a seed field reads `seed_key`."""
     kwargs = {}
     for f in fields(_SECTIONS[prefix]):
@@ -119,7 +120,7 @@ class RunConfig:
     def resolved(self) -> dict[str, str]:
         values = {key: str(getattr(self, name)) for key, name in _TOP_LEVEL.items()}
         for prefix in _SECTIONS:
-            values.update(_format_section(prefix, getattr(self, prefix), _section_fields(prefix)))
+            values.update(format_section(prefix, getattr(self, prefix), section_fields(prefix)))
         return values
 
 
@@ -130,7 +131,7 @@ def build_run_config(file_values: dict[str, str] | None = None,
     values.update(file_values or {})
     values.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
-    known = set(_TOP_LEVEL) | {f"{p}.{name}" for p in _SECTIONS for name in _section_fields(p)}
+    known = set(_TOP_LEVEL) | {f"{p}.{name}" for p in _SECTIONS for name in section_fields(p)}
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
@@ -146,31 +147,8 @@ def build_run_config(file_values: dict[str, str] | None = None,
         top["dataset_root"] = Path(root)
     top.setdefault("output_dir", Path("out"))
     top.setdefault("cache_dir", top["dataset_root"] / "cache")
-    sections = {prefix: _build_section(prefix, values) for prefix in _SECTIONS}
+    sections = {prefix: build_section(prefix, values) for prefix in _SECTIONS}
     return RunConfig(**top, **sections)
-
-
-def _manifest_fields(prefix: str, section) -> tuple[str, ...]:
-    """Every model field; the split fields the split's kind uses."""
-    return section.used_fields() if prefix == "split" else tuple(_section_fields(prefix))
-
-
-def section_manifest(prefix: str, section) -> dict[str, str]:
-    """The checkpoint manifest's `prefix.<field>` entries for `section`."""
-    return _format_section(prefix, section, _manifest_fields(prefix, section))
-
-
-def section_from_manifest(prefix: str, manifest: dict[str, str], source):
-    """The `prefix` section a checkpoint manifest records; each of its
-    manifest fields must be there."""
-    try:
-        section = _build_section(prefix, manifest, seed_key=f"{prefix}.seed")
-    except ConfigError as exc:
-        raise DataError(f"checkpoint manifest {source}: {exc}") from None
-    for name in _manifest_fields(prefix, section):
-        if f"{prefix}.{name}" not in manifest:
-            raise DataError(f"checkpoint manifest {source} lacks '{prefix}.{name}'")
-    return section
 
 
 def load_run_config(path: str | Path | None,

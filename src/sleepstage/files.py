@@ -1,6 +1,6 @@
-"""Atomic file writes, shared by the cache, the checkpoint container, the
-training log and the CLI; imports nothing of sleepstage, so any module can
-use it. Text goes out as UTF-8 with its newlines as given."""
+"""Atomic file writes, shared by the cache, `checkpoint`, the training log
+and the CLI; imports nothing of sleepstage, so any module can use it. Text
+goes out as UTF-8 with its newlines as given."""
 from __future__ import annotations
 
 import codecs

@@ -1,6 +1,5 @@
 """Operator semantics and gradient correctness for the tensor engine."""
 import gc
-import os
 import weakref
 
 import numpy as np
@@ -9,13 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sleepstage import autograd as ag
 from sleepstage.autograd import RunningStats, Tensor
-from sleepstage.errors import (
-    GraphConsumed,
-    NegativeThreshold,
-    NonScalarLoss,
-    ShapeMismatch,
-    TruncatedFile,
-)
+from sleepstage.errors import GraphConsumed, NegativeThreshold, NonScalarLoss, ShapeMismatch
 
 from sleepstage.training import weighted_ce_loss
 
@@ -580,107 +573,3 @@ class TestBackward:
             out = ag.mul(x, x)
         assert not out.requires_grad
 
-
-class _Unwritable:
-    """An array-like entry whose payload cannot be read, so a save fails mid-file."""
-    ndim, shape = 1, (2,)
-
-    def __array__(self, dtype=None, copy=None):
-        raise OSError("device full")
-
-
-MANIFEST = "dataset.channel = EEG Fpz-Cz\nmodel.branch_kernel_sizes = 3,5,7\nnote = ключ\n"
-
-
-class TestCheckpointContainer:
-    def test_bit_exact_round_trip(self, tmp_path):
-        arrays = {
-            "a.weight": RNG.normal(size=(3, 2, 5)),
-            "a.bias": RNG.normal(size=3),
-            "nested.name.with.dots": np.array(3.14159),
-            "unicode-ключ": RNG.normal(size=(2, 2)),
-        }
-        path = tmp_path / "params.ckpt"
-        ag.save_arrays(arrays, MANIFEST, path)
-        manifest, loaded = ag.load_arrays(path)
-        assert manifest == MANIFEST
-        assert set(loaded) == set(arrays)
-        for name, arr in arrays.items():
-            assert loaded[name].shape == arr.shape
-            assert loaded[name].tobytes() == arr.astype("<f8").tobytes()
-
-    def test_double_round_trip_identical_bytes(self, tmp_path):
-        arrays = {"x": RNG.normal(size=(4, 4))}
-        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        ag.save_arrays(arrays, MANIFEST, p1)
-        manifest, loaded = ag.load_arrays(p1)
-        ag.save_arrays(loaded, manifest, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "bogus.ckpt"
-        path.write_bytes(b"not a checkpoint at all")
-        with pytest.raises(TruncatedFile):
-            ag.load_arrays(path)
-
-    def test_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "v3.ckpt"
-        ag.save_arrays({"x": np.zeros(2)}, "", path)
-        blob = bytearray(path.read_bytes())
-        blob[4] = 3
-        path.write_bytes(bytes(blob))
-        with pytest.raises(TruncatedFile, match="version 3"):
-            ag.load_arrays(path)
-
-    @pytest.mark.parametrize("fail_at", ["mid-file", "os.replace"])
-    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, fail_at):
-        path = tmp_path / "m.ckpt"
-        ag.save_arrays({"x": np.zeros(2)}, MANIFEST, path)
-        before = path.read_bytes()
-        arrays = {"x": np.ones(2), "y": _Unwritable() if fail_at == "mid-file" else np.ones(2)}
-        if fail_at == "os.replace":
-            def refuse(src, dst):
-                raise OSError("rename refused")
-            monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(OSError):
-            ag.save_arrays(arrays, "changed = 1\n", path)
-        assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
-
-    def test_every_truncation_is_truncated_file(self, tmp_path):
-        full = tmp_path / "full.ckpt"
-        ag.save_arrays({"a.weight": RNG.normal(size=(2, 3)), "b": np.array(1.5)}, MANIFEST,
-                       full)
-        blob = full.read_bytes()
-        cut = tmp_path / "cut.ckpt"
-        for n in range(len(blob)):
-            cut.write_bytes(blob[:n])
-            with pytest.raises(TruncatedFile):
-                ag.load_arrays(cut)
-
-    def test_empty_shape_past_numpy_sizes_is_truncated_file(self, tmp_path):
-        """Shape (0, 2**62) holds no values, so the payload check passes it,
-        but numpy cannot form such an array."""
-        path = tmp_path / "m.ckpt"
-        ag.save_arrays({"w": np.zeros((0, 3))}, "", path)
-        blob = path.read_bytes()
-        dims = (0).to_bytes(8, "little") + (3).to_bytes(8, "little")
-        assert blob.count(dims) == 1
-        path.write_bytes(blob.replace(dims, (0).to_bytes(8, "little") + (2**62).to_bytes(8, "little")))
-        with pytest.raises(TruncatedFile, match=r"entry 0 has shape \(0, 4611686018427387904\)"):
-            ag.load_arrays(path)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_any_byte_mutation_loads_or_is_truncated_file(self, tmp_path_factory, data):
-        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
-        ag.save_arrays({"w": np.arange(6.0).reshape(2, 3), "bias": np.ones(2)}, "k = v\n", path)
-        blob = bytearray(path.read_bytes())
-        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
-        path.write_bytes(bytes(blob))
-        try:
-            manifest, loaded = ag.load_arrays(path)
-        except TruncatedFile:
-            return
-        assert isinstance(manifest, str)
-        assert all(isinstance(v, np.ndarray) for v in loaded.values())

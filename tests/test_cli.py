@@ -6,6 +6,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import threading
 from dataclasses import fields
 from fractions import Fraction
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sleepstage import cache, cli, errors, fetch
-from sleepstage.autograd import load_arrays, save_arrays
+from sleepstage.checkpoint import load_arrays, save_arrays, save_checkpoint
 from sleepstage.config import (
     DATASET_ROOT_ENV,
     RunConfig,
@@ -75,6 +77,15 @@ def _four_class_head(ckpt: Path) -> None:
     save_arrays(arrays, manifest, ckpt)
 
 
+def _rename_entry(name: str, new: str):
+    """Rename entry `name` to `new`, of the same length, in the file's bytes."""
+    def rewrite(ckpt: Path) -> None:
+        blob = ckpt.read_bytes()
+        assert len(name) == len(new) and blob.count(name.encode()) == 1
+        ckpt.write_bytes(blob.replace(name.encode(), new.encode()))
+    return rewrite
+
+
 def _not_utf8(ckpt: Path) -> None:
     blob = bytearray(ckpt.read_bytes())
     blob[12] = 0xFF  # the manifest's first byte
@@ -117,6 +128,8 @@ CORRUPT_CHECKPOINTS = {
                                           "'block0.conv1.weight'"),
     "container-running_var-negative": ({}, _set_entry("branch3.bn1.running_var", -5.0),
                                        "'branch3.bn1.running_var' holds a negative variance"),
+    "container-repeated-name": ({}, _rename_entry("branch5.conv1.weight", "branch3.conv1.weight"),
+                                "repeats the name 'branch3.conv1.weight'"),
     "manifest-not-utf8": ({}, _not_utf8, "the manifest is not UTF-8 text"),
     "manifest-line-without-equals": ({}, _append_to_manifest("no key value here\n"),
                                      "expected 'key = value'"),
@@ -153,7 +166,7 @@ def write_night(path: Path, stem: str, intervals, n_epochs: int, embedded: bool)
 
 def micro_checkpoint(path: Path) -> Path:
     cfg = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8, 4, 4))
-    cli.save_checkpoint(init_params(cfg, seed=0), path, EEG_CHANNEL, SplitConfig())
+    save_checkpoint(init_params(cfg, seed=0), path, EEG_CHANNEL, SplitConfig())
     return path
 
 
@@ -827,8 +840,7 @@ class TestTrainEvalPredict:
         (tmp_path / "n-Hypnogram.edf").write_bytes(
             build_edf([(ann_sig, ann)], record_count=6, record_duration=Fraction(30)))
         cfg = ModelConfig(branch_channels=2, input_length=length, pool_sizes=(8, 4, 4))
-        cli.save_checkpoint(init_params(cfg, seed=0), tmp_path / "m.ckpt", EEG_CHANNEL,
-                            SplitConfig())
+        save_checkpoint(init_params(cfg, seed=0), tmp_path / "m.ckpt", EEG_CHANNEL, SplitConfig())
         assert run_cli("predict", "--checkpoint", tmp_path / "m.ckpt",
                        "--edf", tmp_path / "n-PSG.edf",
                        "--hypnogram", tmp_path / "n-Hypnogram.edf",
@@ -904,6 +916,7 @@ class TestTrainEvalPredict:
         ("--metrics", metrics_with_cell("1.5")),
         ("--metrics", metrics_with_cell("true")),
         ("--metrics", metrics_with_cell("1e30")),
+        ("--metrics", "[" * 100_000 + "]" * 100_000),
         ("--predictions", "epoch_index,onset_seconds,predicted,reference\n0,0,X,\n"),
         ("--predictions", "epoch_index,onset_seconds,reference\n0,0,W\n"),
         ("--predictions", "epoch_index,onset_seconds,predicted,reference\n1.5,45,W,\n"),
@@ -911,6 +924,7 @@ class TestTrainEvalPredict:
         ("--predictions", "epoch_index,onset_seconds,predicted,reference\n-5,0,W,\n-3,0,N2,\n"),
     ], ids=["metrics-not-json", "metrics-no-matrix", "metrics-2x2", "metrics-not-counts",
             "metrics-count-1.5", "metrics-count-true", "metrics-count-1e30",
+            "metrics-nested-100000-deep",
             "predictions-stage-X", "predictions-no-predicted-column",
             "predictions-non-integer-index", "predictions-no-rows",
             "predictions-negative-index"])
@@ -920,6 +934,24 @@ class TestTrainEvalPredict:
         assert run_cli("plot", option, bad, "--out", tmp_path / "plots") == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(bad) in err
+
+    def test_plot_reads_utf8_under_an_ascii_locale(self, tmp_path):
+        """Both plot inputs are decoded as UTF-8, as they are written, whatever
+        the locale's encoding."""
+        pred, metrics = tmp_path / "predictions.csv", tmp_path / "metrics.json"
+        pred.write_text("epoch_index,onset_seconds,predicted,reference,note\n0,0,W,W,ключ\n",
+                        encoding="utf-8")
+        metrics.write_text(f'{metrics_with_cell("1")[:-1]}, "channel": "EEG Fpz–Cz"}}',
+                           encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-m", "sleepstage.cli", "plot",
+                               "--predictions", pred, "--metrics", metrics,
+                               "--out", tmp_path / "plots"],
+                              env=env, capture_output=True, text=True, encoding="utf-8")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert {p.name for p in (tmp_path / "plots").iterdir()} == {"confusion.svg",
+                                                                    "hypnogram.svg"}
 
     def test_plot_without_inputs_is_config_error(self, tmp_path):
         assert run_cli("plot", "--out", tmp_path) == cli.EXIT_CONFIG
@@ -932,7 +964,7 @@ class TestTrainEvalPredict:
         path.write_bytes(version1_cache_bytes(path.read_bytes()))
         ckpt = tmp_path / "m.ckpt"
         model_cfg = ModelConfig(branch_channels=2, input_length=300)
-        cli.save_checkpoint(init_params(model_cfg, seed=0), ckpt, EEG_CHANNEL, SplitConfig(fold=0))
+        save_checkpoint(init_params(model_cfg, seed=0), ckpt, EEG_CHANNEL, SplitConfig(fold=0))
         argv = ["--checkpoint", ckpt] if command == "eval" else []
         capsys.readouterr()
         assert run_cli(command, "--config", cfg, "--out", tmp_path / "out",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sleepstage import cache, files
-from sleepstage.autograd import save_arrays
+from sleepstage.checkpoint import save_arrays
 from sleepstage.cli import write_metrics_json
 from sleepstage.config import parse_kv_text
 from sleepstage.edf import (

@@ -4,9 +4,10 @@ import pytest
 
 from sleepstage import autograd as ag
 from sleepstage.autograd import Tensor
-from sleepstage.config import format_kv, parse_kv_text, section_from_manifest, section_manifest
+from sleepstage.checkpoint import load_arrays, load_checkpoint, save_arrays, save_checkpoint
 from sleepstage.edf import N_STAGES
 from sleepstage.errors import ShapeMismatch
+from sleepstage.evaluation import SplitConfig
 from sleepstage.model import (
     ModelConfig,
     ModelParams,
@@ -67,10 +68,10 @@ class TestConfig:
                           dict(pool_sizes=(8, 4, 4), input_length=300)):
             ModelConfig(**overrides)
 
-    def test_round_trip_dict(self):
+    def test_round_trip_dict(self, tmp_path):
         cfg = micro_model_config(branch_kernel_sizes=(1, 9), spatial_kernel=5)
-        manifest = parse_kv_text(format_kv(section_manifest("model", cfg)))
-        assert section_from_manifest("model", manifest, "m.ckpt") == cfg
+        save_checkpoint(init_params(cfg, seed=0), tmp_path / "m.ckpt", "EEG", SplitConfig())
+        assert load_checkpoint(tmp_path / "m.ckpt", None).params.cfg == cfg
 
     def test_pipeline_widths_default(self):
         assert pipeline_widths(ModelConfig()) == [3000, 375, 93, 23, 23, 1]
@@ -366,8 +367,8 @@ class TestCheckpointState:
         # make running stats non-trivial before saving
         model_forward(mp, Tensor(RNG.normal(size=(2, 1, 64))), training=True)
         path = tmp_path / "model.ckpt"
-        ag.save_arrays(mp.state_arrays(), "", path)
-        back = ModelParams.from_state(cfg, ag.load_arrays(path)[1])
+        save_arrays(mp.state_arrays(), "", path)
+        back = ModelParams.from_state(cfg, load_arrays(path)[1])
         for name in mp.params:
             np.testing.assert_array_equal(back[name].data, mp[name].data)
         for name in mp.bn_stats:

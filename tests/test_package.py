@@ -94,3 +94,17 @@ def test_every_public_function_and_class_has_a_user():
                 unused.append(f"{module}: {node.name}")
     assert len(trees) > 10 and benched
     assert unused == []
+
+
+def test_the_engine_does_no_file_io():
+    """`autograd` is pure compute: it imports neither `struct` nor the
+    package's `files` module, and calls no `open`; checkpoints are
+    `sleepstage.checkpoint`'s."""
+    path = Path(sleepstage.__file__).parent / "autograd.py"
+    engine = list(ast.walk(ast.parse(path.read_text())))
+    imported = {alias.name for node in engine if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    imported |= {node.module for node in engine if isinstance(node, ast.ImportFrom)}
+    called = {node.func.id for node in engine
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert sorted(imported & {"struct", "files"}) == [] and "open" not in called
