@@ -1,8 +1,9 @@
 """Dense float32/float64 tensors with reverse-mode automatic differentiation.
 
 Exactly the operator set the sleep-staging network needs, nothing more.
-Every op records a backward closure; gradients are validated against
-central finite differences in the test suite. Conventions that matter:
+An op with an input in the graph records a backward closure; gradients are
+validated against central finite differences in the test suite. Conventions
+that matter:
 
 * convolution is cross-correlation (no kernel flip),
 * max pools route gradient to the first maximal index,
@@ -53,25 +54,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GraphConsumed, NegativeThreshold, NonScalarLoss, ShapeMismatch
 
-_GRAD_ENABLED = True
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-
-
-class no_grad:
-    """Context manager that stops ops from recording backward closures."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-        return False
 
 
 class _Node:
@@ -202,12 +187,12 @@ class ParamTensor(Tensor):
 
 def _records(*parents: Tensor) -> bool:
     """Whether an op on `parents` joins the backward graph."""
-    return _GRAD_ENABLED and any(p.node is not None for p in parents)
+    return any(p.node is not None for p in parents)
 
 
 def make_op(out_data: np.ndarray, parents: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap a forward result, recording backward_fn when the graph is live."""
+    """Wrap a forward result, recording backward_fn when a parent is in the graph."""
     out = Tensor(out_data)
     if _records(*parents):
         out.node = _Node(out.data.dtype, tuple(p.node for p in parents if p.node is not None),

@@ -114,6 +114,8 @@ def _load(paths: list[Path], subjects: list[str]) -> EpochSet:
         epoch_index=np.concatenate([base + np.arange(count, dtype=np.int64)
                                     for base, count in zip(bases, counts)]),
     )
+
+
 def load_epochs(path, subject_id: str) -> EpochSet:
     return _load([Path(path)], [subject_id])
 

@@ -165,7 +165,9 @@ class SplitConfig:
             raise ValueError(f"split.k must be >= 2, got {self.k}")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"split.ratio must lie in (0, 1), got {self.ratio!r}")
-        if self.kind == "kfold" and self.fold is not None and not 0 <= self.fold < self.k:
+        if self.fold is not None and self.kind != "kfold":
+            raise ValueError("split.fold applies to k-fold splits")
+        if self.fold is not None and not 0 <= self.fold < self.k:
             raise ValueError(f"split.fold must lie in [0, {self.k}), got {self.fold}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -368,9 +370,9 @@ def predict_probabilities(mp: ModelParams, samples: np.ndarray, batch_size: int 
     subset is never copied whole. A forward takes at most `batch_size` rows,
     and no more than `block_rows(mp.cfg)`; the blocks run on the worker
     pool (see `_run_blocks`) and each writes its own rows of the result. It
-    runs in float32 on `inference_params(mp)`, with each batch norm folded
-    into its conv; `mp` is left as it was. The softmax of the float32 logits
-    is taken in float64.
+    runs in float32 on `inference_params(mp)`, with every batch norm folded
+    into the layer before it; that copy records no backward graph, and `mp`
+    is left as it was. The softmax of the float32 logits is taken in float64.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -385,8 +387,7 @@ def predict_probabilities(mp: ModelParams, samples: np.ndarray, batch_size: int 
         logits = model_forward(folded, x, training=False)
         probs[start:start + step] = ag.softmax(Tensor(logits.data.astype(np.float64))).data
 
-    with ag.no_grad():
-        _run_blocks(forward, range(0, index.size, step))
+    _run_blocks(forward, range(0, index.size, step))
     return probs
 
 

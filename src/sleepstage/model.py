@@ -72,8 +72,6 @@ class ModelParams:
     cfg: ModelConfig
     params: dict[str, ParamTensor] = field(default_factory=dict)
     bn_stats: dict[str, RunningStats] = field(default_factory=dict)
-    # batch norms that `inference_params` folded into the conv before them
-    folded: frozenset[str] = frozenset()
 
     def __getitem__(self, name: str) -> ParamTensor:
         return self.params[name]
@@ -164,36 +162,32 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
 def inference_params(mp: ModelParams, dtype=np.float32) -> ModelParams:
     """An eval-only copy of `mp` in `dtype` that shares no array with it.
 
-    Each `{stage}.bnN` that follows `{stage}.convN` is folded into that conv
-    (Jacob et al. 2018, arXiv:1712.05877, section 3.2): with
-    s = gamma / sqrt(running_var + eps), the conv's weight becomes w * s and
-    its bias (b - running_mean) * s + beta, and the batch norm is skipped.
-    The fold runs in float64; the result is then cast to `dtype`. The copy
-    holds plain tensors, so no op on it records a backward graph.
+    Every batch norm is folded into the layer that `init_params` builds
+    before it: `{stage}.bnN` into the conv `{stage}.convN`, and
+    `block{i}.ca.bn` into the linear layer `block{i}.ca.fc1` (Jacob et al.
+    2018, arXiv:1712.05877, section 3.2). With s = gamma / sqrt(running_var
+    + eps) per output channel, that layer's weight becomes w * s and its bias
+    (b - running_mean) * s + beta. The fold runs in float64; the result is
+    then cast to `dtype`. The copy holds no batch norm and no running stats,
+    so the forward skips each one, and it holds plain tensors, so no op on
+    it records a backward graph.
     """
     arrays = {name: p.data for name, p in mp.params.items()}
-    folded = set()
     for bn, st in mp.bn_stats.items():
-        conv = bn.replace(".bn", ".conv")
-        if f"{conv}.weight" not in arrays:
-            continue  # block{i}.ca.bn follows a linear layer and stays
+        layer = bn.replace(".bn", ".fc1" if bn.endswith(".ca.bn") else ".conv")
+        w = arrays[f"{layer}.weight"]
         scale = arrays.pop(f"{bn}.gamma") / np.sqrt(st.var + ag.BN_EPS)
-        arrays[f"{conv}.weight"] = arrays[f"{conv}.weight"] * scale[:, None, None]
-        arrays[f"{conv}.bias"] = ((arrays[f"{conv}.bias"] - st.mean) * scale
-                                  + arrays.pop(f"{bn}.beta"))
-        folded.add(bn)
-    out = ModelParams(mp.cfg, folded=frozenset(folded))
+        # a conv weight is [C_out, C_in, K], a linear one [F_in, F_out]
+        arrays[f"{layer}.weight"] = w * (scale[:, None, None] if w.ndim == 3 else scale)
+        arrays[f"{layer}.bias"] = ((arrays[f"{layer}.bias"] - st.mean) * scale
+                                   + arrays.pop(f"{bn}.beta"))
+    out = ModelParams(mp.cfg)
     out.params = {name: Tensor(a.astype(dtype)) for name, a in arrays.items()}
-    for name, st in mp.bn_stats.items():
-        if name not in folded:
-            out.bn_stats[name] = RunningStats(st.mean.size)
-            out.bn_stats[name].mean = st.mean.astype(dtype)
-            out.bn_stats[name].var = st.var.astype(dtype)
     return out
 
 
 def _bn(mp: ModelParams, name: str, x: Tensor, training: bool) -> Tensor:
-    if name in mp.folded:
+    if name not in mp.bn_stats:  # folded by `inference_params`
         return x
     return ag.batch_norm1d(x, mp[f"{name}.gamma"], mp[f"{name}.beta"],
                            mp.bn_stats[name], training)

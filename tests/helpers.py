@@ -269,6 +269,14 @@ def randomize_batch_norms(mp: ModelParams, rng: np.random.Generator) -> ModelPar
     return mp
 
 
+def graph_free(mp: ModelParams) -> ModelParams:
+    """mp unfolded, each parameter a plain tensor over the same array: its
+    eval-mode forward is the reference the fold is checked against, and it
+    records no backward graph, so a whole batch's activations are not kept."""
+    return ModelParams(mp.cfg, {name: Tensor(p.data) for name, p in mp.params.items()},
+                       mp.bn_stats)
+
+
 # --- reference curves: the tuple-per-point sweep that roc_pr_curves ran
 # before it built float64 point arrays ---
 

@@ -229,8 +229,7 @@ def test_criterion_4_architecture_contracts():
     # default config end-to-end shape contract
     cfg = ModelConfig()
     mp = init_params(cfg, seed=0)
-    with ag.no_grad():
-        logits = model_forward(mp, Tensor(RNG.normal(size=(2, 1, 3000))), training=False)
+    logits = model_forward(mp, Tensor(RNG.normal(size=(2, 1, 3000))), training=False)
     assert logits.shape == (2, 5)
 
     # channel attention is a contraction, elementwise, on its isolated output

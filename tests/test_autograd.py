@@ -566,10 +566,3 @@ class TestBackward:
         loss.backward()
         np.testing.assert_array_equal(a.grad, [11.0, 22.0])
         np.testing.assert_array_equal(b.grad, [101.0, 202.0])
-
-    def test_no_grad_suppresses_graph(self):
-        x = Tensor(np.ones(2), requires_grad=True)
-        with ag.no_grad():
-            out = ag.mul(x, x)
-        assert not out.requires_grad
-

@@ -626,17 +626,21 @@ class TestTrainEvalPredict:
                        "--fold", fold, "--out", out) == cli.EXIT_CONFIG
         assert not (out / "split.json").exists()
 
-    @pytest.mark.parametrize("argv, extra", [(["--split", "kfold:1"], ""), ([], "split.k = 1")],
-                             ids=["flag", "config"])
+    @pytest.mark.parametrize("argv, extra, message", [
+        (["--split", "kfold:1"], "", "split.k must be >= 2, got 1"),
+        ([], "split.k = 1", "split.k must be >= 2, got 1"),
+        (["--split", "holdout", "--fold", "3"], "", "split.fold applies to k-fold splits"),
+    ], ids=["flag", "config", "holdout-fold"])
     def test_one_fold_split_exits_2_before_writing(self, preprocessed, tmp_path, capsys,
-                                                   argv, extra):
-        """k = 1 leaves no epoch to train on; it is refused at config load,
-        before the output directory is made."""
+                                                   argv, extra, message):
+        """k = 1 leaves no epoch to train on, and hold-out has no fold to
+        pick; both are refused at config load, before the output directory
+        is made."""
         _, corpus = preprocessed
         out = tmp_path / "one_fold_split"
         assert run_cli("train", "--config", write_config(tmp_path, corpus, extra),
                        "--out", out, *argv) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == "configuration error: split.k must be >= 2, got 1\n"
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("split, stem", [("kfold:3", "fold1"), ("holdout:0.5", "holdout")])

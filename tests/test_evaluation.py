@@ -36,6 +36,7 @@ import reference_results as ref
 from helpers import (
     epoch_set,
     from_display,
+    graph_free,
     micro_model_config,
     randomize_batch_norms,
     reference_roc_pr_curves,
@@ -484,9 +485,8 @@ class TestFloat32Inference:
                                    np.random.default_rng(8))
         rows = sine_epochs(48, seed=8).samples.astype(np.float32)  # as cached
         probs = predict_probabilities(mp, rows)
-        with ag.no_grad():
-            logits = model_forward(mp, Tensor(rows[:, None, :].astype(np.float64)),
-                                   training=False)
+        logits = model_forward(graph_free(mp), Tensor(rows[:, None, :].astype(np.float64)),
+                               training=False)
         expect = ag.softmax(logits).data
         assert probs.dtype == np.float64
         np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-4)
@@ -499,16 +499,18 @@ class TestFloat32Inference:
         cfg = micro_model_config()
         mp = randomize_batch_norms(init_params(cfg, seed=1), np.random.default_rng(9))
         before = {name: a.tobytes() for name, a in mp.state_arrays().items()}
-        seen = []
+        seen, logits = [], []
 
         def forward(params, x, training=False):
             seen.append(params)
-            return model_forward(params, x, training)
+            logits.append(model_forward(params, x, training))
+            return logits[-1]
 
         monkeypatch.setattr(evaluation, "model_forward", forward)
         predict_probabilities(mp, np.random.default_rng(9).normal(size=(40, 64)), batch_size=16)
         assert len(seen) == 3 and all(p is seen[0] for p in seen)
-        assert seen[0] is not mp and seen[0].folded
+        assert seen[0] is not mp and seen[0].bn_stats == {}
+        assert all(out.node is None for out in logits)
         for name, a in mp.state_arrays().items():
             assert a.tobytes() == before[name], name
             for b in seen[0].state_arrays().values():

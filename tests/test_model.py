@@ -125,13 +125,15 @@ class TestMultiscale:
 
 
 class TestInferenceParams:
-    """The eval-only copy with each conv -> batch-norm pair folded into one conv."""
+    """The eval-only copy with every batch norm folded into the layer before it."""
 
     def test_folded_conv_equals_conv_then_eval_batch_norm(self):
         _, mp = micro_params(seed=3)
         mp = randomize_batch_norms(mp, RNG)
         folded = inference_params(mp, dtype=np.float64)
-        for bn in sorted(folded.folded):
+        convs = [bn for bn in mp.bn_stats if not bn.endswith(".ca.bn")]
+        assert len(convs) == 2 * (len(mp.cfg.branch_kernel_sizes) + mp.cfg.attention_blocks)
+        for bn in convs:
             conv = bn.replace(".bn", ".conv")
             c_in, k = mp[f"{conv}.weight"].shape[1:]
             x = Tensor(RNG.normal(size=(3, c_in, 64)))
@@ -140,6 +142,19 @@ class TestInferenceParams:
                                      training=False).data
             out = ag.conv1d(x, folded[f"{conv}.weight"], folded[f"{conv}.bias"],
                             padding=k // 2).data
+            np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12, err_msg=bn)
+
+    def test_folded_linear_equals_linear_then_eval_batch_norm(self):
+        _, mp = micro_params(seed=3)
+        mp = randomize_batch_norms(mp, RNG)
+        folded = inference_params(mp, dtype=np.float64)
+        for i in range(mp.cfg.attention_blocks):
+            fc, bn = f"block{i}.ca.fc1", f"block{i}.ca.bn"
+            x = Tensor(RNG.normal(size=(3, mp.cfg.attention_channels)))
+            h = ag.linear(x, mp[f"{fc}.weight"], mp[f"{fc}.bias"])
+            expect = ag.batch_norm1d(h, mp[f"{bn}.gamma"], mp[f"{bn}.beta"], mp.bn_stats[bn],
+                                     training=False).data
+            out = ag.linear(x, folded[f"{fc}.weight"], folded[f"{fc}.bias"]).data
             np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12, err_msg=bn)
 
     def test_folded_model_equals_model_in_float64(self):
@@ -151,11 +166,13 @@ class TestInferenceParams:
         np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
 
     def test_folds_every_conv_batch_norm_pair(self):
-        cfg, mp = micro_params()
+        """... and every linear -> batch-norm pair, so the copy holds no
+        running stats and no gamma or beta."""
+        _, mp = micro_params()
         folded = inference_params(mp)
-        assert folded.folded == {name for name in mp.bn_stats if ".ca." not in name}
-        assert set(folded.bn_stats) == {f"block{i}.ca.bn" for i in range(cfg.attention_blocks)}
-        assert not any(name.startswith(tuple(folded.folded)) for name in folded.params)
+        assert folded.bn_stats == {}
+        assert set(folded.params) == {name for name in mp.params
+                                      if not name.endswith((".gamma", ".beta"))}
         for name, p in folded.params.items():
             assert p.data.dtype == np.float32 and not p.requires_grad, name
 

@@ -108,3 +108,34 @@ def test_the_engine_does_no_file_io():
     called = {node.func.id for node in engine
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert sorted(imported & {"struct", "files"}) == [] and "open" not in called
+
+
+def test_the_engine_keeps_no_process_wide_mode():
+    """`autograd` rebinds no module global: whether an op records depends on
+    its inputs alone. Per-thread state lives in the thread-local `_REPLICA`."""
+    path = Path(sleepstage.__file__).parent / "autograd.py"
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert lines == []
+
+
+def test_every_import_is_used():
+    """Each name a module imports is read in that module, outside
+    `from __future__` and the package's re-exports: `__init__.py`'s and the
+    `EXIT_*` codes that `cli` hands to callers of `main()`."""
+    unused = []
+    for path in sorted(Path(sleepstage.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported)
+                   if name not in read
+                   and not (path.name == "cli.py" and name.startswith("EXIT_"))]
+    assert unused == []
