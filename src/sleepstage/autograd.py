@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GraphConsumed, NegativeThreshold, NonScalarLoss, ShapeMismatch
+from .errors import SleepStageError
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 BN_EPS = 1e-5
@@ -129,14 +129,14 @@ class Tensor:
     def backward(self) -> None:
         """Populate .grad on every reachable tensor with requires_grad.
 
-        The traversal consumes the graph: a second call raises GraphConsumed.
+        The traversal consumes the graph: a second call raises SleepStageError.
         Each node is let go once its closure has run, so the gradient of a
         tensor nobody holds is freed during the walk.
         """
         if self.data.size != 1:
-            raise NonScalarLoss(f"backward() needs a scalar, got shape {self.shape}")
+            raise SleepStageError(f"backward() needs a scalar, got shape {self.shape}")
         if self._consumed:
-            raise GraphConsumed("backward() already ran on this graph")
+            raise SleepStageError("backward() already ran on this graph")
 
         self.accumulate_grad(np.ones_like(self.data))
         order: list[_Node] = []
@@ -267,9 +267,9 @@ def absolute(x: Tensor) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x:[B,F] @ weight:[F,G] + bias:[G] -> [B,G]."""
     if x.ndim != 2 or weight.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
-        raise ShapeMismatch(f"linear: x {x.shape} vs weight {weight.shape}")
+        raise SleepStageError(f"linear: x {x.shape} vs weight {weight.shape}")
     if bias.data.shape != (weight.data.shape[1],):
-        raise ShapeMismatch(f"linear: bias {bias.shape} vs weight {weight.shape}")
+        raise SleepStageError(f"linear: bias {bias.shape} vs weight {weight.shape}")
     out = x.data @ weight.data + bias.data
     xn, wn, bn = x.node, weight.node, bias.node
     xd, wd = x.data, weight.data
@@ -318,7 +318,7 @@ def sigmoid(x: Tensor) -> Tensor:
 def softmax(x: Tensor) -> Tensor:
     """Row softmax of [B,C] logits, computed with max subtraction."""
     if x.ndim != 2:
-        raise ShapeMismatch(f"softmax expects [B,C], got {x.shape}")
+        raise SleepStageError(f"softmax expects [B,C], got {x.shape}")
     z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=1, keepdims=True)
@@ -340,7 +340,7 @@ def soft_threshold(x: Tensor, tau: Tensor) -> Tensor:
     where |x| > tau, and there it has the sign of x.
     """
     if np.any(tau.data < 0):
-        raise NegativeThreshold("soft_threshold needs tau >= 0 elementwise")
+        raise SleepStageError("soft_threshold needs tau >= 0 elementwise")
     out = np.abs(x.data)
     out -= tau.data
     np.fmax(out, 0, out=out)
@@ -364,15 +364,15 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
     """Cross-correlate x:[B,Cin,W], zero-padded by `padding` on each side, with
     kernel:[Cout,Cin,K] + bias:[Cout] at stride 1: [B,Cout,W+2*padding-K+1]."""
     if x.ndim != 3 or kernel.ndim != 3:
-        raise ShapeMismatch(f"conv1d: x {x.shape}, kernel {kernel.shape}")
+        raise SleepStageError(f"conv1d: x {x.shape}, kernel {kernel.shape}")
     batch, c_in, width = x.data.shape
     c_out, c_in_k, ksize = kernel.data.shape
     if c_in != c_in_k:
-        raise ShapeMismatch(f"conv1d: {c_in} input channels vs kernel {c_in_k}")
+        raise SleepStageError(f"conv1d: {c_in} input channels vs kernel {c_in_k}")
     if bias.data.shape != (c_out,):
-        raise ShapeMismatch(f"conv1d: bias {bias.shape} vs {c_out} output channels")
+        raise SleepStageError(f"conv1d: bias {bias.shape} vs {c_out} output channels")
     if width + 2 * padding < ksize:
-        raise ShapeMismatch(f"conv1d: width {width} + 2*{padding} < kernel {ksize}")
+        raise SleepStageError(f"conv1d: width {width} + 2*{padding} < kernel {ksize}")
 
     xp = x.data
     if padding:
@@ -419,10 +419,10 @@ def max_pool1d(x: Tensor, size: int) -> Tensor:
     first maximum of the samples before its first NaN (to the NaN when it
     comes first)."""
     if x.ndim != 3:
-        raise ShapeMismatch(f"max_pool1d expects [B,C,W], got {x.shape}")
+        raise SleepStageError(f"max_pool1d expects [B,C,W], got {x.shape}")
     batch, chans, width = x.data.shape
     if size > width:
-        raise ShapeMismatch(f"max_pool1d: size {size} > width {width}")
+        raise SleepStageError(f"max_pool1d: size {size} > width {width}")
     w_out = width // size
     span = size * (w_out - 1) + 1
     record = _records(x)
@@ -454,7 +454,7 @@ def max_pool1d(x: Tensor, size: int) -> Tensor:
 
 def global_avg_pool(x: Tensor) -> Tensor:
     if x.ndim != 3:
-        raise ShapeMismatch(f"global_avg_pool expects [B,C,W], got {x.shape}")
+        raise SleepStageError(f"global_avg_pool expects [B,C,W], got {x.shape}")
     width = x.data.shape[2]
     out = x.data.mean(axis=2)
     xn = x.node
@@ -468,7 +468,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def channel_pool(x: Tensor) -> Tensor:
     """[B,C,W] -> [B,2,W]: channel 0 mean over C, channel 1 max over C."""
     if x.ndim != 3:
-        raise ShapeMismatch(f"channel_pool expects [B,C,W], got {x.shape}")
+        raise SleepStageError(f"channel_pool expects [B,C,W], got {x.shape}")
     batch, chans, width = x.data.shape
     arg = x.data.argmax(axis=1)  # [B,W], first maximal channel
     mx = np.take_along_axis(x.data, arg[:, None, :], axis=1)[:, 0, :]
@@ -488,7 +488,7 @@ def channel_pool(x: Tensor) -> Tensor:
 def concat(xs: Sequence[Tensor]) -> Tensor:
     """Join [B,C_i,W] tensors on the channel axis."""
     if not xs:
-        raise ShapeMismatch("concat of zero tensors")
+        raise SleepStageError("concat of zero tensors")
     out = np.concatenate([t.data for t in xs], axis=1)
     splits = np.cumsum([t.data.shape[1] for t in xs])[:-1]
     nodes = [t.node for t in xs]
@@ -589,10 +589,10 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     one graph over the whole batch computes for its rows.
     """
     if x.ndim not in (2, 3):
-        raise ShapeMismatch(f"batch_norm1d expects [B,C,W] or [B,C], got {x.shape}")
+        raise SleepStageError(f"batch_norm1d expects [B,C,W] or [B,C], got {x.shape}")
     chans = x.data.shape[1]
     if gamma.data.shape != (chans,) or beta.data.shape != (chans,):
-        raise ShapeMismatch(
+        raise SleepStageError(
             f"batch_norm1d: gamma {gamma.shape} / beta {beta.shape} vs {chans} channels")
     x3 = x.data if x.ndim == 3 else x.data[:, :, None]  # [B,C] as [B,C,1]
     n = x3.shape[0] * x3.shape[2]

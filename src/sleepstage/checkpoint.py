@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import build_section, format_kv, format_section, parse_kv_text, section_fields
-from .errors import ConfigError, ConfigMismatch, DataError, TruncatedFile
+from .errors import ConfigError, DataError, TruncatedFile
 from .evaluation import SplitConfig
 from .files import write_atomic
 from .model import ModelParams
@@ -146,6 +146,6 @@ def load_checkpoint(path: Path, channel: str | None) -> Checkpoint:
         if name.endswith(".running_var") and (arr < 0).any():
             raise DataError(f"{path}: checkpoint entry {name!r} holds a negative variance")
     if channel is not None and channel != manifest["dataset.channel"]:
-        raise ConfigMismatch(f"checkpoint was trained on channel "
-                             f"{manifest['dataset.channel']!r}, run asks for {channel!r}")
+        raise ConfigError(f"checkpoint was trained on channel "
+                          f"{manifest['dataset.channel']!r}, run asks for {channel!r}")
     return Checkpoint(mp, manifest["dataset.channel"], manifest, Path(path))

@@ -44,7 +44,6 @@ from .errors import (  # the EXIT_* codes are re-exported for callers of main()
     EXIT_DATA,
     EXIT_RUNTIME,
     ConfigError,
-    ConfigMismatch,
     DataError,
     SingleClassPresent,
     SleepStageError,
@@ -144,14 +143,13 @@ def _read_night(psg_bytes: bytes, hyp_bytes: bytes | None, channel: str, subject
 
 # --- metrics serialization ---
 
-def _metrics_payload(cm: ConfusionMatrix, rc: RunConfig,
-                     split_desc: dict, n_epochs: int) -> dict:
+def _metrics_payload(cm: ConfusionMatrix, rc: RunConfig, split_desc: dict) -> dict:
     return {
         "schema_version": 1,
         "channel": rc.channel,
         "seed": rc.seed,
         "split": split_desc,
-        "n_epochs": n_epochs,
+        "n_epochs": cm.total,
         "confusion_matrix": {
             "label_order": [s.name for s in StageLabel],
             "rows_true_cols_pred": cm.counts.tolist(),
@@ -224,11 +222,17 @@ def cmd_preprocess(args) -> int:
     recs = discover_recordings(rc.dataset_root)
     if not recs:
         raise SleepStageError(f"no EDF recordings under {rc.dataset_root}")
+    owners: dict[str, Path] = {}
+    for psg, _, subject, stem in recs:
+        other = owners.setdefault(f"{subject}__{stem}", psg)
+        if other != psg:
+            raise DataError(f"{other} and {psg} would share the cache name {subject}__{stem}")
     last_error: SleepStageError | None = None
     totals = np.zeros(N_STAGES, dtype=np.int64)
     for psg, hyp, subject, stem in recs:
         cache_name = f"{subject}__{stem}"
         epochs_path = rc.cache_dir / f"{cache_name}{cache.EPOCH_SUFFIX}"
+        stats_path = rc.cache_dir / f"{cache_name}{cache.STATS_SUFFIX}"
         src_path = rc.cache_dir / f"{cache_name}.src"
         psg_bytes = psg.read_bytes()
         hyp_bytes = None if hyp is None else hyp.read_bytes()
@@ -239,10 +243,14 @@ def cmd_preprocess(args) -> int:
         fingerprint["cache.version"] = str(cache.VERSION)
         # .src holds what this code writes below; any other content means a stale cache
         src_text = format_kv(fingerprint).encode()
+        epochs = None
         if epochs_path.is_file() and src_path.is_file() and src_path.read_bytes() == src_text:
-            log.info("%s: cache up to date", stem)
-            epochs = cache.load_epochs(epochs_path, subject)
-        else:
+            try:
+                epochs = cache.load_epochs(epochs_path, subject)
+                log.info("%s: cache up to date", stem)
+            except DataError as exc:
+                log.warning("%s: rebuilding damaged cache: %s", epochs_path, exc)
+        if epochs is None:
             try:
                 rec, stats, stages = _read_night(psg_bytes, hyp_bytes, rc.channel, subject)
                 if not stages:
@@ -251,11 +259,14 @@ def cmd_preprocess(args) -> int:
                 if not epochs:
                     raise DataError(f"{stem}: no scorable 30-s epochs")
             except SleepStageError as exc:
+                # a cache the table does not count must not reach `train`
+                for path in (epochs_path, stats_path, src_path):
+                    path.unlink(missing_ok=True)
                 last_error = exc
                 print(f"error: {stem}: {exc}", file=sys.stderr)
                 continue
             cache.save_epochs(epochs, epochs_path)
-            cache.save_stats(stats, rc.cache_dir / f"{cache_name}{cache.STATS_SUFFIX}")
+            cache.save_stats(stats, stats_path)
             write_atomic(src_path, lambda fh: fh.write(src_text))
             log.info("%s: cached %d epochs", stem, len(epochs))
         totals += np.bincount(epochs.labels, minlength=N_STAGES)
@@ -289,7 +300,7 @@ def _load_cache(rc: RunConfig, input_length: int, expected: str) -> EpochSet:
         raise SleepStageError(
             f"no cached epochs in {rc.cache_dir}; run `sleepstage preprocess` first")
     if epochs.samples.shape[1] != input_length:
-        raise ConfigMismatch(
+        raise ConfigError(
             f"cached epochs hold {epochs.samples.shape[1]} samples, {expected} {input_length}")
     return epochs
 
@@ -315,7 +326,7 @@ def cmd_train(args) -> int:
         kappa = "nan" if result.best_kappa != result.best_kappa else f"{result.best_kappa:.4f}"
         print(f"{name}: best pass {result.best_pass}, validation kappa {kappa}")
 
-    payload = _metrics_payload(merged, rc, split_desc, merged.total)
+    payload = _metrics_payload(merged, rc, split_desc)
     write_metrics_json(payload, out_dir / "metrics.json")
     print_metrics_table(merged)
     return 0
@@ -333,7 +344,7 @@ def cmd_eval(args) -> int:
     _write_split_log(fold_split, out_dir / "split.json")
 
     result = evaluation.evaluate(mp, epochs, val_idx)
-    payload = _metrics_payload(result.cm, rc, split_desc, result.y_true.size)
+    payload = _metrics_payload(result.cm, rc, split_desc)
     write_metrics_json(payload, out_dir / "metrics.json")
     write_text_atomic(out_dir / "confusion.svg", figures.confusion_heatmap_svg(result.cm))
     write_text_atomic(out_dir / "hypnogram.svg", figures.hypnogram_svg(
@@ -361,7 +372,7 @@ def cmd_predict(args) -> int:
     rec, _, stages = _read_night(psg_bytes, hyp_bytes, channel, psg_path.stem)
     rate = mp.cfg.input_length / EPOCH_SECONDS
     if abs(rec.sample_rate - rate) > 1e-9:
-        raise ConfigMismatch(
+        raise ConfigError(
             f"recording runs at {rec.sample_rate} Hz, checkpoint expects {rate} Hz")
     grid = windows(rec)
     if len(grid) == 0:

@@ -21,16 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    MalformedHeader,
-    OverlappingAnnotations,
-    SampleRateMismatch,
-    SignalNotFound,
-    TruncatedFile,
-    UnknownStageString,
-    DegenerateCalibration,
-)
+from .errors import DataError, TruncatedFile
 
 log = logging.getLogger(__name__)
 
@@ -170,13 +161,13 @@ def _ascii_value(data: bytes, offset: int, width: int, kind: type, what: str):
     try:
         text = raw.decode("ascii").strip()
     except UnicodeDecodeError as exc:
-        raise MalformedHeader(f"non-ASCII bytes at offset {offset}") from exc
+        raise DataError(f"non-ASCII bytes at offset {offset}") from exc
     if kind is str:
         return text
     try:
         return kind(text)
     except ValueError as exc:
-        raise MalformedHeader(f"{what}: expected {_EXPECTED[kind]}, got {text!r}") from exc
+        raise DataError(f"{what}: expected {_EXPECTED[kind]}, got {text!r}") from exc
 
 
 def _parse_start(date_s: str, time_s: str) -> dt.datetime:
@@ -184,12 +175,12 @@ def _parse_start(date_s: str, time_s: str) -> dt.datetime:
         day, month, year2 = (int(p) for p in date_s.split("."))
         hour, minute, second = (int(p) for p in time_s.split("."))
     except ValueError as exc:
-        raise MalformedHeader(f"bad start date/time {date_s!r} {time_s!r}") from exc
+        raise DataError(f"bad start date/time {date_s!r} {time_s!r}") from exc
     year = 1900 + year2 if year2 >= 85 else 2000 + year2
     try:
         return dt.datetime(year, month, day, hour, minute, second)
     except ValueError as exc:
-        raise MalformedHeader(f"bad start date/time {date_s!r} {time_s!r}") from exc
+        raise DataError(f"bad start date/time {date_s!r} {time_s!r}") from exc
 
 
 def _decode(data: bytes) -> tuple[EdfHeader, np.ndarray]:
@@ -209,18 +200,18 @@ def _decode(data: bytes) -> tuple[EdfHeader, np.ndarray]:
     try:
         record_duration = Fraction(dur_text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedHeader(f"record_duration: got {dur_text!r}") from exc
+        raise DataError(f"record_duration: got {dur_text!r}") from exc
     signal_count = _ascii_value(data, 252, 4, int, "signal_count")
 
     if signal_count < 1:
-        raise MalformedHeader(f"signal_count {signal_count} < 1")
+        raise DataError(f"signal_count {signal_count} < 1")
     if header_bytes != 256 + 256 * signal_count:
-        raise MalformedHeader(
+        raise DataError(
             f"header_bytes {header_bytes} != 256 + 256*{signal_count}")
     if len(data) < header_bytes:
         raise TruncatedFile(f"stream holds {len(data)} bytes, header needs {header_bytes}")
     if record_duration < 0:
-        raise MalformedHeader(f"record_duration {record_duration} < 0")
+        raise DataError(f"record_duration {record_duration} < 0")
 
     sigs: list[SignalHeader] = []
     for i in range(signal_count):
@@ -233,18 +224,18 @@ def _decode(data: bytes) -> tuple[EdfHeader, np.ndarray]:
 
     for i, s in enumerate(sigs):
         if s.samples_per_record < 1:
-            raise MalformedHeader(f"signal {i}: samples_per_record {s.samples_per_record} < 1")
+            raise DataError(f"signal {i}: samples_per_record {s.samples_per_record} < 1")
         if s.digital_min >= s.digital_max:
-            raise MalformedHeader(
+            raise DataError(
                 f"signal {i}: digital_min {s.digital_min} >= digital_max {s.digital_max}")
         if s.physical_min == s.physical_max:
-            raise MalformedHeader(f"signal {i}: physical_min == physical_max")
+            raise DataError(f"signal {i}: physical_min == physical_max")
 
     record_samples = sum(s.samples_per_record for s in sigs)
     if record_count == -1:
         record_count = (len(data) - header_bytes) // (2 * record_samples)
     if record_count < 0:
-        raise MalformedHeader(f"record_count {record_count} < 0")
+        raise DataError(f"record_count {record_count} < 0")
     needed = header_bytes + record_count * 2 * record_samples
     if len(data) < needed:
         raise TruncatedFile(
@@ -332,7 +323,7 @@ def calibrate(digital: np.ndarray, sig: SignalHeader) -> np.ndarray:
     in place on the one float64 copy; d += pmin gives the bits of pmin + d.
     """
     if sig.digital_min == sig.digital_max:
-        raise DegenerateCalibration(f"signal {sig.label!r}: digital_min == digital_max")
+        raise DataError(f"signal {sig.label!r}: digital_min == digital_max")
     raw = np.asarray(digital)
     d = np.array(raw, dtype=np.float64)
     if raw.size and (raw.min() < sig.digital_min or raw.max() > sig.digital_max):
@@ -352,7 +343,7 @@ def find_signal(header: EdfHeader, channel: str) -> int:
         if s.label == channel:
             return i
     labels = [s.label for s in header.signals]
-    raise SignalNotFound(f"channel {channel!r} not in {labels}")
+    raise DataError(f"channel {channel!r} not in {labels}")
 
 
 def read_recording(data: bytes, channel: str, subject_id: str) -> EegRecording:
@@ -362,7 +353,7 @@ def read_recording(data: bytes, channel: str, subject_id: str) -> EegRecording:
     idx = find_signal(header, channel)
     sig = header.signals[idx]
     if header.record_duration == 0:
-        raise MalformedHeader("record_duration 0 for a sampled signal")
+        raise DataError("record_duration 0 for a sampled signal")
     rate = Fraction(sig.samples_per_record) / header.record_duration
     return EegRecording(
         subject_id=subject_id,
@@ -430,16 +421,16 @@ def parse_hypnogram(source: bytes | list[tuple[float, float, str]]) -> list[tupl
     for onset, duration, text in entries:
         token = _normalize_stage_text(text)
         if token not in _RAW_STAGE_MAP:
-            raise UnknownStageString(f"stage annotation {text!r} at {onset}s")
+            raise DataError(f"stage annotation {text!r} at {onset}s")
         if duration < 0 or not math.isfinite(onset + duration):
             raise DataError(f"stage annotation {text!r} at {onset}s: onset and "
                             f"duration {duration}s must be finite, the duration >= 0")
         intervals.append((onset, duration, token))
     for (o1, d1, _), (o2, _, _) in zip(intervals, intervals[1:]):
         if o2 < o1:
-            raise OverlappingAnnotations(f"onset {o2}s comes after {o1}s")
+            raise DataError(f"onset {o2}s comes after {o1}s")
         if o2 < o1 + d1:
-            raise OverlappingAnnotations(
+            raise DataError(
                 f"interval at {o1}s (duration {d1}s) overlaps onset {o2}s")
     return intervals
 
@@ -449,7 +440,7 @@ def map_label(raw_stage: str) -> StageLabel | None:
     scored-but-excluded (movement, unscored)."""
     token = _normalize_stage_text(raw_stage)
     if token not in _RAW_STAGE_MAP:
-        raise UnknownStageString(f"stage token {raw_stage!r}")
+        raise DataError(f"stage token {raw_stage!r}")
     return _RAW_STAGE_MAP[token]
 
 
@@ -458,7 +449,7 @@ def windows(rec: EegRecording) -> np.ndarray:
     trailing partial window is dropped."""
     epoch_len = rec.sample_rate * EPOCH_SECONDS
     if epoch_len != int(epoch_len):
-        raise SampleRateMismatch(
+        raise DataError(
             f"sample rate {rec.sample_rate} Hz gives non-integer epoch length")
     epoch_len = int(epoch_len)
     n_windows = len(rec.samples) // epoch_len
@@ -469,8 +460,8 @@ def scored_windows(stages: list[tuple[float, float, str]],
                    n_windows: int) -> tuple[np.ndarray, np.ndarray]:
     """(epoch_index, labels) as int64 arrays in epoch_index order: the windows
     of a grid of n_windows that lie fully inside a single non-excluded stage
-    interval. A window inside two such intervals is an
-    OverlappingAnnotations error that names both onsets."""
+    interval. A window inside two such intervals is a
+    DataError that names both onsets."""
     kept: dict[int, tuple[StageLabel, float]] = {}
     for onset, duration, token in stages:
         label = map_label(token)
@@ -483,7 +474,7 @@ def scored_windows(stages: list[tuple[float, float, str]],
             if w * EPOCH_SECONDS < onset - 1e-9 or (w + 1) * EPOCH_SECONDS > onset + duration + 1e-9:
                 continue
             if w in kept:
-                raise OverlappingAnnotations(
+                raise DataError(
                     f"window {w} lies inside the scored intervals at {kept[w][1]}s "
                     f"and {onset}s")
             kept[w] = (label, onset)

@@ -1,7 +1,11 @@
 """Exception hierarchy shared across the package.
 
 Each class carries the CLI exit code and the stderr prefix (`kind`) it ends
-with: 2 configuration, 3 data, 4 runtime or network.
+with: 2 configuration, 3 data, 4 runtime or network. A failure raises one of
+the three bases; the message says what went wrong. A subclass exists only
+where code tells it apart: `NetworkFailure` has its own prefix, `cmd_eval`
+catches `SingleClassPresent`, `fetch` retries on `ChecksumMismatch`, and the
+benchmark's tests name `TruncatedFile` and `EmptySplit`.
 """
 
 EXIT_CONFIG = 2
@@ -24,115 +28,27 @@ class DataError(SleepStageError):
 
 
 class ConfigError(SleepStageError):
-    """Run configuration file or overrides failed validation."""
+    """Run configuration, overrides or a checkpoint disagree with the run."""
 
     kind = "configuration"
     exit_code = EXIT_CONFIG
-
-
-# --- EDF ingestion ---
-
-class TruncatedFile(DataError):
-    """Byte stream ends before the declared header or data records do."""
-
-
-class MalformedHeader(DataError):
-    """A fixed-width header field holds something it must not."""
-
-
-class SignalNotFound(DataError):
-    """Requested channel label is absent from the recording."""
-
-
-class DegenerateCalibration(DataError):
-    """digital_min == digital_max, so the affine map is undefined."""
-
-
-class OverlappingAnnotations(DataError):
-    """Hypnogram intervals overlap or run backwards."""
-
-
-class UnknownStageString(DataError):
-    """Annotation text is not one of the scored-stage vocabulary."""
-
-
-class SampleRateMismatch(DataError):
-    """30 s of signal is not a whole number of samples."""
-
-
-# --- preprocessing ---
-
-class EmptySignal(DataError):
-    pass
-
-
-class DegenerateSignal(DataError):
-    """5th and 95th percentiles coincide; normalization undefined."""
-
-
-# --- tensor engine ---
-
-class ShapeMismatch(SleepStageError):
-    pass
-
-
-class NegativeThreshold(SleepStageError):
-    """Soft threshold requires tau >= 0 elementwise."""
-
-
-class NonScalarLoss(SleepStageError):
-    """backward() only starts from a single-element tensor."""
-
-
-class GraphConsumed(SleepStageError):
-    """backward() was already run on this graph."""
-
-
-# --- training ---
-
-class ZeroProportion(DataError):
-    pass
-
-
-class MissingGradient(SleepStageError):
-    """Optimizer stepped over a parameter whose grad was never populated."""
-
-
-class EmptySplit(DataError):
-    pass
-
-
-class NonFiniteLoss(SleepStageError):
-    """A training step's loss or global gradient norm is NaN or infinite."""
-
-
-# --- evaluation ---
-
-class UndefinedMetric(SleepStageError):
-    """Metric denominator is zero (reported as absent, never as 0)."""
-
-
-class TooFewSamples(DataError):
-    pass
-
-
-class TooFewSubjects(DataError):
-    pass
-
-
-class SingleClassPresent(DataError):
-    """ROC/PR curve requested for a class with no positive examples."""
-
-
-# --- CLI / fetch ---
-
-class ChecksumMismatch(DataError):
-    pass
 
 
 class NetworkFailure(SleepStageError):
     kind = "network"
 
 
-class ConfigMismatch(ConfigError):
-    """Checkpoint and requested run disagree (channel, shapes, ...)."""
+class TruncatedFile(DataError):
+    """Byte stream ends before the declared header or data records do."""
+
+
+class EmptySplit(DataError):
+    """A split holds no epochs, or the train and validation splits overlap."""
+
+
+class SingleClassPresent(DataError):
+    """ROC/PR curve requested for a class with no positive examples."""
+
+
+class ChecksumMismatch(DataError):
+    """A downloaded file's size or sha256 differs from its manifest entry."""

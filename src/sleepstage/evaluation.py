@@ -16,13 +16,7 @@ from . import autograd as ag
 from . import parallel
 from .autograd import Tensor
 from .edf import N_STAGES, EpochSet, StageLabel
-from .errors import (
-    EmptySplit,
-    SingleClassPresent,
-    TooFewSamples,
-    TooFewSubjects,
-    UndefinedMetric,
-)
+from .errors import DataError, EmptySplit, SingleClassPresent, SleepStageError
 from .model import ModelConfig, ModelParams, inference_params, model_forward
 
 # the conventional published layout: rows W,R,N1,N2,N3 with columns N3..W
@@ -104,7 +98,7 @@ def _ratio(num: int, den: int) -> float | None:
 def stage_metrics(cm: ConfusionMatrix, stage) -> StageMetrics:
     """Accuracy, recall, precision and F1 for one stage against the rest."""
     if cm.total == 0:
-        raise UndefinedMetric("empty confusion matrix")
+        raise SleepStageError("empty confusion matrix")
     c = int(stage)
     tp = int(cm.counts[c, c])
     fn = int(cm.counts[c, :].sum()) - tp
@@ -120,7 +114,7 @@ def stage_metrics(cm: ConfusionMatrix, stage) -> StageMetrics:
 
 def summary_metrics(cm: ConfusionMatrix) -> SummaryMetrics:
     if cm.total == 0:
-        raise UndefinedMetric("empty confusion matrix")
+        raise SleepStageError("empty confusion matrix")
     n = cm.total
     p0 = float(np.trace(cm.counts)) / n
     rows = cm.counts.sum(axis=1).astype(np.float64)
@@ -210,7 +204,7 @@ class FoldSplit:
 def kfold_split(n_epochs: int, k: int = 5, seed: int = 0) -> FoldSplit:
     """Uniform random epoch-level partition; fold sizes differ by at most 1."""
     if n_epochs < k:
-        raise TooFewSamples(f"{n_epochs} epochs cannot fill {k} folds")
+        raise DataError(f"{n_epochs} epochs cannot fill {k} folds")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(n_epochs)
     parts = tuple(tuple(int(i) for i in sorted(chunk))
@@ -222,7 +216,7 @@ def holdout_split(subjects: Sequence[str], ratio: float = 0.8, seed: int = 0) ->
     """Subject-level split; train side takes floor(ratio * n), both sides >= 1."""
     uniq = sorted(set(subjects))
     if len(uniq) < 2:
-        raise TooFewSubjects(f"hold-out needs >= 2 subjects, got {len(uniq)}")
+        raise DataError(f"hold-out needs >= 2 subjects, got {len(uniq)}")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio {ratio} outside (0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -16,7 +16,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import ParamTensor, RunningStats, Tensor
 from .edf import N_STAGES
-from .errors import DataError, ShapeMismatch
+from .errors import DataError, SleepStageError
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def channel_attention(mp: ModelParams, block: int, x: Tensor,
     magnitude.
     """
     if x.shape[1] != mp.cfg.attention_channels:
-        raise ShapeMismatch(
+        raise SleepStageError(
             f"channel_attention expects {mp.cfg.attention_channels} channels, got {x.shape}")
     name = f"block{block}.ca"
     energy = ag.global_avg_pool(ag.absolute(x))  # [B,C] mean absolute activation
@@ -254,7 +254,7 @@ def spatial_attention(mp: ModelParams, block: int, x: Tensor) -> Tensor:
 
 def attention_block(mp: ModelParams, block: int, x: Tensor, training: bool) -> Tensor:
     if x.shape[1] != mp.cfg.attention_channels:
-        raise ShapeMismatch(
+        raise SleepStageError(
             f"attention_block expects {mp.cfg.attention_channels} channels, got {x.shape}")
     h = _conv(mp, f"block{block}.conv1", x, padding=1)
     h = ag.relu(_bn(mp, f"block{block}.bn1", h, training))
@@ -270,9 +270,9 @@ def model_forward(mp: ModelParams, x, training: bool = False) -> Tensor:
     if not isinstance(x, Tensor):
         x = Tensor(x)
     if x.ndim != 3 or x.shape[1] != 1:
-        raise ShapeMismatch(f"model_forward expects [B,1,W], got {x.shape}")
+        raise SleepStageError(f"model_forward expects [B,1,W], got {x.shape}")
     if x.shape[2] != mp.cfg.input_length:
-        raise ShapeMismatch(
+        raise SleepStageError(
             f"model_forward expects width {mp.cfg.input_length}, got {x.shape[2]}")
     h = multiscale_forward(mp, x, training)
     for i in range(mp.cfg.attention_blocks):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSignal, EmptySignal
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def compute_stats(samples: np.ndarray) -> NormalizationStats:
     """Empirical 5th/95th percentiles, linear interpolation between ranks;
     equal to np.percentile(samples, [5, 95], method="linear"). Percentiles
     that coincide, or that are not finite because two neighbouring ranks lie
-    more than the float64 range apart, raise DegenerateSignal, since
+    more than the float64 range apart, raise DataError, since
     normalize cannot map the signal onto [-1, 1] with them.
 
     Selection by histogram: each sample gets a uint16 code floor((x - lo) *
@@ -74,10 +74,10 @@ def compute_stats(samples: np.ndarray) -> NormalizationStats:
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size == 0:
-        raise EmptySignal("cannot take percentiles of an empty signal")
+        raise DataError("cannot take percentiles of an empty signal")
     lo, hi = float(x.min()), float(x.max())  # NaN or +-inf lands in one of them
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise EmptySignal("signal contains non-finite samples")
+        raise DataError("signal contains non-finite samples")
     span = hi - lo  # Python floats: inf on overflow, no warning
     scale = (_BINS - 1) / span if 0.0 < span < math.inf else math.inf
     if not math.isfinite(scale):  # also inf for a subnormal span
@@ -105,22 +105,22 @@ def compute_stats(samples: np.ndarray) -> NormalizationStats:
         value.update((r, float(members[r - first])) for r in wanted)
     s05, s95 = (_lerp(value[lower], value[upper], t) for lower, upper, t in positions)
     if not (math.isfinite(s05) and math.isfinite(s95)):
-        raise DegenerateSignal(f"5th and 95th percentiles {s05} and {s95} are not finite")
+        raise DataError(f"5th and 95th percentiles {s05} and {s95} are not finite")
     if s05 == s95:
-        raise DegenerateSignal(f"5th and 95th percentiles coincide at {s05}")
+        raise DataError(f"5th and 95th percentiles coincide at {s05}")
     return NormalizationStats(s05=s05, s95=s95)
 
 
 def normalize(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     """x_norm = 2*(x - s05)/(s95 - s05) - 1; strictly monotone, no clipping.
     Stats that coincide, or that lie more than the float64 range apart (so
-    the samples between them would overflow to NaN), raise DegenerateSignal
+    the samples between them would overflow to NaN), raise DataError
     before any sample is read."""
     if stats.s05 == stats.s95:
-        raise DegenerateSignal("degenerate normalization stats")
+        raise DataError("degenerate normalization stats")
     if not math.isfinite(float(stats.s95) - float(stats.s05)):  # Python floats: no warning
-        raise DegenerateSignal(f"normalization stats {stats.s05} and {stats.s95} "
-                               f"span more than the float64 range")
+        raise DataError(f"normalization stats {stats.s05} and {stats.s95} "
+                        f"span more than the float64 range")
     return 2.0 * (np.asarray(x, dtype=np.float64) - stats.s05) / (stats.s95 - stats.s05) - 1.0
 
 

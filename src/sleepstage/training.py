@@ -35,7 +35,7 @@ from . import autograd as ag
 from . import evaluation, parallel
 from .autograd import ParamTensor, RunningStats, Tensor
 from .edf import N_STAGES, EpochSet
-from .errors import EmptySplit, MissingGradient, NonFiniteLoss, ShapeMismatch, ZeroProportion
+from .errors import DataError, EmptySplit, SleepStageError
 from .files import write_csv_atomic
 from .model import ModelConfig, ModelParams, init_params, model_forward
 from .preprocess import AugmentConfig, augment
@@ -70,9 +70,9 @@ def class_weights(proportions) -> np.ndarray:
     """
     props = np.asarray(proportions, dtype=np.float64)
     if props.shape != (N_STAGES,):
-        raise ZeroProportion(f"need a proportion for each of the {N_STAGES} stages")
+        raise DataError(f"need a proportion for each of the {N_STAGES} stages")
     if np.any(props <= 0):
-        raise ZeroProportion(f"non-positive class proportion in {props}")
+        raise DataError(f"non-positive class proportion in {props}")
     return np.minimum(5.0, np.maximum(1.0, np.log(1.0 / props)))
 
 
@@ -80,7 +80,7 @@ def proportions_from_labels(labels: Sequence[int]) -> np.ndarray:
     codes = np.asarray([int(l) for l in labels])
     counts = np.bincount(codes, minlength=N_STAGES).astype(np.float64)
     if codes.size == 0 or np.any(counts == 0):
-        raise ZeroProportion(
+        raise DataError(
             f"training split lacks examples of some stage (counts {counts.astype(int)})")
     return counts / codes.size
 
@@ -94,7 +94,7 @@ def weighted_ce_loss(logits: Tensor, labels, weights: np.ndarray,
     """
     codes = np.asarray([int(l) for l in np.atleast_1d(labels)], dtype=np.int64)
     if logits.ndim != 2 or logits.shape[0] != codes.size:
-        raise ShapeMismatch(f"logits {logits.shape} vs {codes.size} labels")
+        raise SleepStageError(f"logits {logits.shape} vs {codes.size} labels")
     x = logits.data
     m = x.max(axis=1, keepdims=True)
     lse = (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True)))[:, 0]
@@ -137,7 +137,7 @@ def adam_step(params: Sequence[ParamTensor], state: AdamState,
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p in params:
         if p.grad is None:
-            raise MissingGradient(f"parameter {p.name!r} has no gradient")
+            raise SleepStageError(f"parameter {p.name!r} has no gradient")
         g = p.grad
         m = state.m[p.name]
         v = state.v[p.name]
@@ -297,8 +297,8 @@ def train(epochs: EpochSet,
                 norm = np.sqrt(sum(np.vdot(m.grad, m.grad) for m, _, _ in triples
                                    if m.grad is not None))
                 if not (np.isfinite(loss) and np.isfinite(norm)):
-                    raise NonFiniteLoss(f"training stopped at pass {p}, step {state.step + 1}: "
-                                        f"loss {loss}, gradient norm {norm}")
+                    raise SleepStageError(f"training stopped at pass {p}, step {state.step + 1}: "
+                                          f"loss {loss}, gradient norm {norm}")
                 adam_step(mp.parameters(), state, cfg)
                 losses.append(loss)
 

@@ -13,13 +13,7 @@ from sleepstage import autograd as ag
 from sleepstage import evaluation, parallel
 from sleepstage.autograd import Tensor
 from sleepstage.edf import StageLabel
-from sleepstage.errors import (
-    EmptySplit,
-    SingleClassPresent,
-    TooFewSamples,
-    TooFewSubjects,
-    UndefinedMetric,
-)
+from sleepstage.errors import DataError, EmptySplit, SingleClassPresent, SleepStageError
 from sleepstage.evaluation import (
     ConfusionMatrix,
     evaluate,
@@ -187,7 +181,7 @@ class TestStageMetricsAgainstPublished:
         assert m.accuracy == 100.0     # all agree trivially
 
     def test_empty_matrix_raises(self):
-        with pytest.raises(UndefinedMetric):
+        with pytest.raises(SleepStageError, match="^empty confusion matrix$"):
             stage_metrics(ConfusionMatrix(), StageLabel.W)
 
 
@@ -286,7 +280,7 @@ class TestKFold:
         assert sorted(set(train) | set(val)) == list(range(20))
 
     def test_too_few(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DataError, match="^3 epochs cannot fill 5 folds$"):
             kfold_split(3, k=5, seed=0)
 
 
@@ -315,7 +309,7 @@ class TestHoldout:
         assert a.parts == b.parts
 
     def test_too_few_subjects(self):
-        with pytest.raises(TooFewSubjects):
+        with pytest.raises(DataError, match="^hold-out needs >= 2 subjects, got 1$"):
             holdout_split(["only"], seed=0)
 
 

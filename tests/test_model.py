@@ -6,7 +6,7 @@ from sleepstage import autograd as ag
 from sleepstage.autograd import Tensor
 from sleepstage.checkpoint import load_arrays, load_checkpoint, save_arrays, save_checkpoint
 from sleepstage.edf import N_STAGES
-from sleepstage.errors import ShapeMismatch
+from sleepstage.errors import SleepStageError
 from sleepstage.evaluation import SplitConfig
 from sleepstage.model import (
     ModelConfig,
@@ -202,7 +202,8 @@ class TestChannelAttention:
 
     def test_wrong_channel_count(self):
         cfg, mp = micro_params()
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SleepStageError,
+                           match=r"^channel_attention expects 12 channels, got \(1, 5, 16\)$"):
             channel_attention(mp, 0, Tensor(np.zeros((1, 5, 16))), training=False)
 
 
@@ -301,12 +302,13 @@ class TestModelForward:
 
     def test_rejects_wrong_width(self):
         cfg, mp = micro_params()
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SleepStageError, match="^model_forward expects width 64, got 65$"):
             model_forward(mp, Tensor(RNG.normal(size=(1, 1, 65))))
 
     def test_rejects_multi_channel_input(self):
         cfg, mp = micro_params()
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SleepStageError,
+                           match=r"^model_forward expects \[B,1,W\], got \(1, 2, 64\)$"):
             model_forward(mp, Tensor(RNG.normal(size=(1, 2, 64))))
 
 

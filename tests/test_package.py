@@ -56,13 +56,14 @@ def test_every_engine_op_is_one_the_network_calls():
     assert sorted(ops - used) == []
 
 
-def _names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+def _names(tree: ast.AST, skip=()) -> set[str]:
     """Every name that `tree` reads, imports or looks up as an attribute,
-    outside the subtree `skip`."""
+    outside the subtrees in `skip`."""
+    skipped = {id(node) for node in skip}
     found, todo = set(), [tree]
     while todo:
         node = todo.pop()
-        if node is skip:
+        if id(node) in skipped:
             continue
         if isinstance(node, ast.Name):
             found.add(node.id)
@@ -89,11 +90,36 @@ def test_every_public_function_and_class_has_a_user():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_") and node.name not in benched
-                    and not any(node.name in _names(other, skip=node)
+                    and not any(node.name in _names(other, skip=[node])
                                 for other in trees.values())):
                 unused.append(f"{module}: {node.name}")
     assert len(trees) > 10 and benched
     assert unused == []
+
+
+def test_every_error_class_is_told_apart():
+    """Each class of `errors` sets its own `exit_code` or `kind`, or some code
+    tells it apart from its base: an `except` clause of the package, or
+    perfbench outside its imports and `raise` statements. Any other class
+    ends as its base does, so a failure raises the base with a message."""
+    package = Path(sleepstage.__file__).parent
+    classes = [node for node in ast.parse((package / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    own = {node.name for node in classes for stmt in node.body
+           if isinstance(stmt, ast.Assign)
+           and {"exit_code", "kind"} & {t.id for t in stmt.targets if isinstance(t, ast.Name)}}
+    caught = set().union(*(_names(node.type)
+                           for path in sorted(package.glob("*.py"))
+                           for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                           if isinstance(node, ast.ExceptHandler) and node.type is not None))
+    benched = set()
+    for path in sorted((Path(__file__).resolve().parent.parent / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        benched |= _names(tree, skip=[node for node in ast.walk(tree) if isinstance(
+            node, (ast.Import, ast.ImportFrom, ast.Raise))])
+    assert len(classes) >= 3 and caught and benched
+    assert [node.name for node in classes
+            if node.name not in own | caught | benched] == []
 
 
 def test_the_engine_does_no_file_io():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sleepstage.edf import SignalHeader, calibrate
-from sleepstage.errors import DegenerateSignal, EmptySignal
+from sleepstage.errors import DataError
 from sleepstage.preprocess import (
     AugmentConfig,
     NormalizationStats,
@@ -30,15 +30,15 @@ class TestComputeStats:
         assert (stats.s05, stats.s95) == (-1.0, 1.0)
 
     def test_constant_signal(self):
-        with pytest.raises(DegenerateSignal):
+        with pytest.raises(DataError, match="^5th and 95th percentiles coincide at 3.25$"):
             compute_stats(np.full(100, 3.25))
 
     def test_empty_signal(self):
-        with pytest.raises(EmptySignal):
+        with pytest.raises(DataError, match="^cannot take percentiles of an empty signal$"):
             compute_stats(np.array([]))
 
     def test_non_finite(self):
-        with pytest.raises(EmptySignal):
+        with pytest.raises(DataError, match="^signal contains non-finite samples$"):
             compute_stats(np.array([1.0, np.nan]))
 
     def test_order(self):
@@ -48,7 +48,7 @@ class TestComputeStats:
 
 def assert_numpy_percentiles(x: np.ndarray) -> None:
     """compute_stats(x) gives np.percentile(x, [5, 95], method="linear") as
-    floats, or DegenerateSignal where they are not finite or where they
+    floats, or DataError where they are not finite or where they
     coincide, naming the value; it raises no RuntimeWarning, whatever
     numpy's own arithmetic warns of."""
     with np.errstate(all="ignore"):
@@ -56,10 +56,10 @@ def assert_numpy_percentiles(x: np.ndarray) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if not np.all(np.isfinite(expected)):
-            with pytest.raises(DegenerateSignal, match="^5th and 95th percentiles .* are not finite$"):
+            with pytest.raises(DataError, match="^5th and 95th percentiles .* are not finite$"):
                 compute_stats(x)
         elif expected[0] == expected[1]:
-            with pytest.raises(DegenerateSignal, match="^5th and 95th percentiles coincide at ") as exc:
+            with pytest.raises(DataError, match="^5th and 95th percentiles coincide at ") as exc:
                 compute_stats(x)
             assert float(str(exc.value).rsplit(" ", 1)[1]) == expected[0]
         else:
@@ -113,7 +113,7 @@ class TestComputeStatsIsNumpyPercentile:
     def test_percentiles_past_the_float64_range_are_degenerate(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DegenerateSignal, match="^5th and 95th percentiles inf and -inf are not finite$"):
+            with pytest.raises(DataError, match="^5th and 95th percentiles inf and -inf are not finite$"):
                 compute_stats(np.array([-1.7e308, 1.7e308]))
 
     @given(sizes, seeds, st.sampled_from([0.0, 1.0, -3.5e-300, 2.2250738585072014e-308]))
@@ -136,16 +136,16 @@ class TestComputeStatsIsNumpyPercentile:
         x[n // 2] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EmptySignal, match="^signal contains non-finite samples$"):
+            with pytest.raises(DataError, match="^signal contains non-finite samples$"):
                 compute_stats(x)
 
     def test_empty_signal_message(self):
-        with pytest.raises(EmptySignal, match="^cannot take percentiles of an empty signal$"):
+        with pytest.raises(DataError, match="^cannot take percentiles of an empty signal$"):
             compute_stats(np.array([]))
 
     @pytest.mark.parametrize("value", [3.25, 0.0, -1e308, 5e-324])
     def test_constant_signal_message(self, value):
-        with pytest.raises(DegenerateSignal,
+        with pytest.raises(DataError,
                            match=f"^5th and 95th percentiles coincide at {re.escape(str(value))}$"):
             compute_stats(np.full(70_000, value))
 
@@ -165,7 +165,7 @@ class TestNormalize:
         assert normalize(np.array([200.0]), stats)[0] == pytest.approx(1.5)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateSignal):
+        with pytest.raises(DataError, match="^degenerate normalization stats$"):
             normalize(np.zeros(5), NormalizationStats(s05=1.0, s95=1.0))
 
     @pytest.mark.parametrize("extreme", [1e308, 1.7e308])
@@ -174,7 +174,7 @@ class TestNormalize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stats = compute_stats(x)  # finite percentiles, an infinite span
-            with pytest.raises(DegenerateSignal, match="span more than the float64 range$") as exc:
+            with pytest.raises(DataError, match="span more than the float64 range$") as exc:
                 normalize(x, stats)
         assert exc.value.exit_code == 3
 

@@ -19,7 +19,7 @@ from sleepstage import evaluation, parallel
 from sleepstage import training as tr
 from sleepstage.autograd import ParamTensor, Tensor
 from sleepstage.edf import StageLabel
-from sleepstage.errors import EmptySplit, MissingGradient, NonFiniteLoss, ZeroProportion
+from sleepstage.errors import DataError, EmptySplit, SleepStageError
 from sleepstage.model import ModelConfig, ModelParams, init_params, model_forward
 from sleepstage.training import (
     AdamState,
@@ -77,14 +77,15 @@ class TestClassWeights:
             assert np.all(w >= 1.0) and np.all(w <= 5.0)
 
     def test_zero_proportion(self):
-        with pytest.raises(ZeroProportion):
+        with pytest.raises(DataError, match=r"^non-positive class proportion in \[0\. "):
             class_weights(np.array([0.0, 0.25, 0.25, 0.25, 0.25]))
 
     def test_proportions_from_labels(self):
         labels = [0, 0, 1, 2, 3, 4, 4, 4, 4, 4]
         np.testing.assert_allclose(proportions_from_labels(labels),
                                    [0.2, 0.1, 0.1, 0.1, 0.5])
-        with pytest.raises(ZeroProportion):
+        with pytest.raises(DataError,
+                           match=r"^training split lacks examples of some stage \(counts \[1 1 1 1 0\]\)$"):
             proportions_from_labels([0, 1, 2, 3])  # no W at all
 
 
@@ -202,7 +203,7 @@ class TestAdam:
     def test_missing_gradient(self):
         p = scalar_param(1.0)
         state = AdamState([p])
-        with pytest.raises(MissingGradient):
+        with pytest.raises(SleepStageError, match="^parameter 'x' has no gradient$"):
             adam_step([p], state, TrainConfig())
 
 
@@ -440,7 +441,7 @@ class TestMixedPrecision:
         initial = init_params(micro_model_config(), seed=0)
         before = {name: a.copy() for name, a in initial.state_arrays().items()}
         steps = spy_adam_steps(monkeypatch)
-        with pytest.raises(NonFiniteLoss) as exc:
+        with pytest.raises(SleepStageError, match="^training stopped at pass 1, step ") as exc:
             train(epochs, idx[:20], idx[20:], TrainConfig(max_passes=2, batch_size=4),
                   micro_model_config(), initial=initial)
         assert f"pass 1, step {len(steps) + 1}: loss nan" in str(exc.value)
