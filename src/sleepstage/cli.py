@@ -48,7 +48,7 @@ from .errors import (  # the EXIT_* codes are re-exported for callers of main()
     SingleClassPresent,
     SleepStageError,
 )
-from .evaluation import ConfusionMatrix, FoldSplit, SplitConfig
+from .evaluation import ConfusionMatrix, SplitConfig
 from .files import write_atomic, write_csv_atomic, write_text_atomic
 from .model import ModelParams
 from .preprocess import compute_stats, normalize
@@ -180,9 +180,9 @@ def print_metrics_table(cm: ConfusionMatrix) -> None:
           f"mean acc {_fmt(summary.mean_accuracy)}%  macro-F1 {mf1}")
 
 
-def _write_split_log(split: FoldSplit, path: Path) -> None:
+def _write_split_log(parts, split: SplitConfig, path: Path) -> None:
     payload = {"kind": split.kind, "seed": split.seed,
-               "parts": [list(p) for p in split.parts]}
+               "parts": [np.asarray(p).tolist() for p in parts]}
     write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -227,6 +227,13 @@ def cmd_preprocess(args) -> int:
         other = owners.setdefault(f"{subject}__{stem}", psg)
         if other != psg:
             raise DataError(f"{other} and {psg} would share the cache name {subject}__{stem}")
+    # the cache of a recording that left the corpus must not reach `train` either
+    suffixes = (cache.EPOCH_SUFFIX, cache.STATS_SUFFIX, ".src")
+    cached = {p.name[:-len(s)] for s in suffixes for p in rc.cache_dir.glob(f"*{s}")}
+    for name in sorted(cached - owners.keys()):
+        for s in suffixes:
+            (rc.cache_dir / f"{name}{s}").unlink(missing_ok=True)
+        log.info("%s: recording left the corpus, cache removed", name)
     last_error: SleepStageError | None = None
     totals = np.zeros(N_STAGES, dtype=np.int64)
     for psg, hyp, subject, stem in recs:
@@ -311,8 +318,8 @@ def cmd_train(args) -> int:
     _write_resolved(rc, out_dir)
     epochs = _load_cache(rc, rc.model.input_length, "model.input_length is")
 
-    fold_split, plan, split_desc = evaluation.plan_folds(epochs, rc.split)
-    _write_split_log(fold_split, out_dir / "split.json")
+    parts, plan, split_desc = evaluation.plan_folds(epochs, rc.split)
+    _write_split_log(parts, rc.split, out_dir / "split.json")
     merged = ConfusionMatrix()
     for name, train_idx, val_idx, split in plan:
         stem = name.replace(" ", "")  # "fold 1" -> fold1.ckpt
@@ -340,8 +347,8 @@ def cmd_eval(args) -> int:
     rc, mp = replace(rc, split=ckpt.split()), ckpt.params
     _write_resolved(rc, out_dir)
     epochs = _load_cache(rc, mp.cfg.input_length, "checkpoint expects")
-    fold_split, [(_, _, val_idx, _)], split_desc = evaluation.plan_folds(epochs, rc.split)
-    _write_split_log(fold_split, out_dir / "split.json")
+    parts, [(_, _, val_idx, _)], split_desc = evaluation.plan_folds(epochs, rc.split)
+    _write_split_log(parts, rc.split, out_dir / "split.json")
 
     result = evaluation.evaluate(mp, epochs, val_idx)
     payload = _metrics_payload(result.cm, rc, split_desc)

@@ -171,80 +171,49 @@ class SplitConfig:
         return ("kind", "seed", "k", "fold") if self.kind == "kfold" else ("kind", "seed", "ratio")
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    """Partition of the evaluation unit: epoch indices for k-fold,
-    subject ids for hold-out."""
-
-    kind: str                      # "kfold" | "holdout"
-    parts: tuple[tuple, ...]
-    seed: int
-
-    def fold(self, i: int) -> tuple[tuple, tuple]:
-        """(train_units, validation_units) for fold i (k-fold only)."""
-        if self.kind != "kfold":
-            raise ValueError("fold() applies to k-fold splits")
-        val = self.parts[i]
-        train = tuple(sorted(set().union(*[set(p) for j, p in enumerate(self.parts) if j != i])))
-        return train, val
-
-    @property
-    def train_subjects(self) -> tuple:
-        if self.kind != "holdout":
-            raise ValueError("train_subjects applies to hold-out splits")
-        return self.parts[0]
-
-    @property
-    def eval_subjects(self) -> tuple:
-        if self.kind != "holdout":
-            raise ValueError("eval_subjects applies to hold-out splits")
-        return self.parts[1]
-
-
-def kfold_split(n_epochs: int, k: int = 5, seed: int = 0) -> FoldSplit:
-    """Uniform random epoch-level partition; fold sizes differ by at most 1."""
+def kfold_split(n_epochs: int, k: int = 5, seed: int = 0) -> list[np.ndarray]:
+    """Uniform random epoch-level partition into k sorted int64 index arrays,
+    whose sizes differ by at most 1."""
     if n_epochs < k:
         raise DataError(f"{n_epochs} epochs cannot fill {k} folds")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    perm = rng.permutation(n_epochs)
-    parts = tuple(tuple(int(i) for i in sorted(chunk))
-                  for chunk in np.array_split(perm, k))
-    return FoldSplit(kind="kfold", parts=parts, seed=seed)
+    return [np.sort(chunk) for chunk in np.array_split(rng.permutation(n_epochs), k)]
 
 
-def holdout_split(subjects: Sequence[str], ratio: float = 0.8, seed: int = 0) -> FoldSplit:
-    """Subject-level split; train side takes floor(ratio * n), both sides >= 1."""
+def holdout_split(subjects: Sequence[str], ratio: float = 0.8,
+                  seed: int = 0) -> tuple[list[str], list[str]]:
+    """Subject-level split into sorted (train, evaluation) subject lists; the
+    train side takes floor(ratio * n), and both sides at least one."""
     uniq = sorted(set(subjects))
     if len(uniq) < 2:
         raise DataError(f"hold-out needs >= 2 subjects, got {len(uniq)}")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio {ratio} outside (0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(len(uniq))
     n_train = min(max(1, int(np.floor(ratio * len(uniq)))), len(uniq) - 1)
-    train = tuple(sorted(uniq[i] for i in perm[:n_train]))
-    evals = tuple(sorted(uniq[i] for i in perm[n_train:]))
-    return FoldSplit(kind="holdout", parts=(train, evals), seed=seed)
+    return sorted(uniq[i] for i in perm[:n_train]), sorted(uniq[i] for i in perm[n_train:])
 
 
 def plan_folds(epochs: EpochSet, split: SplitConfig):
     """The split protocol as a list of folds to train or evaluate.
 
-    Returns (fold_split, [(name, train_idx, val_idx, fold_config)], desc):
-    `fold_config` is the split of that one fold, as the checkpoint manifest
-    records it, and `desc` goes into metrics.json. k-fold runs every fold, or
-    only `split.fold` when set; hold-out is one fold.
+    Returns (parts, [(name, train_idx, val_idx, fold_config)], desc): `parts`
+    is the partition split.json records (k-fold's k index arrays, hold-out's
+    two subject lists); the indices are sorted int64 arrays; `fold_config` is
+    the split of that one fold, as the checkpoint manifest records it, and
+    `desc` goes into metrics.json. k-fold runs every fold, or only
+    `split.fold` when set, and trains fold i on the other parts; hold-out is
+    one fold.
     """
     desc = {name: getattr(split, name) for name in split.used_fields() if name != "fold"}
     if split.kind == "kfold":
-        fold_split = kfold_split(len(epochs), k=split.k, seed=split.seed)
+        parts = kfold_split(len(epochs), k=split.k, seed=split.seed)
         folds = [split.fold] if split.fold is not None else list(range(split.k))
-        plan = [(f"fold {i}", *fold_split.fold(i), replace(split, fold=i)) for i in folds]
-        return fold_split, plan, {**desc, "folds": folds}
-    fold_split = holdout_split(np.unique(epochs.subjects).tolist(), split.ratio, split.seed)
-    train_idx, val_idx = (np.flatnonzero(np.isin(epochs.subjects, subjects))
-                          for subjects in (fold_split.train_subjects, fold_split.eval_subjects))
-    return fold_split, [("holdout", train_idx, val_idx, split)], desc
+        plan = [(f"fold {i}", np.sort(np.concatenate(parts[:i] + parts[i + 1:])), parts[i],
+                 replace(split, fold=i)) for i in folds]
+        return parts, plan, {**desc, "folds": folds}
+    parts = holdout_split(np.unique(epochs.subjects).tolist(), split.ratio, split.seed)
+    train_idx, val_idx = (np.flatnonzero(np.isin(epochs.subjects, side)) for side in parts)
+    return parts, [("holdout", train_idx, val_idx, split)], desc
 
 
 # --- ROC / PR curves ---

@@ -229,8 +229,8 @@ def train(epochs: EpochSet,
     Augmentation touches the training stream only; validation epochs are
     forwarded untouched in eval mode.
     """
-    train_idx = np.asarray(sorted(train_idx), dtype=np.int64)
-    val_idx = np.asarray(sorted(val_idx), dtype=np.int64)
+    train_idx = np.sort(np.asarray(train_idx, dtype=np.int64))
+    val_idx = np.sort(np.asarray(val_idx, dtype=np.int64))
     if train_idx.size == 0 or val_idx.size == 0:
         raise EmptySplit(f"train {train_idx.size} / validation {val_idx.size} epochs")
     if np.intersect1d(train_idx, val_idx).size:

@@ -350,19 +350,19 @@ def test_criterion_5c_majority_baseline_beaten(synthetic_training_run):
 
 def test_criterion_6_split_protocols():
     # 5-fold: every epoch exactly once across validation folds
-    split = kfold_split(1003, k=5, seed=13)
-    seen = sorted(i for part in split.parts for i in part)
+    parts = kfold_split(1003, k=5, seed=13)
+    seen = sorted(i for part in parts for i in part)
     assert seen == list(range(1003))
-    sizes = [len(p) for p in split.parts]
+    sizes = [len(p) for p in parts]
     assert max(sizes) - min(sizes) <= 1
 
     # hold-out on 197 synthetic subjects: 157/40 with zero leakage
     subjects = [f"SYN{i:03d}" for i in range(197)]
-    hs = holdout_split(subjects, ratio=0.8, seed=13)
-    assert len(hs.train_subjects) == 157
-    assert len(hs.eval_subjects) == 40
-    assert not set(hs.train_subjects) & set(hs.eval_subjects)
-    assert sorted(set(hs.train_subjects) | set(hs.eval_subjects)) == subjects
+    train_subjects, eval_subjects = holdout_split(subjects, ratio=0.8, seed=13)
+    assert len(train_subjects) == 157
+    assert len(eval_subjects) == 40
+    assert not set(train_subjects) & set(eval_subjects)
+    assert sorted(set(train_subjects) | set(eval_subjects)) == subjects
     report("ACCEPTANCE 6: PASS - 5-fold covers 1003 epochs exactly once; "
            "hold-out on 197 subjects gives 157/40 with zero subject leakage")
 

@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import logging
 import os
 import shutil
 import struct
@@ -633,6 +634,32 @@ class TestPreprocess:
         assert sorted(p.name for p in cache_dir.iterdir()) == [
             "subjB__subjB.epochs", "subjB__subjB.src", "subjB__subjB.stats"]
         assert f"total {len(cache.load_all(cache_dir)):8d}\n" in out
+
+    def test_recording_that_left_the_corpus_loses_its_cache(self, tmp_path, capsys, caplog):
+        """A night deleted from the corpus loses its three cache files, with
+        one log line, so `train` loads exactly the epochs the table counts;
+        a file of another kind in the cache directory stays."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, seed in (("kept", 1), ("gone", 2)):
+            build_corpus_recording(corpus, name, [4, 3, 2, 1, 0], n_epochs=20,
+                                   seed=seed, rate=10)
+        cfg = write_config(tmp_path, corpus)
+        assert run_cli("preprocess", "--config", cfg) == 0
+        cache_dir = corpus / "cache"
+        assert len(cache.load_all(cache_dir)) == 40
+        (cache_dir / "notes.txt").write_text("kept\n")
+        (corpus / "gone-PSG.edf").unlink()
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="sleepstage"):
+            assert run_cli("preprocess", "--config", cfg) == 0
+        out = capsys.readouterr().out
+        assert sorted(p.name for p in cache_dir.iterdir()) == [
+            "kept__kept.epochs", "kept__kept.src", "kept__kept.stats", "notes.txt"]
+        assert f"total {len(cache.load_all(cache_dir)):8d}\n" in out
+        assert "total       20\n" in out
+        assert [r.getMessage() for r in caplog.records if "gone" in r.getMessage()] == [
+            "gone__gone: recording left the corpus, cache removed"]
 
     def test_damaged_cache_is_rebuilt(self, preprocessed, capsys, caplog):
         """An up-to-date .src beside an .epochs file that does not load is a

@@ -16,9 +16,11 @@ from sleepstage.edf import StageLabel
 from sleepstage.errors import DataError, EmptySplit, SingleClassPresent, SleepStageError
 from sleepstage.evaluation import (
     ConfusionMatrix,
+    SplitConfig,
     evaluate,
     holdout_split,
     kfold_split,
+    plan_folds,
     predict_probabilities,
     roc_pr_curves,
     stage_metrics,
@@ -150,8 +152,7 @@ class TestStageMetricsAgainstPublished:
                       marks=pytest.mark.xfail(
                           (b, s, m) in ref.INCONSISTENT_CELLS,
                           reason="published value disagrees with exact arithmetic "
-                                 "on the published matrix itself",
-                          strict=True),
+                                 "on the published matrix itself"),
                       id=f"{b}-{s}-{m}")
          for b in sorted(ref.BENCHMARKS)
          for s in ref.DISPLAY_ROWS
@@ -203,8 +204,7 @@ class TestSummaryMetricsAgainstPublished:
                       marks=pytest.mark.xfail(
                           (b, f) in ref.INCONSISTENT_SUMMARY,
                           reason="published value disagrees with exact arithmetic "
-                                 "on the published matrix itself",
-                          strict=True),
+                                 "on the published matrix itself"),
                       id=f"{b}-{f}")
          for b in sorted(ref.BENCHMARKS)
          for f in ("mean_recall", "mean_accuracy", "overall_accuracy", "kappa", "macro_f1")])
@@ -255,29 +255,31 @@ class TestSummaryMetricsAgainstPublished:
 
 class TestKFold:
     def test_equal_fold_sizes(self):
-        split = kfold_split(10, k=5, seed=0)
-        assert [len(p) for p in split.parts] == [2, 2, 2, 2, 2]
+        parts = kfold_split(10, k=5, seed=0)
+        assert [len(p) for p in parts] == [2, 2, 2, 2, 2]
 
     def test_sizes_differ_by_at_most_one(self):
-        split = kfold_split(103, k=5, seed=1)
-        sizes = [len(p) for p in split.parts]
+        parts = kfold_split(103, k=5, seed=1)
+        sizes = [len(p) for p in parts]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 103
 
     def test_partition_property(self):
-        split = kfold_split(57, k=5, seed=2)
-        seen = [i for p in split.parts for i in p]
+        parts = kfold_split(57, k=5, seed=2)
+        seen = [i for p in parts for i in p]
         assert sorted(seen) == list(range(57))
 
     def test_deterministic(self):
-        assert kfold_split(50, 5, seed=9).parts == kfold_split(50, 5, seed=9).parts
-        assert kfold_split(50, 5, seed=9).parts != kfold_split(50, 5, seed=10).parts
+        assert all(map(np.array_equal, kfold_split(50, 5, seed=9), kfold_split(50, 5, seed=9)))
+        assert not all(map(np.array_equal, kfold_split(50, 5, seed=9),
+                           kfold_split(50, 5, seed=10)))
 
-    def test_fold_accessor_disjoint(self):
-        split = kfold_split(20, k=4, seed=3)
-        train, val = split.fold(1)
-        assert not set(train) & set(val)
-        assert sorted(set(train) | set(val)) == list(range(20))
+    def test_parts_are_pinned(self):
+        """The partition the seed gives, as the earlier tuple-of-tuples code
+        gave it: changing it would change every split.json and fold."""
+        parts = kfold_split(13, k=4, seed=7)
+        assert [p.tolist() for p in parts] == [[0, 6, 7, 8], [1, 4, 10], [2, 3, 12], [5, 9, 11]]
+        assert all(p.dtype == np.int64 for p in parts)
 
     def test_too_few(self):
         with pytest.raises(DataError, match="^3 epochs cannot fill 5 folds$"):
@@ -287,30 +289,92 @@ class TestKFold:
 class TestHoldout:
     def test_published_subject_counts(self):
         subjects = [f"S{i:03d}" for i in range(197)]
-        split = holdout_split(subjects, ratio=0.8, seed=0)
-        assert len(split.train_subjects) == 157
-        assert len(split.eval_subjects) == 40
+        train, evals = holdout_split(subjects, ratio=0.8, seed=0)
+        assert len(train) == 157
+        assert len(evals) == 40
 
     def test_two_subjects(self):
-        split = holdout_split(["a", "b"], ratio=0.8, seed=0)
-        assert len(split.train_subjects) == 1
-        assert len(split.eval_subjects) == 1
+        train, evals = holdout_split(["a", "b"], ratio=0.8, seed=0)
+        assert len(train) == 1
+        assert len(evals) == 1
 
     def test_no_subject_straddles(self):
         subjects = [f"S{i}" for i in range(23)]
-        split = holdout_split(subjects, seed=5)
-        assert not set(split.train_subjects) & set(split.eval_subjects)
-        assert sorted(set(split.train_subjects) | set(split.eval_subjects)) == sorted(subjects)
+        train, evals = holdout_split(subjects, seed=5)
+        assert not set(train) & set(evals)
+        assert sorted(set(train) | set(evals)) == sorted(subjects)
 
     def test_deterministic_and_input_order_free(self):
         subjects = [f"S{i}" for i in range(23)]
         a = holdout_split(subjects, seed=5)
         b = holdout_split(list(reversed(subjects)), seed=5)
-        assert a.parts == b.parts
+        assert a == b
+
+    def test_sides_are_pinned(self):
+        assert holdout_split([f"s{i}" for i in range(7)], ratio=0.6, seed=4) == (
+            ["s0", "s1", "s2", "s5"], ["s3", "s4", "s6"])
 
     def test_too_few_subjects(self):
         with pytest.raises(DataError, match="^hold-out needs >= 2 subjects, got 1$"):
             holdout_split(["only"], seed=0)
+
+
+PLAN_SUBJECTS = ["a", "a", "b", "b", "b", "c", "d", "d", "e", "e", "f"]
+
+
+def assert_folds_cover(plan, n):
+    """Each fold's train and validation rows are sorted int64 arrays,
+    disjoint, and together every row."""
+    for _, train_idx, val_idx, _ in plan:
+        for idx in (train_idx, val_idx):
+            assert idx.dtype == np.int64 and np.all(np.diff(idx) > 0)
+        assert not np.intersect1d(train_idx, val_idx).size
+        assert np.array_equal(np.union1d(train_idx, val_idx), np.arange(n))
+
+
+class TestPlanFolds:
+    """Every fold's rows pinned to what the earlier tuple-of-tuples code gave."""
+
+    def test_kfold_folds_are_pinned(self):
+        epochs = epoch_set(np.zeros((11, 0)), [0] * 11, PLAN_SUBJECTS)
+        parts, plan, desc = plan_folds(epochs, SplitConfig(k=3, seed=2))
+        assert [p.tolist() for p in parts] == [[0, 2, 7, 9], [3, 5, 6, 10], [1, 4, 8]]
+        assert [(name, tr.tolist(), va.tolist(), cfg) for name, tr, va, cfg in plan] == [
+            ("fold 0", [1, 3, 4, 5, 6, 8, 10], [0, 2, 7, 9], SplitConfig(k=3, seed=2, fold=0)),
+            ("fold 1", [0, 1, 2, 4, 7, 8, 9], [3, 5, 6, 10], SplitConfig(k=3, seed=2, fold=1)),
+            ("fold 2", [0, 2, 3, 5, 6, 7, 9, 10], [1, 4, 8], SplitConfig(k=3, seed=2, fold=2)),
+        ]
+        assert desc == {"kind": "kfold", "seed": 2, "k": 3, "folds": [0, 1, 2]}
+        assert_folds_cover(plan, 11)
+
+    def test_holdout_fold_is_pinned(self):
+        epochs = epoch_set(np.zeros((11, 0)), [0] * 11, PLAN_SUBJECTS)
+        split = SplitConfig(kind="holdout", ratio=0.6, seed=1)
+        parts, plan, desc = plan_folds(epochs, split)
+        assert parts == (["a", "c", "e"], ["b", "d", "f"])
+        assert [(name, tr.tolist(), va.tolist(), cfg) for name, tr, va, cfg in plan] == [
+            ("holdout", [0, 1, 5, 8, 9], [2, 3, 4, 6, 7, 10], split)]
+        assert desc == {"kind": "holdout", "seed": 1, "ratio": 0.6}
+        assert_folds_cover(plan, 11)
+
+    def test_published_shape(self):
+        """One 5-fold plan over the 457,280 epochs of the published matrix:
+        the validation arrays partition the rows, each fold trains on the
+        rest, and the plan holds its indices as int64 arrays (the earlier
+        tuples and sets of Python ints peaked at 68.6 MiB)."""
+        n = 457_280
+        epochs = epoch_set(np.zeros((n, 0), dtype=np.float32), np.zeros(n, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            _, plan, _ = plan_folds(epochs, SplitConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vals = np.concatenate([val_idx for _, _, val_idx, _ in plan])
+        assert np.array_equal(np.sort(vals), np.arange(n))
+        for _, train_idx, val_idx, _ in plan:
+            assert np.array_equal(train_idx, np.setdiff1d(np.arange(n), val_idx))
+        assert peak < 40 << 20
 
 
 def brute_force_curves(scores, labels, c):
