@@ -1,10 +1,10 @@
-"""Binary epoch cache and per-subject normalization stats files.
+"""Binary epoch cache and per-recording normalization stats files.
 
 Cache layout: 4 magic bytes, u32 version, u32 epoch count N, then from byte
 12 the two columns of an EpochSet: N label bytes (stage codes), then N*L
 little-endian float32 samples, row after row, with L implied by the file
-size. Epochs are stored in epoch_index order; loading renumbers them
-densely from 0 into one EpochSet. A load checks every file's header
+size. Epochs are stored in the order given, and loading concatenates the
+files into one EpochSet. A load checks every file's header
 against its size first, allocates the samples and labels once, then reads
 each file's samples straight into their rows, so its peak memory is about
 that samples array. Both kinds of file are written atomically.
@@ -30,15 +30,11 @@ STATS_SUFFIX = ".stats"
 
 
 def save_epochs(epochs: EpochSet, path) -> None:
-    """Write `epochs` in epoch_index order, atomically; rows already in that
-    order, as epoch_recording returns them, are written without a gather."""
+    """Write `epochs` in the order given, atomically."""
     if not epochs:
         raise ValueError("refusing to write an empty epoch cache")
-    index = epochs.epoch_index
-    rows = (slice(None) if np.all(index[1:] >= index[:-1])
-            else np.argsort(index, kind="stable"))
-    labels = epochs.labels[rows].astype(np.uint8)
-    samples = np.ascontiguousarray(epochs.samples[rows], dtype="<f4")
+    labels = epochs.labels.astype(np.uint8)
+    samples = np.ascontiguousarray(epochs.samples, dtype="<f4")
 
     def write(fh) -> None:
         fh.write(_MAGIC + struct.pack("<II", VERSION, len(labels)))
@@ -91,29 +87,20 @@ def _read_into(path, samples: np.ndarray, labels: np.ndarray) -> None:
 
 def _load(paths: list[Path], subjects: list[str]) -> EpochSet:
     """The epochs of `paths` in order, each file read once, straight into
-    one samples and one labels array; epoch_index runs on across a
-    subject's files."""
+    one samples and one labels array."""
     if not paths:
         return EpochSet(np.empty((0, 0), dtype=np.float32), np.empty(0, dtype=np.int64),
-                        np.empty(0, dtype=str), np.empty(0, dtype=np.int64))
+                        np.empty(0, dtype=str))
     counts, lengths = zip(*(_header(p) for p in paths))
     if len(set(lengths)) != 1:
         raise DataError(f"cache files mix epoch lengths {sorted({(n,) for n in lengths})}")
     samples = np.empty((sum(counts), lengths[0]), dtype="<f4")
     labels = np.empty(sum(counts), dtype=np.int64)
-    bases, next_index, start = [], {}, 0
-    for path, subject, count in zip(paths, subjects, counts):
+    start = 0
+    for path, count in zip(paths, counts):
         _read_into(path, samples[start:start + count], labels[start:start + count])
         start += count
-        bases.append(next_index.get(subject, 0))
-        next_index[subject] = bases[-1] + count
-    return EpochSet(
-        samples=samples,
-        labels=labels,
-        subjects=np.repeat(subjects, counts),
-        epoch_index=np.concatenate([base + np.arange(count, dtype=np.int64)
-                                    for base, count in zip(bases, counts)]),
-    )
+    return EpochSet(samples, labels, np.repeat(subjects, counts))
 
 
 def load_epochs(path, subject_id: str) -> EpochSet:
@@ -131,7 +118,7 @@ def subject_of(cache_name: str) -> str:
 
 
 def load_all(cache_dir) -> EpochSet:
-    """Every cached epoch in sorted file order; epoch indices are renumbered
-    to keep strictly increasing within each subject across recordings."""
+    """Every cached epoch in sorted file order, so a subject's recordings
+    follow one another in name order."""
     paths = sorted(Path(cache_dir).glob(f"*{EPOCH_SUFFIX}"))
     return _load(paths, [subject_of(p.name[:-len(EPOCH_SUFFIX)]) for p in paths])

@@ -104,7 +104,9 @@ def discover_recordings(dataset_root: Path) -> list[tuple[Path, Path | None, str
 
     A sidecar hypnogram pairs only with the PSG in its directory that shares its
     longest name prefix (the first such PSG on a tie); a PSG without one is
-    staged from its own annotations."""
+    staged from its own annotations. A Sleep-EDF stem's subject is its first
+    five characters; any other's is the part before its first '__', as
+    `cache.subject_of` reads it back from the cache name."""
     edfs = sorted(p for p in dataset_root.rglob("*.edf") if p.is_file())
     hyps = [p for p in edfs if "Hypnogram" in p.name]
     psgs = [p for p in edfs if p not in hyps]
@@ -125,7 +127,7 @@ def discover_recordings(dataset_root: Path) -> list[tuple[Path, Path | None, str
                    default=None)
         if best is not None and shared(psg, best) < max(1, len(stem) - 2):
             best = None  # prefix too short to be the same night
-        subject = stem[:5] if _SUBJECT_RE.match(stem) else stem
+        subject = stem[:5] if _SUBJECT_RE.match(stem) else cache.subject_of(stem)
         found.append((psg, best, subject, stem))
     return found
 

@@ -87,37 +87,33 @@ class EegRecording:
     """One calibrated channel of one night, in physical units (uV)."""
 
     subject_id: str
-    channel_name: str
     sample_rate: float
     samples: np.ndarray
-    start_datetime: dt.datetime
 
 
 @dataclass
 class LabeledEpoch:
-    """One row of an EpochSet: a 30-second window with its stage; epoch_index
-    counts 30-s slots from the recording start, so excluded slots leave gaps."""
+    """One row of an EpochSet: a 30-second window with its stage."""
 
     samples: np.ndarray
     label: StageLabel
     subject_id: str
-    epoch_index: int
 
 
 @dataclass(frozen=True, eq=False)
 class EpochSet:
-    """A set of epochs as four columns; row i is one LabeledEpoch.
+    """A set of epochs as three columns; row i is one LabeledEpoch.
 
     samples [N, L] stays in the dtype it was built from (float64 from
-    epoch_recording, float32 from the cache), labels are stage codes, subjects
-    and epoch_index name each row. An integer index gives a LabeledEpoch with
-    float64 samples; a slice or an index array gives an EpochSet.
+    epoch_recording, float32 from the cache), labels are stage codes and
+    subjects name each row's subject; a subject's rows are in time order. An
+    integer index gives a LabeledEpoch with float64 samples; a slice or an
+    index array gives an EpochSet.
     """
 
     samples: np.ndarray
     labels: np.ndarray
     subjects: np.ndarray
-    epoch_index: np.ndarray
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -131,10 +127,8 @@ class EpochSet:
                 samples=self.samples[key].astype(np.float64),
                 label=StageLabel(int(self.labels[key])),
                 subject_id=str(self.subjects[key]),
-                epoch_index=int(self.epoch_index[key]),
             )
-        return EpochSet(self.samples[key], self.labels[key], self.subjects[key],
-                        self.epoch_index[key])
+        return EpochSet(self.samples[key], self.labels[key], self.subjects[key])
 
 
 # --- the EDF layout ---
@@ -357,10 +351,8 @@ def read_recording(data: bytes, channel: str, subject_id: str) -> EegRecording:
     rate = Fraction(sig.samples_per_record) / header.record_duration
     return EegRecording(
         subject_id=subject_id,
-        channel_name=channel,
         sample_rate=float(rate),
         samples=calibrate(records[:, _columns(header, idx)], sig).reshape(-1),
-        start_datetime=header.start_datetime,
     )
 
 
@@ -458,7 +450,7 @@ def windows(rec: EegRecording) -> np.ndarray:
 
 def scored_windows(stages: list[tuple[float, float, str]],
                    n_windows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(epoch_index, labels) as int64 arrays in epoch_index order: the windows
+    """(window index, labels) as int64 arrays in window order: the windows
     of a grid of n_windows that lie fully inside a single non-excluded stage
     interval. A window inside two such intervals is a
     DataError that names both onsets."""
@@ -484,14 +476,13 @@ def scored_windows(stages: list[tuple[float, float, str]],
 
 def epoch_recording(rec: EegRecording,
                     stages: list[tuple[float, float, str]]) -> EpochSet:
-    """The scored windows of rec as float64 rows, labeled, in epoch_index order."""
+    """The scored windows of rec as float64 rows, labeled, in time order."""
     grid = windows(rec)
     index, labels = scored_windows(stages, len(grid))
     return EpochSet(
         samples=grid[index].astype(np.float64, copy=False),
         labels=labels,
         subjects=np.full(index.size, rec.subject_id),
-        epoch_index=index,
     )
 
 

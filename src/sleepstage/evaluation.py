@@ -359,14 +359,13 @@ def evaluate(mp: ModelParams, epochs: EpochSet,
              batch_size: int = 32) -> EvalResult:
     """Argmax staging (ties break to the lowest class code) plus every metric.
 
-    Output sequences are ordered by (subject, epoch_index) so a hypnogram can
-    be rendered directly.
+    Output sequences are ordered by (subject, row) so a hypnogram can be
+    rendered directly: a subject's rows are in time order.
     """
     chosen = np.arange(len(epochs)) if indices is None else np.asarray(indices, dtype=np.int64)
     if not chosen.size:
         raise EmptySplit("no epochs to evaluate")
-    # stable, so ties keep their order in `indices`
-    chosen = chosen[np.lexsort((epochs.epoch_index[chosen], epochs.subjects[chosen]))]
+    chosen = chosen[np.lexsort((chosen, epochs.subjects[chosen]))]
     probs = predict_probabilities(mp, epochs.samples, batch_size=batch_size, index=chosen)
     y_pred = probs.argmax(axis=1)
     y_true = epochs.labels[chosen]

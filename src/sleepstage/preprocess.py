@@ -1,6 +1,6 @@
-"""Per-subject normalization and training-time augmentation.
+"""Per-recording normalization and training-time augmentation.
 
-Normalization rescales a subject's whole-night signal so the 5th percentile
+Normalization rescales a recording's whole-night signal so the 5th percentile
 maps to -1 and the 95th to +1; values outside the band land outside [-1, 1]
 and are left unclipped. Augmentation flips an epoch in time with probability
 0.5 and adds Gaussian noise with sigma = 1% of the epoch's sample std.
@@ -17,7 +17,7 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """5th/95th percentile of one subject's full signal."""
+    """5th/95th percentile of one recording's full signal."""
 
     s05: float
     s95: float

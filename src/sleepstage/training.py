@@ -77,7 +77,7 @@ def class_weights(proportions) -> np.ndarray:
 
 
 def proportions_from_labels(labels: Sequence[int]) -> np.ndarray:
-    codes = np.asarray([int(l) for l in labels])
+    codes = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(codes, minlength=N_STAGES).astype(np.float64)
     if codes.size == 0 or np.any(counts == 0):
         raise DataError(
@@ -92,7 +92,7 @@ def weighted_ce_loss(logits: Tensor, labels, weights: np.ndarray,
     With `weight_total` the sum runs over these rows and divides by that
     total instead, so the losses of a batch's row shares add up to its loss.
     """
-    codes = np.asarray([int(l) for l in np.atleast_1d(labels)], dtype=np.int64)
+    codes = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if logits.ndim != 2 or logits.shape[0] != codes.size:
         raise SleepStageError(f"logits {logits.shape} vs {codes.size} labels")
     x = logits.data

@@ -63,15 +63,13 @@ def sine_epoch(label: int, rng: np.random.Generator, length: int = 3000,
         noise * rng.normal(size=length)
 
 
-def epoch_set(samples, labels, subjects="s", epoch_index=None) -> EpochSet:
-    """An EpochSet of the given rows; one subject name stands for every row and
-    epoch_index defaults to 0..N-1."""
+def epoch_set(samples, labels, subjects="s") -> EpochSet:
+    """An EpochSet of the given rows; one subject name stands for every row."""
     n = len(samples)
     return EpochSet(
         samples=np.asarray(samples),
         labels=np.asarray(labels, dtype=np.int64),
         subjects=np.full(n, subjects) if isinstance(subjects, str) else np.asarray(subjects),
-        epoch_index=np.arange(n) if epoch_index is None else np.asarray(epoch_index),
     )
 
 
@@ -313,8 +311,8 @@ def reference_roc_pr_curves(scores: np.ndarray, labels, c: int):
 # np.concatenate ---
 
 def reference_load_all(cache_dir) -> EpochSet:
-    """The EpochSet of every *.epochs file of cache_dir, in sorted order,
-    epoch_index running on across a subject's files; no checks."""
+    """The EpochSet of every *.epochs file of cache_dir, in sorted order; no
+    checks."""
     paths = sorted(Path(cache_dir).glob(f"*{cache.EPOCH_SUFFIX}"))
     labels, samples, subjects = [], [], []
     for p in paths:
@@ -323,17 +321,10 @@ def reference_load_all(cache_dir) -> EpochSet:
         labels.append(np.frombuffer(blob, dtype=np.uint8, count=count, offset=12))
         samples.append(np.frombuffer(blob, dtype="<f4", offset=12 + count).reshape(count, -1))
         subjects.append(cache.subject_of(p.name[:-len(cache.EPOCH_SUFFIX)]))
-    counts = [len(column) for column in labels]
-    bases, next_index = [], {}
-    for subject, count in zip(subjects, counts):
-        bases.append(next_index.get(subject, 0))
-        next_index[subject] = bases[-1] + count
     return EpochSet(
         samples=np.concatenate(samples),
         labels=np.concatenate(labels).astype(np.int64),
-        subjects=np.repeat(subjects, counts),
-        epoch_index=np.concatenate([base + np.arange(count, dtype=np.int64)
-                                    for base, count in zip(bases, counts)]),
+        subjects=np.repeat(subjects, [len(column) for column in labels]),
     )
 
 

@@ -1,7 +1,6 @@
 """End-to-end CLI behavior on synthetic corpora plus config and fetch logic."""
 import collections
 import csv
-import datetime as dt
 import hashlib
 import json
 import logging
@@ -418,9 +417,8 @@ def _digital_range_empty(tmp_path):
 
 
 def _recording_at(rate):
-    return EegRecording(subject_id="s1", channel_name=EEG_CHANNEL, sample_rate=rate,
-                        samples=np.zeros(int(round(90 * rate))),
-                        start_datetime=dt.datetime(1989, 4, 24))
+    return EegRecording(subject_id="s1", sample_rate=rate,
+                        samples=np.zeros(int(round(90 * rate))))
 
 
 # failure -> (raise it, exit code, stderr prefix, message): one failure of each
@@ -725,6 +723,21 @@ class TestPreprocess:
         found = cli.discover_recordings(tmp_path)
         assert {psg.relative_to(tmp_path).as_posix(): hyp and hyp.relative_to(tmp_path).as_posix()
                 for psg, hyp, _, _ in found} == pairs
+
+    @pytest.mark.parametrize("stem", ["SC4001E0", "ST7011J0", "subjX", "night__1"])
+    def test_cache_name_reads_back_the_discovered_subject(self, tmp_path, stem):
+        (tmp_path / f"{stem}-PSG.edf").touch()
+        [(_, _, subject, _)] = cli.discover_recordings(tmp_path)
+        assert cache.subject_of(f"{subject}__{stem}") == subject
+
+    def test_load_all_holds_the_discovered_subjects(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for stem in ("night__1", "night__2"):
+            write_night(corpus, stem, [(0.0, 120.0, "W")], n_epochs=4, embedded=False)
+        assert run_cli("preprocess", "--config", write_config(tmp_path, corpus)) == 0
+        discovered = {subject for _, _, subject, _ in cli.discover_recordings(corpus)}
+        assert set(cache.load_all(corpus / "cache").subjects.tolist()) == discovered
 
     def test_missing_channel_is_data_error(self, tiny_corpus, tmp_path):
         cfg = write_config(tmp_path, tiny_corpus)
@@ -1272,6 +1285,8 @@ def http_root(tmp_path):
     thread.start()
     yield served, f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 def make_manifest(served: Path, base: str, tmp_path: Path, names) -> Path:

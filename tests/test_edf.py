@@ -388,16 +388,22 @@ class TestHypnogram:
 
 def recording(seconds: float, rate: float = 100.0) -> EegRecording:
     n = int(round(seconds * rate))
-    return EegRecording(subject_id="s1", channel_name="EEG Fpz-Cz", sample_rate=rate,
-                        samples=RNG.normal(size=n), start_datetime=dt.datetime(1989, 4, 24))
+    return EegRecording(subject_id="s1", sample_rate=rate, samples=RNG.normal(size=n))
+
+
+def slots(rec: EegRecording, stages) -> list[int]:
+    """The 30-s windows of rec that the stages score, in time order."""
+    return scored_windows(stages, len(windows(rec)))[0].tolist()
 
 
 class TestEpoching:
     def test_ninety_seconds_three_epochs(self):
-        out = epoch_recording(recording(90), [(0.0, 90.0, "W")])
+        rec, stages = recording(90), [(0.0, 90.0, "W")]
+        out = epoch_recording(rec, stages)
         assert len(out) == 3
         assert all(e.label is StageLabel.W and len(e.samples) == 3000 for e in out)
-        assert [e.epoch_index for e in out] == [0, 1, 2]
+        assert slots(rec, stages) == [0, 1, 2]
+        np.testing.assert_array_equal(out.samples, windows(rec))
 
     def test_trailing_partial_window_dropped(self):
         out = epoch_recording(recording(100), [(0.0, 100.0, "W")])
@@ -409,9 +415,10 @@ class TestEpoching:
         assert sum(1 for e in out if e.label is StageLabel.N1) == 30
 
     def test_excluded_stage_leaves_gap(self):
-        out = epoch_recording(recording(90), [(0.0, 30.0, "W"), (30.0, 30.0, "M"),
-                                              (60.0, 30.0, "R")])
-        assert [e.epoch_index for e in out] == [0, 2]
+        rec, stages = recording(90), [(0.0, 30.0, "W"), (30.0, 30.0, "M"), (60.0, 30.0, "R")]
+        out = epoch_recording(rec, stages)
+        assert slots(rec, stages) == [0, 2]
+        np.testing.assert_array_equal(out.samples, windows(rec)[[0, 2]])
         assert [e.label for e in out] == [StageLabel.W, StageLabel.R]
 
     def test_non_integer_epoch_length(self):
@@ -431,17 +438,18 @@ class TestEpoching:
         assert sum(counts.values()) == len(out)
 
     def test_indices_strictly_increasing(self):
-        out = epoch_recording(recording(600), [(0.0, 600.0, "2")])
-        idx = [e.epoch_index for e in out]
+        rec, stages = recording(600), [(0.0, 600.0, "2")]
+        idx = slots(rec, stages)
         assert all(a < b for a, b in zip(idx, idx[1:]))
+        np.testing.assert_array_equal(epoch_recording(rec, stages).samples, windows(rec)[idx])
 
     def test_rows_are_their_windows(self):
-        rec = recording(300)
-        out = epoch_recording(rec, [(60.0, 90.0, "R"), (0.0, 30.0, "W"), (210.0, 60.0, "2")])
+        rec, stages = recording(300), [(60.0, 90.0, "R"), (0.0, 30.0, "W"), (210.0, 60.0, "2")]
+        out = epoch_recording(rec, stages)
         assert isinstance(out, EpochSet) and out.samples.dtype == np.float64
-        assert out.epoch_index.tolist() == [0, 2, 3, 4, 7, 8]
+        assert slots(rec, stages) == [0, 2, 3, 4, 7, 8]
         assert out.subjects.tolist() == ["s1"] * 6
-        for w, row in zip(out.epoch_index, out.samples):
+        for w, row in zip(slots(rec, stages), out.samples):
             np.testing.assert_array_equal(row, rec.samples[w * 3000:(w + 1) * 3000])
 
 
@@ -558,12 +566,13 @@ class TestEpochCache:
         assert path.read_bytes() == b"new bytes"
         assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
-    def test_sorted_and_shuffled_epochs_write_the_same_bytes(self, tmp_path):
-        epochs = epoch_set(RNG.normal(size=(6, 7)), [0, 1, 2, 3, 4, 0], epoch_index=[1, 3, 4, 8, 9, 12])
+    def test_shuffled_epochs_load_back_in_the_order_given(self, tmp_path):
+        epochs = epoch_set(RNG.normal(size=(6, 7)), [0, 1, 2, 3, 4, 0])
         shuffled = epochs[np.asarray([3, 0, 5, 1, 4, 2])]
-        cache.save_epochs(epochs, tmp_path / "a.epochs")
-        cache.save_epochs(shuffled, tmp_path / "b.epochs")
-        assert (tmp_path / "a.epochs").read_bytes() == (tmp_path / "b.epochs").read_bytes()
+        cache.save_epochs(shuffled, tmp_path / "s.epochs")
+        loaded = cache.load_epochs(tmp_path / "s.epochs", "s")
+        np.testing.assert_array_equal(loaded.samples, shuffled.samples.astype(np.float32))
+        assert loaded.labels.tolist() == [3, 0, 0, 1, 4, 2]
 
     def test_stats_round_trip(self, tmp_path):
         stats = NormalizationStats(s05=-12.3456789012345, s95=98.7654321098765)
@@ -573,33 +582,30 @@ class TestEpochCache:
         assert NormalizationStats(s05=float(values["s05"]), s95=float(values["s95"])) == stats
 
     def test_written_bytes_literal(self, tmp_path):
-        epochs = epoch_set([[0.5, -1.0, 2.0, 0.25], [1.0, 0.0, -0.5, 3.0],
-                            [-2.0, 0.125, 4.0, -0.75]],
-                           [StageLabel.R, StageLabel.W, StageLabel.N3], epoch_index=[2, 0, 1])
+        epochs = epoch_set([[1.0, 0.0, -0.5, 3.0], [-2.0, 0.125, 4.0, -0.75],
+                            [0.5, -1.0, 2.0, 0.25]],
+                           [StageLabel.W, StageLabel.N3, StageLabel.R])
         path = tmp_path / "s.epochs"
         cache.save_epochs(epochs, path)
         assert path.read_bytes() == bytes.fromhex(
             "53534531" "02000000" "03000000"  # magic, version 2, 3 epochs
-            "04" "00" "03"  # labels by epoch index: W, N3, R
-            "0000803f" "00000000" "000000bf" "00004040"  # index 0: 1, 0, -0.5, 3
-            "000000c0" "0000003e" "00008040" "000040bf"  # index 1: -2, 0.125, 4, -0.75
-            "0000003f" "000080bf" "00000040" "0000803e")  # index 2: 0.5, -1, 2, 0.25
+            "04" "00" "03"  # labels by row: W, N3, R
+            "0000803f" "00000000" "000000bf" "00004040"  # row 0: 1, 0, -0.5, 3
+            "000000c0" "0000003e" "00008040" "000040bf"  # row 1: -2, 0.125, 4, -0.75
+            "0000003f" "000080bf" "00000040" "0000803e")  # row 2: 0.5, -1, 2, 0.25
 
-    def test_load_all_renumbers_per_subject(self, tmp_path):
+    def test_load_all_joins_files_in_name_order(self, tmp_path):
         epochs = epoch_set(RNG.normal(size=(3, 10)), np.arange(3), "a")
         cache.save_epochs(epochs, tmp_path / "a__n1.epochs")
         cache.save_epochs(epochs, tmp_path / "a__n2.epochs")
         cache.save_epochs(epochs, tmp_path / "b__n1.epochs")
         loaded = cache.load_all(tmp_path)
-        a_idx = [e.epoch_index for e in loaded if e.subject_id == "a"]
-        assert a_idx == [0, 1, 2, 3, 4, 5]
         assert isinstance(loaded, EpochSet)
         assert loaded.samples.dtype == np.float32
         np.testing.assert_array_equal(loaded.samples,
                                       np.tile(epochs.samples.astype(np.float32), (3, 1)))
         assert loaded.labels.tolist() == [0, 1, 2] * 3
         assert loaded.subjects.tolist() == ["a"] * 6 + ["b"] * 3
-        assert loaded.epoch_index.tolist() == [0, 1, 2, 3, 4, 5, 0, 1, 2]
 
     def test_load_all_of_empty_directory_is_empty(self, tmp_path):
         loaded = cache.load_all(tmp_path)
@@ -637,7 +643,7 @@ class TestEpochCache:
             self.save_night(tmp_path / f"{name}.epochs", count, seed)
         loaded, expected = cache.load_all(tmp_path), reference_load_all(tmp_path)
         assert len(loaded) == sum(counts.values())
-        for column in ("samples", "labels", "subjects", "epoch_index"):
+        for column in ("samples", "labels", "subjects"):
             got, want = getattr(loaded, column), getattr(expected, column)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
@@ -713,22 +719,22 @@ class TestEpochCache:
 class TestEpochSet:
     def epochs(self, dtype=np.float64):
         return epoch_set(RNG.normal(size=(5, 8)).astype(dtype), np.arange(5) % 5,
-                         [f"s{i % 2}" for i in range(5)], epoch_index=10 + np.arange(5))
+                         [f"s{i % 2}" for i in range(5)])
 
     def test_integer_index_is_a_float64_labeled_epoch(self):
         es = self.epochs(np.float32)
         e = es[np.int64(3)]
         assert isinstance(e, LabeledEpoch)
         assert e.samples.dtype == np.float64
-        assert (e.label, e.subject_id, e.epoch_index) == (StageLabel.R, "s1", 13)
-        assert type(e.subject_id) is str and type(e.epoch_index) is int
-        assert es[-1].epoch_index == 14
-        assert [x.epoch_index for x in es] == [10, 11, 12, 13, 14]
+        assert (e.label, e.subject_id) == (StageLabel.R, "s1")
+        assert type(e.subject_id) is str
+        assert es[-1].label is StageLabel.W
+        assert [x.label for x in es] == list(StageLabel)
 
     def test_slice_and_index_array_give_sets(self):
         es = self.epochs()
         part = es[1:3]
-        assert isinstance(part, EpochSet) and part.epoch_index.tolist() == [11, 12]
+        assert isinstance(part, EpochSet) and part.labels.tolist() == [1, 2]
         picked = es[np.asarray([4, 0])]
         assert isinstance(picked, EpochSet)
         assert picked.labels.tolist() == [4, 0]
@@ -755,7 +761,7 @@ def golden_night() -> bytes:
     """A seeded 60-epoch night at 100 Hz: a 16-bit EEG channel between a
     12-bit EOG channel and its stage annotations, so the EEG's samples are a
     strided block of columns of the record table. Scored W/1/2/3/4/R with a
-    movement and an unscored stretch that leave gaps in epoch_index."""
+    movement and an unscored stretch that leave gaps in the window grid."""
     rng = np.random.default_rng(20240417)
     n, spr = 60, 3000
     eog = SignalHeader(label="EOG horizontal", physical_dimension="uV",

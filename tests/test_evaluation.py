@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sleepstage import autograd as ag
-from sleepstage import evaluation, parallel
+from sleepstage import cache, evaluation, parallel
 from sleepstage.autograd import Tensor
 from sleepstage.edf import StageLabel
 from sleepstage.errors import DataError, EmptySplit, SingleClassPresent, SleepStageError
@@ -524,14 +524,29 @@ class TestEvaluate:
         cfg = micro_model_config()
         mp = init_params(cfg, seed=0)
         rows = np.random.default_rng(3).normal(size=(3, 64))
-        epochs = epoch_set(rows, [StageLabel.W, StageLabel.R, StageLabel.N1], ["b", "a", "a"],
-                           epoch_index=[0, 1, 0])
+        epochs = epoch_set(rows, [StageLabel.W, StageLabel.R, StageLabel.N1], ["b", "a", "a"])
         result = evaluate(mp, epochs)
-        # (a, 0), (a, 1), (b, 0) are rows 2, 1, 0
-        assert result.y_true.tolist() == [StageLabel.N1, StageLabel.R, StageLabel.W]
-        expect = predict_probabilities(mp, rows[[2, 1, 0]])
+        # subject a's rows 1, 2, then subject b's row 0
+        assert result.y_true.tolist() == [StageLabel.R, StageLabel.N1, StageLabel.W]
+        expect = predict_probabilities(mp, rows[[1, 2, 0]])
         np.testing.assert_array_equal(result.probabilities, expect)
         np.testing.assert_array_equal(result.y_pred, expect.argmax(axis=1))
+
+    def test_order_of_a_loaded_cache(self, tmp_path):
+        """Rows come out by subject, then in cache-file name order, then in
+        row order, whatever the order and repeats of `indices`."""
+        mp = init_params(micro_model_config(), seed=0)
+        rng = np.random.default_rng(5)
+        for name, labels in (("b__n1", [2, 3, 4]), ("a__n2", [3, 4, 0]), ("a__n1", [0, 1, 2])):
+            cache.save_epochs(epoch_set(rng.normal(size=(3, 64)), labels, cache.subject_of(name)),
+                              tmp_path / f"{name}{cache.EPOCH_SUFFIX}")
+        epochs = cache.load_all(tmp_path)
+        result = evaluate(mp, epochs, [7, 2, 4, 0, 8, 5, 1, 3, 6, 4])
+        # a__n1 rows 0-2, a__n2 rows 0-2 (row 1 twice), b__n1 rows 0-2
+        assert result.y_true.tolist() == [0, 1, 2, 3, 4, 4, 0, 2, 3, 4]
+        np.testing.assert_array_equal(
+            result.probabilities,
+            predict_probabilities(mp, epochs.samples[[0, 1, 2, 3, 4, 4, 5, 6, 7, 8]]))
 
 
 class TestFloat32Inference:
@@ -637,12 +652,12 @@ class TestBlockedInference:
         np.testing.assert_array_equal(
             predict_probabilities(mp, samples, batch_size=3, index=index),
             predict_probabilities(mp, samples[index], batch_size=3))
-        epochs = epoch_set(samples, np.arange(30) % 5, epoch_index=np.arange(30)[::-1])
+        epochs = epoch_set(samples, np.arange(30) % 5)
         chosen = [3, 17, 8, 25]
         result = evaluate(mp, epochs, chosen, batch_size=3)
-        # one subject, so evaluate orders the rows by descending position
+        # one subject, so evaluate orders the rows by position
         np.testing.assert_array_equal(result.probabilities,
-                                      predict_probabilities(mp, samples[[25, 17, 8, 3]]))
+                                      predict_probabilities(mp, samples[[3, 8, 17, 25]]))
 
     def test_zero_rows(self):
         cfg = micro_model_config()
