@@ -30,7 +30,8 @@ STATS_SUFFIX = ".stats"
 
 
 def save_epochs(epochs: EpochSet, path) -> None:
-    """Write `epochs` in the order given, atomically."""
+    """Write `epochs` in the order given, atomically. The float32 rows of a
+    normalized recording are written as they are, without a copy."""
     if not epochs:
         raise ValueError("refusing to write an empty epoch cache")
     labels = epochs.labels.astype(np.uint8)

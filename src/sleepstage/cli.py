@@ -521,6 +521,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"runtime error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

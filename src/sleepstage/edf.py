@@ -104,11 +104,12 @@ class LabeledEpoch:
 class EpochSet:
     """A set of epochs as three columns; row i is one LabeledEpoch.
 
-    samples [N, L] stays in the dtype it was built from (float64 from
-    epoch_recording, float32 from the cache), labels are stage codes and
-    subjects name each row's subject; a subject's rows are in time order. An
-    integer index gives a LabeledEpoch with float64 samples; a slice or an
-    index array gives an EpochSet.
+    samples [N, L] stays in the dtype it was built from. It is float32 both
+    from the cache and from epoch_recording of a normalized recording, so
+    preprocessing holds the set its cache file gives back. labels are stage
+    codes and subjects name each row's subject; a subject's rows are in time
+    order. An integer index gives a LabeledEpoch with float64 samples; a
+    slice or an index array gives an EpochSet.
     """
 
     samples: np.ndarray
@@ -476,11 +477,12 @@ def scored_windows(stages: list[tuple[float, float, str]],
 
 def epoch_recording(rec: EegRecording,
                     stages: list[tuple[float, float, str]]) -> EpochSet:
-    """The scored windows of rec as float64 rows, labeled, in time order."""
+    """The scored windows of rec as rows in rec's dtype, labeled, in time
+    order."""
     grid = windows(rec)
     index, labels = scored_windows(stages, len(grid))
     return EpochSet(
-        samples=grid[index].astype(np.float64, copy=False),
+        samples=grid[index],
         labels=labels,
         subjects=np.full(index.size, rec.subject_id),
     )

@@ -59,10 +59,20 @@ class ModelConfig:
             raise ValueError("channel_attention_reduction must be >= 1")
         if any(p < 0 for p in self.pool_sizes):
             raise ValueError(f"pool sizes must be >= 0, got {self.pool_sizes}")
-        for i, (p, width) in enumerate(zip(self.pool_sizes, pipeline_widths(self))):
+        widths = pipeline_widths(self)
+        for i, (p, width) in enumerate(zip(self.pool_sizes, widths)):
             if p > width:
                 raise ValueError(f"pool_sizes[{i}] = {p} does not fit the width {width} "
                                  f"it pools (input_length {self.input_length})")
+        # block i's spatial gate convolves a map of width widths[1 + i]; on a
+        # map of width w, a same-padded tap more than w - 1 from the centre
+        # reads only padding
+        narrowest = min(widths[1:1 + self.attention_blocks])
+        if self.spatial_kernel > 2 * narrowest - 1:
+            raise ValueError(f"spatial_kernel {self.spatial_kernel} exceeds {2 * narrowest - 1}: "
+                             f"its outer taps would read only the padding of the "
+                             f"narrowest map an attention gate convolves, {narrowest} "
+                             f"wide (input_length {self.input_length})")
 
 
 @dataclass

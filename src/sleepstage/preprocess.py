@@ -112,16 +112,35 @@ def compute_stats(samples: np.ndarray) -> NormalizationStats:
 
 
 def normalize(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """x_norm = 2*(x - s05)/(s95 - s05) - 1; strictly monotone, no clipping.
+    """x_norm = 2*(x - s05)/(s95 - s05) - 1 as float32; monotone, no clipping.
     Stats that coincide, or that lie more than the float64 range apart (so
     the samples between them would overflow to NaN), raise DataError
-    before any sample is read."""
+    before any sample is read.
+
+    Each value is computed in float64, in the order written above, and
+    rounded once to float32, the precision the cache stores. The float64
+    work runs one _CHUNK block at a time in a reused buffer, so no
+    whole-signal float64 temporary exists; a value past the float32 range
+    rounds to +-inf without a warning."""
     if stats.s05 == stats.s95:
         raise DataError("degenerate normalization stats")
     if not math.isfinite(float(stats.s95) - float(stats.s05)):  # Python floats: no warning
         raise DataError(f"normalization stats {stats.s05} and {stats.s95} "
                         f"span more than the float64 range")
-    return 2.0 * (np.asarray(x, dtype=np.float64) - stats.s05) / (stats.s95 - stats.s05) - 1.0
+    x = np.asarray(x)
+    out = np.empty(x.shape, dtype=np.float32)
+    flat, out_flat = x.reshape(-1), out.reshape(-1)
+    span = stats.s95 - stats.s05
+    buf = np.empty(min(flat.size, _CHUNK))
+    for start in range(0, flat.size, _CHUNK):
+        part = flat[start:start + _CHUNK]
+        d = np.subtract(part, stats.s05, out=buf[:part.size], dtype=np.float64)
+        d *= 2.0
+        d /= span
+        d -= 1.0
+        with np.errstate(over="ignore"):
+            out_flat[start:start + part.size] = d
+    return out
 
 
 def augment(samples: np.ndarray, cfg: AugmentConfig,

@@ -268,9 +268,9 @@ def train(epochs: EpochSet,
         losses = []
 
         def rows(share: np.ndarray) -> np.ndarray:
-            # one float32 gather (the cache holds float32 rows, so no cast
-            # there); each row is augmented in float64 from its stored values
-            # and rounded in
+            # one float32 gather (an EpochSet's rows are float32, from the
+            # cache or from normalize, so no cast there); each row is
+            # augmented in float64 from its stored values and rounded in
             out = epochs.samples[share].astype(np.float32, copy=False)
             if augment_cfg is not None:
                 for j, i in enumerate(share):

@@ -22,6 +22,7 @@ from sleepstage.edf import (
 )
 from sleepstage.evaluation import ConfusionMatrix
 from sleepstage.model import ModelConfig, ModelParams, branch_forward, init_params
+from sleepstage.preprocess import NormalizationStats
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -81,6 +82,14 @@ def sine_epochs(n: int, seed: int = 0, length: int = 3000, rate: float = 100.0,
     labels = np.arange(n) % 5
     return epoch_set([sine_epoch(label, rng, length=length, rate=rate) for label in labels],
                      labels, subject)
+
+
+def float64_normalize(x, stats: NormalizationStats) -> np.ndarray:
+    """The whole-signal float64 normalization formula, rounded once to
+    float32: what the cache held when normalize returned float64."""
+    with np.errstate(over="ignore"):
+        return np.float32(2.0 * (np.asarray(x, dtype=np.float64) - stats.s05)
+                          / (stats.s95 - stats.s05) - 1.0)
 
 
 def digitize(physical: np.ndarray, sig: SignalHeader) -> np.ndarray:

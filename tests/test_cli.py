@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import fields
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -57,7 +58,8 @@ from sleepstage.preprocess import compute_stats
 from sleepstage.training import AdamState, TrainConfig, adam_step, class_weights, train
 
 from helpers import (EEG_CHANNEL, build_corpus_recording, digitize, eeg_signal_header,
-                     micro_model_config, sine_epochs, tensor_sum, version1_cache_bytes)
+                     float64_normalize, micro_model_config, sine_epochs, tensor_sum,
+                     version1_cache_bytes)
 
 MICRO_MODEL_LINES = """
 dataset.channel = EEG Fpz-Cz
@@ -544,6 +546,33 @@ class TestPreprocess:
             "subjA__subjA.epochs", "subjB__subjB.epochs"]
         assert (cache_dir / "subjA__subjA.stats").is_file()
 
+    def test_outlier_past_float32_is_cached_as_inf_without_a_warning(self, tiny_corpus,
+                                                                     tmp_path, monkeypatch):
+        """A normalized sample past the float32 range is cached as inf, the
+        bytes of the float64 formula rounded once, and preprocess exits 0
+        with no warning. A 16-bit EDF channel cannot reach that range, so
+        the outlier is put into the calibrated recording."""
+        read = cli.read_recording
+
+        def with_outlier(*args):
+            rec = read(*args)
+            rec.samples[7] = 1e300
+            return rec
+        monkeypatch.setattr(cli, "read_recording", with_outlier)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("preprocess", "--config", write_config(tmp_path, tiny_corpus)) == 0
+
+        psg = (tiny_corpus / "subjA-PSG.edf").read_bytes()
+        rec = with_outlier(psg, EEG_CHANNEL, "subjA")
+        rec.samples = float64_normalize(rec.samples, compute_stats(rec.samples))
+        expected = epoch_recording(rec, parse_hypnogram(
+            (tiny_corpus / "subjA-Hypnogram.edf").read_bytes()))
+        assert np.isposinf(expected.samples[0, 7])
+        cache.save_epochs(expected, tmp_path / "expected.epochs")
+        assert ((tiny_corpus / "cache" / "subjA__subjA.epochs").read_bytes()
+                == (tmp_path / "expected.epochs").read_bytes())
+
     def test_rerun_reuses_cache(self, preprocessed, capsys):
         cfg, corpus = preprocessed
         before = {p.name: p.stat().st_mtime_ns
@@ -848,6 +877,48 @@ class TestTrainEvalPredict:
                        "--out", out, *argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
+
+    def test_oversized_spatial_kernel_exits_2_before_writing(self, preprocessed, tmp_path,
+                                                              capsys):
+        _, corpus = preprocessed
+        out = tmp_path / "wide_gate"
+        cfg = write_config(tmp_path, corpus, "model.spatial_kernel = 99999")
+        assert run_cli("train", "--config", cfg, "--out", out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: spatial_kernel 99999 exceeds 3: its outer taps would read "
+            "only the padding of the narrowest map an attention gate convolves, 2 wide "
+            "(input_length 300)\n")
+        assert not out.exists()
+
+    def test_out_of_memory_is_one_line_exit_4(self, preprocessed, tmp_path):
+        """A checkpoint whose manifest names a far bigger model than its arrays
+        runs out of memory while the model is built; `eval` ends with exit 4
+        and one stderr line, not a traceback. The child's address space is
+        capped well above a normal run's, so the allocation fails at once,
+        and the unedited checkpoint evaluates under the same cap."""
+        cfg, _ = preprocessed
+        ckpt, big = tmp_path / "m.ckpt", tmp_path / "big.ckpt"
+        save_checkpoint(init_params(ModelConfig(branch_channels=2, input_length=300,
+                                                pool_sizes=(8, 4, 4)), seed=0),
+                        ckpt, EEG_CHANNEL, SplitConfig(kind="holdout", ratio=0.5))
+        manifest, arrays = load_arrays(ckpt)
+        save_arrays(arrays, format_kv(_edited(parse_kv_text(manifest),
+                                              {"model.branch_channels": "100000"})), big)
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30))\n"
+                "from sleepstage.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+
+        def run(path: Path) -> subprocess.CompletedProcess:
+            return subprocess.run([sys.executable, "-c", code, "eval", "--config", cfg,
+                                   "--checkpoint", path, "--out", tmp_path / path.stem],
+                                  env=env, capture_output=True, text=True, timeout=300)
+        assert run(ckpt).returncode == 0
+        done = run(big)
+        assert done.returncode == cli.EXIT_RUNTIME, done.stderr
+        assert done.stderr.startswith("runtime error: out of memory: ")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("split, stem", [("kfold:3", "fold1"), ("holdout:0.5", "holdout")])
     def test_eval_reproduces_train_metrics(self, preprocessed, tmp_path, split, stem):

@@ -38,7 +38,7 @@ from sleepstage.errors import DataError, TruncatedFile
 from sleepstage.preprocess import NormalizationStats, compute_stats, normalize
 from sleepstage.training import LogRow, write_training_log
 
-from helpers import eeg_signal_header, epoch_set, reference_load_all
+from helpers import build_corpus_recording, eeg_signal_header, epoch_set, reference_load_all
 
 RNG = np.random.default_rng(7)
 
@@ -804,3 +804,44 @@ class TestGoldenIngest:
         assert (loaded.samples.dtype, loaded.labels.dtype) == (np.float32, np.int64)
         assert {name: hashlib.sha256(getattr(loaded, name).tobytes()).hexdigest()
                 for name in GOLDEN_LOADED_DIGESTS} == GOLDEN_LOADED_DIGESTS
+
+
+class TestIngestChain:
+    """preprocess's calls on one night: read_recording, compute_stats,
+    normalize, epoch_recording, save_epochs."""
+
+    def test_epochs_are_what_their_cache_file_gives_back(self, tmp_path):
+        psg = golden_night()
+        rec = read_recording(psg, "EEG Fpz-Cz", "golden")
+        rec.samples = normalize(rec.samples, compute_stats(rec.samples))
+        epochs = epoch_recording(rec, parse_hypnogram(psg))
+        cache.save_epochs(epochs, tmp_path / "golden.epochs")
+        loaded = cache.load_epochs(tmp_path / "golden.epochs", "golden")
+        assert epochs.samples.dtype == np.float32
+        for name in ("samples", "labels", "subjects"):
+            mine, back = getattr(epochs, name), getattr(loaded, name)
+            assert (mine.dtype, mine.shape) == (back.dtype, back.shape), name
+            assert mine.tobytes() == back.tobytes(), name
+
+    def test_peak_memory_holds_no_whole_night_float64_temporary(self, tmp_path):
+        """Beyond the PSG bytes, the chain's traced peak stays within 1.75x
+        the night's float64 samples: the physical samples (1x), the float32
+        normalized signal (0.5x) and a few blocks of work. A whole-night
+        float64 normalized copy or float64 epoch rows would add 1x each."""
+        n_epochs = 480  # 4 h at 100 Hz, scored in 10-minute stretches
+        build_corpus_recording(tmp_path, "s", [4] * 20 + [3] * 20 + [2] * 20 + [1] * 20 + [0] * 20,
+                               n_epochs, seed=0, sidecar_hypnogram=False)
+        tracemalloc.start()
+        try:
+            psg = (tmp_path / "s-PSG.edf").read_bytes()
+            rec = read_recording(psg, "EEG Fpz-Cz", "s")
+            stages = parse_hypnogram(psg)
+            stats = compute_stats(rec.samples)
+            rec.samples = normalize(rec.samples, stats)
+            epochs = epoch_recording(rec, stages)
+            cache.save_epochs(epochs, tmp_path / "night.epochs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(epochs) == n_epochs
+        assert peak - len(psg) <= 1.75 * (n_epochs * 3000 * 8)

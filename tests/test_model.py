@@ -63,10 +63,24 @@ class TestConfig:
             ModelConfig(**overrides)
 
     def test_pool_sizes_that_fit_are_kept(self):
-        for overrides in (dict(pool_sizes=(0, 0, 0), input_length=1),
-                          dict(pool_sizes=(64, 0, 1), input_length=64),
+        # a width-1 map leaves room for a 1-tap spatial gate only
+        for overrides in (dict(pool_sizes=(0, 0, 0), input_length=1, spatial_kernel=1),
+                          dict(pool_sizes=(64, 0, 1), input_length=64, spatial_kernel=1),
                           dict(pool_sizes=(8, 4, 4), input_length=300)):
             ModelConfig(**overrides)
+
+    @pytest.mark.parametrize("overrides, narrowest", [
+        (dict(), 23),                                          # 3000 -> 375 -> 93 -> 23
+        (dict(pool_sizes=(8, 4, 4), input_length=300), 2),     # 300 -> 37 -> 9 -> 2
+        (dict(pool_sizes=(64, 0, 1), input_length=64), 1)])
+    def test_spatial_kernel_must_reach_the_narrowest_gate_map(self, overrides, narrowest):
+        """A same-padded gate tap more than w - 1 from the centre reads only
+        padding on a map w wide, so 2w - 1 taps is the widest kernel kept."""
+        ModelConfig(**overrides, spatial_kernel=2 * narrowest - 1)
+        for k in (2 * narrowest + 1, 99_999):
+            with pytest.raises(ValueError, match=f"^spatial_kernel {k} exceeds "
+                                                 f"{2 * narrowest - 1}: .* {narrowest} wide"):
+                ModelConfig(**overrides, spatial_kernel=k)
 
     def test_round_trip_dict(self, tmp_path):
         cfg = micro_model_config(branch_kernel_sizes=(1, 9), spatial_kernel=5)

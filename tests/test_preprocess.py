@@ -9,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 from sleepstage.edf import SignalHeader, calibrate
 from sleepstage.errors import DataError
 from sleepstage.preprocess import (
+    _CHUNK,
     AugmentConfig,
     NormalizationStats,
     augment,
     compute_stats,
     normalize,
 )
+
+from helpers import float64_normalize
 
 RNG = np.random.default_rng(11)
 
@@ -188,6 +191,35 @@ class TestNormalize:
         # strictness is only observable for gaps the float grid can resolve
         distinct = np.diff(x) > 1e-6 * (1.0 + np.abs(x[:-1]))
         assert np.all(np.diff(out)[distinct] > 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2999, _CHUNK - 1, _CHUNK, 3 * _CHUNK + 1234])
+    def test_rounds_the_float64_formula_once(self, n):
+        """On calibrated signals with random calibrations and stats, at
+        lengths of 0, below one block, one block and not a multiple of it,
+        from float64, float32 and 16-bit input."""
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            lo = rng.uniform(-1e4, 1e3)
+            sig = SignalHeader(label="EEG", physical_min=lo, physical_max=lo + rng.uniform(1e-3, 1e4),
+                               digital_min=int(rng.integers(-32768, 0)),
+                               digital_max=int(rng.integers(1, 32768)))
+            digital = rng.integers(sig.digital_min, sig.digital_max + 1, size=n)
+            x = calibrate(digital, sig)
+            s05, s95 = np.sort(rng.uniform(sig.physical_min, sig.physical_max, size=2))
+            stats = NormalizationStats(s05=float(s05), s95=float(s95))
+            for signal in (x, x.astype(np.float32), digital.astype(np.int16)):
+                out = normalize(signal, stats)
+                assert out.dtype == np.float32 and out.shape == (n,)
+                assert out.tobytes() == float64_normalize(signal, stats).tobytes()
+
+    def test_past_the_float32_range_rounds_to_inf_without_a_warning(self):
+        stats = NormalizationStats(s05=0.0, s95=1.0)  # x -> 2x - 1
+        x = np.array([1e300, -1e300, 0.25, 1e38, 2e38])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize(x, stats)
+        assert out.tobytes() == float64_normalize(x, stats).tobytes()
+        assert out.tolist() == [np.inf, -np.inf, -0.5, float(np.float32(2e38)), np.inf]
 
     def test_randomized_endpoint_property(self):
         for _ in range(20):
