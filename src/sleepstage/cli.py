@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -50,7 +51,7 @@ from .errors import (  # the EXIT_* codes are re-exported for callers of main()
 )
 from .evaluation import ConfusionMatrix, SplitConfig
 from .files import write_atomic, write_csv_atomic, write_text_atomic
-from .model import ModelParams
+from .model import ModelConfig, ModelParams, state_shapes
 from .preprocess import compute_stats, normalize
 
 log = logging.getLogger("sleepstage")
@@ -314,9 +315,26 @@ def _load_cache(rc: RunConfig, input_length: int, expected: str) -> EpochSet:
     return epochs
 
 
+def _check_training_fits(model: ModelConfig) -> None:
+    """Refuse a model whose training state exceeds MemAvailable: 52 bytes a
+    value, for five float64 copies (master, gradient, Adam m and v, the kept
+    best) and three float32 ones (replica weights, two replica gradients).
+    Where /proc/meminfo cannot be read, nothing is checked."""
+    need = 52 * sum(math.prod(shape) for shape in state_shapes(model).values())
+    try:
+        meminfo = Path("/proc/meminfo").read_text(encoding="ascii")
+        available = 1024 * int(re.search(r"^MemAvailable:\s*(\d+) kB$", meminfo, re.M)[1])
+    except (OSError, TypeError, ValueError):
+        return
+    if need > available:
+        raise ConfigError(f"the model's training state needs {need} bytes, "
+                          f"more than the {available} bytes of MemAvailable")
+
+
 def cmd_train(args) -> int:
     rc = _run_config(args)
     out_dir = rc.output_dir
+    _check_training_fits(rc.model)
     _write_resolved(rc, out_dir)
     epochs = _load_cache(rc, rc.model.input_length, "model.input_length is")
 

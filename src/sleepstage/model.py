@@ -9,6 +9,7 @@ Global average pooling and one fully connected layer produce the 5 logits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,86 +106,91 @@ class ModelParams:
 
     @classmethod
     def from_state(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
-        """Inverse of `state_arrays`: a fresh `init_params` model filled in place.
-        Every parameter and running stat the config expects must be present
-        with its shape."""
-        out = init_params(cfg, seed=0)
-        for name, view in out.state_arrays().items():
+        """Inverse of `state_arrays`: a model holding float64 copies of
+        `arrays`, which must hold every entry of `state_shapes(cfg)` with its
+        shape. Every shape is checked before anything is allocated."""
+        shapes = state_shapes(cfg)
+        for name, shape in shapes.items():
             if name not in arrays:
                 raise DataError(f"checkpoint lacks entry {name!r}")
-            if arrays[name].shape != view.shape:
+            if arrays[name].shape != shape:
                 raise DataError(f"checkpoint entry {name!r} has shape {arrays[name].shape}, "
-                                f"config expects {view.shape}")
-            view[...] = arrays[name]
-        return out
+                                f"config expects {shape}")
+        mp = cls(cfg)
+        for name in shapes:
+            data = np.array(arrays[name], dtype=np.float64)
+            bn, _, stat = name.rpartition(".running_")
+            if bn:
+                setattr(mp.bn_stats.setdefault(bn, RunningStats(data.size)), stat, data)
+            else:
+                mp.params[name] = ParamTensor(name, data)
+        return mp
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
-            fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def layers(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str | None]]:
+    """(name, weight shape, the batch norm that follows it or None) of every
+    layer, in `state_arrays` order: the one place a layer's shape is written.
+    A conv weight is [C_out, C_in, K], a linear one [F_in, F_out]."""
+    c, bc, rc = cfg.attention_channels, cfg.branch_channels, cfg.reduced_channels
+    table = []
+    for k in cfg.branch_kernel_sizes:
+        b = f"branch{k}"
+        table += [(f"{b}.conv1", (bc, 1, k), f"{b}.bn1"),
+                  (f"{b}.conv2", (bc, bc, k), f"{b}.bn2"),
+                  (f"{b}.proj", (bc, 1, 1), None)]
+    for i in range(cfg.attention_blocks):
+        b = f"block{i}"
+        table += [(f"{b}.conv1", (c, c, 3), f"{b}.bn1"),
+                  (f"{b}.conv2", (c, c, 3), f"{b}.bn2"),
+                  (f"{b}.ca.fc1", (c, rc), f"{b}.ca.bn"),
+                  (f"{b}.ca.fc2", (rc, c), None),
+                  (f"{b}.sa.gate", (1, 2, cfg.spatial_kernel), None),
+                  (f"{b}.sa.mix", (c, c, 1), None)]
+    return table + [("head.fc", (c, N_STAGES), None)]
+
+
+def state_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every array `state_arrays` returns, in its order: each
+    layer's weight, bias, batch-norm gamma and beta, then the running stats."""
+    params, stats = {}, {}
+    for name, shape, bn in layers(cfg):
+        width = (shape[0] if len(shape) == 3 else shape[1],)  # output channels
+        params[f"{name}.weight"], params[f"{name}.bias"] = shape, width
+        if bn is not None:
+            params[f"{bn}.gamma"] = params[f"{bn}.beta"] = width
+            stats[f"{bn}.running_mean"] = stats[f"{bn}.running_var"] = width
+    return params | stats
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     """Glorot-uniform conv/FC weights, zero biases, unit-gamma batch norms."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    mp = ModelParams(cfg)
-    c = cfg.attention_channels
-    bc = cfg.branch_channels
-
-    def conv(name: str, c_out: int, c_in: int, k: int) -> None:
-        mp.params[f"{name}.weight"] = ParamTensor(
-            f"{name}.weight", _glorot(rng, (c_out, c_in, k), c_in * k, c_out * k))
-        mp.params[f"{name}.bias"] = ParamTensor(f"{name}.bias", np.zeros(c_out))
-
-    def fc(name: str, f_in: int, f_out: int) -> None:
-        mp.params[f"{name}.weight"] = ParamTensor(
-            f"{name}.weight", _glorot(rng, (f_in, f_out), f_in, f_out))
-        mp.params[f"{name}.bias"] = ParamTensor(f"{name}.bias", np.zeros(f_out))
-
-    def bn(name: str, channels: int) -> None:
-        mp.params[f"{name}.gamma"] = ParamTensor(f"{name}.gamma", np.ones(channels))
-        mp.params[f"{name}.beta"] = ParamTensor(f"{name}.beta", np.zeros(channels))
-        mp.bn_stats[name] = RunningStats(channels)
-
-    for k in cfg.branch_kernel_sizes:
-        conv(f"branch{k}.conv1", bc, 1, k)
-        bn(f"branch{k}.bn1", bc)
-        conv(f"branch{k}.conv2", bc, bc, k)
-        bn(f"branch{k}.bn2", bc)
-        conv(f"branch{k}.proj", bc, 1, 1)
-
-    for i in range(cfg.attention_blocks):
-        conv(f"block{i}.conv1", c, c, 3)
-        bn(f"block{i}.bn1", c)
-        conv(f"block{i}.conv2", c, c, 3)
-        bn(f"block{i}.bn2", c)
-        fc(f"block{i}.ca.fc1", c, cfg.reduced_channels)
-        bn(f"block{i}.ca.bn", cfg.reduced_channels)
-        fc(f"block{i}.ca.fc2", cfg.reduced_channels, c)
-        conv(f"block{i}.sa.gate", 1, 2, cfg.spatial_kernel)
-        conv(f"block{i}.sa.mix", c, c, 1)
-
-    fc("head.fc", c, N_STAGES)
-    return mp
+    arrays = {}
+    for name, shape in state_shapes(cfg).items():
+        if name.endswith(".weight"):
+            # fan_in + fan_out: (C_in + C_out) * K of a conv, F_in + F_out of a linear
+            limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+            arrays[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            arrays[name] = np.full(shape, float(name.endswith((".gamma", ".running_var"))))
+    return ModelParams.from_state(cfg, arrays)
 
 
 def inference_params(mp: ModelParams, dtype=np.float32) -> ModelParams:
     """An eval-only copy of `mp` in `dtype` that shares no array with it.
 
-    Every batch norm is folded into the layer that `init_params` builds
-    before it: `{stage}.bnN` into the conv `{stage}.convN`, and
-    `block{i}.ca.bn` into the linear layer `block{i}.ca.fc1` (Jacob et al.
-    2018, arXiv:1712.05877, section 3.2). With s = gamma / sqrt(running_var
-    + eps) per output channel, that layer's weight becomes w * s and its bias
-    (b - running_mean) * s + beta. The fold runs in float64; the result is
-    then cast to `dtype`. The copy holds no batch norm and no running stats,
-    so the forward skips each one, and it holds plain tensors, so no op on
-    it records a backward graph.
+    Every batch norm is folded into the layer that `layers` lists it after:
+    a conv such as `{stage}.convN`, or the linear layer `block{i}.ca.fc1`
+    (Jacob et al. 2018, arXiv:1712.05877, section 3.2). With s = gamma /
+    sqrt(running_var + eps) per output channel, that layer's weight becomes
+    w * s and its bias (b - running_mean) * s + beta. The fold runs in
+    float64; the result is then cast to `dtype`. The copy holds no batch norm
+    and no running stats, so the forward skips each one, and it holds plain
+    tensors, so no op on it records a backward graph.
     """
     arrays = {name: p.data for name, p in mp.params.items()}
-    for bn, st in mp.bn_stats.items():
-        layer = bn.replace(".bn", ".fc1" if bn.endswith(".ca.bn") else ".conv")
+    for layer, bn in [(name, bn) for name, _, bn in layers(mp.cfg) if bn]:
+        st = mp.bn_stats[bn]
         w = arrays[f"{layer}.weight"]
         scale = arrays.pop(f"{bn}.gamma") / np.sqrt(st.var + ag.BN_EPS)
         # a conv weight is [C_out, C_in, K], a linear one [F_in, F_out]
@@ -240,9 +246,6 @@ def channel_attention(mp: ModelParams, block: int, x: Tensor,
     so tau stays signal-scaled and the output never exceeds the input in
     magnitude.
     """
-    if x.shape[1] != mp.cfg.attention_channels:
-        raise SleepStageError(
-            f"channel_attention expects {mp.cfg.attention_channels} channels, got {x.shape}")
     name = f"block{block}.ca"
     energy = ag.global_avg_pool(ag.absolute(x))  # [B,C] mean absolute activation
     h = ag.linear(energy, mp[f"{name}.fc1.weight"], mp[f"{name}.fc1.bias"])
@@ -263,9 +266,6 @@ def spatial_attention(mp: ModelParams, block: int, x: Tensor) -> Tensor:
 
 
 def attention_block(mp: ModelParams, block: int, x: Tensor, training: bool) -> Tensor:
-    if x.shape[1] != mp.cfg.attention_channels:
-        raise SleepStageError(
-            f"attention_block expects {mp.cfg.attention_channels} channels, got {x.shape}")
     h = _conv(mp, f"block{block}.conv1", x, padding=1)
     h = ag.relu(_bn(mp, f"block{block}.bn1", h, training))
     h = _conv(mp, f"block{block}.conv2", h, padding=1)

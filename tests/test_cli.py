@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sleepstage import autograd as ag
-from sleepstage import cache, cli, errors, fetch
+from sleepstage import cache, cli, errors, evaluation, fetch
 from sleepstage.autograd import ParamTensor, Tensor
 from sleepstage.checkpoint import load_arrays, load_checkpoint, save_arrays, save_checkpoint
 from sleepstage.config import (
@@ -890,13 +891,25 @@ class TestTrainEvalPredict:
             "(input_length 300)\n")
         assert not out.exists()
 
-    def test_out_of_memory_is_one_line_exit_4(self, preprocessed, tmp_path):
-        """A checkpoint whose manifest names a far bigger model than its arrays
-        runs out of memory while the model is built; `eval` ends with exit 4
-        and one stderr line, not a traceback. The child's address space is
-        capped well above a normal run's, so the allocation fails at once,
-        and the unedited checkpoint evaluates under the same cap."""
-        cfg, _ = preprocessed
+    @staticmethod
+    def run_capped(*argv) -> subprocess.CompletedProcess:
+        """`main(argv)` in a child whose address space is capped at 8 GiB,
+        well above a normal run's, so that an allocation bomb fails at once."""
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30))\n"
+                "from sleepstage.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    def test_oversized_manifest_exits_3_before_allocating(self, preprocessed, tmp_path):
+        """A checkpoint whose manifest names a far bigger model than its
+        arrays is refused by its shape check, before the model it names is
+        allocated: `eval` and `predict` end with exit 3 and one stderr line
+        naming the file and its first mismatched entry. The unedited
+        checkpoint evaluates under the same cap."""
+        cfg, corpus = preprocessed
         ckpt, big = tmp_path / "m.ckpt", tmp_path / "big.ckpt"
         save_checkpoint(init_params(ModelConfig(branch_channels=2, input_length=300,
                                                 pool_sizes=(8, 4, 4)), seed=0),
@@ -904,21 +917,47 @@ class TestTrainEvalPredict:
         manifest, arrays = load_arrays(ckpt)
         save_arrays(arrays, format_kv(_edited(parse_kv_text(manifest),
                                               {"model.branch_channels": "100000"})), big)
-        code = ("import resource, sys\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30))\n"
-                "from sleepstage.cli import main\n"
-                "sys.exit(main(sys.argv[1:]))\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        assert self.run_capped("eval", "--config", cfg, "--checkpoint", ckpt,
+                               "--out", tmp_path / "ok").returncode == 0
+        for argv in (["eval", "--config", cfg], ["predict", "--edf", corpus / "subjA-PSG.edf"]):
+            done = self.run_capped(*argv, "--checkpoint", big, "--out", tmp_path / "big")
+            assert (done.returncode, done.stderr) == (cli.EXIT_DATA, (
+                f"data error: {big}: checkpoint entry 'branch3.conv1.weight' has shape "
+                f"(2, 1, 3), config expects (100000, 1, 3)\n"))
 
-        def run(path: Path) -> subprocess.CompletedProcess:
-            return subprocess.run([sys.executable, "-c", code, "eval", "--config", cfg,
-                                   "--checkpoint", path, "--out", tmp_path / path.stem],
-                                  env=env, capture_output=True, text=True, timeout=300)
-        assert run(ckpt).returncode == 0
-        done = run(big)
-        assert done.returncode == cli.EXIT_RUNTIME, done.stderr
-        assert done.stderr.startswith("runtime error: out of memory: ")
-        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    def test_oversized_model_exits_2_before_writing(self, preprocessed, tmp_path):
+        """`train` refuses a model whose training state, 52 bytes a value,
+        exceeds MemAvailable, before `config.resolved` or `split.json` is
+        written."""
+        _, corpus = preprocessed
+        out = tmp_path / "big"
+        done = self.run_capped("train", "--config", write_config(
+            tmp_path, corpus, "model.branch_channels = 100000"), "--out", out)
+        assert done.returncode == cli.EXIT_CONFIG, done.stderr
+        assert re.fullmatch(r"configuration error: the model's training state needs "
+                            r"113100963301352 bytes, more than the \d+ bytes of "
+                            r"MemAvailable\n", done.stderr)
+        assert not out.exists()
+
+    def test_out_of_memory_is_one_line_exit_4(self, preprocessed, tmp_path, capsys,
+                                              monkeypatch):
+        """A `MemoryError` that escapes a command ends with exit 4 and one
+        stderr line, not a traceback."""
+        cfg, _ = preprocessed
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(ModelConfig(branch_channels=2, input_length=300,
+                                                pool_sizes=(8, 4, 4)), seed=0),
+                        ckpt, EEG_CHANNEL, SplitConfig(kind="holdout", ratio=0.5))
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 224. GiB")
+
+        monkeypatch.setattr(evaluation, "evaluate", exhausted)
+        assert run_cli("eval", "--config", cfg, "--checkpoint", ckpt,
+                       "--out", tmp_path / "eval") == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "runtime error: out of memory: Unable to allocate 224. GiB\n"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("split, stem", [("kfold:3", "fold1"), ("holdout:0.5", "holdout")])
     def test_eval_reproduces_train_metrics(self, preprocessed, tmp_path, split, stem):

@@ -1,4 +1,6 @@
 """Architecture contracts: shapes, attention properties, init, parameter count."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from sleepstage import autograd as ag
 from sleepstage.autograd import Tensor
 from sleepstage.checkpoint import load_arrays, load_checkpoint, save_arrays, save_checkpoint
 from sleepstage.edf import N_STAGES
-from sleepstage.errors import SleepStageError
+from sleepstage.errors import DataError, SleepStageError
 from sleepstage.evaluation import SplitConfig
 from sleepstage.model import (
     ModelConfig,
@@ -216,8 +218,7 @@ class TestChannelAttention:
 
     def test_wrong_channel_count(self):
         cfg, mp = micro_params()
-        with pytest.raises(SleepStageError,
-                           match=r"^channel_attention expects 12 channels, got \(1, 5, 16\)$"):
+        with pytest.raises(SleepStageError, match=r"^linear: x \(1, 5\) vs weight \(12, 3\)$"):
             channel_attention(mp, 0, Tensor(np.zeros((1, 5, 16))), training=False)
 
 
@@ -290,6 +291,11 @@ class TestAttentionBlock:
         tensor_sum(ag.mul(out, out)).backward()
         assert x.grad is not None
         assert np.any(x.grad != 0)
+
+    def test_wrong_channel_count(self):
+        cfg, mp = micro_params()
+        with pytest.raises(SleepStageError, match=r"^conv1d: 5 input channels vs kernel 12$"):
+            attention_block(mp, 0, Tensor(np.zeros((1, 5, 16))), training=False)
 
 
 class TestModelForward:
@@ -410,3 +416,22 @@ class TestCheckpointState:
         x = RNG.normal(size=(2, 1, 64))
         np.testing.assert_array_equal(model_forward(back, Tensor(x)).data,
                                       model_forward(mp, Tensor(x)).data)
+
+    def test_oversized_config_is_refused_before_allocating(self):
+        """Arrays of a 2-channel model against a config of 100,000 branch
+        channels, as a checkpoint whose manifest was edited gives them: the
+        first mismatched entry is named, and nothing of the ~17 TB of float64
+        that the config names is allocated."""
+        small = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8, 4, 4))
+        arrays = init_params(small, seed=0).state_arrays()
+        big = ModelConfig(branch_channels=100000, input_length=300, pool_sizes=(8, 4, 4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"^checkpoint entry 'branch3\.conv1\.weight' "
+                                                r"has shape \(2, 1, 3\), config expects "
+                                                r"\(100000, 1, 3\)$"):
+                ModelParams.from_state(big, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

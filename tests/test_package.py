@@ -1,6 +1,7 @@
 """Rules that hold for every module of the sleepstage package."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -165,3 +166,21 @@ def test_every_import_is_used():
                    if name not in read
                    and not (path.name == "cli.py" and name.startswith("EXIT_"))]
     assert unused == []
+
+
+def test_layer_names_are_built_only_by_the_model():
+    """No module but `model` builds a layer name (`branch{k}`, `block{i}` or
+    `head.fc` in a string literal): `model.layers` is the one place a layer
+    and its shape are spelled, and the rest of the package reads the model's
+    arrays by the names it holds."""
+    layer_name = re.compile(r"\b(branch|block)[{\d]|head\.fc")
+    found = []
+    for path in sorted(Path(sleepstage.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if (isinstance(node, ast.JoinedStr) or isinstance(node, ast.Constant)
+                      and isinstance(node.value, str))
+                  and layer_name.search(ast.unparse(node))]
+    assert found == []
