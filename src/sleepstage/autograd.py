@@ -167,24 +167,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-class ParamTensor(Tensor):
-    """Learnable tensor with a stable name used by the checkpoint container.
-    Its .grad is assignable, as an optimizer's gradient input."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str, data):
-        super().__init__(data, requires_grad=True)
-        self.name = name
-
-    @Tensor.grad.setter
-    def grad(self, value: np.ndarray | None) -> None:
-        self.node.grad = value
-
-    def __repr__(self):
-        return f"ParamTensor({self.name!r}, shape={self.shape})"
-
-
 def _records(*parents: Tensor) -> bool:
     """Whether an op on `parents` joins the backward graph."""
     return any(p.node is not None for p in parents)
@@ -503,16 +485,6 @@ def concat(xs: Sequence[Tensor]) -> Tensor:
 
 # --- batch normalization ---
 
-class RunningStats:
-    """Per-channel running mean/var used by batch norm in eval mode."""
-
-    __slots__ = ("mean", "var")
-
-    def __init__(self, channels: int):
-        self.mean = np.zeros(channels, dtype=np.float64)
-        self.var = np.ones(channels, dtype=np.float64)
-
-
 class ReplicaGroup:
     """Replicas of one model, each forwarding its own rows of one batch in its
     own thread. Training-mode batch norm gathers the replicas' per-channel
@@ -550,7 +522,7 @@ class ReplicaGroup:
         try:
             yield
         finally:
-            _REPLICA.group = None
+            _REPLICA.group, _REPLICA.rank = None, 0
 
 
 class _Replica(threading.local):
@@ -576,17 +548,19 @@ def _pooled_moments(parts) -> tuple:
     return n, mean, m2
 
 
-def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
-                 training: bool) -> Tensor:
+def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
+                 running_var: Tensor, training: bool) -> Tensor:
     """Normalize per channel over (batch, width) for [B,C,W] or batch for [B,C].
 
     Training mode uses biased batch statistics and folds them into the
-    running stats as running = (1-BN_MOMENTUM)*running + BN_MOMENTUM*batch;
-    both modes divide by sqrt(var + BN_EPS). Inside
-    `ReplicaGroup.member` the batch is every replica's rows together: the
-    forward gathers each replica's (count, mean, M2) and the backward its
-    sums of g and g*xhat, both in rank order, so each replica computes what
-    one graph over the whole batch computes for its rows.
+    running tensors, rebinding each one's .data to
+    (1-BN_MOMENTUM)*running + BN_MOMENTUM*batch; both modes divide by
+    sqrt(var + BN_EPS). Inside `ReplicaGroup.member` the batch is every
+    replica's rows together: the forward gathers each replica's (count, mean,
+    M2) and the backward its sums of g and g*xhat, both in rank order, so
+    each replica computes what one graph over the whole batch computes for its
+    rows. Every replica then holds the same statistics, so only rank 0 folds
+    them, and replicas may share their running tensors.
     """
     if x.ndim not in (2, 3):
         raise SleepStageError(f"batch_norm1d expects [B,C,W] or [B,C], got {x.shape}")
@@ -606,13 +580,14 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
             n, mu, m2 = _pooled_moments(group.allgather(rank, (n, mu, m2)))
             np.subtract(x3, mu[:, None], out=xhat)
         var = m2 / n
-        stats.mean = (1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * mu
-        stats.var = (1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * var
+        if rank == 0:
+            running_mean.data = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mu
+            running_var.data = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * var
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv[:, None]
     else:
-        inv = 1.0 / np.sqrt(stats.var + BN_EPS)
-        xhat = (x3 - stats.mean[:, None]) * inv[:, None]
+        inv = 1.0 / np.sqrt(running_var.data + BN_EPS)
+        xhat = (x3 - running_mean.data[:, None]) * inv[:, None]
     out = xhat * gamma.data[:, None]
     out += beta.data[:, None]
     xn, gn, bn, gd = x.node, gamma.node, beta.node, gamma.data

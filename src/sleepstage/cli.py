@@ -320,7 +320,7 @@ def _check_training_fits(model: ModelConfig) -> None:
     value, for five float64 copies (master, gradient, Adam m and v, the kept
     best) and three float32 ones (replica weights, two replica gradients).
     Where /proc/meminfo cannot be read, nothing is checked."""
-    need = 52 * sum(math.prod(shape) for shape in state_shapes(model).values())
+    need = 52 * sum(math.prod(shape) for _, shape in state_shapes(model))
     try:
         meminfo = Path("/proc/meminfo").read_text(encoding="ascii")
         available = 1024 * int(re.search(r"^MemAvailable:\s*(\d+) kB$", meminfo, re.M)[1])

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from . import autograd as ag
-from .autograd import ParamTensor, RunningStats, Tensor
+from .autograd import Tensor
 from .edf import N_STAGES
 from .errors import DataError, SleepStageError
 
@@ -78,95 +79,88 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All learnable tensors plus batch-norm running stats, by name."""
+    """A model's whole state by name, in `state_shapes` order: each learnable
+    array as a tensor that requires grad, and each batch norm's running mean
+    and variance as a plain tensor."""
 
     cfg: ModelConfig
-    params: dict[str, ParamTensor] = field(default_factory=dict)
-    bn_stats: dict[str, RunningStats] = field(default_factory=dict)
+    tensors: dict[str, Tensor] = field(default_factory=dict)
 
-    def __getitem__(self, name: str) -> ParamTensor:
-        return self.params[name]
+    def __getitem__(self, name: str) -> Tensor:
+        return self.tensors[name]
 
-    def parameters(self) -> list[ParamTensor]:
-        return list(self.params.values())
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+    def parameters(self) -> dict[str, Tensor]:
+        """The learnable tensors by name."""
+        return {name: t for name, t in self.tensors.items() if t.requires_grad}
 
     def copy(self) -> "ModelParams":
         return ModelParams.from_state(self.cfg, self.state_arrays())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {name: p.data for name, p in self.params.items()}
-        for name, s in self.bn_stats.items():
-            arrays[f"{name}.running_mean"] = s.mean
-            arrays[f"{name}.running_var"] = s.var
-        return arrays
+        return {name: t.data for name, t in self.tensors.items()}
 
     @classmethod
     def from_state(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
         """Inverse of `state_arrays`: a model holding float64 copies of
         `arrays`, which must hold every entry of `state_shapes(cfg)` with its
-        shape. Every shape is checked before anything is allocated."""
-        shapes = state_shapes(cfg)
-        for name, shape in shapes.items():
+        shape. Every entry is checked before anything is allocated, and the
+        check stops at the first one that is missing or misshapen."""
+        for name, shape in state_shapes(cfg):
             if name not in arrays:
                 raise DataError(f"checkpoint lacks entry {name!r}")
             if arrays[name].shape != shape:
                 raise DataError(f"checkpoint entry {name!r} has shape {arrays[name].shape}, "
                                 f"config expects {shape}")
-        mp = cls(cfg)
-        for name in shapes:
-            data = np.array(arrays[name], dtype=np.float64)
-            bn, _, stat = name.rpartition(".running_")
-            if bn:
-                setattr(mp.bn_stats.setdefault(bn, RunningStats(data.size)), stat, data)
-            else:
-                mp.params[name] = ParamTensor(name, data)
-        return mp
+        return cls(cfg, {name: Tensor(np.array(arrays[name], dtype=np.float64),
+                                      requires_grad=".running_" not in name)
+                         for name, _ in state_shapes(cfg)})
 
 
-def layers(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str | None]]:
+def layers(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], str | None]]:
     """(name, weight shape, the batch norm that follows it or None) of every
     layer, in `state_arrays` order: the one place a layer's shape is written.
     A conv weight is [C_out, C_in, K], a linear one [F_in, F_out]."""
     c, bc, rc = cfg.attention_channels, cfg.branch_channels, cfg.reduced_channels
-    table = []
     for k in cfg.branch_kernel_sizes:
         b = f"branch{k}"
-        table += [(f"{b}.conv1", (bc, 1, k), f"{b}.bn1"),
-                  (f"{b}.conv2", (bc, bc, k), f"{b}.bn2"),
-                  (f"{b}.proj", (bc, 1, 1), None)]
+        yield f"{b}.conv1", (bc, 1, k), f"{b}.bn1"
+        yield f"{b}.conv2", (bc, bc, k), f"{b}.bn2"
+        yield f"{b}.proj", (bc, 1, 1), None
     for i in range(cfg.attention_blocks):
         b = f"block{i}"
-        table += [(f"{b}.conv1", (c, c, 3), f"{b}.bn1"),
-                  (f"{b}.conv2", (c, c, 3), f"{b}.bn2"),
-                  (f"{b}.ca.fc1", (c, rc), f"{b}.ca.bn"),
-                  (f"{b}.ca.fc2", (rc, c), None),
-                  (f"{b}.sa.gate", (1, 2, cfg.spatial_kernel), None),
-                  (f"{b}.sa.mix", (c, c, 1), None)]
-    return table + [("head.fc", (c, N_STAGES), None)]
+        yield f"{b}.conv1", (c, c, 3), f"{b}.bn1"
+        yield f"{b}.conv2", (c, c, 3), f"{b}.bn2"
+        yield f"{b}.ca.fc1", (c, rc), f"{b}.ca.bn"
+        yield f"{b}.ca.fc2", (rc, c), None
+        yield f"{b}.sa.gate", (1, 2, cfg.spatial_kernel), None
+        yield f"{b}.sa.mix", (c, c, 1), None
+    yield "head.fc", (c, N_STAGES), None
 
 
-def state_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every array `state_arrays` returns, in its order: each
-    layer's weight, bias, batch-norm gamma and beta, then the running stats."""
-    params, stats = {}, {}
+def state_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every array `state_arrays` returns, in its order: each
+    layer's weight, bias, batch-norm gamma and beta, then the running stats.
+    Built lazily, so a reader that stops early never walks a long model."""
+    def width(shape: tuple[int, ...]) -> tuple[int]:
+        return (shape[0] if len(shape) == 3 else shape[1],)  # output channels
+
     for name, shape, bn in layers(cfg):
-        width = (shape[0] if len(shape) == 3 else shape[1],)  # output channels
-        params[f"{name}.weight"], params[f"{name}.bias"] = shape, width
+        yield f"{name}.weight", shape
+        yield f"{name}.bias", width(shape)
         if bn is not None:
-            params[f"{bn}.gamma"] = params[f"{bn}.beta"] = width
-            stats[f"{bn}.running_mean"] = stats[f"{bn}.running_var"] = width
-    return params | stats
+            yield f"{bn}.gamma", width(shape)
+            yield f"{bn}.beta", width(shape)
+    for _, shape, bn in layers(cfg):
+        if bn is not None:
+            yield f"{bn}.running_mean", width(shape)
+            yield f"{bn}.running_var", width(shape)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     """Glorot-uniform conv/FC weights, zero biases, unit-gamma batch norms."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     arrays = {}
-    for name, shape in state_shapes(cfg).items():
+    for name, shape in state_shapes(cfg):
         if name.endswith(".weight"):
             # fan_in + fan_out: (C_in + C_out) * K of a conv, F_in + F_out of a linear
             limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
@@ -188,25 +182,22 @@ def inference_params(mp: ModelParams, dtype=np.float32) -> ModelParams:
     and no running stats, so the forward skips each one, and it holds plain
     tensors, so no op on it records a backward graph.
     """
-    arrays = {name: p.data for name, p in mp.params.items()}
+    arrays = mp.state_arrays()
     for layer, bn in [(name, bn) for name, _, bn in layers(mp.cfg) if bn]:
-        st = mp.bn_stats[bn]
         w = arrays[f"{layer}.weight"]
-        scale = arrays.pop(f"{bn}.gamma") / np.sqrt(st.var + ag.BN_EPS)
+        scale = arrays.pop(f"{bn}.gamma") / np.sqrt(arrays.pop(f"{bn}.running_var") + ag.BN_EPS)
         # a conv weight is [C_out, C_in, K], a linear one [F_in, F_out]
         arrays[f"{layer}.weight"] = w * (scale[:, None, None] if w.ndim == 3 else scale)
-        arrays[f"{layer}.bias"] = ((arrays[f"{layer}.bias"] - st.mean) * scale
-                                   + arrays.pop(f"{bn}.beta"))
-    out = ModelParams(mp.cfg)
-    out.params = {name: Tensor(a.astype(dtype)) for name, a in arrays.items()}
-    return out
+        arrays[f"{layer}.bias"] = ((arrays[f"{layer}.bias"] - arrays.pop(f"{bn}.running_mean"))
+                                   * scale + arrays.pop(f"{bn}.beta"))
+    return ModelParams(mp.cfg, {name: Tensor(a.astype(dtype)) for name, a in arrays.items()})
 
 
 def _bn(mp: ModelParams, name: str, x: Tensor, training: bool) -> Tensor:
-    if name not in mp.bn_stats:  # folded by `inference_params`
+    if f"{name}.gamma" not in mp.tensors:  # folded by `inference_params`
         return x
     return ag.batch_norm1d(x, mp[f"{name}.gamma"], mp[f"{name}.beta"],
-                           mp.bn_stats[name], training)
+                           mp[f"{name}.running_mean"], mp[f"{name}.running_var"], training)
 
 
 def _conv(mp: ModelParams, name: str, x: Tensor, padding: int = 0) -> Tensor:

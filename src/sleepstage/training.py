@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import evaluation, parallel
-from .autograd import ParamTensor, RunningStats, Tensor
+from .autograd import Tensor
 from .edf import N_STAGES, EpochSet
 from .errors import DataError, EmptySplit, SleepStageError
 from .files import write_csv_atomic
@@ -123,24 +123,23 @@ ADAM_EPS = 1e-8
 class AdamState:
     """First/second moment estimates plus the shared step counter."""
 
-    def __init__(self, params: Sequence[ParamTensor]):
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+    def __init__(self, params: dict[str, Tensor]):
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.step = 0
 
 
-def adam_step(params: Sequence[ParamTensor], state: AdamState,
-              cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place."""
+def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update of the tensors by name, in place."""
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for p in params:
+    for name, p in params.items():
         if p.grad is None:
-            raise SleepStageError(f"parameter {p.name!r} has no gradient")
+            raise SleepStageError(f"parameter {name!r} has no gradient")
         g = p.grad
-        m = state.m[p.name]
-        v = state.v[p.name]
+        m = state.m[name]
+        v = state.v[name]
         m *= b1
         m += (1 - b1) * g
         v *= b2
@@ -240,20 +239,18 @@ def train(epochs: EpochSet,
     weights = class_weights(proportions_from_labels(labels[train_idx]))
 
     mp = initial.copy() if initial is not None else init_params(model_cfg, seed=cfg.seed)
-    # two float32 replicas; replica 0 shares mp's running stats, so its
-    # training-mode forwards fold each whole batch's statistics into mp's
-    # float64 stats, and replica 1's stats are its own and never read.
-    # Replica 1's tensors hold replica 0's weight arrays, each with its own
-    # .grad, so one cast per step updates both.
-    replicas = [ModelParams(mp.cfg, bn_stats=mp.bn_stats),
-                ModelParams(mp.cfg, bn_stats={name: RunningStats(s.mean.size)
-                                              for name, s in mp.bn_stats.items()})]
-    replicas[0].params = {name: ParamTensor(name, p.data.astype(np.float32))
-                          for name, p in mp.params.items()}
-    replicas[1].params = {name: ParamTensor(name, p.data)
-                          for name, p in replicas[0].params.items()}
-    triples = list(zip(mp.parameters(), *(work.parameters() for work in replicas)))
-    state = AdamState(mp.parameters())
+    # two float32 replicas that share mp's running-stat tensors, into which
+    # replica 0's training-mode forwards fold each whole batch's statistics
+    # in float64. Replica 1's tensors hold replica 0's weight arrays, each
+    # with its own .grad, so one cast per step updates both.
+    params = mp.parameters()
+    work = {name: Tensor(t.data.astype(np.float32), requires_grad=True)
+            for name, t in params.items()}
+    replicas = [ModelParams(mp.cfg, mp.tensors | work),
+                ModelParams(mp.cfg, mp.tensors | {name: Tensor(t.data, requires_grad=True)
+                                                  for name, t in work.items()})]
+    triples = list(zip(params.values(), *(r.parameters().values() for r in replicas)))
+    state = AdamState(params)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_SHUFFLE_STREAM,)))
 
@@ -290,16 +287,16 @@ def train(epochs: EpochSet,
                 loss = synced_step(pool, replicas, batch, rows, labels, weights)
                 for master, w0, w1 in triples:
                     # replica 0's gradient plus replica 1's, each in float64
-                    master.grad = None
+                    master.zero_grad()
                     if w0.grad is not None:
-                        master.grad = w0.grad.astype(np.float64)
-                        master.grad += w1.grad
+                        master.accumulate_grad(w0.grad.astype(np.float64))
+                        master.accumulate_grad(w1.grad)
                 norm = np.sqrt(sum(np.vdot(m.grad, m.grad) for m, _, _ in triples
                                    if m.grad is not None))
                 if not (np.isfinite(loss) and np.isfinite(norm)):
                     raise SleepStageError(f"training stopped at pass {p}, step {state.step + 1}: "
                                           f"loss {loss}, gradient norm {norm}")
-                adam_step(mp.parameters(), state, cfg)
+                adam_step(params, state, cfg)
                 losses.append(loss)
 
         result = evaluation.evaluate(mp, epochs, val_idx)

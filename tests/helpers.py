@@ -41,7 +41,7 @@ def micro_model_config(**overrides) -> ModelConfig:
 
 def parameter_count(cfg: ModelConfig) -> int:
     mp = init_params(cfg, seed=0)
-    return sum(p.data.size for p in mp.parameters())
+    return sum(p.data.size for p in mp.parameters().values())
 
 
 def from_display(rows) -> ConfusionMatrix:
@@ -264,15 +264,26 @@ def use_reference_forward(monkeypatch) -> None:
     monkeypatch.setattr(model, "multiscale_forward", reference_multiscale_forward)
 
 
+def running_stats(channels: int) -> tuple[Tensor, Tensor]:
+    """A fresh batch norm's running mean and variance: zeros and ones."""
+    return Tensor(np.zeros(channels)), Tensor(np.ones(channels))
+
+
+def batch_norms(mp: ModelParams) -> list[str]:
+    """The name of each batch norm whose running stats mp holds, in order."""
+    return [name.removesuffix(".running_mean") for name in mp.tensors
+            if name.endswith(".running_mean")]
+
+
 def randomize_batch_norms(mp: ModelParams, rng: np.random.Generator) -> ModelParams:
     """Give every batch norm of mp random gamma, beta and running mean/var,
     so that a wrong fold shows (a fresh model's norms are the identity)."""
-    for name, stats in mp.bn_stats.items():
-        n = stats.mean.size
+    for name in batch_norms(mp):
+        n = mp[f"{name}.gamma"].data.size
         mp[f"{name}.gamma"].data[...] = rng.uniform(0.5, 1.5, n)
         mp[f"{name}.beta"].data[...] = rng.normal(0.0, 0.3, n)
-        stats.mean[...] = rng.normal(0.0, 0.3, n)
-        stats.var[...] = rng.uniform(0.5, 2.0, n)
+        mp[f"{name}.running_mean"].data[...] = rng.normal(0.0, 0.3, n)
+        mp[f"{name}.running_var"].data[...] = rng.uniform(0.5, 2.0, n)
     return mp
 
 
@@ -280,8 +291,7 @@ def graph_free(mp: ModelParams) -> ModelParams:
     """mp unfolded, each parameter a plain tensor over the same array: its
     eval-mode forward is the reference the fold is checked against, and it
     records no backward graph, so a whole batch's activations are not kept."""
-    return ModelParams(mp.cfg, {name: Tensor(p.data) for name, p in mp.params.items()},
-                       mp.bn_stats)
+    return ModelParams(mp.cfg, {name: Tensor(t.data) for name, t in mp.tensors.items()})
 
 
 # --- reference curves: the tuple-per-point sweep that roc_pr_curves ran

@@ -21,6 +21,7 @@ from helpers import (
     finite_difference_grad,
     from_display,
     micro_model_config,
+    running_stats,
     sine_epochs,
     tensor_sum,
 )
@@ -147,8 +148,8 @@ def test_criterion_2_gradient_correctness():
 
     g = Tensor(RNG.uniform(0.5, 1.5, size=3), requires_grad=True)
     beta = Tensor(RNG.normal(size=3), requires_grad=True)
-    stats = ag.RunningStats(3)
-    _fd_check(lambda: probe(ag.batch_norm1d(x, g, beta, stats, training=True)),
+    stats = running_stats(3)
+    _fd_check(lambda: probe(ag.batch_norm1d(x, g, beta, *stats, training=True)),
               [x, g, beta])
 
     y = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
@@ -180,13 +181,14 @@ def test_criterion_2_gradient_correctness():
                                 labels, weights)
 
     loss = model_loss()
-    mp.zero_grad()
+    for p in mp.parameters().values():
+        p.zero_grad()
     loss.backward()
-    analytic = {p.name: p.grad.copy() for p in mp.parameters()}
+    analytic = {name: p.grad.copy() for name, p in mp.parameters().items()}
     worst = 0.0
-    for p in mp.parameters():
+    for name, p in mp.parameters().items():
         numeric = finite_difference_grad(model_loss, p, h=1e-4)
-        rel = np.abs(analytic[p.name] - numeric) / np.maximum(1.0, np.abs(numeric))
+        rel = np.abs(analytic[name] - numeric) / np.maximum(1.0, np.abs(numeric))
         worst = max(worst, float(rel.max()))
     assert worst < 1e-4
 
@@ -248,7 +250,7 @@ def test_criterion_4_architecture_contracts():
     assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
     # the identity path still carries gradient when the attention path is dead
-    for name, p in mmp.params.items():
+    for name, p in mmp.parameters().items():
         if name.startswith("block0."):
             p.data[:] = 0.0
     xt = Tensor(RNG.normal(size=(2, 12, 16)), requires_grad=True)
@@ -270,13 +272,15 @@ def test_criterion_5a_single_batch_overfit():
     mp = init_params(cfg, seed=2)
     weights = class_weights(np.bincount(labels, minlength=5) / len(labels))
     tc = TrainConfig()
-    state = AdamState(mp.parameters())
+    params = mp.parameters()
+    state = AdamState(params)
     reached = None
     for step in range(1, 501):
         loss = weighted_ce_loss(model_forward(mp, x, training=True), labels, weights)
-        mp.zero_grad()
+        for p in params.values():
+            p.zero_grad()
         loss.backward()
-        adam_step(mp.parameters(), state, tc)
+        adam_step(params, state, tc)
         if loss.item() < 0.01:
             reached = step
             break

@@ -1,13 +1,14 @@
 """Operator semantics and gradient correctness for the tensor engine."""
 import gc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sleepstage import autograd as ag
-from sleepstage.autograd import RunningStats, Tensor
+from sleepstage.autograd import Tensor
 from sleepstage.errors import SleepStageError
 
 from sleepstage.training import weighted_ce_loss
@@ -18,6 +19,7 @@ from helpers import (
     reference_max_pool1d,
     reference_relu,
     reference_soft_threshold,
+    running_stats,
     tensor_sum,
 )
 
@@ -374,40 +376,39 @@ class TestBatchNorm:
         x = RNG.normal(size=(64, 3, 10))
         x = (x - x.mean(axis=(0, 2), keepdims=True)) / x.std(axis=(0, 2), keepdims=True)
         out = ag.batch_norm1d(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                              RunningStats(3), training=True)
+                              *running_stats(3), training=True)
         np.testing.assert_allclose(out.data, x, atol=1e-4)
 
     def test_zero_gamma_gives_beta(self):
         beta = np.array([1.0, -2.0])
         out = ag.batch_norm1d(Tensor(RNG.normal(size=(4, 2, 5))), Tensor(np.zeros(2)),
-                              Tensor(beta), RunningStats(2), training=True)
+                              Tensor(beta), *running_stats(2), training=True)
         np.testing.assert_allclose(out.data, np.broadcast_to(beta[None, :, None], (4, 2, 5)))
 
     def test_two_sample_normalization(self):
         out = ag.batch_norm1d(Tensor(np.array([[1.0], [3.0]])), Tensor(np.ones(1)),
-                              Tensor(np.zeros(1)), RunningStats(1), training=True)
+                              Tensor(np.zeros(1)), *running_stats(1), training=True)
         np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-4)
 
     def test_running_stats_update_and_eval(self):
-        stats = RunningStats(2)
-        stats.mean, stats.var = np.array([0.5, -2.0]), np.array([4.0, 0.25])
-        old_mean, old_var = stats.mean, stats.var
+        mean, var = Tensor(np.array([0.5, -2.0])), Tensor(np.array([4.0, 0.25]))
+        old_mean, old_var = mean.data, var.data
         x = RNG.normal(size=(8, 2, 6)) * 3 + 1
         ag.batch_norm1d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                        stats, training=True)
+                        mean, var, training=True)
         assert ag.BN_MOMENTUM == 0.1
-        np.testing.assert_allclose(stats.mean, 0.9 * old_mean + 0.1 * x.mean(axis=(0, 2)))
-        np.testing.assert_allclose(stats.var, 0.9 * old_var + 0.1 * x.var(axis=(0, 2)))
+        np.testing.assert_allclose(mean.data, 0.9 * old_mean + 0.1 * x.mean(axis=(0, 2)))
+        np.testing.assert_allclose(var.data, 0.9 * old_var + 0.1 * x.var(axis=(0, 2)))
         out = ag.batch_norm1d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                              stats, training=False)
-        expect = (x - stats.mean[None, :, None]) / np.sqrt(stats.var[None, :, None] + 1e-5)
+                              mean, var, training=False)
+        expect = (x - mean.data[None, :, None]) / np.sqrt(var.data[None, :, None] + 1e-5)
         np.testing.assert_allclose(out.data, expect)
 
     def test_shape_mismatch(self):
         with pytest.raises(SleepStageError,
                            match=r"^batch_norm1d: gamma \(2,\) / beta \(2,\) vs 3 channels$"):
             ag.batch_norm1d(Tensor(np.zeros((2, 3, 4))), Tensor(np.ones(2)),
-                            Tensor(np.zeros(2)), RunningStats(2), training=True)
+                            Tensor(np.zeros(2)), *running_stats(2), training=True)
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("shape", [(4, 3, 6), (5, 3)])
@@ -415,12 +416,28 @@ class TestBatchNorm:
         x = Tensor(RNG.normal(size=shape), requires_grad=True)
         gamma = Tensor(RNG.uniform(0.5, 1.5, size=3), requires_grad=True)
         beta = Tensor(RNG.normal(size=3), requires_grad=True)
-        stats = RunningStats(3)
-        stats.mean = RNG.normal(size=3)
-        stats.var = RNG.uniform(0.5, 2.0, size=3)
+        stats = Tensor(RNG.normal(size=3)), Tensor(RNG.uniform(0.5, 2.0, size=3))
         check_grad(lambda: quadratic_probe(
-            ag.batch_norm1d(x, gamma, beta, stats, training=training)),
+            ag.batch_norm1d(x, gamma, beta, *stats, training=training)),
             [x, gamma, beta])
+
+    def test_a_thread_that_left_rank_1_folds_again(self):
+        """Only rank 0 of a replica group folds running stats, and `member`
+        resets the rank on exit: a pool thread that served as replica 1 then
+        folds a groupless training-mode batch norm."""
+        mean, var = running_stats(2)
+        x = RNG.normal(size=(4, 2, 5)) * 3 + 1
+
+        def run():
+            with ag.ReplicaGroup(2).member(1):
+                pass
+            ag.batch_norm1d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), mean, var,
+                            training=True)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(run).result()
+        np.testing.assert_allclose(mean.data, 0.1 * x.mean(axis=(0, 2)))
+        np.testing.assert_allclose(var.data, 0.9 + 0.1 * x.var(axis=(0, 2)))
 
 
 class TestSavedArrays:
@@ -433,17 +450,17 @@ class TestSavedArrays:
         b = Tensor(RNG.normal(size=4), requires_grad=True)
         gamma = Tensor(RNG.uniform(0.5, 1.5, size=4), requires_grad=True)
         beta = Tensor(RNG.normal(size=4), requires_grad=True)
-        stats = RunningStats(4)
+        stats = running_stats(4)
 
         h = ag.conv1d(x, k, b, padding=1)
         freed = weakref.ref(h.data)
-        y = ag.batch_norm1d(h, gamma, beta, stats, training=True)
+        y = ag.batch_norm1d(h, gamma, beta, *stats, training=True)
         del h
         gc.collect()
         assert freed() is None
         assert y.requires_grad
         check_grad(lambda: quadratic_probe(ag.batch_norm1d(
-            ag.conv1d(x, k, b, padding=1), gamma, beta, stats, training=True)),
+            ag.conv1d(x, k, b, padding=1), gamma, beta, *stats, training=True)),
             [x, k, b, gamma, beta])
 
 
@@ -492,10 +509,9 @@ class TestBackward:
         def f32(*shape):
             return Tensor(RNG.normal(size=shape).astype(np.float32))
 
-        stats = RunningStats(3)
-        stats.mean, stats.var = stats.mean.astype(np.float32), stats.var.astype(np.float32)
+        stats = [Tensor(t.data.astype(np.float32)) for t in running_stats(3)]
         h = ag.relu(ag.conv1d(f32(2, 3, 8), f32(3, 3, 3), f32(3), padding=1))
-        h = ag.batch_norm1d(h, f32(3), f32(3), stats, training=False)
+        h = ag.batch_norm1d(h, f32(3), f32(3), *stats, training=False)
         h = ag.soft_threshold(ag.absolute(h), Tensor(np.full((2, 3, 1), 0.1, dtype=np.float32)))
         pooled = ag.max_pool1d(h, 2)
         gate = ag.sigmoid(ag.linear(ag.global_avg_pool(pooled), f32(3, 3), f32(3)))
@@ -523,11 +539,11 @@ class TestBackward:
 
         x = f32(2, 3, 16)
         h = ag.conv1d(x, f32(4, 3, 3), f32(4), padding=1)
-        h = ag.relu(ag.batch_norm1d(h, f32(4), f32(4), RunningStats(4), training=True))
+        h = ag.relu(ag.batch_norm1d(h, f32(4), f32(4), *running_stats(4), training=True))
         h = ag.max_pool1d(h, 2)  # [2,4,8]
         energy = ag.global_avg_pool(ag.absolute(h))  # [2,4]
         fc = ag.batch_norm1d(ag.linear(energy, f32(4, 4), f32(4)), f32(4), f32(4),
-                             RunningStats(4), training=True)
+                             *running_stats(4), training=True)
         gate = ag.sigmoid(fc)
         tau = ag.reshape(ag.mul(gate, energy), (2, 4, 1))
         h2 = ag.soft_threshold(h, tau)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sleepstage.checkpoint import load_arrays, save_arrays, save_checkpoint
-from sleepstage.errors import TruncatedFile
+from sleepstage.checkpoint import load_arrays, load_checkpoint, save_arrays, save_checkpoint
+from sleepstage.config import format_kv, parse_kv_text
+from sleepstage.errors import ConfigError, DataError, TruncatedFile
 from sleepstage.evaluation import SplitConfig
-from sleepstage.model import ModelConfig, init_params
+from sleepstage.model import ModelConfig, init_params, state_shapes
 
 from helpers import EEG_CHANNEL
 
@@ -145,3 +146,59 @@ class TestCheckpointFile:
         assert hashlib.sha256(blob).hexdigest() == \
             "f4521156401ea3fb52ae471edf6d6fc7be7b47cd0bfb9b372baf5b0e05ab659d"
 
+
+@pytest.fixture(scope="module")
+def pinned_blob(tmp_path_factory) -> bytes:
+    """The bytes of `test_bytes_are_pinned`'s 2-channel checkpoint."""
+    path = tmp_path_factory.mktemp("pinned") / "m.ckpt"
+    cfg = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8, 4, 4))
+    save_checkpoint(init_params(cfg, seed=0), path, EEG_CHANNEL, SplitConfig(k=3, fold=1))
+    return path.read_bytes()
+
+
+def _scaled(manifest: str, key: str, factor: int) -> str:
+    """`manifest` with each integer of `key`'s value multiplied by `factor`."""
+    values = parse_kv_text(manifest)
+    values[key] = ",".join(str(int(v) * factor) for v in values[key].split(","))
+    return format_kv(values)
+
+
+def _lengthened(manifest: str, factor: int) -> str:
+    """`manifest` with `factor` times the attention blocks, each new block
+    pooling nothing, so that the config it names is valid."""
+    values = parse_kv_text(manifest)
+    blocks = int(values["model.attention_blocks"])
+    values["model.attention_blocks"] = str(blocks * factor)
+    values["model.pool_sizes"] += ",0" * (blocks * (factor - 1))
+    return format_kv(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_any_edit_of_the_pinned_checkpoint_loads_whole_or_is_refused(pinned_blob,
+                                                                      tmp_path_factory, data):
+    """A one-byte mutation of the pinned checkpoint, or a manifest whose model
+    sizes are scaled by 10**5 or whose attention blocks by 10**4: each load
+    returns a model holding every `state_shapes` entry of its config, or
+    raises `DataError` or `ConfigError`, never another exception."""
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    edit = data.draw(st.sampled_from(["byte", "scaled", "long"]))
+    if edit == "byte":
+        blob = bytearray(pinned_blob)
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        path.write_bytes(bytes(blob))
+    else:
+        path.write_bytes(pinned_blob)
+        manifest, arrays = load_arrays(path)
+        if edit == "scaled":
+            keys = sorted(k for k in parse_kv_text(manifest) if k.startswith("model."))
+            manifest = _scaled(manifest, data.draw(st.sampled_from(keys)), 10**5)
+        else:
+            manifest = _lengthened(manifest, 10**4)
+        save_arrays(arrays, manifest, path)
+    try:
+        ckpt = load_checkpoint(path, None)
+    except (DataError, ConfigError):
+        return
+    assert [(name, a.shape) for name, a in ckpt.params.state_arrays().items()] == \
+        list(state_shapes(ckpt.params.cfg))

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import fields
 from fractions import Fraction
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from sleepstage import autograd as ag
 from sleepstage import cache, cli, errors, evaluation, fetch
-from sleepstage.autograd import ParamTensor, Tensor
+from sleepstage.autograd import Tensor
 from sleepstage.checkpoint import load_arrays, load_checkpoint, save_arrays, save_checkpoint
 from sleepstage.config import (
     DATASET_ROOT_ENV,
@@ -440,8 +441,8 @@ FAILURES = {
     "backward-twice": (
         _backward_twice, 4, "runtime", "backward() already ran on this graph"),
     "adam-without-gradient": (
-        lambda tmp_path: adam_step([p := ParamTensor("x", np.array([1.0]))], AdamState([p]),
-                                   TrainConfig()),
+        lambda tmp_path: adam_step(p := {"x": Tensor(np.array([1.0]), requires_grad=True)},
+                                   AdamState(p), TrainConfig()),
         4, "runtime", "parameter 'x' has no gradient"),
     "training-loss-nan": (
         _training_on_nan_rows, 4, "runtime",
@@ -938,6 +939,23 @@ class TestTrainEvalPredict:
                             r"113100963301352 bytes, more than the \d+ bytes of "
                             r"MemAvailable\n", done.stderr)
         assert not out.exists()
+
+    def test_long_model_is_summed_lazily(self):
+        """`train`'s memory check walks the shape table lazily, so a config of
+        10,000 default attention blocks, whose 36.6 GB of training state it
+        refuses with exit 2 wherever MemAvailable is smaller, costs it no
+        memory that grows with the config's length. The config is built
+        outside the trace."""
+        cfg = ModelConfig(attention_blocks=10_000, pool_sizes=(8,) + (0,) * 9_999)
+        tracemalloc.start()
+        try:
+            cli._check_training_fits(cfg)
+        except ConfigError as exc:
+            assert str(exc).startswith("the model's training state needs 36608388804 bytes, ")
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_out_of_memory_is_one_line_exit_4(self, preprocessed, tmp_path, capsys,
                                               monkeypatch):

@@ -30,6 +30,7 @@ from sleepstage.model import ModelConfig, init_params, model_forward
 
 import reference_results as ref
 from helpers import (
+    batch_norms,
     epoch_set,
     from_display,
     graph_free,
@@ -582,7 +583,7 @@ class TestFloat32Inference:
         monkeypatch.setattr(evaluation, "model_forward", forward)
         predict_probabilities(mp, np.random.default_rng(9).normal(size=(40, 64)), batch_size=16)
         assert len(seen) == 3 and all(p is seen[0] for p in seen)
-        assert seen[0] is not mp and seen[0].bn_stats == {}
+        assert seen[0] is not mp and batch_norms(seen[0]) == []
         assert all(out.node is None for out in logits)
         for name, a in mp.state_arrays().items():
             assert a.tobytes() == before[name], name

@@ -25,6 +25,7 @@ from sleepstage.model import (
 )
 
 from helpers import (
+    batch_norms,
     micro_model_config,
     parameter_count,
     randomize_batch_norms,
@@ -108,7 +109,8 @@ class TestBranch:
         cfg, mp = micro_params()
         x = Tensor(RNG.normal(size=(2, 1, 64)))
         out = branch_forward(mp, x, 3, training=True)
-        mp.zero_grad()
+        for p in mp.parameters().values():
+            p.zero_grad()
         tensor_sum(ag.mul(out, out)).backward()
         assert np.any(mp["branch3.proj.weight"].grad != 0)
         assert np.any(mp["branch3.conv2.weight"].grad != 0)
@@ -147,14 +149,15 @@ class TestInferenceParams:
         _, mp = micro_params(seed=3)
         mp = randomize_batch_norms(mp, RNG)
         folded = inference_params(mp, dtype=np.float64)
-        convs = [bn for bn in mp.bn_stats if not bn.endswith(".ca.bn")]
+        convs = [bn for bn in batch_norms(mp) if not bn.endswith(".ca.bn")]
         assert len(convs) == 2 * (len(mp.cfg.branch_kernel_sizes) + mp.cfg.attention_blocks)
         for bn in convs:
             conv = bn.replace(".bn", ".conv")
             c_in, k = mp[f"{conv}.weight"].shape[1:]
             x = Tensor(RNG.normal(size=(3, c_in, 64)))
             h = ag.conv1d(x, mp[f"{conv}.weight"], mp[f"{conv}.bias"], padding=k // 2)
-            expect = ag.batch_norm1d(h, mp[f"{bn}.gamma"], mp[f"{bn}.beta"], mp.bn_stats[bn],
+            expect = ag.batch_norm1d(h, mp[f"{bn}.gamma"], mp[f"{bn}.beta"],
+                                     mp[f"{bn}.running_mean"], mp[f"{bn}.running_var"],
                                      training=False).data
             out = ag.conv1d(x, folded[f"{conv}.weight"], folded[f"{conv}.bias"],
                             padding=k // 2).data
@@ -168,7 +171,8 @@ class TestInferenceParams:
             fc, bn = f"block{i}.ca.fc1", f"block{i}.ca.bn"
             x = Tensor(RNG.normal(size=(3, mp.cfg.attention_channels)))
             h = ag.linear(x, mp[f"{fc}.weight"], mp[f"{fc}.bias"])
-            expect = ag.batch_norm1d(h, mp[f"{bn}.gamma"], mp[f"{bn}.beta"], mp.bn_stats[bn],
+            expect = ag.batch_norm1d(h, mp[f"{bn}.gamma"], mp[f"{bn}.beta"],
+                                     mp[f"{bn}.running_mean"], mp[f"{bn}.running_var"],
                                      training=False).data
             out = ag.linear(x, folded[f"{fc}.weight"], folded[f"{fc}.bias"]).data
             np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12, err_msg=bn)
@@ -186,10 +190,10 @@ class TestInferenceParams:
         running stats and no gamma or beta."""
         _, mp = micro_params()
         folded = inference_params(mp)
-        assert folded.bn_stats == {}
-        assert set(folded.params) == {name for name in mp.params
-                                      if not name.endswith((".gamma", ".beta"))}
-        for name, p in folded.params.items():
+        assert batch_norms(folded) == []
+        assert set(folded.tensors) == {name for name in mp.parameters()
+                                       if not name.endswith((".gamma", ".beta"))}
+        for name, p in folded.tensors.items():
             assert p.data.dtype == np.float32 and not p.requires_grad, name
 
 
@@ -283,7 +287,7 @@ class TestAttentionBlock:
 
     def test_identity_path_carries_gradient_when_attention_zeroed(self):
         cfg, mp = micro_params()
-        for name, p in mp.params.items():
+        for name, p in mp.parameters().items():
             if name.startswith("block0."):
                 p.data[:] = 0.0
         x = Tensor(RNG.normal(size=(2, 12, 16)), requires_grad=True)
@@ -336,18 +340,18 @@ class TestInit:
     def test_same_seed_identical(self):
         cfg = micro_model_config()
         a, b = init_params(cfg, seed=9), init_params(cfg, seed=9)
-        for name in a.params:
+        for name in a.parameters():
             np.testing.assert_array_equal(a[name].data, b[name].data)
 
     def test_different_seed_differs(self):
         cfg = micro_model_config()
         a, b = init_params(cfg, seed=1), init_params(cfg, seed=2)
         assert any(np.any(a[name].data != b[name].data)
-                   for name in a.params if name.endswith(".weight"))
+                   for name in a.parameters() if name.endswith(".weight"))
 
     def test_biases_zero_gammas_one(self):
         _, mp = micro_params()
-        for name, p in mp.params.items():
+        for name, p in mp.parameters().items():
             if name.endswith(".bias") or name.endswith(".beta"):
                 np.testing.assert_array_equal(p.data, 0.0)
             if name.endswith(".gamma"):
@@ -408,11 +412,8 @@ class TestCheckpointState:
         path = tmp_path / "model.ckpt"
         save_arrays(mp.state_arrays(), "", path)
         back = ModelParams.from_state(cfg, load_arrays(path)[1])
-        for name in mp.params:
+        for name in mp.tensors:
             np.testing.assert_array_equal(back[name].data, mp[name].data)
-        for name in mp.bn_stats:
-            np.testing.assert_array_equal(back.bn_stats[name].mean, mp.bn_stats[name].mean)
-            np.testing.assert_array_equal(back.bn_stats[name].var, mp.bn_stats[name].var)
         x = RNG.normal(size=(2, 1, 64))
         np.testing.assert_array_equal(model_forward(back, Tensor(x)).data,
                                       model_forward(mp, Tensor(x)).data)
@@ -431,6 +432,25 @@ class TestCheckpointState:
                                                 r"has shape \(2, 1, 3\), config expects "
                                                 r"\(100000, 1, 3\)$"):
                 ModelParams.from_state(big, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_long_config_stops_at_its_first_missing_layer(self):
+        """Arrays of a 3-block model against a config of 100,000 attention
+        blocks, as a checkpoint whose manifest was edited gives them: the
+        check reads the shape table lazily and stops at block 3's first
+        entry, so nothing that grows with the config's length is built."""
+        small = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8, 4, 4))
+        arrays = init_params(small, seed=0).state_arrays()
+        long = ModelConfig(branch_channels=2, input_length=300, attention_blocks=100_000,
+                           pool_sizes=(8,) + (0,) * 99_999)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError,
+                               match=r"^checkpoint lacks entry 'block3\.conv1\.weight'$"):
+                ModelParams.from_state(long, arrays)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

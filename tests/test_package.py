@@ -184,3 +184,14 @@ def test_layer_names_are_built_only_by_the_model():
                       and isinstance(node.value, str))
                   and layer_name.search(ast.unparse(node))]
     assert found == []
+
+
+def test_the_engine_holds_no_model_state():
+    """`autograd`'s public classes are exactly `Tensor` and `ReplicaGroup`: a
+    model's learnable arrays and running stats are tensors by name in
+    `model.ModelParams`, so no class that holds model state moves back into
+    the engine."""
+    path = Path(sleepstage.__file__).parent / "autograd.py"
+    classes = [node.name for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+    assert classes == ["Tensor", "ReplicaGroup"]

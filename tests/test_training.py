@@ -17,7 +17,7 @@ import pytest
 from sleepstage import autograd as ag
 from sleepstage import evaluation, parallel
 from sleepstage import training as tr
-from sleepstage.autograd import ParamTensor, Tensor
+from sleepstage.autograd import Tensor
 from sleepstage.edf import StageLabel
 from sleepstage.errors import DataError, EmptySplit, SleepStageError
 from sleepstage.model import ModelConfig, ModelParams, init_params, model_forward
@@ -33,6 +33,7 @@ from sleepstage.training import (
 )
 
 from helpers import (
+    batch_norms,
     finite_difference_grad,
     micro_model_config,
     randomize_batch_norms,
@@ -161,17 +162,16 @@ class TestWeightedCELoss:
         assert np.isfinite(loss.item())
 
 
-def scalar_param(value: float):
-    from sleepstage.autograd import ParamTensor
-    return ParamTensor("x", np.array([value]))
+def scalar_param(value: float) -> Tensor:
+    return Tensor(np.array([value]), requires_grad=True)
 
 
 class TestAdam:
     def test_zero_gradient_fresh_state_no_move(self):
         p = scalar_param(1.5)
-        state = AdamState([p])
-        p.grad = np.zeros(1)
-        adam_step([p], state, TrainConfig())
+        state = AdamState({"x": p})
+        p.accumulate_grad(np.zeros(1))
+        adam_step({"x": p}, state, TrainConfig())
         assert p.data[0] == 1.5
         assert state.step == 1
 
@@ -179,9 +179,9 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=0.0005)
         for g in (0.3, -2.0, 17.0):
             p = scalar_param(1.0)
-            state = AdamState([p])
-            p.grad = np.array([g])
-            adam_step([p], state, cfg)
+            state = AdamState({"x": p})
+            p.accumulate_grad(np.array([g]))
+            adam_step({"x": p}, state, cfg)
             # bias-corrected m/sqrt(v) is exactly sign(g) at t=1 (up to eps)
             assert p.data[0] - 1.0 == pytest.approx(-cfg.learning_rate * np.sign(g),
                                                     rel=1e-6)
@@ -189,11 +189,12 @@ class TestAdam:
     def test_quadratic_bowl_converges(self):
         cfg = TrainConfig(learning_rate=0.0005)
         p = scalar_param(1.0)
-        state = AdamState([p])
+        state = AdamState({"x": p})
         magnitudes = [1.0]
         for _ in range(500):
-            p.grad = 2.0 * p.data  # d/dx x^2
-            adam_step([p], state, cfg)
+            p.zero_grad()
+            p.accumulate_grad(2.0 * p.data)  # d/dx x^2
+            adam_step({"x": p}, state, cfg)
             magnitudes.append(abs(float(p.data[0])))
         # strictly decreasing envelope: each 50-step window tops the next
         windows = [max(magnitudes[i:i + 50]) for i in range(0, 500, 50)]
@@ -202,9 +203,9 @@ class TestAdam:
 
     def test_missing_gradient(self):
         p = scalar_param(1.0)
-        state = AdamState([p])
+        state = AdamState({"x": p})
         with pytest.raises(SleepStageError, match="^parameter 'x' has no gradient$"):
-            adam_step([p], state, TrainConfig())
+            adam_step({"x": p}, state, TrainConfig())
 
 
 def tiny_dataset(n=30, length=64):
@@ -234,7 +235,7 @@ class TestTrainLoop:
         ]
         losses = [[row.train_loss for row in r.log] for r in results]
         assert losses[0] == losses[1]
-        for name in results[0].params.params:
+        for name in results[0].params.tensors:
             np.testing.assert_array_equal(results[0].params[name].data,
                                           results[1].params[name].data)
 
@@ -357,7 +358,7 @@ def spy_adam_steps(monkeypatch) -> list:
     original = tr.adam_step
 
     def spy(params, state, cfg):
-        steps.append(({p.name: p.grad.copy() for p in params}, state))
+        steps.append(({name: p.grad.copy() for name, p in params.items()}, state))
         original(params, state, cfg)
 
     monkeypatch.setattr(tr, "adam_step", spy)
@@ -389,7 +390,8 @@ class TestMixedPrecision:
         [(work0, *shape0), (work1, *shape1)] = forwards
         assert shape0 == shape1 == [4, np.float32] and work0 is not work1
         for work in (work0, work1):
-            assert all(p.data.dtype == p.grad.dtype == np.float32 for p in work.parameters())
+            assert all(p.data.dtype == p.grad.dtype == np.float32
+                       for p in work.parameters().values())
         [(grads, _)] = steps
 
         # the same step in float64 on the master weights
@@ -401,18 +403,19 @@ class TestMixedPrecision:
         loss.backward()
         assert result.log[0].train_loss == pytest.approx(loss.item(), rel=1e-4)
         # the float32 batch statistics reach the master's float64 running stats
-        for name, want in reference.bn_stats.items():
-            got = result.final_params.bn_stats[name]
-            np.testing.assert_allclose(got.mean, want.mean, rtol=1e-4, atol=1e-6)
-            np.testing.assert_allclose(got.var, want.var, rtol=1e-4, atol=1e-6)
+        for name in batch_norms(reference):
+            for stat in (f"{name}.running_mean", f"{name}.running_var"):
+                np.testing.assert_allclose(result.final_params[stat].data, reference[stat].data,
+                                           rtol=1e-4, atol=1e-6)
         # One global bound: a conv bias ahead of a batch norm has a ~1e-17
         # float64 gradient, so per-tensor relative bounds would be noise.
         # Rounding alone leaves a ~1e-6 gap. A max-pool window whose two
         # largest values differ by less than float32 resolution can route
         # its gradient to the other index; with seed 1 one such window, in
         # block 0's pool, moves the global gradient by 3.1e-3.
-        diff = sum(np.sum((grads[p.name] - p.grad) ** 2) for p in reference.parameters())
-        norm = sum(np.sum(p.grad ** 2) for p in reference.parameters())
+        diff = sum(np.sum((grads[name] - p.grad) ** 2)
+                   for name, p in reference.parameters().items())
+        norm = sum(np.sum(p.grad ** 2) for p in reference.parameters().values())
         assert norm > 0 and np.sqrt(diff / norm) <= 1e-2
 
     def test_master_state_stays_float64(self, monkeypatch):
@@ -428,9 +431,10 @@ class TestMixedPrecision:
         for name in state.m:
             assert state.m[name].dtype == state.v[name].dtype == np.float64, name
         for mp in (result.params, result.final_params):
-            assert all(p.data.dtype == np.float64 for p in mp.parameters())
-            for s in mp.bn_stats.values():
-                assert s.mean.dtype == s.var.dtype == np.float64
+            assert all(p.data.dtype == np.float64 for p in mp.parameters().values())
+            for s in batch_norms(mp):
+                assert (mp[f"{s}.running_mean"].data.dtype == mp[f"{s}.running_var"].data.dtype
+                        == np.float64)
             for name, a in mp.state_arrays().items():
                 assert a.dtype == np.float64, name
 
@@ -469,8 +473,9 @@ def default_replica_loss():
     """A builder of one 4-row default-model training loss on a float32
     replica, made as `train` makes its replicas."""
     mp = init_params(ModelConfig(), seed=0)
-    work = ModelParams(mp.cfg, bn_stats=mp.bn_stats)
-    work.params = {n: ParamTensor(n, p.data.astype(np.float32)) for n, p in mp.params.items()}
+    work = ModelParams(mp.cfg, mp.tensors | {
+        n: Tensor(p.data.astype(np.float32), requires_grad=True)
+        for n, p in mp.parameters().items()})
     x = np.random.default_rng(0).normal(size=(4, 1, 3000)).astype(np.float32)
     weights = class_weights(np.full(5, 0.2))
     return lambda: weighted_ce_loss(model_forward(work, Tensor(x), training=True),
@@ -544,15 +549,43 @@ class TestReplicas:
                                  lambda share: epochs.samples[share].astype(np.float64),
                                  epochs.labels, weights)
         assert got == pytest.approx(loss.item(), rel=1e-10, abs=0)
-        names = sorted(reference.bn_stats)
+        names = sorted(batch_norms(reference))
         for kind in ("mean", "var"):
-            assert relative_l2([getattr(replicas[0].bn_stats[n], kind) for n in names],
-                               [getattr(reference.bn_stats[n], kind) for n in names]) <= 1e-10
+            assert relative_l2([replicas[0][f"{n}.running_{kind}"].data for n in names],
+                               [reference[f"{n}.running_{kind}"].data for n in names]) <= 1e-10
         # one global bound: a conv bias ahead of a batch norm has a ~1e-16
         # true gradient, so a per-tensor relative bound would measure noise
-        params = list(reference.params)
+        params = list(reference.parameters())
         summed = [replicas[0][n].grad + replicas[1][n].grad for n in params]
         assert relative_l2(summed, [reference[n].grad for n in params]) <= 1e-10
+
+    @pytest.mark.parametrize("n_rows", [8, 7, 1])
+    def test_shared_running_stats_take_one_fold(self, n_rows, two_workers):
+        """Replicas built as `train` builds them share the master's running
+        tensors, and rank 0 alone folds the pooled statistics into them: they
+        take the one-graph update, where a fold by each rank would apply the
+        momentum twice."""
+        epochs = sine_epochs(10, seed=3)
+        master = randomize_batch_norms(init_params(ModelConfig(), seed=3),
+                                       np.random.default_rng(3))
+        batch = np.arange(n_rows)
+        reference = master.copy()
+        model_forward(reference, Tensor(epochs.samples[batch].astype(np.float64)[:, None, :]),
+                      training=True)
+
+        work = {name: Tensor(p.data.copy(), requires_grad=True)
+                for name, p in master.parameters().items()}
+        replicas = [ModelParams(master.cfg, master.tensors | work),
+                    ModelParams(master.cfg, master.tensors | {
+                        name: Tensor(p.data, requires_grad=True) for name, p in work.items()})]
+        with parallel.pool() as pool:
+            tr.synced_step(pool, replicas, batch,
+                           lambda share: epochs.samples[share].astype(np.float64),
+                           epochs.labels, np.ones(5))
+        names = sorted(batch_norms(master))
+        for kind in ("mean", "var"):
+            assert relative_l2([master[f"{n}.running_{kind}"].data for n in names],
+                               [reference[f"{n}.running_{kind}"].data for n in names]) <= 1e-10
 
     def test_bytes_do_not_depend_on_the_pool(self, worker_pool, openblas_threads,
                                              monkeypatch):
