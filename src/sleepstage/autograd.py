@@ -486,22 +486,22 @@ def concat(xs: Sequence[Tensor]) -> Tensor:
 # --- batch normalization ---
 
 class ReplicaGroup:
-    """Replicas of one model, each forwarding its own rows of one batch in its
-    own thread. Training-mode batch norm gathers the replicas' per-channel
+    """Two replicas of one model, each forwarding its own rows of one batch in
+    its own thread. Training-mode batch norm gathers the replicas' per-channel
     statistics here, so that every replica normalizes with the whole batch's
     (cross-device batch norm, Peng et al. 2018, arXiv:1711.07240). The
     replicas run the same graph, so they reach the same batch norms in the
     same order, and each gather is one barrier wait."""
 
-    def __init__(self, size: int):
-        self._parts: list = [None] * size
+    def __init__(self):
+        self._parts: list = [None, None]
         self._gathered: tuple = ()
-        self._barrier = threading.Barrier(size, action=self._gather)
+        self._barrier = threading.Barrier(2, action=self._gather)
 
     def _gather(self) -> None:
-        # runs in one thread once every replica has arrived, before any leaves;
-        # the next gather runs only once every replica has read this one
-        self._gathered, self._parts = tuple(self._parts), [None] * len(self._parts)
+        # runs in one thread once both replicas have arrived, before either
+        # leaves; the next gather runs only once both have read this one
+        self._gathered, self._parts = tuple(self._parts), [None, None]
 
     def allgather(self, rank: int, part) -> tuple:
         """Every replica's `part`, in rank order, once all have given theirs."""

@@ -296,9 +296,9 @@ def _periodic_saver(rc: RunConfig, out_dir: Path, stem: str, split: SplitConfig)
     if rc.train.checkpoint_every <= 0:
         return None
 
-    def save(pass_index: int, mp: ModelParams) -> None:
-        if pass_index % rc.train.checkpoint_every == 0:
-            save_checkpoint(mp, out_dir / f"{stem}_pass{pass_index}.ckpt", rc.channel, split)
+    def save(row: training.LogRow, mp: ModelParams) -> None:
+        if row.train_pass % rc.train.checkpoint_every == 0:
+            save_checkpoint(mp, out_dir / f"{stem}_pass{row.train_pass}.ckpt", rc.channel, split)
 
     return save
 
@@ -319,16 +319,20 @@ def _check_training_fits(model: ModelConfig) -> None:
     """Refuse a model whose training state exceeds MemAvailable: 52 bytes a
     value, for five float64 copies (master, gradient, Adam m and v, the kept
     best) and three float32 ones (replica weights, two replica gradients).
-    Where /proc/meminfo cannot be read, nothing is checked."""
-    need = 52 * sum(math.prod(shape) for _, shape in state_shapes(model))
+    The sum stops at the first running total above MemAvailable, so a long
+    config is refused without walking all of it. Where /proc/meminfo cannot
+    be read, nothing is checked."""
     try:
         meminfo = Path("/proc/meminfo").read_text(encoding="ascii")
         available = 1024 * int(re.search(r"^MemAvailable:\s*(\d+) kB$", meminfo, re.M)[1])
     except (OSError, TypeError, ValueError):
         return
-    if need > available:
-        raise ConfigError(f"the model's training state needs {need} bytes, "
-                          f"more than the {available} bytes of MemAvailable")
+    need = 0
+    for _, shape in state_shapes(model):
+        need += 52 * math.prod(shape)
+        if need > available:
+            raise ConfigError(f"the model's training state needs at least {need} bytes, "
+                              f"more than the {available} bytes of MemAvailable")
 
 
 def cmd_train(args) -> int:

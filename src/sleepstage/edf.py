@@ -75,10 +75,8 @@ class EdfHeader:
     patient_id: str
     recording_id: str
     start_datetime: dt.datetime
-    header_bytes: int
     record_count: int
     record_duration: Fraction
-    signal_count: int
     signals: list[SignalHeader] = field(default_factory=list)
 
 
@@ -241,10 +239,8 @@ def _decode(data: bytes) -> tuple[EdfHeader, np.ndarray]:
         patient_id=patient_id,
         recording_id=recording_id,
         start_datetime=start,
-        header_bytes=header_bytes,
         record_count=record_count,
         record_duration=record_duration,
-        signal_count=signal_count,
         signals=sigs,
     )
     records = np.frombuffer(data, dtype="<i2", count=record_count * record_samples,
@@ -266,12 +262,13 @@ def parse_edf(data: bytes) -> tuple[EdfHeader, list[np.ndarray]]:
     """
     header, records = _decode(data)
     return header, [records[:, _columns(header, i)].flatten()
-                    for i in range(header.signal_count)]
+                    for i in range(len(header.signals))]
 
 
 def serialize_edf(header: EdfHeader, signals: list[np.ndarray]) -> bytes:
-    """Inverse of parse_edf for synthetic files and round-trip checks."""
-    if len(signals) != header.signal_count or len(header.signals) != header.signal_count:
+    """Inverse of parse_edf for synthetic files and round-trip checks; the
+    header's byte count and signal count are those of `signals`."""
+    if len(signals) != len(header.signals):
         raise ValueError("signal count mismatch")
 
     def fw(value, width: int) -> bytes:
@@ -291,11 +288,11 @@ def serialize_edf(header: EdfHeader, signals: list[np.ndarray]) -> bytes:
         fw(header.recording_id, 80),
         fw(f"{start.day:02d}.{start.month:02d}.{start.year % 100:02d}", 8),
         fw(f"{start.hour:02d}.{start.minute:02d}.{start.second:02d}", 8),
-        fw(header.header_bytes, 8),
+        fw(256 + 256 * len(signals), 8),
         fw("", 44),
         fw(header.record_count, 8),
         fw(dur_repr, 8),
-        fw(header.signal_count, 4),
+        fw(len(signals), 4),
     ]
     parts += [fw(getattr(s, name), width)
               for name, width, _ in _SIGNAL_FIELDS for s in header.signals]
@@ -501,10 +498,8 @@ def build_edf(signals: list[tuple[SignalHeader, np.ndarray]],
         patient_id=patient_id,
         recording_id=recording_id,
         start_datetime=start or dt.datetime(1989, 4, 24, 23, 0, 0),
-        header_bytes=256 + 256 * len(signals),
         record_count=record_count,
         record_duration=record_duration,
-        signal_count=len(signals),
         signals=headers,
     )
     return serialize_edf(header, [arr for _, arr in signals])

@@ -19,6 +19,7 @@ from .errors import ChecksumMismatch, DataError, NetworkFailure
 log = logging.getLogger(__name__)
 
 _CHUNK = 1 << 16
+_TIMEOUT_S = 30.0  # per connection attempt and per blocking read
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,14 @@ def _verified(entry: ManifestEntry, dest: Path) -> bool:
     return dest.is_file() and dest.stat().st_size == entry.size and _sha256(dest) == entry.sha256
 
 
-def _download_once(entry: ManifestEntry, dest: Path, timeout: float) -> None:
+def _download_once(entry: ManifestEntry, dest: Path) -> None:
     partial = dest.with_suffix(dest.suffix + ".part")
     have = partial.stat().st_size if partial.is_file() else 0
     if have >= entry.size:
         have = 0  # a stale partial; the "wb" below truncates it
     headers = {"Range": f"bytes={have}-"} if have else {}
     request = urllib.request.Request(entry.url, headers=headers)
-    with urllib.request.urlopen(request, timeout=timeout) as resp:
+    with urllib.request.urlopen(request, timeout=_TIMEOUT_S) as resp:
         if resp.status != 206:
             have = 0  # the server sent the whole file; start over
         with open(partial, "ab" if have else "wb") as fh:
@@ -86,7 +87,7 @@ def _download_once(entry: ManifestEntry, dest: Path, timeout: float) -> None:
 
 
 def fetch_entry(entry: ManifestEntry, dataset_root: Path, retries: int = 3,
-                backoff: float = 0.5, timeout: float = 30.0) -> bool:
+                backoff: float = 0.5) -> bool:
     """Ensure one manifest entry is present and verified.
 
     Returns True when a download happened, False when the file was already
@@ -105,7 +106,7 @@ def fetch_entry(entry: ManifestEntry, dataset_root: Path, retries: int = 3,
         if attempt:
             time.sleep(backoff * (2 ** (attempt - 1)))
         try:
-            _download_once(entry, dest, timeout)
+            _download_once(entry, dest)
             return True
         except ChecksumMismatch as exc:
             last_error = exc

@@ -76,7 +76,7 @@ def hypnogram_svg(predicted, indices=None, reference=None,
     return "\n".join(lines) + "\n"
 
 
-def confusion_heatmap_svg(cm: ConfusionMatrix, title: str = "Confusion matrix") -> str:
+def confusion_heatmap_svg(cm: ConfusionMatrix) -> str:
     """5x5 heatmap in the published layout; shade = share of the true-stage row."""
     cell = 64.0
     margin_l, margin_t = 80.0, 60.0
@@ -88,7 +88,7 @@ def confusion_heatmap_svg(cm: ConfusionMatrix, title: str = "Confusion matrix") 
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(title, quote=False)}</text>',
+        f'font-family="sans-serif" font-size="13">Confusion matrix</text>',
     ]
     for j, col_stage in enumerate(DISPLAY_COL_ORDER):
         x = margin_l + j * cell + cell / 2

@@ -25,13 +25,16 @@ from .errors import DataError, SleepStageError
 class ModelConfig:
     branch_kernel_sizes: tuple[int, ...] = (3, 5, 7)
     branch_channels: int = 32
-    attention_blocks: int = 3
     channel_attention_reduction: int = 4
     spatial_kernel: int = 3
-    # pool_sizes[0] follows the branch concat; pool_sizes[i] follows block i
-    # for i < attention_blocks-1; nothing pools after the last block.
+    # one attention block per pool size: pool_sizes[0] follows the branch
+    # concat and pool_sizes[i] precedes block i; nothing pools after the last
     pool_sizes: tuple[int, ...] = (8, 4, 4)
     input_length: int = 3000
+
+    @property
+    def attention_blocks(self) -> int:
+        return len(self.pool_sizes)
 
     @property
     def attention_channels(self) -> int:
@@ -52,11 +55,10 @@ class ModelConfig:
             raise ValueError("branch kernel sizes must be odd (same-padding)")
         if self.spatial_kernel % 2 == 0:
             raise ValueError("spatial_kernel must be odd")
-        if len(self.pool_sizes) != self.attention_blocks:
-            raise ValueError("need one pool size per attention block "
-                             "(first applies after the branch concat)")
-        if self.branch_channels < 1 or self.attention_blocks < 1:
-            raise ValueError("branch_channels and attention_blocks must be >= 1")
+        if not self.pool_sizes:
+            raise ValueError("pool_sizes must hold at least one size, one per attention block")
+        if self.branch_channels < 1:
+            raise ValueError("branch_channels must be >= 1")
         if self.channel_attention_reduction < 1:
             raise ValueError("channel_attention_reduction must be >= 1")
         if any(p < 0 for p in self.pool_sizes):
@@ -275,13 +277,11 @@ def model_forward(mp: ModelParams, x, training: bool = False) -> Tensor:
     if x.shape[2] != mp.cfg.input_length:
         raise SleepStageError(
             f"model_forward expects width {mp.cfg.input_length}, got {x.shape[2]}")
-    h = multiscale_forward(mp, x, training)
-    for i in range(mp.cfg.attention_blocks):
+    h = multiscale_forward(mp, x, training)  # pools by pool_sizes[0]
+    for i, p in enumerate(mp.cfg.pool_sizes):
+        if i and p:
+            h = ag.max_pool1d(h, p)
         h = attention_block(mp, i, h, training)
-        if i + 1 < mp.cfg.attention_blocks:
-            p = mp.cfg.pool_sizes[i + 1]
-            if p:
-                h = ag.max_pool1d(h, p)
     feats = ag.global_avg_pool(h)
     return ag.linear(feats, mp["head.fc.weight"], mp["head.fc.bias"])
 

@@ -186,7 +186,7 @@ def synced_step(pool: Executor, replicas: Sequence[ModelParams], batch: np.ndarr
     """
     shares = np.array_split(batch, 2)
     weight_total = weights[labels[batch]].sum()
-    group = ag.ReplicaGroup(2)
+    group = ag.ReplicaGroup()
 
     def run(r: int) -> float:
         try:
@@ -219,14 +219,15 @@ def train(epochs: EpochSet,
           val_idx: Sequence[int],
           cfg: TrainConfig,
           model_cfg: ModelConfig,
-          augment_cfg: AugmentConfig | None = None,
+          augment_cfg: AugmentConfig = AugmentConfig(flip_probability=0.0, noise_fraction=0.0),
           initial: ModelParams | None = None,
-          on_pass: Callable[[int, ModelParams], None] | None = None,
-          stop_fn: Callable[[LogRow], bool] | None = None) -> TrainResult:
+          on_pass: Callable[[LogRow, ModelParams], bool | None] | None = None) -> TrainResult:
     """Mini-batch training with per-pass validation and best-kappa retention.
 
     Augmentation touches the training stream only; validation epochs are
-    forwarded untouched in eval mode.
+    forwarded untouched in eval mode. The default augments at zero strength,
+    which trains to the bytes of no augmentation. After each pass, `on_pass`
+    gets the pass's log row and the model; a truthy return stops the run.
     """
     train_idx = np.sort(np.asarray(train_idx, dtype=np.int64))
     val_idx = np.sort(np.asarray(val_idx, dtype=np.int64))
@@ -269,12 +270,11 @@ def train(epochs: EpochSet,
             # cache or from normalize, so no cast there); each row is
             # augmented in float64 from its stored values and rounded in
             out = epochs.samples[share].astype(np.float32, copy=False)
-            if augment_cfg is not None:
-                for j, i in enumerate(share):
-                    out[j] = augment(epochs.samples[i].astype(np.float64), augment_cfg,
-                                     np.random.default_rng(np.random.SeedSequence(
-                                         augment_cfg.rng_seed,
-                                         spawn_key=(_AUGMENT_STREAM, p, int(i)))))
+            for j, i in enumerate(share):
+                out[j] = augment(epochs.samples[i].astype(np.float64), augment_cfg,
+                                 np.random.default_rng(np.random.SeedSequence(
+                                     augment_cfg.rng_seed,
+                                     spawn_key=(_AUGMENT_STREAM, p, int(i)))))
             return out
 
         with parallel.pool() as pool:
@@ -314,9 +314,7 @@ def train(epochs: EpochSet,
             best_kappa = kappa
             best_pass = p
             best, best_result = mp.copy(), result
-        if on_pass is not None:
-            on_pass(p, mp)
-        if stop_fn is not None and stop_fn(row):
+        if on_pass is not None and on_pass(row, mp):
             break
 
     if best is None:  # kappa never defined; fall back to the last state

@@ -299,7 +299,7 @@ def synthetic_training_run():
     tc = TrainConfig(max_passes=30, seed=1)
     started = time.perf_counter()
     result = train(epochs, train_idx, val_idx, tc, cfg,
-                   stop_fn=lambda row: row.val_overall_acc is not None
+                   on_pass=lambda row, mp: row.val_overall_acc is not None
                    and row.val_overall_acc >= 97.5)
     elapsed = time.perf_counter() - started
     return epochs, train_idx, val_idx, result, elapsed

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sleepstage.checkpoint import load_arrays, load_checkpoint, save_arrays, save_checkpoint
 from sleepstage.config import format_kv, parse_kv_text
 from sleepstage.errors import ConfigError, DataError, TruncatedFile
-from sleepstage.evaluation import SplitConfig
+from sleepstage.evaluation import SplitConfig, predict_probabilities
 from sleepstage.model import ModelConfig, init_params, state_shapes
 
 from helpers import EEG_CHANNEL
@@ -142,9 +142,27 @@ class TestCheckpointFile:
         cfg = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8, 4, 4))
         save_checkpoint(init_params(cfg, seed=0), path, EEG_CHANNEL, SplitConfig(k=3, fold=1))
         blob = path.read_bytes()
-        assert len(blob) == 14710
+        assert len(blob) == 14683
         assert hashlib.sha256(blob).hexdigest() == \
+            "da55b36d4613287509a04dbf64eb15f553d87917b4ff58be733e6a571a60c1c7"
+
+    def test_a_manifest_that_counts_the_blocks_still_loads(self, pinned_blob, tmp_path):
+        """Checkpoints once also recorded the block count, `model.attention_blocks
+        = 3`, which is the length of `model.pool_sizes`. The pinned checkpoint
+        with that line is byte for byte such a file; it loads as the same
+        model and predicts the same probabilities."""
+        new, old = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
+        new.write_bytes(pinned_blob)
+        manifest, arrays = load_arrays(new)
+        save_arrays(arrays, format_kv({**parse_kv_text(manifest),
+                                       "model.attention_blocks": "3"}), old)
+        assert hashlib.sha256(old.read_bytes()).hexdigest() == \
             "f4521156401ea3fb52ae471edf6d6fc7be7b47cd0bfb9b372baf5b0e05ab659d"
+        loaded = [load_checkpoint(path, EEG_CHANNEL).params for path in (new, old)]
+        assert loaded[0].cfg == loaded[1].cfg
+        rows = np.random.default_rng(0).normal(size=(8, 300)).astype(np.float32)
+        assert predict_probabilities(loaded[1], rows).tobytes() == \
+            predict_probabilities(loaded[0], rows).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -164,11 +182,11 @@ def _scaled(manifest: str, key: str, factor: int) -> str:
 
 
 def _lengthened(manifest: str, factor: int) -> str:
-    """`manifest` with `factor` times the attention blocks, each new block
-    pooling nothing, so that the config it names is valid."""
+    """`manifest` with `factor` times the attention blocks, one per pool
+    size, each new block pooling nothing, so that the config it names is
+    valid."""
     values = parse_kv_text(manifest)
-    blocks = int(values["model.attention_blocks"])
-    values["model.attention_blocks"] = str(blocks * factor)
+    blocks = len(values["model.pool_sizes"].split(","))
     values["model.pool_sizes"] += ",0" * (blocks * (factor - 1))
     return format_kv(values)
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -55,7 +56,7 @@ from sleepstage.evaluation import (
     kfold_split,
     stage_metrics,
 )
-from sleepstage.model import ModelConfig, init_params
+from sleepstage.model import ModelConfig, init_params, state_shapes
 from sleepstage.preprocess import compute_stats
 from sleepstage.training import AdamState, TrainConfig, adam_step, class_weights, train
 
@@ -270,14 +271,16 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             build_run_config({"dataset.root": "/x", "mistyped.key": "1"})
 
-    # not configuration keys: Adam's constants, the stage count, and an
-    # augmentation switch (both augmentation strengths at 0 turn it off)
+    # not configuration keys: Adam's constants, the stage count, an
+    # augmentation switch (both augmentation strengths at 0 turn it off), and
+    # the block count (one attention block per entry of model.pool_sizes)
     @pytest.mark.parametrize("key, value", [
         ("train.adam_beta1", "1"), ("train.adam_beta1", "0.9"),
         ("train.adam_beta2", "-0.1"), ("train.adam_beta2", "nan"),
         ("train.adam_eps", "0"), ("train.adam_eps", "nan"),
         ("model.num_classes", "4"), ("model.num_classes", "5"),
-        ("augment.enabled", "false"), ("augment.enabled", "true")])
+        ("augment.enabled", "false"), ("augment.enabled", "true"),
+        ("model.attention_blocks", "3")])
     def test_removed_keys_exit_2_as_unknown(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"dataset.root = {tmp_path}\n{key} = {value}\n")
@@ -351,7 +354,6 @@ class TestConfigFormat:
             "cache.dir = /data/cache\n"
             "dataset.channel = EEG Fpz-Cz\n"
             "dataset.root = /data\n"
-            "model.attention_blocks = 3\n"
             "model.branch_channels = 32\n"
             "model.branch_kernel_sizes = 3,5,7\n"
             "model.channel_attention_reduction = 4\n"
@@ -368,6 +370,63 @@ class TestConfigFormat:
             "train.learning_rate = 0.0005\n"
             "train.max_passes = 30\n"
         )
+
+
+# a valid config file, and what an edit of it may put in: huge, negative and
+# non-finite numbers, and in about one example in ten a pool list of 10**5
+# entries, which costs ~30 ms to parse
+VALID_CONFIG_LINES = format_kv(build_run_config({"dataset.root": "/data"}).resolved()).splitlines()
+EDITED_VALUES = st.sampled_from([
+    str(10**30), "9" * 5000, "1e308", "-1", "-1e30", "nan", "inf", "-inf", "1e400",
+    ",".join([str(10**30)] * 3), "-8,4,4", "", "text"])
+CONFIG_EDITS = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 99)),
+    st.tuples(st.just("duplicate"), st.integers(0, 99), st.none() | EDITED_VALUES),
+    st.tuples(st.just("unknown"), st.sampled_from(["model.attention_blocks", "mistyped.key",
+                                                   "train.stop_fn", "model"]),
+              EDITED_VALUES))
+LONG_POOL_LISTS = st.integers(0, 9).flatmap(lambda n: st.none() if n != 1 else st.sampled_from(
+    ["8" + ",0" * 99_999, "8" + ",1" * 99_999, "8,4" + ",4" * 99_998,
+     str(10**30) + ",0" * 99_999]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CONFIG_EDITS, max_size=4), LONG_POOL_LISTS, st.none() | st.tuples(
+    st.integers(0, 2000), st.sampled_from([b"\xff", b"\x80", b"\xc3("])))
+def test_any_edit_of_a_valid_config_fits_or_is_refused(tmp_path_factory, edits, pools,
+                                                       bad_bytes):
+    """A valid config file with lines dropped or duplicated (the copy given an
+    edited value or none), unknown keys added, a 10**5-entry pool list set,
+    or bytes that are not UTF-8 inserted: loading it gives a `RunConfig`
+    that `train`'s memory check passes, or a `ConfigError`, and nothing
+    else."""
+    lines = list(VALID_CONFIG_LINES)
+    for kind, *args in edits:
+        if kind == "unknown":
+            lines.append(f"{args[0]} = {args[1]}")
+            continue
+        i = args[0] % len(lines)
+        if kind == "drop":
+            del lines[i]
+        else:
+            key = lines[i].partition("=")[0].strip()
+            lines.append(lines[i] if args[1] is None else f"{key} = {args[1]}")
+        if not lines:
+            break
+    if pools is not None:
+        lines.append(f"model.pool_sizes = {pools}")
+    blob = "\n".join(lines).encode()
+    if bad_bytes is not None:
+        at, insert = bad_bytes
+        blob = blob[:at] + insert + blob[at:]
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_bytes(blob)
+    try:
+        rc = load_run_config(path)
+        cli._check_training_fits(rc.model)
+    except ConfigError:
+        return
+    assert isinstance(rc, RunConfig)
 
 
 # exit code and stderr prefix of every error class, as main() reports them
@@ -935,8 +994,9 @@ class TestTrainEvalPredict:
         done = self.run_capped("train", "--config", write_config(
             tmp_path, corpus, "model.branch_channels = 100000"), "--out", out)
         assert done.returncode == cli.EXIT_CONFIG, done.stderr
-        assert re.fullmatch(r"configuration error: the model's training state needs "
-                            r"113100963301352 bytes, more than the \d+ bytes of "
+        # the sum stops at branch3.conv2.weight, 3e10 values
+        assert re.fullmatch(r"configuration error: the model's training state needs at least "
+                            r"1560031200000 bytes, more than the \d+ bytes of "
                             r"MemAvailable\n", done.stderr)
         assert not out.exists()
 
@@ -946,16 +1006,41 @@ class TestTrainEvalPredict:
         refuses with exit 2 wherever MemAvailable is smaller, costs it no
         memory that grows with the config's length. The config is built
         outside the trace."""
-        cfg = ModelConfig(attention_blocks=10_000, pool_sizes=(8,) + (0,) * 9_999)
+        cfg = ModelConfig(pool_sizes=(8,) + (0,) * 9_999)
         tracemalloc.start()
         try:
             cli._check_training_fits(cfg)
         except ConfigError as exc:
-            assert str(exc).startswith("the model's training state needs 36608388804 bytes, ")
+            assert str(exc).startswith("the model's training state needs at least ")
         finally:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_memory_check_stops_at_the_first_total_past_mem_available(self, monkeypatch):
+        """With MemAvailable at 1 MiB, the check of a config of 10,000
+        default attention blocks stops at the first entry whose running total
+        passes it, block0.conv1.weight, and names that total as a lower
+        bound, instead of walking the config to its end."""
+        read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda self, *args, **kwargs: (
+            "MemAvailable:    1024 kB\n" if self == Path("/proc/meminfo")
+            else read_text(self, *args, **kwargs)))
+        seen = []
+
+        def counted(cfg):
+            for entry in state_shapes(cfg):
+                seen.append(entry)
+                yield entry
+
+        monkeypatch.setattr(cli, "state_shapes", counted)
+        with pytest.raises(ConfigError, match=r"^the model's training state needs at least "
+                                              r"(\d+) bytes, more than the 1048576 bytes of "
+                                              r"MemAvailable$") as info:
+            cli._check_training_fits(ModelConfig(pool_sizes=(8,) + (0,) * 9_999))
+        assert seen[-1][0] == "block0.conv1.weight"
+        need = 52 * sum(math.prod(shape) for _, shape in seen)
+        assert info.match(f"needs at least {need} bytes")
 
     def test_out_of_memory_is_one_line_exit_4(self, preprocessed, tmp_path, capsys,
                                               monkeypatch):

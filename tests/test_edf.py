@@ -72,7 +72,7 @@ TAL_TIMES = ["+0", "+30", "-30", "+60", "", "+nan", "-inf", "+inf", "+1e400", "+
 class TestParse:
     def test_two_record_synthetic(self):
         header, signals = parse_edf(one_signal_file())
-        assert header.signal_count == 1
+        assert len(header.signals) == 1
         assert header.record_count == 2
         assert len(signals[0]) == 6000
         assert signals[0].dtype == np.int16
@@ -83,8 +83,13 @@ class TestParse:
         assert sig.label == "EEG Fpz-Cz"
         assert sig.physical_dimension == "uV"
         assert (sig.digital_min, sig.digital_max) == (-2048, 2047)
-        assert header.header_bytes == 512
         assert header.start_datetime == dt.datetime(1989, 4, 24, 23, 0, 0)
+
+    def test_counts_are_written_from_the_signals(self):
+        """`serialize_edf` writes the header's byte count and signal count
+        from the signals it is given."""
+        assert EMBEDDED_NIGHT[184:192] == b"768     "
+        assert EMBEDDED_NIGHT[252:256] == b"2   "
 
     @pytest.mark.parametrize("edits, error, match", [
         ({"patient_id": b"\xff"}, DataError, "non-ASCII bytes at offset 8"),

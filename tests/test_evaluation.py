@@ -1,6 +1,8 @@
 """Metric suite against published reference tables, splits, ROC/PR curves."""
 import itertools
+import os
 import re
+import signal
 import sys
 import threading
 import tracemalloc
@@ -759,6 +761,25 @@ class TestInferencePool:
         monkeypatch.setattr(parallel, "openblas_thread_calls", lambda: None)
         # a lost or misplaced row write would show as a differing row
         assert pooled.tobytes() == predict_probabilities(mp, samples, batch_size=1).tobytes()
+
+    def test_a_forked_child_makes_a_pool_of_its_own(self, default_model_rows,
+                                                     openblas_threads):
+        """A child forked after the pool was made holds none of its worker
+        threads. `parallel` forgets the pool in the child, so the child's
+        inference makes a new one and does not wait on workers that do not
+        exist; a child that waits is ended by SIGALRM after 30 s."""
+        mp, rows = default_model_rows
+        expect = predict_probabilities(mp, rows[:16]).tobytes()  # 4 blocks, on the pool
+        assert parallel._POOL is not None
+        pid = os.fork()
+        if pid == 0:  # the child never returns into pytest
+            try:
+                signal.alarm(30)
+                os._exit(0 if predict_probabilities(mp, rows[:16]).tobytes() == expect else 1)
+            finally:
+                os._exit(2)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_validation_leaves_training_unchanged(self, openblas_threads, monkeypatch):
         from sleepstage.training import TrainConfig, train

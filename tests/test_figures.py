@@ -2,7 +2,6 @@
 from xml.dom import minidom
 
 import numpy as np
-import pytest
 
 from sleepstage.evaluation import ConfusionMatrix
 from sleepstage.figures import confusion_heatmap_svg, hypnogram_svg
@@ -56,11 +55,12 @@ class TestHeatmapSvg:
         assert confusion_heatmap_svg(cm) == confusion_heatmap_svg(cm)
 
 
-@pytest.mark.parametrize("draw", [
-    lambda title: hypnogram_svg([4, 3, 2], reference=[4, 4, 2], title=title),
-    lambda title: confusion_heatmap_svg(ConfusionMatrix(np.eye(5, dtype=int)), title=title),
-], ids=["hypnogram", "heatmap"])
-def test_title_is_escaped_text(draw):
+def test_title_is_escaped_text():
     title = "night&1 <a> \"b\" 'c'"
-    doc = minidom.parseString(draw(title))
+    doc = minidom.parseString(hypnogram_svg([4, 3, 2], reference=[4, 4, 2], title=title))
     assert doc.getElementsByTagName("text")[0].firstChild.data == title
+
+
+def test_heatmap_title_is_fixed():
+    doc = minidom.parseString(confusion_heatmap_svg(ConfusionMatrix(np.eye(5, dtype=int))))
+    assert doc.getElementsByTagName("text")[0].firstChild.data == "Confusion matrix"

@@ -53,8 +53,8 @@ class TestConfig:
             ModelConfig(spatial_kernel=4)
         with pytest.raises(ValueError):
             ModelConfig(branch_kernel_sizes=(3, 4, 7))
-        with pytest.raises(ValueError):
-            ModelConfig(pool_sizes=(8, 4))
+        with pytest.raises(ValueError, match="pool_sizes must hold at least one size"):
+            ModelConfig(pool_sizes=())
 
     @pytest.mark.parametrize("overrides", [
         dict(input_length=30),                                 # 30 -> 8 -> 3 < 4
@@ -393,8 +393,7 @@ class TestParameterCount:
 
     def test_matches_shape_walking_oracle(self):
         for cfg in (ModelConfig(), micro_model_config(),
-                    ModelConfig(branch_channels=8, attention_blocks=2,
-                                pool_sizes=(8, 4), input_length=960)):
+                    ModelConfig(branch_channels=8, pool_sizes=(8, 4), input_length=960)):
             assert parameter_count(cfg) == self.count_by_shape_walk(cfg)
 
     def test_default_config_pinned(self):
@@ -444,8 +443,7 @@ class TestCheckpointState:
         entry, so nothing that grows with the config's length is built."""
         small = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8, 4, 4))
         arrays = init_params(small, seed=0).state_arrays()
-        long = ModelConfig(branch_channels=2, input_length=300, attention_blocks=100_000,
-                           pool_sizes=(8,) + (0,) * 99_999)
+        long = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8,) + (0,) * 99_999)
         tracemalloc.start()
         try:
             with pytest.raises(DataError,

@@ -195,3 +195,55 @@ def test_the_engine_holds_no_model_state():
     classes = [node.name for node in ast.parse(path.read_text()).body
                if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
     assert classes == ["Tensor", "ReplicaGroup"]
+
+
+def _defaulted_parameters(tree: ast.AST) -> list[tuple[str, int | None, str]]:
+    """(callee name, positional index or None, name) of each defaulted
+    parameter of each function in `tree`. A method's index leaves out `self`
+    or `cls`, and `__init__` is called by its class's name."""
+    owners = {id(item): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              for item in node.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        owner = owners.get(id(node))
+        positional = (node.args.posonlyargs + node.args.args)[owner is not None:]
+        name = owner.name if owner is not None and node.name == "__init__" else node.name
+        first = len(positional) - len(node.args.defaults)
+        found += [(name, i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+        found += [(name, None, arg.arg)
+                  for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def test_every_parameter_is_set_by_a_caller():
+    """Each defaulted parameter of a function of the package is passed, by
+    position or by keyword, in some call of the package or of perfbench: a
+    default that no caller overrides is a constant, and is written as one.
+    A call counts for every function of its name."""
+    package = [ast.parse(path.read_text(), str(path))
+               for path in sorted(Path(sleepstage.__file__).parent.glob("*.py"))]
+    perfbench = [ast.parse(path.read_text(), str(path)) for path in sorted(
+        (Path(__file__).resolve().parent.parent / "perfbench").rglob("*.py"))]
+    positions: dict[str, int] = {}  # the most positional arguments a call passes
+    keywords: dict[str, set[str]] = {}  # "**" for a call that passes **kwargs
+    for call in (node for tree in package + perfbench for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)):
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        positions[name] = max(positions.get(name, 0), 1 << 30 if starred else len(call.args))
+        keywords.setdefault(name, set()).update(kw.arg or "**" for kw in call.keywords)
+    exempt = {
+        # the console-script entry point, called with no argument
+        ("main", "argv"),
+        # the float64 reference that the tests fold against
+        ("inference_params", "dtype"),
+    }
+    unset = [f"{name}.{parameter}" for tree in package
+             for name, index, parameter in _defaulted_parameters(tree)
+             if (index is None or index >= positions.get(name, 0))
+             and not {parameter, "**"} & keywords.get(name, set())
+             and (name, parameter) not in exempt]
+    assert sorted(unset) == [], sorted(unset)

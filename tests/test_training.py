@@ -229,8 +229,7 @@ class TestTrainLoop:
         idx = np.arange(len(epochs))
         cfg = TrainConfig(max_passes=2, seed=7, batch_size=4)
         results = [
-            train(epochs, idx[:20], idx[20:], cfg, micro_model_config(),
-                  augment_cfg=None)
+            train(epochs, idx[:20], idx[20:], cfg, micro_model_config())
             for _ in range(2)
         ]
         losses = [[row.train_loss for row in r.log] for r in results]
@@ -271,26 +270,24 @@ class TestTrainLoop:
         assert [x.train_loss for x in r1.log] == [x.train_loss for x in r2.log]
 
     def test_zero_strength_augmentation_trains_like_none(self, monkeypatch):
-        """Augmentation with both strengths at 0 trains to the bytes of a run
-        without augmentation, so turning it off needs no switch of its own."""
+        """Augmentation with both strengths at 0, the default, trains to the
+        bytes of a run whose rows are not augmented at all, so turning it off
+        needs no switch of its own."""
         from sleepstage.preprocess import AugmentConfig
         epochs = tiny_dataset()
         idx = np.arange(len(epochs))
         cfg = TrainConfig(max_passes=2, seed=3, batch_size=4)
-        calls = []
-        original = tr.augment
-
-        def spy(samples, aug, rng):
-            calls.append(aug)
-            return original(samples, aug, rng)
-
-        monkeypatch.setattr(tr, "augment", spy)
         off = AugmentConfig(flip_probability=0.0, noise_fraction=0.0, rng_seed=3)
-        plain, zero = (train(epochs, idx[:20], idx[20:], cfg, micro_model_config(),
-                             augment_cfg=aug) for aug in (None, off))
-        assert calls == [off] * 40  # 20 rows a pass, 2 passes, all in the second run
-        assert [r.train_loss for r in plain.log] == [r.train_loss for r in zero.log]
-        assert state_bytes(plain) == state_bytes(zero)
+        runs = [train(epochs, idx[:20], idx[20:], cfg, micro_model_config()),
+                train(epochs, idx[:20], idx[20:], cfg, micro_model_config(), augment_cfg=off)]
+        calls = []
+        monkeypatch.setattr(tr, "augment", lambda samples, aug, rng: calls.append(aug) or samples)
+        runs.append(train(epochs, idx[:20], idx[20:], cfg, micro_model_config(),
+                          augment_cfg=off))
+        assert calls == [off] * 40  # 20 rows a pass, 2 passes
+        for run in runs[:2]:
+            assert [r.train_loss for r in run.log] == [r.train_loss for r in runs[2].log]
+            assert state_bytes(run) == state_bytes(runs[2])
 
     def test_augmentation_never_touches_validation(self, monkeypatch):
         from sleepstage.preprocess import AugmentConfig
