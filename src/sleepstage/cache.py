@@ -1,4 +1,7 @@
-"""Binary epoch cache and per-recording normalization stats files.
+"""The epoch cache, the one module that knows a recording's cache files:
+`<name>.epochs` and `<name>.src`, the fingerprint of the sources they were
+built from. An entry whose `.src` differs from what `ingest_night` would
+write now is stale. `prune` removes `.stats` files, which nothing reads.
 
 Cache layout: 4 magic bytes, u32 version, u32 epoch count N, then from byte
 12 the two columns of an EpochSet: N label bytes (stage codes), then N*L
@@ -11,22 +14,28 @@ that samples array. Both kinds of file are written atomically.
 """
 from __future__ import annotations
 
+import logging
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from . import edf, preprocess
+from .config import format_kv
 from .edf import N_STAGES, EpochSet
-from .errors import DataError, TruncatedFile
+from .errors import DataError, SleepStageError, TruncatedFile
 from .files import write_atomic, write_text_atomic
 from .preprocess import NormalizationStats
+
+log = logging.getLogger("sleepstage")
 
 _MAGIC = b"SSE1"
 VERSION = 2
 
 EPOCH_SUFFIX = ".epochs"
 STATS_SUFFIX = ".stats"
+_SRC_SUFFIX = ".src"
 
 
 def save_epochs(epochs: EpochSet, path) -> None:
@@ -123,3 +132,55 @@ def load_all(cache_dir) -> EpochSet:
     follow one another in name order."""
     paths = sorted(Path(cache_dir).glob(f"*{EPOCH_SUFFIX}"))
     return _load(paths, [subject_of(p.name[:-len(EPOCH_SUFFIX)]) for p in paths])
+
+
+def prune(cache_dir: Path, names) -> None:
+    """Remove the entries of cache names not in `names`, recordings that left
+    the corpus, so that `train` loads none of them, and every `.stats` file."""
+    suffixes = (EPOCH_SUFFIX, STATS_SUFFIX, _SRC_SUFFIX)
+    cached = {p.name[:-len(s)] for s in suffixes for p in cache_dir.glob(f"*{s}")}
+    for name in sorted(cached - set(names)):
+        for s in suffixes:
+            (cache_dir / f"{name}{s}").unlink(missing_ok=True)
+        log.info("%s: recording left the corpus, cache removed", name)
+    for path in cache_dir.glob(f"*{STATS_SUFFIX}"):
+        path.unlink()
+
+
+def ingest_night(psg_bytes: bytes, hyp_bytes: bytes | None, channel: str,
+                 cache_dir: Path, name: str, stem: str) -> EpochSet:
+    """The epochs of the night `stem`, cached in `cache_dir` as `name`: loaded
+    if up to date and whole, else read, epoched and written. A night that
+    fails loses its entry, so that `train` loads only what `preprocess`
+    counts, and its SleepStageError is raised."""
+    import hashlib  # its OpenSSL, ~4 MB of RSS, loads only where a night is ingested
+    epochs_path = cache_dir / f"{name}{EPOCH_SUFFIX}"
+    src_path = cache_dir / f"{name}{_SRC_SUFFIX}"
+    fingerprint = {"channel": channel, "cache.version": str(VERSION)}
+    for source, data in (("psg", psg_bytes), ("hyp", hyp_bytes)):
+        if data is not None:
+            fingerprint[f"{source}.size"] = str(len(data))
+            fingerprint[f"{source}.sha256"] = hashlib.sha256(data).hexdigest()
+    src_text = format_kv(fingerprint).encode()
+    if epochs_path.is_file() and src_path.is_file() and src_path.read_bytes() == src_text:
+        try:
+            epochs = load_epochs(epochs_path, subject_of(name))
+            log.info("%s: cache up to date", stem)
+            return epochs
+        except DataError as exc:
+            log.warning("%s: rebuilding damaged cache: %s", epochs_path, exc)
+    try:
+        rec, stages = preprocess.read_night(psg_bytes, hyp_bytes, channel, subject_of(name))
+        if not stages:
+            raise DataError(f"{stem}: no stage annotations found")
+        epochs = edf.epoch_recording(rec, stages)
+        if not epochs:
+            raise DataError(f"{stem}: no scorable 30-s epochs")
+    except SleepStageError:
+        for path in (epochs_path, src_path):
+            path.unlink(missing_ok=True)
+        raise
+    save_epochs(epochs, epochs_path)
+    write_atomic(src_path, lambda fh: fh.write(src_text))
+    log.info("%s: cached %d epochs", stem, len(epochs))
+    return epochs

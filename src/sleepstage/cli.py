@@ -1,4 +1,5 @@
-"""Command-line surface: fetch, preprocess, train, eval, predict, plot.
+"""Command-line surface: fetch, preprocess, train, eval, predict, plot. A
+command parses, prints and writes its outputs; the library reads a night.
 
 Exit codes: 0 success, 2 configuration problems, 3 data problems,
 4 runtime/network problems. Every run copies its resolved configuration
@@ -14,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import logging
-import math
 import os
 import re
 import sys
@@ -29,17 +28,7 @@ import numpy as np
 from . import cache, evaluation, figures, training
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import DATASET_ROOT_ENV, RunConfig, format_kv, load_run_config
-from .edf import (
-    EPOCH_SECONDS,
-    N_STAGES,
-    EpochSet,
-    StageLabel,
-    epoch_recording,
-    parse_hypnogram,
-    read_recording,
-    scored_windows,
-    windows,
-)
+from .edf import EPOCH_SECONDS, N_STAGES, EpochSet, StageLabel
 from .errors import (  # the EXIT_* codes are re-exported for callers of main()
     EXIT_CONFIG,
     EXIT_DATA,
@@ -50,9 +39,8 @@ from .errors import (  # the EXIT_* codes are re-exported for callers of main()
     SleepStageError,
 )
 from .evaluation import ConfusionMatrix, SplitConfig
-from .files import write_atomic, write_csv_atomic, write_text_atomic
-from .model import ModelConfig, ModelParams, state_shapes
-from .preprocess import compute_stats, normalize
+from .files import write_csv_atomic, write_text_atomic
+from .model import ModelConfig, ModelParams, state_sizes
 
 log = logging.getLogger("sleepstage")
 
@@ -95,11 +83,6 @@ def _write_resolved(rc: RunConfig, out_dir: Path) -> None:
     write_text_atomic(out_dir / "config.resolved", format_kv(rc.resolved()))
 
 
-def _file_fingerprint(data: bytes) -> dict[str, str]:
-    """Size and sha256 of `data`, a source file's bytes."""
-    return {"size": str(len(data)), "sha256": hashlib.sha256(data).hexdigest()}
-
-
 def discover_recordings(dataset_root: Path) -> list[tuple[Path, Path | None, str, str]]:
     """(psg, hypnogram-or-None, subject_id, recording_stem) per EDF in the corpus.
 
@@ -131,17 +114,6 @@ def discover_recordings(dataset_root: Path) -> list[tuple[Path, Path | None, str
         subject = stem[:5] if _SUBJECT_RE.match(stem) else cache.subject_of(stem)
         found.append((psg, best, subject, stem))
     return found
-
-
-def _read_night(psg_bytes: bytes, hyp_bytes: bytes | None, channel: str, subject: str):
-    """(normalized recording, its stats, stage intervals) of one night; stages
-    come from the sidecar `hyp_bytes` if given, else from the PSG's own
-    annotations ([] if none)."""
-    rec = read_recording(psg_bytes, channel, subject)
-    stages = parse_hypnogram(psg_bytes if hyp_bytes is None else hyp_bytes)
-    stats = compute_stats(rec.samples)
-    rec.samples = normalize(rec.samples, stats)
-    return rec, stats, stages
 
 
 # --- metrics serialization ---
@@ -230,55 +202,19 @@ def cmd_preprocess(args) -> int:
         other = owners.setdefault(f"{subject}__{stem}", psg)
         if other != psg:
             raise DataError(f"{other} and {psg} would share the cache name {subject}__{stem}")
-    # the cache of a recording that left the corpus must not reach `train` either
-    suffixes = (cache.EPOCH_SUFFIX, cache.STATS_SUFFIX, ".src")
-    cached = {p.name[:-len(s)] for s in suffixes for p in rc.cache_dir.glob(f"*{s}")}
-    for name in sorted(cached - owners.keys()):
-        for s in suffixes:
-            (rc.cache_dir / f"{name}{s}").unlink(missing_ok=True)
-        log.info("%s: recording left the corpus, cache removed", name)
+    cache.prune(rc.cache_dir, owners)
     last_error: SleepStageError | None = None
     totals = np.zeros(N_STAGES, dtype=np.int64)
     for psg, hyp, subject, stem in recs:
-        cache_name = f"{subject}__{stem}"
-        epochs_path = rc.cache_dir / f"{cache_name}{cache.EPOCH_SUFFIX}"
-        stats_path = rc.cache_dir / f"{cache_name}{cache.STATS_SUFFIX}"
-        src_path = rc.cache_dir / f"{cache_name}.src"
         psg_bytes = psg.read_bytes()
         hyp_bytes = None if hyp is None else hyp.read_bytes()
-        fingerprint = {f"psg.{k}": v for k, v in _file_fingerprint(psg_bytes).items()}
-        if hyp is not None:
-            fingerprint.update({f"hyp.{k}": v for k, v in _file_fingerprint(hyp_bytes).items()})
-        fingerprint["channel"] = rc.channel
-        fingerprint["cache.version"] = str(cache.VERSION)
-        # .src holds what this code writes below; any other content means a stale cache
-        src_text = format_kv(fingerprint).encode()
-        epochs = None
-        if epochs_path.is_file() and src_path.is_file() and src_path.read_bytes() == src_text:
-            try:
-                epochs = cache.load_epochs(epochs_path, subject)
-                log.info("%s: cache up to date", stem)
-            except DataError as exc:
-                log.warning("%s: rebuilding damaged cache: %s", epochs_path, exc)
-        if epochs is None:
-            try:
-                rec, stats, stages = _read_night(psg_bytes, hyp_bytes, rc.channel, subject)
-                if not stages:
-                    raise DataError(f"{stem}: no stage annotations found")
-                epochs = epoch_recording(rec, stages)
-                if not epochs:
-                    raise DataError(f"{stem}: no scorable 30-s epochs")
-            except SleepStageError as exc:
-                # a cache the table does not count must not reach `train`
-                for path in (epochs_path, stats_path, src_path):
-                    path.unlink(missing_ok=True)
-                last_error = exc
-                print(f"error: {stem}: {exc}", file=sys.stderr)
-                continue
-            cache.save_epochs(epochs, epochs_path)
-            cache.save_stats(stats, stats_path)
-            write_atomic(src_path, lambda fh: fh.write(src_text))
-            log.info("%s: cached %d epochs", stem, len(epochs))
+        try:
+            epochs = cache.ingest_night(psg_bytes, hyp_bytes, rc.channel, rc.cache_dir,
+                                        f"{subject}__{stem}", stem)
+        except SleepStageError as exc:
+            last_error = exc
+            print(f"error: {stem}: {exc}", file=sys.stderr)
+            continue
         totals += np.bincount(epochs.labels, minlength=N_STAGES)
 
     grand = int(totals.sum())
@@ -328,8 +264,8 @@ def _check_training_fits(model: ModelConfig) -> None:
     except (OSError, TypeError, ValueError):
         return
     need = 0
-    for _, shape in state_shapes(model):
-        need += 52 * math.prod(shape)
+    for size in state_sizes(model):
+        need += 52 * size
         if need > available:
             raise ConfigError(f"the model's training state needs at least {need} bytes, "
                               f"more than the {available} bytes of MemAvailable")
@@ -400,16 +336,7 @@ def cmd_predict(args) -> int:
     psg_path = Path(args.edf)
     psg_bytes = psg_path.read_bytes()
     hyp_bytes = Path(args.hypnogram).read_bytes() if args.hypnogram else None
-    rec, _, stages = _read_night(psg_bytes, hyp_bytes, channel, psg_path.stem)
-    rate = mp.cfg.input_length / EPOCH_SECONDS
-    if abs(rec.sample_rate - rate) > 1e-9:
-        raise ConfigError(
-            f"recording runs at {rec.sample_rate} Hz, checkpoint expects {rate} Hz")
-    grid = windows(rec)
-    if len(grid) == 0:
-        raise DataError(f"{psg_path.name}: shorter than one 30-s epoch")
-    pred = evaluation.predict_probabilities(mp, grid).argmax(axis=1)
-    index, labels = scored_windows(stages, len(grid))
+    pred, index, labels = evaluation.stage_night(mp, psg_bytes, hyp_bytes, channel, psg_path.name)
     reference = dict(zip(index.tolist(), (StageLabel(c).name for c in labels)))
 
     csv_path = out_dir / "predictions.csv"

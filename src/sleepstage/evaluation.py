@@ -15,9 +15,10 @@ import numpy as np
 from . import autograd as ag
 from . import parallel
 from .autograd import Tensor
-from .edf import N_STAGES, EpochSet, StageLabel
-from .errors import DataError, EmptySplit, SingleClassPresent, SleepStageError
+from .edf import EPOCH_SECONDS, N_STAGES, EpochSet, StageLabel, scored_windows, windows
+from .errors import ConfigError, DataError, EmptySplit, SingleClassPresent, SleepStageError
 from .model import ModelConfig, ModelParams, inference_params, model_forward
+from .preprocess import read_night
 
 # the conventional published layout: rows W,R,N1,N2,N3 with columns N3..W
 DISPLAY_ROW_ORDER = [StageLabel.W, StageLabel.R, StageLabel.N1, StageLabel.N2, StageLabel.N3]
@@ -352,6 +353,22 @@ def predict_probabilities(mp: ModelParams, samples: np.ndarray, batch_size: int 
 
     _run_blocks(forward, range(0, index.size, step))
     return probs
+
+
+def stage_night(mp: ModelParams, psg_bytes: bytes, hyp_bytes: bytes | None, channel: str,
+                name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(predicted stage of each 30-s window, index and labels of the windows
+    the stages score) of the night in the file `name`, read as the cache is."""
+    rec, stages = read_night(psg_bytes, hyp_bytes, channel, name)
+    rate = mp.cfg.input_length / EPOCH_SECONDS
+    if abs(rec.sample_rate - rate) > 1e-9:
+        raise ConfigError(f"recording runs at {rec.sample_rate} Hz, checkpoint expects {rate} Hz")
+    grid = windows(rec)
+    if len(grid) == 0:
+        raise DataError(f"{name}: shorter than one 30-s epoch")
+    pred = predict_probabilities(mp, grid).argmax(axis=1)
+    index, labels = scored_windows(stages, len(grid))
+    return pred, index, labels
 
 
 def evaluate(mp: ModelParams, epochs: EpochSet,

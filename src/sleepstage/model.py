@@ -139,23 +139,34 @@ def layers(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], str | None]
     yield "head.fc", (c, N_STAGES), None
 
 
+def _width(shape: tuple[int, ...]) -> tuple[int]:
+    """The shape of a layer's bias and batch-norm arrays: its output channels."""
+    return (shape[0] if len(shape) == 3 else shape[1],)
+
+
 def state_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every array `state_arrays` returns, in its order: each
     layer's weight, bias, batch-norm gamma and beta, then the running stats.
     Built lazily, so a reader that stops early never walks a long model."""
-    def width(shape: tuple[int, ...]) -> tuple[int]:
-        return (shape[0] if len(shape) == 3 else shape[1],)  # output channels
-
     for name, shape, bn in layers(cfg):
         yield f"{name}.weight", shape
-        yield f"{name}.bias", width(shape)
+        yield f"{name}.bias", _width(shape)
         if bn is not None:
-            yield f"{bn}.gamma", width(shape)
-            yield f"{bn}.beta", width(shape)
+            yield f"{bn}.gamma", _width(shape)
+            yield f"{bn}.beta", _width(shape)
     for _, shape, bn in layers(cfg):
         if bn is not None:
-            yield f"{bn}.running_mean", width(shape)
-            yield f"{bn}.running_var", width(shape)
+            yield f"{bn}.running_mean", _width(shape)
+            yield f"{bn}.running_var", _width(shape)
+
+
+def state_sizes(cfg: ModelConfig) -> Iterator[int]:
+    """The number of values each layer holds among the `state_shapes`
+    entries, layer by layer in `layers` order: its weight and bias, and with
+    a batch norm that norm's gamma, beta and running stats. Lazy, and names
+    nothing, so summing a long model costs no string per entry."""
+    for _, shape, bn in layers(cfg):
+        yield math.prod(shape) + (1 if bn is None else 5) * _width(shape)[0]
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:

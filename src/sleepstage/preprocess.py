@@ -4,6 +4,7 @@ Normalization rescales a recording's whole-night signal so the 5th percentile
 maps to -1 and the 95th to +1; values outside the band land outside [-1, 1]
 and are left unclipped. Augmentation flips an epoch in time with probability
 0.5 and adds Gaussian noise with sigma = 1% of the epoch's sample std.
+`read_night` is the one reader of a night, for the cache and `predict`.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import edf
 from .errors import DataError
 
 
@@ -141,6 +143,16 @@ def normalize(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
         with np.errstate(over="ignore"):
             out_flat[start:start + part.size] = d
     return out
+
+
+def read_night(psg_bytes: bytes, hyp_bytes: bytes | None, channel: str, subject: str):
+    """(recording normalized with its own stats, stage intervals) of one
+    night; the stages come from the sidecar `hyp_bytes` if given, else from
+    the PSG's own annotations ([] if none)."""
+    rec = edf.read_recording(psg_bytes, channel, subject)
+    stages = edf.parse_hypnogram(psg_bytes if hyp_bytes is None else hyp_bytes)
+    rec.samples = normalize(rec.samples, compute_stats(rec.samples))
+    return rec, stages
 
 
 def augment(samples: np.ndarray, cfg: AugmentConfig,

@@ -2,9 +2,9 @@
 import collections
 import csv
 import hashlib
+import itertools
 import json
 import logging
-import math
 import os
 import re
 import shutil
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sleepstage import autograd as ag
-from sleepstage import cache, cli, errors, evaluation, fetch
+from sleepstage import cache, cli, edf, errors, evaluation, fetch, model
 from sleepstage.autograd import Tensor
 from sleepstage.checkpoint import load_arrays, load_checkpoint, save_arrays, save_checkpoint
 from sleepstage.config import (
@@ -56,7 +56,7 @@ from sleepstage.evaluation import (
     kfold_split,
     stage_metrics,
 )
-from sleepstage.model import ModelConfig, init_params, state_shapes
+from sleepstage.model import ModelConfig, init_params, layers, state_sizes
 from sleepstage.preprocess import compute_stats
 from sleepstage.training import AdamState, TrainConfig, adam_step, class_weights, train
 
@@ -579,6 +579,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"{prefix} error: {message}\n"
 
 
+def counting_state_shapes(monkeypatch) -> list:
+    """Wrap `model.state_shapes` so each call appends its config to the list
+    returned."""
+    calls, state_shapes = [], model.state_shapes
+
+    def counted(cfg):
+        calls.append(cfg)
+        return state_shapes(cfg)
+
+    monkeypatch.setattr(model, "state_shapes", counted)
+    return calls
+
+
 def write_config(tmp_path: Path, corpus: Path, extra: str = "") -> Path:
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"dataset.root = {corpus}\n{MICRO_MODEL_LINES}\n{extra}\n")
@@ -605,7 +618,8 @@ class TestPreprocess:
         cache_dir = tiny_corpus / "cache"
         assert sorted(p.name for p in cache_dir.glob("*.epochs")) == [
             "subjA__subjA.epochs", "subjB__subjB.epochs"]
-        assert (cache_dir / "subjA__subjA.stats").is_file()
+        assert sorted(p.name for p in cache_dir.iterdir()) == [
+            "subjA__subjA.epochs", "subjA__subjA.src", "subjB__subjB.epochs", "subjB__subjB.src"]
 
     def test_outlier_past_float32_is_cached_as_inf_without_a_warning(self, tiny_corpus,
                                                                      tmp_path, monkeypatch):
@@ -613,13 +627,13 @@ class TestPreprocess:
         bytes of the float64 formula rounded once, and preprocess exits 0
         with no warning. A 16-bit EDF channel cannot reach that range, so
         the outlier is put into the calibrated recording."""
-        read = cli.read_recording
+        read = edf.read_recording
 
         def with_outlier(*args):
             rec = read(*args)
             rec.samples[7] = 1e300
             return rec
-        monkeypatch.setattr(cli, "read_recording", with_outlier)
+        monkeypatch.setattr(edf, "read_recording", with_outlier)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli("preprocess", "--config", write_config(tmp_path, tiny_corpus)) == 0
@@ -720,11 +734,11 @@ class TestPreprocess:
         assert "error: subjA: " in err
         cache_dir = corpus / "cache"
         assert sorted(p.name for p in cache_dir.iterdir()) == [
-            "subjB__subjB.epochs", "subjB__subjB.src", "subjB__subjB.stats"]
+            "subjB__subjB.epochs", "subjB__subjB.src"]
         assert f"total {len(cache.load_all(cache_dir)):8d}\n" in out
 
     def test_recording_that_left_the_corpus_loses_its_cache(self, tmp_path, capsys, caplog):
-        """A night deleted from the corpus loses its three cache files, with
+        """A night deleted from the corpus loses its cache files, with
         one log line, so `train` loads exactly the epochs the table counts;
         a file of another kind in the cache directory stays."""
         corpus = tmp_path / "corpus"
@@ -743,7 +757,7 @@ class TestPreprocess:
             assert run_cli("preprocess", "--config", cfg) == 0
         out = capsys.readouterr().out
         assert sorted(p.name for p in cache_dir.iterdir()) == [
-            "kept__kept.epochs", "kept__kept.src", "kept__kept.stats", "notes.txt"]
+            "kept__kept.epochs", "kept__kept.src", "notes.txt"]
         assert f"total {len(cache.load_all(cache_dir)):8d}\n" in out
         assert "total       20\n" in out
         assert [r.getMessage() for r in caplog.records if "gone" in r.getMessage()] == [
@@ -765,6 +779,25 @@ class TestPreprocess:
         assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == written
         assert any(r.levelname == "WARNING" and str(damaged) in r.getMessage()
                    for r in caplog.records)
+
+    def test_cache_with_stats_files_is_kept_and_loses_them(self, tiny_corpus, tmp_path, capsys):
+        """A cache that an older version left, with a `.stats` file of
+        normalization stats beside each entry, stays up to date: a rerun
+        leaves every `.epochs` and `.src` as it was, removes each `.stats`,
+        and prints the same table."""
+        corpus, cfg = tiny_corpus, write_config(tmp_path, tiny_corpus)
+        assert run_cli("preprocess", "--config", cfg) == 0
+        table = capsys.readouterr().out
+        cache_dir = corpus / "cache"
+        kept = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in cache_dir.iterdir()}
+        for psg, _, subject, stem in cli.discover_recordings(corpus):
+            rec = edf.read_recording(psg.read_bytes(), EEG_CHANNEL, subject)
+            cache.save_stats(compute_stats(rec.samples), cache_dir / f"{subject}__{stem}.stats")
+        assert len(list(cache_dir.glob("*.stats"))) == 2
+        assert run_cli("preprocess", "--config", cfg) == 0
+        assert capsys.readouterr().out == table
+        assert {p.name: (p.stat().st_mtime_ns, p.read_bytes())
+                for p in cache_dir.iterdir()} == kept
 
     def test_recordings_sharing_a_cache_name_are_refused(self, tmp_path, capsys):
         """One PSG file name in two directories would map to one cache file."""
@@ -994,9 +1027,9 @@ class TestTrainEvalPredict:
         done = self.run_capped("train", "--config", write_config(
             tmp_path, corpus, "model.branch_channels = 100000"), "--out", out)
         assert done.returncode == cli.EXIT_CONFIG, done.stderr
-        # the sum stops at branch3.conv2.weight, 3e10 values
+        # the sum stops at the layer branch3.conv2, whose weight holds 3e10 values
         assert re.fullmatch(r"configuration error: the model's training state needs at least "
-                            r"1560031200000 bytes, more than the \d+ bytes of "
+                            r"1560067600000 bytes, more than the \d+ bytes of "
                             r"MemAvailable\n", done.stderr)
         assert not out.exists()
 
@@ -1019,9 +1052,9 @@ class TestTrainEvalPredict:
 
     def test_memory_check_stops_at_the_first_total_past_mem_available(self, monkeypatch):
         """With MemAvailable at 1 MiB, the check of a config of 10,000
-        default attention blocks stops at the first entry whose running total
-        passes it, block0.conv1.weight, and names that total as a lower
-        bound, instead of walking the config to its end."""
+        default attention blocks stops at the first layer whose running total
+        passes it, block0.conv1, and names that total as a lower bound,
+        instead of walking the config to its end; it names no state entry."""
         read_text = Path.read_text
         monkeypatch.setattr(Path, "read_text", lambda self, *args, **kwargs: (
             "MemAvailable:    1024 kB\n" if self == Path("/proc/meminfo")
@@ -1029,18 +1062,33 @@ class TestTrainEvalPredict:
         seen = []
 
         def counted(cfg):
-            for entry in state_shapes(cfg):
-                seen.append(entry)
-                yield entry
+            for size in state_sizes(cfg):
+                seen.append(size)
+                yield size
 
-        monkeypatch.setattr(cli, "state_shapes", counted)
+        monkeypatch.setattr(cli, "state_sizes", counted)
+        shapes = counting_state_shapes(monkeypatch)
+        cfg = ModelConfig(pool_sizes=(8,) + (0,) * 9_999)
         with pytest.raises(ConfigError, match=r"^the model's training state needs at least "
                                               r"(\d+) bytes, more than the 1048576 bytes of "
                                               r"MemAvailable$") as info:
-            cli._check_training_fits(ModelConfig(pool_sizes=(8,) + (0,) * 9_999))
-        assert seen[-1][0] == "block0.conv1.weight"
-        need = 52 * sum(math.prod(shape) for _, shape in seen)
+            cli._check_training_fits(cfg)
+        assert [name for name, _, _ in itertools.islice(layers(cfg), len(seen))][-1] == (
+            "block0.conv1")
+        need = 52 * sum(seen)
         assert info.match(f"needs at least {need} bytes")
+        assert shapes == []
+
+    def test_memory_check_names_no_state_entry(self, monkeypatch):
+        """The check sums each layer's value count from `model.state_sizes`
+        and never calls `state_shapes`, which formats every entry's name."""
+        read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda self, *args, **kwargs: (
+            f"MemAvailable:    {1 << 40} kB\n" if self == Path("/proc/meminfo")
+            else read_text(self, *args, **kwargs)))
+        shapes = counting_state_shapes(monkeypatch)
+        cli._check_training_fits(ModelConfig(pool_sizes=(8,) + (0,) * 99))
+        assert shapes == [] and not hasattr(cli, "state_shapes")
 
     def test_out_of_memory_is_one_line_exit_4(self, preprocessed, tmp_path, capsys,
                                               monkeypatch):
@@ -1274,8 +1322,9 @@ class TestTrainEvalPredict:
 
     @pytest.mark.parametrize("embedded", [False, True], ids=["sidecar", "embedded"])
     def test_predict_reference_is_the_cached_labels(self, tmp_path, embedded):
-        """predict and preprocess read one night the same way: the reference
-        column at each scored window holds the label preprocess cached."""
+        """predict and preprocess read one night the same way: at each scored
+        window the reference column holds the label preprocess cached, and
+        the predicted column the model's stage for the row it cached."""
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         # window 2 is movement, 5 and 6 are partly or wholly unscored, 9 has no interval
@@ -1290,10 +1339,13 @@ class TestTrainEvalPredict:
             argv += ["--hypnogram", corpus / "n-Hypnogram.edf"]
         assert run_cli(*argv) == 0
         with open(tmp_path / "pred" / "predictions.csv", newline="") as fh:
-            scored = [(int(r["epoch_index"]), r["reference"])
+            scored = [(int(r["epoch_index"]), r["reference"], r["predicted"])
                       for r in csv.DictReader(fh) if r["reference"]]
-        assert [i for i, _ in scored] == [0, 1, 3, 4, 7, 8]
-        assert [ref for _, ref in scored] == [StageLabel(c).name for c in cached.labels]
+        assert [i for i, _, _ in scored] == [0, 1, 3, 4, 7, 8]
+        assert [ref for _, ref, _ in scored] == [StageLabel(c).name for c in cached.labels]
+        mp = load_checkpoint(tmp_path / "m.ckpt", EEG_CHANNEL).params
+        cached_pred = evaluation.predict_probabilities(mp, cached.samples).argmax(1)
+        assert [pred for _, _, pred in scored] == [StageLabel(c).name for c in cached_pred]
 
     def test_predict_embedded_annotations_found(self, preprocessed, tmp_path, capsys):
         cfg, corpus = preprocessed

@@ -3,6 +3,7 @@ import datetime as dt
 import hashlib
 import logging
 import re
+import struct
 import tracemalloc
 from fractions import Fraction
 
@@ -38,7 +39,8 @@ from sleepstage.errors import DataError, TruncatedFile
 from sleepstage.preprocess import NormalizationStats, compute_stats, normalize
 from sleepstage.training import LogRow, write_training_log
 
-from helpers import build_corpus_recording, eeg_signal_header, epoch_set, reference_load_all
+from helpers import (EEG_CHANNEL, build_corpus_recording, eeg_signal_header, epoch_set,
+                     reference_load_all)
 
 RNG = np.random.default_rng(7)
 
@@ -850,3 +852,81 @@ class TestIngestChain:
             tracemalloc.stop()
         assert len(epochs) == n_epochs
         assert peak - len(psg) <= 1.75 * (n_epochs * 3000 * 8)
+
+
+@pytest.fixture(scope="module")
+def tiny_entry(tmp_path_factory):
+    """A tiny night's PSG and hypnogram bytes, the cache entry a fresh
+    `cache.ingest_night` writes for them (file name -> bytes) and the epochs
+    it returns."""
+    corpus = tmp_path_factory.mktemp("night")
+    build_corpus_recording(corpus, "n", [4, 3, 2, 1, 0], n_epochs=6, seed=5, rate=10)
+    psg, hyp = (corpus / "n-PSG.edf").read_bytes(), (corpus / "n-Hypnogram.edf").read_bytes()
+    epochs = cache.ingest_night(psg, hyp, EEG_CHANNEL, corpus, "n__n", "n")
+    return psg, hyp, {p.name: p.read_bytes() for p in corpus.glob("n__n.*")}, epochs
+
+
+def _damage(data, entry: dict[str, bytes]) -> tuple[str, bytes]:
+    """(file name, damaged bytes) of one file of a cache entry: an edited,
+    non-UTF-8 or truncated `.src`, or an `.epochs` truncated, with its epoch
+    count scaled by 1e5, with another version word, or with a label byte
+    that is no stage code. Flipped sample bytes are left out: no checksum
+    covers them, so such an entry loads as up to date. So is a truncation
+    by a whole number of float32 samples per row, which loads as shorter
+    rows (see the xfail below)."""
+    kind = data.draw(st.sampled_from(["src-edit", "src-non-utf8", "src-truncate",
+                                      "epochs-truncate", "epochs-count", "epochs-version",
+                                      "epochs-label"]))
+    name = "n__n.src" if kind.startswith("src") else "n__n.epochs"
+    blob = bytearray(entry[name])
+    count = struct.unpack_from("<I", entry["n__n.epochs"], 8)[0]
+    if kind == "src-edit":
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    elif kind == "src-non-utf8":  # .src is ASCII, so any byte >= 0x80 is invalid UTF-8
+        at = data.draw(st.integers(0, len(blob)))
+        blob[at:at] = bytes([data.draw(st.integers(0x80, 0xFF))])
+    elif kind.endswith("truncate"):
+        keep = st.integers(0, len(blob) - 1)
+        if kind == "epochs-truncate":
+            keep = keep.filter(lambda n: n < 12 or (n - 12 - count) % (4 * count))
+        del blob[data.draw(keep):]
+    elif kind == "epochs-count":
+        struct.pack_into("<I", blob, 8, count * 10**5)
+    elif kind == "epochs-version":
+        struct.pack_into("<I", blob, 4, data.draw(
+            st.integers(0, 2**32 - 1).filter(lambda v: v != cache.VERSION)))
+    else:
+        blob[12 + data.draw(st.integers(0, count - 1))] = data.draw(st.integers(5, 255))
+    return name, bytes(blob)
+
+
+class TestIngestNight:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_damaged_entry_is_rebuilt_to_fresh_bytes(self, tmp_path_factory, tiny_entry, data):
+        """Whatever damage an entry's `.src` or `.epochs` takes, one
+        `ingest_night` leaves the entry's files with a fresh build's bytes
+        and returns the epochs a fresh build returns."""
+        psg, hyp, fresh, epochs = tiny_entry
+        name, damaged = _damage(data, fresh)
+        cache_dir = tmp_path_factory.mktemp("cache")
+        for file, blob in fresh.items():
+            (cache_dir / file).write_bytes(damaged if file == name else blob)
+        got = cache.ingest_night(psg, hyp, EEG_CHANNEL, cache_dir, "n__n", "n")
+        assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == fresh
+        for column in ("samples", "labels", "subjects"):
+            mine, back = getattr(got, column), getattr(epochs, column)
+            assert (mine.dtype, mine.shape, mine.tobytes()) == (back.dtype, back.shape,
+                                                                back.tobytes()), column
+
+    @pytest.mark.xfail(strict=True, reason="an .epochs file cut by 4 bytes per epoch parses "
+                                           "as one sample fewer per row, and nothing records "
+                                           "the row length to refuse it")
+    def test_entry_cut_by_one_sample_per_row_is_rebuilt(self, tmp_path, tiny_entry):
+        psg, hyp, fresh, epochs = tiny_entry
+        for file, blob in fresh.items():
+            (tmp_path / file).write_bytes(blob)
+        cut = tmp_path / "n__n.epochs"
+        cut.write_bytes(fresh[cut.name][:-4 * len(epochs)])
+        got = cache.ingest_night(psg, hyp, EEG_CHANNEL, tmp_path, "n__n", "n")
+        assert got.samples.shape == epochs.samples.shape

@@ -1,4 +1,5 @@
 """Architecture contracts: shapes, attention properties, init, parameter count."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,8 @@ from sleepstage.model import (
     multiscale_forward,
     pipeline_widths,
     spatial_attention,
+    state_shapes,
+    state_sizes,
 )
 
 from helpers import (
@@ -401,6 +404,13 @@ class TestParameterCount:
 
     def test_pure_function_of_config(self):
         assert parameter_count(micro_model_config()) == parameter_count(micro_model_config())
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(pool_sizes=(8,) + (0,) * 99)],
+                             ids=["default", "100-blocks"])
+    def test_state_sizes_sum_to_the_state_shapes_total(self, cfg):
+        """`state_sizes` counts, layer by layer, exactly the values of the
+        `state_shapes` entries: the running stats too."""
+        assert sum(state_sizes(cfg)) == sum(math.prod(shape) for _, shape in state_shapes(cfg))
 
 
 class TestCheckpointState:

@@ -247,3 +247,30 @@ def test_every_parameter_is_set_by_a_caller():
              and not {parameter, "**"} & keywords.get(name, set())
              and (name, parameter) not in exempt]
     assert sorted(unset) == [], sorted(unset)
+
+
+def test_only_the_cache_knows_its_files_and_cli_reads_no_night():
+    """`cache` is the one module that names a cache entry's files: no other
+    module refers to `EPOCH_SUFFIX` or `STATS_SUFFIX` or holds an `.epochs`,
+    `.src` or `.stats` literal. `cli` calls none of the functions that read,
+    normalize or cut a night; it goes through `cache.ingest_night` and
+    `evaluation.stage_night`."""
+    suffix = re.compile(r"\.(epochs|src|stats)\b")
+    night = {"read_recording", "parse_hypnogram", "compute_stats", "normalize",
+             "epoch_recording", "windows", "scored_windows"}
+    found = []
+    for path in sorted(Path(sleepstage.__file__).parent.glob("*.py")):
+        if path.name == "cache.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and suffix.search(node.value)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+            elif (isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                  and _names(node) & {"EPOCH_SUFFIX", "STATS_SUFFIX"}):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: suffix name")
+            elif (path.name == "cli.py" and isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in night):
+                found.append(f"cli.py:{node.lineno}: calls {ast.unparse(node.func)}")
+    assert found == []
