@@ -246,14 +246,14 @@ def absolute(x: Tensor) -> Tensor:
     return make_op(out, (x,), _bw)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x:[B,F] @ weight:[F,G] + bias:[G] -> [B,G]."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
+    """x:[B,F] @ weight:[F,G] + bias:[G] -> [B,G]; a None bias adds nothing."""
     if x.ndim != 2 or weight.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
         raise SleepStageError(f"linear: x {x.shape} vs weight {weight.shape}")
-    if bias.data.shape != (weight.data.shape[1],):
+    if bias is not None and bias.data.shape != (weight.data.shape[1],):
         raise SleepStageError(f"linear: bias {bias.shape} vs weight {weight.shape}")
-    out = x.data @ weight.data + bias.data
-    xn, wn, bn = x.node, weight.node, bias.node
+    out = x.data @ weight.data if bias is None else x.data @ weight.data + bias.data
+    xn, wn, bn = x.node, weight.node, bias.node if bias is not None else None
     xd, wd = x.data, weight.data
 
     def _bw(g):
@@ -264,7 +264,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if bn is not None:
             bn.accumulate_grad(g.sum(axis=0))
 
-    return make_op(out, (x, weight, bias), _bw)
+    return make_op(out, (x, weight) if bias is None else (x, weight, bias), _bw)
 
 
 # --- activations ---
@@ -342,16 +342,17 @@ def soft_threshold(x: Tensor, tau: Tensor) -> Tensor:
 
 # --- convolution / pooling ---
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None, padding: int = 0) -> Tensor:
     """Cross-correlate x:[B,Cin,W], zero-padded by `padding` on each side, with
-    kernel:[Cout,Cin,K] + bias:[Cout] at stride 1: [B,Cout,W+2*padding-K+1]."""
+    kernel:[Cout,Cin,K] + bias:[Cout] at stride 1: [B,Cout,W+2*padding-K+1].
+    A None bias adds nothing."""
     if x.ndim != 3 or kernel.ndim != 3:
         raise SleepStageError(f"conv1d: x {x.shape}, kernel {kernel.shape}")
     batch, c_in, width = x.data.shape
     c_out, c_in_k, ksize = kernel.data.shape
     if c_in != c_in_k:
         raise SleepStageError(f"conv1d: {c_in} input channels vs kernel {c_in_k}")
-    if bias.data.shape != (c_out,):
+    if bias is not None and bias.data.shape != (c_out,):
         raise SleepStageError(f"conv1d: bias {bias.shape} vs {c_out} output channels")
     if width + 2 * padding < ksize:
         raise SleepStageError(f"conv1d: width {width} + 2*{padding} < kernel {ksize}")
@@ -376,8 +377,9 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
         out = kd[:, :, 0] @ taps[0]
         for k in range(1, ksize):
             out += kd[:, :, k] @ taps[k]
-    out += bias.data[None, :, None]
-    xn, kn, bn = x.node, kernel.node, bias.node
+    if bias is not None:
+        out += bias.data[None, :, None]
+    xn, kn, bn = x.node, kernel.node, bias.node if bias is not None else None
 
     def _bw(g):
         if kn is not None:
@@ -391,7 +393,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
                 gxp[:, :, k:k + w_out] += kd[:, :, k].T @ g
             xn.accumulate_grad(gxp[:, :, padding:padding + width] if padding else gxp)
 
-    return make_op(out, (x, kernel, bias), _bw)
+    return make_op(out, (x, kernel) if bias is None else (x, kernel, bias), _bw)
 
 
 def max_pool1d(x: Tensor, size: int) -> Tensor:

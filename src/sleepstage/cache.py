@@ -1,7 +1,9 @@
 """The epoch cache, the one module that knows a recording's cache files:
 `<name>.epochs` and `<name>.src`, the fingerprint of the sources they were
-built from. An entry whose `.src` differs from what `ingest_night` would
-write now is stale. `prune` removes `.stats` files, which nothing reads.
+built from and the sha256 of the `.epochs` bytes built from them. An entry
+whose `.src` differs from what `ingest_night` would write now for its
+sources and its `.epochs` bytes is stale or damaged, and is rebuilt. `prune`
+removes `.stats` files, which nothing reads.
 
 Cache layout: 4 magic bytes, u32 version, u32 epoch count N, then from byte
 12 the two columns of an EpochSet: N label bytes (stage codes), then N*L
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -150,7 +153,8 @@ def prune(cache_dir: Path, names) -> None:
 def ingest_night(psg_bytes: bytes, hyp_bytes: bytes | None, channel: str,
                  cache_dir: Path, name: str, stem: str) -> EpochSet:
     """The epochs of the night `stem`, cached in `cache_dir` as `name`: loaded
-    if up to date and whole, else read, epoched and written. A night that
+    if up to date and whole (its `.src` names these sources and the sha256 of
+    its `.epochs` bytes), else read, epoched and written. A night that
     fails loses its entry, so that `train` loads only what `preprocess`
     counts, and its SleepStageError is raised."""
     import hashlib  # its OpenSSL, ~4 MB of RSS, loads only where a night is ingested
@@ -161,9 +165,22 @@ def ingest_night(psg_bytes: bytes, hyp_bytes: bytes | None, channel: str,
         if data is not None:
             fingerprint[f"{source}.size"] = str(len(data))
             fingerprint[f"{source}.sha256"] = hashlib.sha256(data).hexdigest()
-    src_text = format_kv(fingerprint).encode()
-    if epochs_path.is_file() and src_path.is_file() and src_path.read_bytes() == src_text:
+
+    def src_text(sha256: str) -> bytes:
+        return format_kv({**fingerprint, "epochs.sha256": sha256}).encode()
+
+    def epochs_sha256() -> str:
+        return hashlib.sha256(epochs_path.read_bytes()).hexdigest()
+
+    recorded = src_path.read_bytes() if epochs_path.is_file() and src_path.is_file() else b""
+    match = re.search(rb"^epochs\.sha256 = ([0-9a-f]{64})$", recorded, re.MULTILINE)
+    sha256 = match[1].decode() if match else ""
+    # an entry of these sources, whose .epochs bytes must have the digest it records
+    if sha256 and recorded == src_text(sha256):
         try:
+            if epochs_sha256() != sha256:
+                raise DataError(f"{epochs_path}: its sha256 is not the one {src_path.name} "
+                                f"records")
             epochs = load_epochs(epochs_path, subject_of(name))
             log.info("%s: cache up to date", stem)
             return epochs
@@ -181,6 +198,6 @@ def ingest_night(psg_bytes: bytes, hyp_bytes: bytes | None, channel: str,
             path.unlink(missing_ok=True)
         raise
     save_epochs(epochs, epochs_path)
-    write_atomic(src_path, lambda fh: fh.write(src_text))
+    write_atomic(src_path, lambda fh: fh.write(src_text(epochs_sha256())))
     log.info("%s: cached %d epochs", stem, len(epochs))
     return epochs

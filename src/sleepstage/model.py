@@ -6,6 +6,8 @@ residual attention blocks. Each block runs two same-width convs, a
 channel-attention stage that soft-thresholds activations with a learned,
 signal-scaled threshold, a spatial gate in (0,1), and an identity skip.
 Global average pooling and one fully connected layer produce the 5 logits.
+A layer that a batch norm follows holds no bias: the norm's mean subtraction
+would cancel it (Ioffe & Szegedy 2015, arXiv:1502.03167, section 3.2).
 """
 from __future__ import annotations
 
@@ -105,14 +107,29 @@ class ModelParams:
     def from_state(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
         """Inverse of `state_arrays`: a model holding float64 copies of
         `arrays`, which must hold every entry of `state_shapes(cfg)` with its
-        shape. Every entry is checked before anything is allocated, and the
-        check stops at the first one that is missing or misshapen."""
-        for name, shape in state_shapes(cfg):
+        shape and no other. Every entry is checked before anything is
+        allocated, and the check stops at the first one that is missing or
+        misshapen. The bias b that older versions kept in a layer a batch norm
+        follows folds into the norm's running mean, running_mean - b: exact
+        for eval, and never read by a training-mode norm."""
+        for walked, (name, shape) in enumerate(state_shapes(cfg), 1):
             if name not in arrays:
                 raise DataError(f"checkpoint lacks entry {name!r}")
             if arrays[name].shape != shape:
                 raise DataError(f"checkpoint entry {name!r} has shape {arrays[name].shape}, "
                                 f"config expects {shape}")
+        arrays = dict(arrays)
+        for layer, shape, bn in layers(cfg):
+            if bn is not None and f"{layer}.bias" in arrays:
+                bias = arrays.pop(f"{layer}.bias")
+                if bias.shape != _width(shape):
+                    raise DataError(f"checkpoint entry '{layer}.bias' has shape {bias.shape}, "
+                                    f"config expects {_width(shape)}")
+                arrays[f"{bn}.running_mean"] = arrays[f"{bn}.running_mean"] - bias
+        if len(arrays) > walked:
+            named = {name for name, _ in state_shapes(cfg)}
+            extra = next(name for name in arrays if name not in named)
+            raise DataError(f"checkpoint entry {extra!r} is not in the model its config names")
         return cls(cfg, {name: Tensor(np.array(arrays[name], dtype=np.float64),
                                       requires_grad=".running_" not in name)
                          for name, _ in state_shapes(cfg)})
@@ -146,12 +163,14 @@ def _width(shape: tuple[int, ...]) -> tuple[int]:
 
 def state_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every array `state_arrays` returns, in its order: each
-    layer's weight, bias, batch-norm gamma and beta, then the running stats.
+    layer's weight, then its bias or, if a batch norm follows, which would
+    cancel a bias, that norm's gamma and beta; then the running stats.
     Built lazily, so a reader that stops early never walks a long model."""
     for name, shape, bn in layers(cfg):
         yield f"{name}.weight", shape
-        yield f"{name}.bias", _width(shape)
-        if bn is not None:
+        if bn is None:
+            yield f"{name}.bias", _width(shape)
+        else:
             yield f"{bn}.gamma", _width(shape)
             yield f"{bn}.beta", _width(shape)
     for _, shape, bn in layers(cfg):
@@ -162,11 +181,11 @@ def state_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
 
 def state_sizes(cfg: ModelConfig) -> Iterator[int]:
     """The number of values each layer holds among the `state_shapes`
-    entries, layer by layer in `layers` order: its weight and bias, and with
-    a batch norm that norm's gamma, beta and running stats. Lazy, and names
+    entries, layer by layer in `layers` order: its weight, and its bias or
+    its batch norm's gamma, beta and running stats. Lazy, and names
     nothing, so summing a long model costs no string per entry."""
     for _, shape, bn in layers(cfg):
-        yield math.prod(shape) + (1 if bn is None else 5) * _width(shape)[0]
+        yield math.prod(shape) + (1 if bn is None else 4) * _width(shape)[0]
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
@@ -190,7 +209,7 @@ def inference_params(mp: ModelParams, dtype=np.float32) -> ModelParams:
     a conv such as `{stage}.convN`, or the linear layer `block{i}.ca.fc1`
     (Jacob et al. 2018, arXiv:1712.05877, section 3.2). With s = gamma /
     sqrt(running_var + eps) per output channel, that layer's weight becomes
-    w * s and its bias (b - running_mean) * s + beta. The fold runs in
+    w * s, and it gains the bias beta - running_mean * s. The fold runs in
     float64; the result is then cast to `dtype`. The copy holds no batch norm
     and no running stats, so the forward skips each one, and it holds plain
     tensors, so no op on it records a backward graph.
@@ -201,8 +220,8 @@ def inference_params(mp: ModelParams, dtype=np.float32) -> ModelParams:
         scale = arrays.pop(f"{bn}.gamma") / np.sqrt(arrays.pop(f"{bn}.running_var") + ag.BN_EPS)
         # a conv weight is [C_out, C_in, K], a linear one [F_in, F_out]
         arrays[f"{layer}.weight"] = w * (scale[:, None, None] if w.ndim == 3 else scale)
-        arrays[f"{layer}.bias"] = ((arrays[f"{layer}.bias"] - arrays.pop(f"{bn}.running_mean"))
-                                   * scale + arrays.pop(f"{bn}.beta"))
+        arrays[f"{layer}.bias"] = (arrays.pop(f"{bn}.beta")
+                                   - arrays.pop(f"{bn}.running_mean") * scale)
     return ModelParams(mp.cfg, {name: Tensor(a.astype(dtype)) for name, a in arrays.items()})
 
 
@@ -214,7 +233,7 @@ def _bn(mp: ModelParams, name: str, x: Tensor, training: bool) -> Tensor:
 
 
 def _conv(mp: ModelParams, name: str, x: Tensor, padding: int = 0) -> Tensor:
-    return ag.conv1d(x, mp[f"{name}.weight"], mp[f"{name}.bias"], padding=padding)
+    return ag.conv1d(x, mp[f"{name}.weight"], mp.tensors.get(f"{name}.bias"), padding=padding)
 
 
 def branch_forward(mp: ModelParams, x: Tensor, k: int, training: bool) -> Tensor:
@@ -252,7 +271,7 @@ def channel_attention(mp: ModelParams, block: int, x: Tensor,
     """
     name = f"block{block}.ca"
     energy = ag.global_avg_pool(ag.absolute(x))  # [B,C] mean absolute activation
-    h = ag.linear(energy, mp[f"{name}.fc1.weight"], mp[f"{name}.fc1.bias"])
+    h = ag.linear(energy, mp[f"{name}.fc1.weight"], mp.tensors.get(f"{name}.fc1.bias"))
     h = ag.relu(_bn(mp, f"{name}.bn", h, training))
     gate = ag.sigmoid(ag.linear(h, mp[f"{name}.fc2.weight"], mp[f"{name}.fc2.bias"]))
     tau = ag.reshape(ag.mul(gate, energy), (x.shape[0], x.shape[1], 1))

@@ -21,7 +21,7 @@ from sleepstage.edf import (
     encode_annotation_signal,
 )
 from sleepstage.evaluation import ConfusionMatrix
-from sleepstage.model import ModelConfig, ModelParams, branch_forward, init_params
+from sleepstage.model import ModelConfig, ModelParams, branch_forward, init_params, layers
 from sleepstage.preprocess import NormalizationStats
 
 # one line per acceptance criterion, printed in the terminal summary
@@ -285,6 +285,21 @@ def randomize_batch_norms(mp: ModelParams, rng: np.random.Generator) -> ModelPar
         mp[f"{name}.running_mean"].data[...] = rng.normal(0.0, 0.3, n)
         mp[f"{name}.running_var"].data[...] = rng.uniform(0.5, 2.0, n)
     return mp
+
+
+def with_old_biases(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """`arrays` in the layout that checkpoints had while each layer a batch
+    norm follows still held a bias: that bias, zero, follows the layer's
+    weight, and the entries keep their old order."""
+    old = {}
+    for layer, _, bn in layers(cfg):
+        old[f"{layer}.weight"] = arrays[f"{layer}.weight"]
+        if bn is None:
+            old[f"{layer}.bias"] = arrays[f"{layer}.bias"]
+        else:
+            old[f"{layer}.bias"] = np.zeros_like(arrays[f"{bn}.gamma"])
+            old[f"{bn}.gamma"], old[f"{bn}.beta"] = arrays[f"{bn}.gamma"], arrays[f"{bn}.beta"]
+    return old | {name: a for name, a in arrays.items() if ".running_" in name}
 
 
 def graph_free(mp: ModelParams) -> ModelParams:

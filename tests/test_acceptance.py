@@ -145,6 +145,7 @@ def test_criterion_2_gradient_correctness():
     k = Tensor(RNG.normal(size=(4, 3, 3)), requires_grad=True)
     b = Tensor(RNG.normal(size=4), requires_grad=True)
     _fd_check(lambda: probe(ag.conv1d(x, k, b, padding=1)), [x, k, b])
+    _fd_check(lambda: probe(ag.conv1d(x, k, None, padding=1)), [x, k])
 
     g = Tensor(RNG.uniform(0.5, 1.5, size=3), requires_grad=True)
     beta = Tensor(RNG.normal(size=3), requires_grad=True)
@@ -166,6 +167,7 @@ def test_criterion_2_gradient_correctness():
     w = Tensor(RNG.normal(size=(5, 2)), requires_grad=True)
     wb = Tensor(RNG.normal(size=2), requires_grad=True)
     _fd_check(lambda: probe(ag.linear(y, w, wb)), [y, w, wb])
+    _fd_check(lambda: probe(ag.linear(y, w, None)), [y, w])
 
     # the assembled micro model: every parameter against central differences.
     # The batch comes from its own stream: finite differences are only a valid

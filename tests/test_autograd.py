@@ -88,6 +88,7 @@ class TestConv1d:
         k = Tensor(RNG.normal(size=(4, 3, 3)), requires_grad=True)
         b = Tensor(RNG.normal(size=4), requires_grad=True)
         check_grad(lambda: quadratic_probe(ag.conv1d(x, k, b, padding=padding)), [x, k, b])
+        check_grad(lambda: quadratic_probe(ag.conv1d(x, k, None, padding=padding)), [x, k])
 
     # every conv of the default model as (c_in, c_out, k, padding, width): the
     # branch conv1 and proj (c_in 1), the branch conv2 (c_in 32), the block
@@ -118,6 +119,29 @@ class TestConv1d:
             tensor_sum(ag.mul(out, Tensor(probe))).backward()
             results.append([out.data] + [t.grad for t in ts])
         for name, got, want in zip(("output", "x.grad", "kernel.grad", "bias.grad"), *results):
+            assert got.dtype == dtype and got.shape == want.shape, name
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= tol, f"{name}: relative error {err:.2e}"
+
+    # the einsum path (c_in 1), the tap path, and an even kernel
+    @pytest.mark.parametrize("c_in,c_out,k,padding,width", [
+        (1, 32, 3, 1, 3000), (32, 32, 3, 1, 3000), (96, 96, 3, 1, 23), (3, 4, 4, 0, 12)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_without_bias_matches_einsum_reference(self, c_in, c_out, k, padding, width, dtype):
+        """A None bias: the reference with a zero bias, within the bounds
+        above, and no gradient for a bias."""
+        tol = 1e-12 if dtype == np.float64 else 2e-5
+        rng = np.random.default_rng(c_in * 1000 + k * 10 + 2)
+        x = rng.normal(size=(2, c_in, width)).astype(dtype)
+        kernel = (rng.normal(size=(c_out, c_in, k)) / np.sqrt(c_in * k)).astype(dtype)
+        results = []
+        for conv, bias in ((ag.conv1d, None), (reference_conv1d, Tensor(np.zeros(c_out, dtype)))):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in (x, kernel)]
+            out = conv(*ts, bias, padding=padding)
+            probe = np.linspace(-0.5, 1, out.data.size, dtype=dtype).reshape(out.shape)
+            tensor_sum(ag.mul(out, Tensor(probe))).backward()
+            results.append([out.data] + [t.grad for t in ts])
+        for name, got, want in zip(("output", "x.grad", "kernel.grad"), *results):
             assert got.dtype == dtype and got.shape == want.shape, name
             err = np.abs(got - want).max() / np.abs(want).max()
             assert err <= tol, f"{name}: relative error {err:.2e}"
@@ -357,6 +381,25 @@ class TestCombinators:
         out = ag.linear(x, Tensor(np.eye(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, x.data)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_linear_without_bias_is_the_matmul(self, dtype):
+        """A None bias adds nothing: the output is x @ w, and a probe's
+        gradients g @ w.T and x.T @ g, each against float64 arithmetic within
+        1e-12 (float64) or 2e-5 (float32) of its largest magnitude."""
+        tol = 1e-12 if dtype == np.float64 else 2e-5
+        rng = np.random.default_rng(4)
+        x, w = (Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                for shape in ((3, 96), (96, 24)))
+        out = ag.linear(x, w, None)
+        g = np.linspace(-0.5, 1, out.data.size, dtype=dtype).reshape(out.shape)
+        tensor_sum(ag.mul(out, Tensor(g))).backward()
+        xd, wd, g = (a.astype(np.float64) for a in (x.data, w.data, g))
+        for name, got, want in (("output", out.data, xd @ wd), ("x.grad", x.grad, g @ wd.T),
+                                ("weight.grad", w.grad, xd.T @ g)):
+            assert got.dtype == dtype, name
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= tol, f"{name}: relative error {err:.2e}"
+
     def test_gradients(self):
         xs = [Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(3)]
         check_grad(lambda: quadratic_probe(ag.concat(xs)), xs)
@@ -368,6 +411,7 @@ class TestCombinators:
         w = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
         bias = Tensor(RNG.normal(size=2), requires_grad=True)
         check_grad(lambda: quadratic_probe(ag.linear(x, w, bias)), [x, w, bias])
+        check_grad(lambda: quadratic_probe(ag.linear(x, w, None)), [x, w])
         check_grad(lambda: quadratic_probe(ag.reshape(a, (2, 12))), [a])
 
 

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sleepstage import autograd as ag
+from sleepstage.autograd import Tensor
 from sleepstage.checkpoint import load_arrays, load_checkpoint, save_arrays, save_checkpoint
 from sleepstage.config import format_kv, parse_kv_text
 from sleepstage.errors import ConfigError, DataError, TruncatedFile
 from sleepstage.evaluation import SplitConfig, predict_probabilities
-from sleepstage.model import ModelConfig, init_params, state_shapes
+from sleepstage.model import (ModelConfig, ModelParams, init_params, layers, model_forward,
+                              state_shapes)
 
-from helpers import EEG_CHANNEL
+from helpers import EEG_CHANNEL, with_old_biases
 
 RNG = np.random.default_rng(20240917)
 
@@ -142,20 +145,21 @@ class TestCheckpointFile:
         cfg = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8, 4, 4))
         save_checkpoint(init_params(cfg, seed=0), path, EEG_CHANNEL, SplitConfig(k=3, fold=1))
         blob = path.read_bytes()
-        assert len(blob) == 14683
+        assert len(blob) == 13771
         assert hashlib.sha256(blob).hexdigest() == \
-            "da55b36d4613287509a04dbf64eb15f553d87917b4ff58be733e6a571a60c1c7"
+            "eb1a96b7a8e67795b0b9905432c084501d5993e0598f8c215cfee6abfd325b4e"
 
     def test_a_manifest_that_counts_the_blocks_still_loads(self, pinned_blob, tmp_path):
         """Checkpoints once also recorded the block count, `model.attention_blocks
         = 3`, which is the length of `model.pool_sizes`. The pinned checkpoint
         with that line is byte for byte such a file; it loads as the same
-        model and predicts the same probabilities."""
+        model and predicts the same probabilities. Such a file also held a
+        zero bias in each layer that a batch norm follows."""
         new, old = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
         new.write_bytes(pinned_blob)
         manifest, arrays = load_arrays(new)
-        save_arrays(arrays, format_kv({**parse_kv_text(manifest),
-                                       "model.attention_blocks": "3"}), old)
+        save_arrays(with_old_biases(PINNED_CONFIG, arrays),
+                    format_kv({**parse_kv_text(manifest), "model.attention_blocks": "3"}), old)
         assert hashlib.sha256(old.read_bytes()).hexdigest() == \
             "f4521156401ea3fb52ae471edf6d6fc7be7b47cd0bfb9b372baf5b0e05ab659d"
         loaded = [load_checkpoint(path, EEG_CHANNEL).params for path in (new, old)]
@@ -165,12 +169,82 @@ class TestCheckpointFile:
             predict_probabilities(loaded[0], rows).tobytes()
 
 
+    def test_an_entry_the_config_does_not_name_is_refused(self, pinned_blob, tmp_path):
+        """A 3-block checkpoint whose manifest names 2 blocks is refused,
+        naming block 2's first entry, instead of loading as a 2-block model
+        that drops block 2."""
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(pinned_blob)
+        manifest, arrays = load_arrays(path)
+        save_arrays(arrays, format_kv({**parse_kv_text(manifest), "model.pool_sizes": "8,4"}),
+                    path)
+        with pytest.raises(DataError, match=r": checkpoint entry 'block2\.conv1\.weight' is "
+                                            r"not in the model its config names$"):
+            load_checkpoint(path, EEG_CHANNEL)
+
+
+class TestOldCheckpoints:
+    """Checkpoints written while each layer that a batch norm follows still
+    held a bias: their bias folds into the norm's running mean."""
+
+    def test_the_old_layout_is_rebuilt_byte_for_byte(self, pinned_blob, tmp_path):
+        """The pinned model in the old layout is the file that the pinned
+        checkpoint was before those biases left it."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pinned_blob)
+        manifest, arrays = load_arrays(path)
+        save_arrays(with_old_biases(PINNED_CONFIG, arrays), manifest, path)
+        blob = path.read_bytes()
+        assert len(blob) == 14683
+        assert hashlib.sha256(blob).hexdigest() == \
+            "da55b36d4613287509a04dbf64eb15f553d87917b4ff58be733e6a571a60c1c7"
+
+    def test_an_old_checkpoint_evaluates_as_it_did(self, pinned_blob, tmp_path):
+        """With random nonzero biases, norms and running stats, the loaded
+        model's float64 eval forward is within 1e-12 of the old model's, in
+        which each bias is added ahead of its norm, and its float32
+        probabilities are within 1e-6 of the old fold's, with the same argmax."""
+        rng = np.random.default_rng(11)
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pinned_blob)
+        manifest, arrays = load_arrays(path)
+        old = {name: a if name.endswith(".weight") else
+               rng.uniform(0.5, 2.0, a.shape) if name.endswith((".gamma", ".running_var")) else
+               rng.normal(0.0, 0.3, a.shape)
+               for name, a in with_old_biases(PINNED_CONFIG, arrays).items()}
+        save_arrays(old, manifest, path)
+        loaded = load_checkpoint(path, EEG_CHANNEL).params
+        rows = rng.normal(size=(8, 300))
+        x = Tensor(rows[:, None, :])
+        before = ModelParams(PINNED_CONFIG, {name: Tensor(a) for name, a in old.items()})
+        np.testing.assert_allclose(model_forward(loaded, x).data, model_forward(before, x).data,
+                                   rtol=0, atol=1e-12)
+        # the old fold: weight w * s and bias (b - running_mean) * s + beta
+        for layer, _, bn in layers(PINNED_CONFIG):
+            if bn is not None:
+                s = old.pop(f"{bn}.gamma") / np.sqrt(old.pop(f"{bn}.running_var") + ag.BN_EPS)
+                w = old[f"{layer}.weight"]
+                old[f"{layer}.weight"] = w * (s[:, None, None] if w.ndim == 3 else s)
+                old[f"{layer}.bias"] = ((old[f"{layer}.bias"] - old.pop(f"{bn}.running_mean"))
+                                        * s + old.pop(f"{bn}.beta"))
+        folded = ModelParams(PINNED_CONFIG, {name: Tensor(a.astype(np.float32))
+                                             for name, a in old.items()})
+        logits = model_forward(folded, Tensor(x.data.astype(np.float32))).data
+        expect = ag.softmax(Tensor(logits.astype(np.float64))).data
+        got = predict_probabilities(loaded, rows.astype(np.float32))
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-6)
+        assert (got.argmax(axis=1) == expect.argmax(axis=1)).all()
+
+
+PINNED_CONFIG = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8, 4, 4))
+
+
 @pytest.fixture(scope="module")
 def pinned_blob(tmp_path_factory) -> bytes:
     """The bytes of `test_bytes_are_pinned`'s 2-channel checkpoint."""
     path = tmp_path_factory.mktemp("pinned") / "m.ckpt"
-    cfg = ModelConfig(branch_channels=2, input_length=300, pool_sizes=(8, 4, 4))
-    save_checkpoint(init_params(cfg, seed=0), path, EEG_CHANNEL, SplitConfig(k=3, fold=1))
+    save_checkpoint(init_params(PINNED_CONFIG, seed=0), path, EEG_CHANNEL,
+                    SplitConfig(k=3, fold=1))
     return path.read_bytes()
 
 

@@ -140,6 +140,8 @@ CORRUPT_CHECKPOINTS = {
     "model-branch_kernel_sizes-negative": ({"model.branch_kernel_sizes": "-1"}, None,
                                            "branch_kernel_sizes"),
     "model-pool_sizes": ({"model.pool_sizes": "8,4,40"}, None, "pool_sizes"),
+    "model-pool_sizes-shorter": ({"model.pool_sizes": "8,4"}, None,
+                                 "'block2.conv1.weight' is not in the model its config names"),
     "container-garbage": ({}, lambda ckpt: ckpt.write_bytes(b"garbage" * 20),
                           "not a parameter container"),
     "container-truncated": ({}, lambda ckpt: ckpt.write_bytes(ckpt.read_bytes()[:40]),
@@ -468,6 +470,11 @@ def _checkpoint_of_another_channel(tmp_path):
     load_checkpoint(ckpt, "EEG Pz-Oz")
 
 
+def _state_of_one_block_more(tmp_path):
+    arrays = init_params(micro_model_config(), seed=0).state_arrays()
+    model.ModelParams.from_state(micro_model_config(pool_sizes=(2, 2)), arrays)
+
+
 def _one_signal_header():
     sig = eeg_signal_header(samples_per_record=4)
     return parse_edf(build_edf([(sig, np.zeros(4, dtype=np.int32))], record_count=1))[0]
@@ -512,6 +519,9 @@ FAILURES = {
     "checkpoint-channel": (
         _checkpoint_of_another_channel, 2, "configuration",
         f"checkpoint was trained on channel {EEG_CHANNEL!r}, run asks for 'EEG Pz-Oz'"),
+    "checkpoint-entry-unnamed": (
+        _state_of_one_block_more, 3, "data",
+        "checkpoint entry 'block2.conv1.weight' is not in the model its config names"),
     "edf-digital-range": (
         _digital_range_empty, 3, "data", "signal 0: digital_min 5 >= digital_max 5"),
     "edf-signal-missing": (
@@ -1029,7 +1039,7 @@ class TestTrainEvalPredict:
         assert done.returncode == cli.EXIT_CONFIG, done.stderr
         # the sum stops at the layer branch3.conv2, whose weight holds 3e10 values
         assert re.fullmatch(r"configuration error: the model's training state needs at least "
-                            r"1560067600000 bytes, more than the \d+ bytes of "
+                            r"1560057200000 bytes, more than the \d+ bytes of "
                             r"MemAvailable\n", done.stderr)
         assert not out.exists()
 

@@ -868,15 +868,13 @@ def tiny_entry(tmp_path_factory):
 
 def _damage(data, entry: dict[str, bytes]) -> tuple[str, bytes]:
     """(file name, damaged bytes) of one file of a cache entry: an edited,
-    non-UTF-8 or truncated `.src`, or an `.epochs` truncated, with its epoch
-    count scaled by 1e5, with another version word, or with a label byte
-    that is no stage code. Flipped sample bytes are left out: no checksum
-    covers them, so such an entry loads as up to date. So is a truncation
-    by a whole number of float32 samples per row, which loads as shorter
-    rows (see the xfail below)."""
+    non-UTF-8 or truncated `.src`, or an `.epochs` truncated, cut by a whole
+    number of float32 samples per row (which would load as shorter rows),
+    with its epoch count scaled by 1e5, with another version word, with a
+    label byte that is no stage code, or with a flipped sample byte."""
     kind = data.draw(st.sampled_from(["src-edit", "src-non-utf8", "src-truncate",
-                                      "epochs-truncate", "epochs-count", "epochs-version",
-                                      "epochs-label"]))
+                                      "epochs-truncate", "epochs-rows", "epochs-count",
+                                      "epochs-version", "epochs-label", "epochs-flip"]))
     name = "n__n.src" if kind.startswith("src") else "n__n.epochs"
     blob = bytearray(entry[name])
     count = struct.unpack_from("<I", entry["n__n.epochs"], 8)[0]
@@ -886,17 +884,19 @@ def _damage(data, entry: dict[str, bytes]) -> tuple[str, bytes]:
         at = data.draw(st.integers(0, len(blob)))
         blob[at:at] = bytes([data.draw(st.integers(0x80, 0xFF))])
     elif kind.endswith("truncate"):
-        keep = st.integers(0, len(blob) - 1)
-        if kind == "epochs-truncate":
-            keep = keep.filter(lambda n: n < 12 or (n - 12 - count) % (4 * count))
-        del blob[data.draw(keep):]
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif kind == "epochs-rows":
+        samples = (len(blob) - 12 - count) // (4 * count)
+        del blob[len(blob) - 4 * count * data.draw(st.integers(1, samples)):]
     elif kind == "epochs-count":
         struct.pack_into("<I", blob, 8, count * 10**5)
     elif kind == "epochs-version":
         struct.pack_into("<I", blob, 4, data.draw(
             st.integers(0, 2**32 - 1).filter(lambda v: v != cache.VERSION)))
-    else:
+    elif kind == "epochs-label":
         blob[12 + data.draw(st.integers(0, count - 1))] = data.draw(st.integers(5, 255))
+    else:
+        blob[data.draw(st.integers(12 + count, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
     return name, bytes(blob)
 
 
@@ -919,9 +919,11 @@ class TestIngestNight:
             assert (mine.dtype, mine.shape, mine.tobytes()) == (back.dtype, back.shape,
                                                                 back.tobytes()), column
 
-    @pytest.mark.xfail(strict=True, reason="an .epochs file cut by 4 bytes per epoch parses "
-                                           "as one sample fewer per row, and nothing records "
-                                           "the row length to refuse it")
+    def test_src_records_the_sha256_of_the_epochs_bytes(self, tiny_entry):
+        _, _, fresh, _ = tiny_entry
+        digest = hashlib.sha256(fresh["n__n.epochs"]).hexdigest()
+        assert f"\nepochs.sha256 = {digest}\n".encode() in fresh["n__n.src"]
+
     def test_entry_cut_by_one_sample_per_row_is_rebuilt(self, tmp_path, tiny_entry):
         psg, hyp, fresh, epochs = tiny_entry
         for file, blob in fresh.items():

@@ -19,6 +19,7 @@ from sleepstage.model import (
     channel_attention,
     inference_params,
     init_params,
+    layers,
     model_forward,
     multiscale_forward,
     pipeline_widths,
@@ -158,7 +159,7 @@ class TestInferenceParams:
             conv = bn.replace(".bn", ".conv")
             c_in, k = mp[f"{conv}.weight"].shape[1:]
             x = Tensor(RNG.normal(size=(3, c_in, 64)))
-            h = ag.conv1d(x, mp[f"{conv}.weight"], mp[f"{conv}.bias"], padding=k // 2)
+            h = ag.conv1d(x, mp[f"{conv}.weight"], None, padding=k // 2)
             expect = ag.batch_norm1d(h, mp[f"{bn}.gamma"], mp[f"{bn}.beta"],
                                      mp[f"{bn}.running_mean"], mp[f"{bn}.running_var"],
                                      training=False).data
@@ -173,7 +174,7 @@ class TestInferenceParams:
         for i in range(mp.cfg.attention_blocks):
             fc, bn = f"block{i}.ca.fc1", f"block{i}.ca.bn"
             x = Tensor(RNG.normal(size=(3, mp.cfg.attention_channels)))
-            h = ag.linear(x, mp[f"{fc}.weight"], mp[f"{fc}.bias"])
+            h = ag.linear(x, mp[f"{fc}.weight"], None)
             expect = ag.batch_norm1d(h, mp[f"{bn}.gamma"], mp[f"{bn}.beta"],
                                      mp[f"{bn}.running_mean"], mp[f"{bn}.running_var"],
                                      training=False).data
@@ -190,12 +191,14 @@ class TestInferenceParams:
 
     def test_folds_every_conv_batch_norm_pair(self):
         """... and every linear -> batch-norm pair, so the copy holds no
-        running stats and no gamma or beta."""
+        running stats and no gamma or beta, and each layer it folded into
+        gains the bias that the model leaves out ahead of a batch norm."""
         _, mp = micro_params()
         folded = inference_params(mp)
         assert batch_norms(folded) == []
         assert set(folded.tensors) == {name for name in mp.parameters()
-                                       if not name.endswith((".gamma", ".beta"))}
+                                       if not name.endswith((".gamma", ".beta"))} | {
+            f"{layer}.bias" for layer, _, bn in layers(mp.cfg) if bn is not None}
         for name, p in folded.tensors.items():
             assert p.data.dtype == np.float32 and not p.requires_grad, name
 
@@ -378,14 +381,14 @@ class TestParameterCount:
         bc = cfg.branch_channels
         total = 0
         for k in cfg.branch_kernel_sizes:
-            total += bc * 1 * k + bc          # conv1
+            total += bc * 1 * k               # conv1, no bias ahead of bn1
             total += 2 * bc                   # bn1
-            total += bc * bc * k + bc         # conv2
+            total += bc * bc * k              # conv2, no bias ahead of bn2
             total += 2 * bc                   # bn2
             total += bc * 1 * 1 + bc          # 1x1 projection
-        per_block = (c * c * 3 + c) * 2       # two convs
+        per_block = (c * c * 3) * 2           # two convs, no bias ahead of their bns
         per_block += 2 * c * 2                # two bns
-        per_block += c * cr + cr              # ca fc1
+        per_block += c * cr                   # ca fc1, no bias ahead of its bn
         per_block += 2 * cr                   # ca bn
         per_block += cr * c + c               # ca fc2
         per_block += 1 * 2 * cfg.spatial_kernel + 1   # spatial gate conv
@@ -400,7 +403,7 @@ class TestParameterCount:
             assert parameter_count(cfg) == self.count_by_shape_walk(cfg)
 
     def test_default_config_pinned(self):
-        assert parameter_count(ModelConfig()) == 226994
+        assert parameter_count(ModelConfig()) == 226154
 
     def test_pure_function_of_config(self):
         assert parameter_count(micro_model_config()) == parameter_count(micro_model_config())

@@ -362,6 +362,20 @@ def spy_adam_steps(monkeypatch) -> list:
     return steps
 
 
+class TestGradientReach:
+    def test_every_learnable_array_of_the_default_model_gets_a_gradient(self):
+        """On one float64 batch of the default model, each learnable array's
+        largest gradient exceeds 1e-12: none learns only from rounding noise,
+        as a bias that a batch norm's mean subtraction cancels would."""
+        epochs = sine_epochs(8, seed=0)
+        mp = init_params(ModelConfig(), seed=0)
+        x = Tensor(epochs.samples.astype(np.float64)[:, None, :])
+        weights = class_weights(proportions_from_labels(epochs.labels))
+        weighted_ce_loss(model_forward(mp, x, training=True), epochs.labels, weights).backward()
+        largest = {name: float(np.abs(p.grad).max()) for name, p in mp.parameters().items()}
+        assert {name: g for name, g in largest.items() if not g > 1e-12} == {}
+
+
 class TestMixedPrecision:
     """Each step runs forward and backward in float32 on a working copy; the
     float64 master weights, Adam moments and running stats take the update."""
@@ -404,9 +418,8 @@ class TestMixedPrecision:
             for stat in (f"{name}.running_mean", f"{name}.running_var"):
                 np.testing.assert_allclose(result.final_params[stat].data, reference[stat].data,
                                            rtol=1e-4, atol=1e-6)
-        # One global bound: a conv bias ahead of a batch norm has a ~1e-17
-        # float64 gradient, so per-tensor relative bounds would be noise.
-        # Rounding alone leaves a ~1e-6 gap. A max-pool window whose two
+        # One global bound over every learnable array. Rounding alone
+        # leaves a ~1e-6 gap. A max-pool window whose two
         # largest values differ by less than float32 resolution can route
         # its gradient to the other index; with seed 1 one such window, in
         # block 0's pool, moves the global gradient by 3.1e-3.
@@ -550,8 +563,7 @@ class TestReplicas:
         for kind in ("mean", "var"):
             assert relative_l2([replicas[0][f"{n}.running_{kind}"].data for n in names],
                                [reference[f"{n}.running_{kind}"].data for n in names]) <= 1e-10
-        # one global bound: a conv bias ahead of a batch norm has a ~1e-16
-        # true gradient, so a per-tensor relative bound would measure noise
+        # one global bound over every learnable array
         params = list(reference.parameters())
         summed = [replicas[0][n].grad + replicas[1][n].grad for n in params]
         assert relative_l2(summed, [reference[n].grad for n in params]) <= 1e-10
